@@ -16,10 +16,7 @@
  *
  * Flags: the shared sweep CLI. --workloads filters the tenant set;
  * --techniques selects the one offloading policy every stream runs
- * under (a single entry, default Conduit). --via-device executes
- * every cell through the persistent-device job API instead of the
- * direct batch engine run — output is byte-identical by the Device
- * equivalence contract, and CI diffs the two paths.
+ * under (a single entry, default Conduit).
  *
  * --age CYCLES runs the matrix on an aged device instead of a
  * factory-fresh one: a single pre-worn DeviceImage (reliability
@@ -30,6 +27,8 @@
  * every flash read, so a background tenant's die occupancy delays
  * the primary for whole retry ladders at a time — cross-tenant
  * interference tails amplify well beyond the fresh-device slowdown.
+ * Aged cells run outside a SweepRunner sweep, so --trace and
+ * --cell-perf are rejected in aged mode.
  *   --age CYCLES         P/E cycles pre-absorbed (0 = fresh matrix)
  *   --retention-days D   resident-data age (default: age * 30/1000,
  *                        the deployment-time coupling
@@ -113,15 +112,12 @@ main(int argc, char **argv)
     using namespace conduit;
     using namespace conduit::bench;
 
-    bool viaDevice = false;
     std::uint32_t age = 0;
     double retentionDays = -1.0; // < 0: derive from the age
     std::size_t warmupJobs = 4;
     const auto extra = [&](const std::string &flag,
                            const std::function<std::string()> &value) {
-        if (flag == "--via-device") {
-            viaDevice = true;
-        } else if (flag == "--age") {
+        if (flag == "--age") {
             age = static_cast<std::uint32_t>(
                 parseCount("--age", value(), /*allow_zero=*/true));
         } else if (flag == "--retention-days") {
@@ -136,7 +132,7 @@ main(int argc, char **argv)
     };
     const SweepCli cli = SweepCli::parse(
         argc, argv, extra,
-        "          [--via-device] [--age CYCLES]\n"
+        "          [--age CYCLES]\n"
         "          [--retention-days D] [--warmup-jobs N]\n");
     if (retentionDays < 0.0)
         retentionDays = static_cast<double>(age) * 30.0 / 1000.0;
@@ -208,7 +204,6 @@ main(int argc, char **argv)
         iso.config = config;
         iso.params = params;
         iso.streams = {slotFor(p, policy)};
-        iso.viaDevice = viaDevice;
         cells.push_back(std::move(iso));
     }
     for (WorkloadId p : tenants) {
@@ -218,7 +213,6 @@ main(int argc, char **argv)
             co.config = config;
             co.params = params;
             co.streams = {slotFor(p, policy), slotFor(b, policy)};
-            co.viaDevice = viaDevice;
             cells.push_back(std::move(co));
         }
     }
@@ -337,6 +331,10 @@ main(int argc, char **argv)
 
     const SweepResult rows(std::move(rowSpecs), std::move(rowResults),
                            wall, runner.workerCount(cells.size()));
+    // Aged cells bypass the runner's sweep, which therefore holds no
+    // per-cell perf or traces: finish() rejects --cell-perf/--trace.
     const auto perf = runner.lastPerf();
-    return cli.finish(rows, &perf, &runner);
+    const bool swept = age == 0;
+    return cli.finish(rows, swept ? &perf : nullptr,
+                      swept ? &runner : nullptr);
 }

@@ -24,26 +24,44 @@ benchCfg()
     return SsdConfig::scaled(1.0 / 128.0);
 }
 
-Program
+std::shared_ptr<const Program>
 benchProgram()
 {
-    runner::ProgramCache cache;
-    return cache.get(WorkloadId::LlamaInference, {}, benchCfg())
-        ->program;
+    conduit::ProgramCache cache;
+    auto vp = cache.get(WorkloadId::LlamaInference, {}, benchCfg());
+    return std::shared_ptr<const Program>(vp, &vp->program);
+}
+
+/** Run @p prog under Conduit as one tick-0 job on @p dev. */
+DeviceSnapshot
+runConduitJob(Device &dev, const std::shared_ptr<const Program> &prog)
+{
+    JobSpec job;
+    job.program = prog;
+    dev.submit(job);
+    return dev.drain();
+}
+
+DeviceOptions
+benchDevice()
+{
+    DeviceOptions opts;
+    opts.config = benchCfg();
+    return opts;
 }
 
 /** Host-side cost of evaluating the cost function (Eqn. 1/2). */
 void
 BM_CostFunctionEvaluation(benchmark::State &state)
 {
-    Engine engine(benchCfg());
-    Program prog = benchProgram();
+    Device dev(benchDevice());
+    const auto prog = benchProgram();
+    runConduitJob(dev, prog); // populate device state
     ConduitPolicy policy;
-    engine.run(prog, policy); // populate device state
     std::size_t i = 0;
     for (auto _ : state) {
-        const auto &vi = prog.instrs[i++ % prog.instrs.size()];
-        CostFeatures f = engine.features(vi, 0);
+        const auto &vi = prog->instrs[i++ % prog->instrs.size()];
+        CostFeatures f = dev.engine().features(vi, 0);
         benchmark::DoNotOptimize(policy.select(vi, f));
     }
 }
@@ -54,10 +72,10 @@ void
 BM_InstructionTransformation(benchmark::State &state)
 {
     InstructionTransformer tx(4096, 8192, 32);
-    Program prog = benchProgram();
+    const auto prog = benchProgram();
     std::size_t i = 0;
     for (auto _ : state) {
-        const auto &vi = prog.instrs[i++ % prog.instrs.size()];
+        const auto &vi = prog->instrs[i++ % prog->instrs.size()];
         benchmark::DoNotOptimize(
             tx.transform(vi, static_cast<Target>(i % 3)));
     }
@@ -68,15 +86,14 @@ BENCHMARK(BM_InstructionTransformation);
 void
 BM_EngineRunLlama(benchmark::State &state)
 {
-    Program prog = benchProgram();
+    const auto prog = benchProgram();
     for (auto _ : state) {
-        Engine engine(benchCfg());
-        ConduitPolicy policy;
-        benchmark::DoNotOptimize(engine.run(prog, policy));
+        Device dev(benchDevice());
+        benchmark::DoNotOptimize(runConduitJob(dev, prog));
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(prog.instrs.size()));
+        static_cast<std::int64_t>(prog->instrs.size()));
 }
 BENCHMARK(BM_EngineRunLlama);
 

@@ -12,7 +12,8 @@
  * and p99/p99.99 request latency grows monotonically with age.
  *
  * Each (workload, policy, age) cell is one deterministic device
- * lifetime (SweepRunner aging cells); the same arrival schedule is
+ * lifetime (a SweepRunner offered-load cell whose config carries the
+ * age); the same arrival schedule is
  * replayed at every age and for every policy, so rows differ only by
  * device age and offload decisions. stdout carries only simulated
  * values and is byte-identical across thread counts; CI enforces
@@ -54,7 +55,6 @@ namespace
 
 using namespace conduit;
 using namespace conduit::bench;
-using conduit::runner::AgingRunSpec;
 using conduit::runner::LoadRunSpec;
 using conduit::runner::splitCsv;
 
@@ -191,7 +191,7 @@ main(int argc, char **argv)
     // One fresh-device calibration per workload anchors the offered
     // rate, which is then held fixed across ages and policies so
     // rows differ only by device age and offload decisions.
-    std::vector<AgingRunSpec> cells;
+    std::vector<LoadRunSpec> cells;
     for (WorkloadId w : tenants) {
         LoadRunSpec iso;
         iso.workload = workloadName(w);
@@ -205,26 +205,28 @@ main(int argc, char **argv)
 
         for (const std::string &policy : policies) {
             for (std::uint32_t age : ages) {
-                AgingRunSpec cell;
-                cell.load.workload = workloadName(w);
-                cell.load.technique = policy;
-                cell.load.workloadId = w;
-                cell.load.params = params;
-                cell.load.jobs = jobs;
-                cell.load.jobsPerSec = rate;
-                cell.load.arrivals = arrivals;
-                cell.load.arrivalSeed = arrivalSeed;
-                cell.load.warmupJobs = warmupJobs;
-                cell.load.steadyState = steadyState;
-                cell.preWearCycles = age;
-                cell.retentionDays = static_cast<double>(age) *
+                LoadRunSpec cell;
+                cell.workload = workloadName(w);
+                cell.technique = policy;
+                cell.workloadId = w;
+                cell.params = params;
+                cell.jobs = jobs;
+                cell.jobsPerSec = rate;
+                cell.arrivals = arrivals;
+                cell.arrivalSeed = arrivalSeed;
+                cell.warmupJobs = warmupJobs;
+                cell.steadyState = steadyState;
+                ReliabilityConfig &rel = cell.config.reliability;
+                rel.enabled = true;
+                rel.preWearCycles = age;
+                rel.retentionDays = static_cast<double>(age) *
                     retentionPerKcycle / 1000.0;
                 cells.push_back(std::move(cell));
             }
         }
     }
 
-    const std::vector<DeviceSnapshot> snaps = runner.runAgingAll(cells);
+    const std::vector<DeviceSnapshot> snaps = runner.runLoadAll(cells);
 
     // Warm-phase cost is wall-clock (nondeterministic), so it goes
     // to stderr: stdout stays byte-identical between cold two-phase

@@ -67,7 +67,6 @@ namespace
 
 using namespace conduit;
 using namespace conduit::bench;
-using conduit::runner::AgingRunSpec;
 using conduit::runner::ClusterRunSpec;
 using conduit::runner::ClusterTenant;
 using conduit::runner::LoadRunSpec;
@@ -386,29 +385,31 @@ scenarioAging(SweepRunner &runner, const SweepCli &cli, int repeat,
     static const char *kPolicies[] = {"Conduit", "DM-Offloading",
                                       "BW-Offloading"};
     static const std::uint32_t kAges[] = {0, 1000, 2000, 3000};
-    std::vector<AgingRunSpec> cells;
+    std::vector<LoadRunSpec> cells;
     for (const char *policy : kPolicies) {
         for (std::uint32_t age : kAges) {
-            AgingRunSpec cell;
-            cell.load.workloadId = WorkloadId::Aes;
-            cell.load.workload = workloadName(WorkloadId::Aes);
-            cell.load.technique = policy;
-            cell.load.params.scale = cli.scale;
-            cell.load.jobs = 2;
-            cell.load.jobsPerSec = rate;
-            cell.load.arrivals = ArrivalKind::Poisson;
-            cell.load.arrivalSeed = 1;
-            cell.load.warmupJobs = 12;
-            cell.load.steadyState = fork;
-            cell.preWearCycles = age;
-            cell.retentionDays = age * 30.0 / 1000.0;
+            LoadRunSpec cell;
+            cell.workloadId = WorkloadId::Aes;
+            cell.workload = workloadName(WorkloadId::Aes);
+            cell.technique = policy;
+            cell.params.scale = cli.scale;
+            cell.jobs = 2;
+            cell.jobsPerSec = rate;
+            cell.arrivals = ArrivalKind::Poisson;
+            cell.arrivalSeed = 1;
+            cell.warmupJobs = 12;
+            cell.steadyState = fork;
+            ReliabilityConfig &rel = cell.config.reliability;
+            rel.enabled = true;
+            rel.preWearCycles = age;
+            rel.retentionDays = age * 30.0 / 1000.0;
             cells.push_back(std::move(cell));
         }
     }
 
     std::vector<DeviceSnapshot> snaps;
     for (int rep = 0; rep < repeat; ++rep) {
-        snaps = runner.runAgingAll(cells);
+        snaps = runner.runLoadAll(cells);
         SweepPerf perf = runner.lastPerf();
         // Warm-image builds are part of what the fork mode pays;
         // fold them into the wall so cold vs fork compares the full
@@ -419,8 +420,9 @@ scenarioAging(SweepRunner &runner, const SweepCli &cli, int repeat,
     r.wallMean /= repeat;
     for (std::size_t i = 0; i < cells.size(); ++i)
         r.digest.push_back(digestLine(
-            cells[i].load.technique + "@" +
-                std::to_string(cells[i].preWearCycles) + "pe",
+            cells[i].technique + "@" +
+                std::to_string(cells[i].config.reliability.preWearCycles) +
+                "pe",
             snaps[i].makespan));
     return r;
 }

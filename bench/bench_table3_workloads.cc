@@ -49,7 +49,7 @@ main(int argc, char **argv)
     const SsdConfig cfg = runner::defaultSweepConfig();
     WorkloadParams params;
     params.scale = cli.scale;
-    runner::ProgramCache cache;
+    conduit::ProgramCache cache;
 
     // Honor --workloads like the sweep benches do.
     const auto keep = runner::splitCsv(cli.workloadFilter);

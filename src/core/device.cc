@@ -7,6 +7,41 @@
 namespace conduit
 {
 
+namespace
+{
+
+/**
+ * Fold @p r into @p agg: label joining ("+"), counter and busy-time
+ * sums, latency-histogram merge.
+ */
+void
+accumulateResult(RunResult &agg, const RunResult &r)
+{
+    if (!agg.workload.empty()) {
+        agg.workload += "+";
+        agg.policy += "+";
+    }
+    agg.workload += r.workload;
+    agg.policy += r.policy;
+    agg.instrCount += r.instrCount;
+    for (std::size_t i = 0; i < kNumTargets; ++i)
+        agg.perResource[i] += r.perResource[i];
+    agg.latencyUs.merge(r.latencyUs);
+    agg.dmEnergyJ += r.dmEnergyJ;
+    agg.computeEnergyJ += r.computeEnergyJ;
+    agg.computeBusy += r.computeBusy;
+    agg.internalDmBusy += r.internalDmBusy;
+    agg.flashReadBusy += r.flashReadBusy;
+    agg.hostDmBusy += r.hostDmBusy;
+    agg.offloaderBusy += r.offloaderBusy;
+    agg.faultsInjected += r.faultsInjected;
+    agg.replays += r.replays;
+    agg.coherenceCommits += r.coherenceCommits;
+    agg.latchEvictions += r.latchEvictions;
+}
+
+} // namespace
+
 // --------------------------------------------------- RegionAllocator
 
 void
@@ -160,9 +195,8 @@ Device::ensureSession()
         return;
     std::uint64_t cap = opts_.capacityPages;
     if (cap == 0) {
-        // Auto-size the pool to the jobs pending right now — the
-        // footprint sum Engine::run prepares for, which keeps
-        // simultaneous-arrival runs byte-identical to runMulti.
+        // Auto-size the pool to the jobs pending right now, so a
+        // batch of simultaneous arrivals admits at once.
         for (const Job &j : jobs_)
             cap += j.footprint;
     }
@@ -173,8 +207,7 @@ Device::ensureSession()
     session_ = true;
 
     // Tick-0 jobs admit directly (no arrival event), in submission
-    // order — exactly the spec-order attach sequence of Engine::run.
-    // Future arrivals become events on the shared queue.
+    // order. Future arrivals become events on the shared queue.
     for (Job &job : jobs_) {
         if (job.requestedArrival == 0) {
             job.result.arrival = 0;
@@ -290,7 +323,7 @@ Device::retire(Job &job)
             kRetirePriority);
     } else {
         // Quiescence-mode retirement happens outside simulated time
-        // (the batch semantics of Engine::run); release in place.
+        // (batch semantics); release in place.
         releaseRegion(base, pages);
     }
 }
@@ -456,6 +489,9 @@ runStreamsOnDevice(const DeviceOptions &opts,
         throw std::invalid_argument("Engine: no streams to run");
     Device dev(opts);
     for (sched::StreamSpec &s : streams) {
+        if (!s.program || !s.policy)
+            throw std::invalid_argument(
+                "Engine: StreamSpec needs a program and a policy");
         JobSpec job;
         job.name = s.name;
         job.program = std::move(s.program);

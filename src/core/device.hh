@@ -28,11 +28,12 @@
  * completion times — so offered-load experiments (saturation curves,
  * SLO tails under churn) are first-class.
  *
- * Equivalence contract: a Device whose jobs all arrive at tick 0
- * reproduces Engine::run / Simulation::runMulti byte-identically
- * (same regions, same event sequence, same retire order), and a
- * single job reproduces Simulation::run. The batch facade is
- * re-implemented as a thin wrapper over this class.
+ * Device is the only driver of engine sessions. A batch run is the
+ * special case of every job arriving at tick 0: regions laid out in
+ * submission order, retirement in submission order at quiescence
+ * (runStreamsOnDevice). The batch facade (Simulation::run /
+ * runMulti) and every sweep-runner cell shape are thin wrappers over
+ * this class.
  *
  * Everything is deterministic: arrivals, admission, retirement and
  * reclamation all happen at defined points in simulated time, so
@@ -66,8 +67,8 @@ using JobId = std::uint64_t;
  *
  * Jobs occupy contiguous regions; freeing coalesces with neighbours.
  * Allocation order is deterministic (lowest free base wins), so jobs
- * admitted in submission order from an empty pool land exactly where
- * Engine::run's spec-order layout puts them.
+ * admitted in submission order from an empty pool land back to back
+ * in submission order.
  */
 class RegionAllocator
 {
@@ -97,8 +98,7 @@ enum class RetirePolicy
 {
     /**
      * At device quiescence, in submission order — the batch
-     * semantics of Engine::run, byte-compatible with the facade's
-     * runMulti for simultaneous arrivals.
+     * semantics of the facade's runMulti for simultaneous arrivals.
      */
     OnQuiesce,
 
@@ -124,10 +124,9 @@ struct DeviceOptions
 
     /**
      * Logical-page pool backing job regions. 0 sizes the pool to the
-     * jobs pending at the first advance — exactly the footprint sum
-     * Engine::run prepares for, which is what makes simultaneous-
-     * arrival runs byte-identical to runMulti. Set it explicitly for
-     * open-ended operation with admission control.
+     * footprint sum of the jobs pending at the first advance, so a
+     * batch of simultaneous arrivals admits at once. Set it
+     * explicitly for open-ended operation with admission control.
      */
     std::uint64_t capacityPages = 0;
 
@@ -248,7 +247,11 @@ struct DeviceSnapshot
     /** Retired jobs, in submission order. */
     std::vector<JobResult> jobs;
 
-    /** Device-level aggregate (same folding as runMulti's). */
+    /**
+     * Device-level aggregate: per-job counters and busy times
+     * summed, latency histograms merged, labels joined with "+",
+     * and the makespan as execTime.
+     */
     RunResult aggregate;
 
     /** Latest job end (drains included). */
@@ -507,8 +510,8 @@ class Device
 /**
  * Run @p streams as tick-0 jobs on a fresh Device under @p opts and
  * convert the snapshot to the batch result shape — the shared body
- * of the facade's runStreams and the sweep runner's via-device path
- * (byte-identical to Engine::run by the equivalence contract).
+ * of the facade's runStreams and the sweep runner's multi-tenant
+ * cells. Every stream needs a program and a policy.
  */
 sched::MultiRunResult
 runStreamsOnDevice(const DeviceOptions &opts,

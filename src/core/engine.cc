@@ -27,28 +27,6 @@ Engine::Engine(const SsdConfig &cfg)
 }
 
 void
-Engine::prepare(std::uint64_t total_pages, const EngineOptions &opts)
-{
-    opts_ = opts;
-    if (total_pages > ftl_.logicalPages()) {
-        throw std::invalid_argument(
-            "Engine: program footprint exceeds SSD logical capacity; "
-            "scale the workload or the device");
-    }
-    ftl_.preload(total_pages);
-    ftl_.setMappingCacheCapacity(static_cast<std::uint64_t>(
-        static_cast<double>(total_pages) *
-        opts.mappingCacheFraction));
-    pageMeta_.assign(total_pages, PageMeta{});
-    latchFifo_.assign(nand_.numDies(), {});
-    dramCapacityPages_ = std::max<std::uint64_t>(
-        64, static_cast<std::uint64_t>(
-                static_cast<double>(total_pages) *
-                opts.dramStagingFraction));
-    dramLru_.reset(total_pages);
-}
-
-void
 Engine::dramTouch(Lpn page, Tick now)
 {
     if (dramLru_.touch(page))
@@ -824,29 +802,29 @@ Engine::drainStream(sched::ExecContext &ctx, Tick after)
     return end;
 }
 
-RunResult
-Engine::run(const Program &prog, OffloadPolicy &policy,
-            const EngineOptions &opts)
-{
-    // Non-owning aliases: the single-stream entry point borrows the
-    // caller's program and policy for the duration of the run.
-    std::vector<sched::StreamSpec> streams(1);
-    streams[0].program = std::shared_ptr<const Program>(
-        std::shared_ptr<const void>(), &prog);
-    streams[0].policy = std::shared_ptr<OffloadPolicy>(
-        std::shared_ptr<void>(), &policy);
-    sched::MultiRunResult mr = run(std::move(streams), opts);
-    mr.streams.front().eventsFired = mr.eventsFired;
-    return std::move(mr.streams.front());
-}
-
 void
 Engine::sessionBegin(std::uint64_t capacity_pages,
                      const EngineOptions &opts)
 {
     ctx_ = nullptr;
     streamCtxs_.clear();
-    prepare(capacity_pages, opts);
+    opts_ = opts;
+    if (capacity_pages > ftl_.logicalPages()) {
+        throw std::invalid_argument(
+            "Engine: program footprint exceeds SSD logical capacity; "
+            "scale the workload or the device");
+    }
+    ftl_.preload(capacity_pages);
+    ftl_.setMappingCacheCapacity(static_cast<std::uint64_t>(
+        static_cast<double>(capacity_pages) *
+        opts.mappingCacheFraction));
+    pageMeta_.assign(capacity_pages, PageMeta{});
+    latchFifo_.assign(nand_.numDies(), {});
+    dramCapacityPages_ = std::max<std::uint64_t>(
+        64, static_cast<std::uint64_t>(
+                static_cast<double>(capacity_pages) *
+                opts.dramStagingFraction));
+    dramLru_.reset(capacity_pages);
     queue_ = std::make_unique<EventQueue>();
     scheduler_ = std::make_unique<sched::StreamScheduler>(*this, *queue_);
     nextScrubAt_ = cfg_.reliability.scrubIntervalTicks;
@@ -903,11 +881,11 @@ Engine::maybeScheduleScrub(Tick now)
         nextScrubAt_ += cfg_.reliability.scrubIntervalTicks;
     scrubScheduled_ = true;
     queue_->schedule(
-        nextScrubAt_, [this] { runScrubPass(); }, kScrubPriority);
+        nextScrubAt_, [this] { scrubPass(); }, kScrubPriority);
 }
 
 void
-Engine::runScrubPass()
+Engine::scrubPass()
 {
     scrubScheduled_ = false;
     nextScrubAt_ += cfg_.reliability.scrubIntervalTicks;
@@ -1039,57 +1017,6 @@ Engine::sessionReclaim(std::uint64_t base_page, std::uint64_t pages)
     }
 }
 
-sched::MultiRunResult
-Engine::run(std::vector<sched::StreamSpec> streams,
-            const EngineOptions &opts)
-{
-    if (streams.empty())
-        throw std::invalid_argument("Engine: no streams to run");
-    std::uint64_t total_pages = 0;
-    for (const auto &s : streams) {
-        if (!s.program || !s.policy)
-            throw std::invalid_argument(
-                "Engine: StreamSpec needs a program and a policy");
-        total_pages += s.program->footprintPages;
-    }
-
-    // The batch run is one session: streams laid out in disjoint
-    // page regions in spec order, all attached at tick 0. The
-    // contexts are kept alive on the engine after the run so
-    // post-run feature probes (features()) still see completion
-    // state — matching the pre-scheduler engine, whose completion
-    // vector persisted.
-    sessionBegin(total_pages, opts);
-    std::uint64_t base = 0;
-    for (const auto &s : streams) {
-        sessionAttach(s, base, 0);
-        base += s.program->footprintPages;
-    }
-    queue_->run();
-
-    sched::MultiRunResult mr;
-    mr.eventsFired = queue_->eventsFired();
-    for (auto &ctx : streamCtxs_) {
-        const Tick end = sessionFinish(ctx);
-        mr.makespan = std::max(mr.makespan, end);
-        mr.streams.push_back(std::move(ctx.result));
-    }
-
-    mr.aggregate = aggregateResults(mr.streams);
-    mr.aggregate.execTime = mr.makespan;
-    // Leave the first stream active so external feature probes
-    // address pages and dependence state exactly as that stream's
-    // dispatches did (single-stream: the whole device). The program
-    // and policy are borrowed from the caller and may die with this
-    // call — null the borrows so nothing can dereference them later.
-    for (auto &ctx : streamCtxs_) {
-        ctx.prog = nullptr;
-        ctx.policy = nullptr;
-    }
-    ctx_ = &streamCtxs_.front();
-    return mr;
-}
-
 Engine::Image
 Engine::captureImage() const
 {
@@ -1135,7 +1062,7 @@ Engine::restoreImage(const Image &img)
             "between the image and this engine's config");
 
     // Open a fresh session sized like the captured one. The FTL
-    // preload inside prepare() performs only metadata writes (no
+    // preload inside sessionBegin() performs only metadata writes (no
     // media or calendar operations), so every one of its side
     // effects is overwritten wholesale by the restores below.
     sessionBegin(img.capacityPages, img.opts);
@@ -1158,41 +1085,6 @@ Engine::restoreImage(const Image &img)
     scrubCursor_ = img.scrubCursor;
     scrubScheduled_ = false; // quiescent capture: no pending event
     queue_->restore(img.queueNow, img.queueFired);
-}
-
-void
-accumulateResult(RunResult &agg, const RunResult &r)
-{
-    if (!agg.workload.empty()) {
-        agg.workload += "+";
-        agg.policy += "+";
-    }
-    agg.workload += r.workload;
-    agg.policy += r.policy;
-    agg.instrCount += r.instrCount;
-    for (std::size_t i = 0; i < kNumTargets; ++i)
-        agg.perResource[i] += r.perResource[i];
-    agg.latencyUs.merge(r.latencyUs);
-    agg.dmEnergyJ += r.dmEnergyJ;
-    agg.computeEnergyJ += r.computeEnergyJ;
-    agg.computeBusy += r.computeBusy;
-    agg.internalDmBusy += r.internalDmBusy;
-    agg.flashReadBusy += r.flashReadBusy;
-    agg.hostDmBusy += r.hostDmBusy;
-    agg.offloaderBusy += r.offloaderBusy;
-    agg.faultsInjected += r.faultsInjected;
-    agg.replays += r.replays;
-    agg.coherenceCommits += r.coherenceCommits;
-    agg.latchEvictions += r.latchEvictions;
-}
-
-RunResult
-aggregateResults(const std::vector<RunResult> &streams)
-{
-    RunResult agg;
-    for (const RunResult &r : streams)
-        accumulateResult(agg, r);
-    return agg;
 }
 
 } // namespace conduit

@@ -75,44 +75,25 @@ class Tracer;
 constexpr std::uint32_t kAutoDie = ~0U;
 
 /**
- * The runtime engine. One Engine instance executes one run — single-
- * or multi-stream — over a fresh simulated SSD.
+ * The runtime engine: the simulated SSD's substrates plus the
+ * per-instruction dispatch pipeline. core::Device is its only driver —
+ * it opens one session, attaches jobs as streams and finishes them.
  */
 class Engine : public sched::StreamDispatcher
 {
   public:
     explicit Engine(const SsdConfig &cfg);
 
-    /** Execute @p prog under @p policy (single-stream). */
-    RunResult run(const Program &prog, OffloadPolicy &policy,
-                  const EngineOptions &opts = {});
-
     /**
-     * Execute N streams concurrently on this one simulated SSD.
+     * @name Session API
      *
-     * Streams are laid out in disjoint logical-page regions (in spec
-     * order) and co-scheduled by a StreamScheduler on one event
-     * queue; they contend for every shared device resource. Results
-     * come back in spec order, plus a device-level aggregate.
-     *
-     * Deterministic: repeat runs with equal specs produce identical
-     * results, and a one-stream call matches the single-stream
-     * overload exactly.
-     */
-    sched::MultiRunResult run(std::vector<sched::StreamSpec> streams,
-                              const EngineOptions &opts = {});
-
-    /**
-     * @name Persistent-session API
-     *
-     * The long-lived device mode behind core::Device: one prepared
-     * SSD accepts streams ("jobs") over its lifetime instead of all
-     * at prepare() time. Streams attach at arbitrary simulated ticks
-     * into caller-assigned page regions, the shared event queue
-     * persists between job submissions, and a finished stream's
-     * region can be reclaimed for later jobs. Engine::run() is the
-     * batch special case: one session, every stream attached at tick
-     * 0, finished in attach order at quiescence.
+     * One prepared SSD accepts streams ("jobs") over its lifetime.
+     * Streams attach at arbitrary simulated ticks into caller-
+     * assigned page regions, the shared event queue persists between
+     * job submissions, and a finished stream's region can be
+     * reclaimed for later jobs. A batch run is the special case of
+     * every stream attached at tick 0 and finished in attach order at
+     * quiescence.
      * @{
      */
 
@@ -166,9 +147,10 @@ class Engine : public sched::StreamDispatcher
      * Feature vector for @p instr at time @p now (testable). The
      * queue/bandwidth terms are live views of the shared resource
      * calendars; during a multi-stream run they include every other
-     * tenant's outstanding reservations. After a run, probes are
-     * evaluated in the first stream's context (page region and
-     * completion state), matching the pre-scheduler engine.
+     * tenant's outstanding reservations. Page addressing and the
+     * dependence term follow the dispatching stream; probed between
+     * dispatches, the whole page pool is addressed and the
+     * dependence delay is zero.
      */
     CostFeatures features(const VecInstruction &instr, Tick now);
 
@@ -241,8 +223,6 @@ class Engine : public sched::StreamDispatcher
     sched::DispatchOutcome dispatchNext(sched::ExecContext &ctx,
                                         Tick now) override;
 
-    void prepare(std::uint64_t total_pages, const EngineOptions &opts);
-
     Tick offloadOverhead(const VecInstruction &instr, Tick now);
 
     /** Dies of @p instr's compute fragments (first operand's pages). */
@@ -281,7 +261,7 @@ class Engine : public sched::StreamDispatcher
 
     /** One scrub pass: examine a bounded block window, refresh the
      *  blocks whose RBER crossed the scrub threshold. */
-    void runScrubPass();
+    void scrubPass();
     /** @} */
 
     /** Commit a dirty DRAM/latch page to the flash array. */
@@ -368,8 +348,7 @@ class Engine : public sched::StreamDispatcher
     /**
      * The session's execution contexts, in attach order; a deque so
      * addresses stay stable while a persistent session keeps
-     * attaching streams. Kept after a run so feature probes can
-     * consult completion state.
+     * attaching streams.
      */
     // lint: transient(captureImage requires quiescence: every context is complete and its results already live in the Device's retired jobs)
     std::deque<sched::ExecContext> streamCtxs_;
@@ -388,8 +367,7 @@ class Engine : public sched::StreamDispatcher
     /**
      * Stream whose dispatch (or drain) is currently being serviced;
      * movement/coherence helpers attribute results, energy, and page
-     * addressing through it. Between dispatches it is null; after a
-     * completed run it points at the first stream (feature probes).
+     * addressing through it. Between dispatches it is null.
      */
     sched::ExecContext *ctx_ = nullptr;
 
@@ -468,16 +446,6 @@ class Engine : public sched::StreamDispatcher
      */
     void restoreImage(const Image &img);
 };
-
-/**
- * Fold @p r into @p agg: label joining ("+"), counter and busy-time
- * sums, latency-histogram merge. Shared by Engine::run's aggregate
- * and core::Device snapshots so both report identically.
- */
-void accumulateResult(RunResult &agg, const RunResult &r);
-
-/** Device-level aggregate over per-stream results, in order. */
-RunResult aggregateResults(const std::vector<RunResult> &streams);
 
 } // namespace conduit
 

@@ -89,15 +89,6 @@ struct RunResult
     std::uint64_t replays = 0;
     std::uint64_t coherenceCommits = 0;
     std::uint64_t latchEvictions = 0;
-
-    /**
-     * Events the kernel fired for this run. Only single-stream
-     * engine runs report it here (multi-stream runs report the
-     * device-wide count on MultiRunResult / DeviceSnapshot); host
-     * baselines have no event kernel and leave it 0. Simulator
-     * self-perf metadata — never part of the simulated results.
-     */
-    std::uint64_t eventsFired = 0;
 };
 
 } // namespace conduit

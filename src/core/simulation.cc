@@ -97,8 +97,7 @@ sched::MultiRunResult
 Simulation::runStreams(std::vector<sched::StreamSpec> streams)
 {
     // Fresh device, every stream submitted as a job arriving at tick
-    // 0: byte-identical to the batch engine run (same region layout,
-    // event sequence, and submission-order retirement).
+    // 0: regions in submission order, retirement in submission order.
     return runStreamsOnDevice(deviceOptionsFor(opts_),
                               std::move(streams));
 }

@@ -135,8 +135,9 @@ struct StreamSlot
 };
 
 /**
- * One multi-tenant cell: N streams co-running on one simulated SSD.
- * The whole cell is a single deterministic engine run; cells are
+ * One multi-tenant cell: N streams co-running on one simulated SSD,
+ * each a tick-0 job on one fresh Device. The whole cell is a single
+ * deterministic device lifetime; cells are
  * independent of each other, so a set of them can be swept across
  * worker threads exactly like single-stream RunSpecs.
  */
@@ -156,15 +157,6 @@ struct MultiRunSpec
 
     /** The co-running tenants, in result order. */
     std::vector<StreamSlot> streams;
-
-    /**
-     * Execute the cell through the persistent-device job API
-     * (core::Device, every stream a tick-0 job) instead of the
-     * direct batch engine run. Results are byte-identical by the
-     * Device equivalence contract — this switch exists so CI can
-     * diff the two paths against each other.
-     */
-    bool viaDevice = false;
 };
 
 /**
@@ -172,6 +164,9 @@ struct MultiRunSpec
  * offered to a persistent Device at a given arrival rate. The cell
  * is one deterministic device lifetime (arrivals included), so a
  * set of cells sweeps across worker threads exactly like RunSpecs.
+ * An aging cell is a LoadRunSpec whose config.reliability enables
+ * the subsystem and fast-forwards the device to its age
+ * (preWearCycles, retentionDays).
  */
 struct LoadRunSpec
 {
@@ -254,27 +249,6 @@ struct LoadRunSpec
     bool steadyState = false;
 
     /** @} */
-};
-
-/**
- * One device-aging cell: an offered-load cell executed on a device
- * fast-forwarded to a given age. The runner enables the reliability
- * subsystem on the cell's config and applies the fast-forward knobs,
- * so a ladder of AgingRunSpecs sweeps latency/throughput vs device
- * age under identical traffic. Cells are independent device
- * lifetimes and sweep across worker threads like every other cell
- * shape.
- */
-struct AgingRunSpec
-{
-    /** The traffic offered to the aged device. */
-    LoadRunSpec load;
-
-    /** P/E cycles every block has absorbed before tick 0. */
-    std::uint32_t preWearCycles = 0;
-
-    /** Retention age of the resident data at tick 0, in days. */
-    double retentionDays = 0.0;
 };
 
 /**

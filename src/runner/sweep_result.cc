@@ -138,6 +138,33 @@ writeFieldJson(std::ostream &os,
     os << "]\n";
 }
 
+/**
+ * Open @p path, emit through @p write, and report whether both the
+ * open and every write succeeded.
+ */
+template <typename Write>
+bool
+writeFile(const std::string &path, const Write &write)
+{
+    std::ofstream os(path);
+    if (!os)
+        return false;
+    write(os);
+    return static_cast<bool>(os);
+}
+
+/** Field rows of @p rows, one per row, built by @p fields. */
+template <typename Row, typename Fields>
+std::vector<std::vector<Field>>
+fieldRows(const std::vector<Row> &rows, const Fields &fields)
+{
+    std::vector<std::vector<Field>> out;
+    out.reserve(rows.size());
+    for (const Row &row : rows)
+        out.push_back(fields(row));
+    return out;
+}
+
 } // namespace
 
 SweepResult::SweepResult(std::vector<RunSpec> specs,
@@ -188,6 +215,16 @@ uniqueLabels(const std::vector<RunSpec> &specs,
     return out;
 }
 
+std::vector<std::vector<Field>>
+sweepFields(const SweepResult &sweep)
+{
+    std::vector<std::vector<Field>> out;
+    out.reserve(sweep.size());
+    for (std::size_t i = 0; i < sweep.size(); ++i)
+        out.push_back(rowFields(sweep.spec(i), sweep.result(i)));
+    return out;
+}
+
 } // namespace
 
 std::vector<std::string>
@@ -205,41 +242,25 @@ SweepResult::techniqueLabels() const
 void
 SweepResult::writeCsv(std::ostream &os) const
 {
-    std::vector<std::vector<Field>> fields;
-    fields.reserve(results_.size());
-    for (std::size_t i = 0; i < results_.size(); ++i)
-        fields.push_back(rowFields(specs_[i], results_[i]));
-    writeFieldCsv(os, fields);
+    writeFieldCsv(os, sweepFields(*this));
 }
 
 void
 SweepResult::writeJson(std::ostream &os) const
 {
-    std::vector<std::vector<Field>> fields;
-    fields.reserve(results_.size());
-    for (std::size_t i = 0; i < results_.size(); ++i)
-        fields.push_back(rowFields(specs_[i], results_[i]));
-    writeFieldJson(os, fields);
+    writeFieldJson(os, sweepFields(*this));
 }
 
 bool
 SweepResult::writeCsvFile(const std::string &path) const
 {
-    std::ofstream os(path);
-    if (!os)
-        return false;
-    writeCsv(os);
-    return static_cast<bool>(os);
+    return writeFile(path, [&](auto &os) { writeCsv(os); });
 }
 
 bool
 SweepResult::writeJsonFile(const std::string &path) const
 {
-    std::ofstream os(path);
-    if (!os)
-        return false;
-    writeJson(os);
-    return static_cast<bool>(os);
+    return writeFile(path, [&](auto &os) { writeJson(os); });
 }
 
 namespace
@@ -345,52 +366,36 @@ makeLoadRow(const LoadRunSpec &spec, const DeviceSnapshot &snap)
 void
 writeLoadCsv(std::ostream &os, const std::vector<LoadRow> &rows)
 {
-    std::vector<std::vector<Field>> fields;
-    fields.reserve(rows.size());
-    for (const LoadRow &row : rows)
-        fields.push_back(loadRowFields(row));
-    writeFieldCsv(os, fields);
+    writeFieldCsv(os, fieldRows(rows, loadRowFields));
 }
 
 void
 writeLoadJson(std::ostream &os, const std::vector<LoadRow> &rows)
 {
-    std::vector<std::vector<Field>> fields;
-    fields.reserve(rows.size());
-    for (const LoadRow &row : rows)
-        fields.push_back(loadRowFields(row));
-    writeFieldJson(os, fields);
+    writeFieldJson(os, fieldRows(rows, loadRowFields));
 }
 
 bool
 writeLoadCsvFile(const std::string &path,
                  const std::vector<LoadRow> &rows)
 {
-    std::ofstream os(path);
-    if (!os)
-        return false;
-    writeLoadCsv(os, rows);
-    return static_cast<bool>(os);
+    return writeFile(path, [&](auto &os) { writeLoadCsv(os, rows); });
 }
 
 bool
 writeLoadJsonFile(const std::string &path,
                   const std::vector<LoadRow> &rows)
 {
-    std::ofstream os(path);
-    if (!os)
-        return false;
-    writeLoadJson(os, rows);
-    return static_cast<bool>(os);
+    return writeFile(path, [&](auto &os) { writeLoadJson(os, rows); });
 }
 
 AgingRow
-makeAgingRow(const AgingRunSpec &spec, const DeviceSnapshot &snap)
+makeAgingRow(const LoadRunSpec &spec, const DeviceSnapshot &snap)
 {
     AgingRow r;
-    r.load = makeLoadRow(spec.load, snap);
-    r.preWearCycles = spec.preWearCycles;
-    r.retentionDays = spec.retentionDays;
+    r.load = makeLoadRow(spec, snap);
+    r.preWearCycles = spec.config.reliability.preWearCycles;
+    r.retentionDays = spec.config.reliability.retentionDays;
     r.rel = snap.reliability;
     return r;
 }
@@ -398,43 +403,27 @@ makeAgingRow(const AgingRunSpec &spec, const DeviceSnapshot &snap)
 void
 writeAgingCsv(std::ostream &os, const std::vector<AgingRow> &rows)
 {
-    std::vector<std::vector<Field>> fields;
-    fields.reserve(rows.size());
-    for (const AgingRow &row : rows)
-        fields.push_back(agingRowFields(row));
-    writeFieldCsv(os, fields);
+    writeFieldCsv(os, fieldRows(rows, agingRowFields));
 }
 
 void
 writeAgingJson(std::ostream &os, const std::vector<AgingRow> &rows)
 {
-    std::vector<std::vector<Field>> fields;
-    fields.reserve(rows.size());
-    for (const AgingRow &row : rows)
-        fields.push_back(agingRowFields(row));
-    writeFieldJson(os, fields);
+    writeFieldJson(os, fieldRows(rows, agingRowFields));
 }
 
 bool
 writeAgingCsvFile(const std::string &path,
                   const std::vector<AgingRow> &rows)
 {
-    std::ofstream os(path);
-    if (!os)
-        return false;
-    writeAgingCsv(os, rows);
-    return static_cast<bool>(os);
+    return writeFile(path, [&](auto &os) { writeAgingCsv(os, rows); });
 }
 
 bool
 writeAgingJsonFile(const std::string &path,
                    const std::vector<AgingRow> &rows)
 {
-    std::ofstream os(path);
-    if (!os)
-        return false;
-    writeAgingJson(os, rows);
-    return static_cast<bool>(os);
+    return writeFile(path, [&](auto &os) { writeAgingJson(os, rows); });
 }
 
 namespace
@@ -602,44 +591,28 @@ makeClusterRows(const ClusterRunSpec &spec,
 void
 writeClusterCsv(std::ostream &os, const std::vector<ClusterRow> &rows)
 {
-    std::vector<std::vector<Field>> fields;
-    fields.reserve(rows.size());
-    for (const ClusterRow &row : rows)
-        fields.push_back(clusterRowFields(row));
-    writeFieldCsv(os, fields);
+    writeFieldCsv(os, fieldRows(rows, clusterRowFields));
 }
 
 void
 writeClusterJson(std::ostream &os,
                  const std::vector<ClusterRow> &rows)
 {
-    std::vector<std::vector<Field>> fields;
-    fields.reserve(rows.size());
-    for (const ClusterRow &row : rows)
-        fields.push_back(clusterRowFields(row));
-    writeFieldJson(os, fields);
+    writeFieldJson(os, fieldRows(rows, clusterRowFields));
 }
 
 bool
 writeClusterCsvFile(const std::string &path,
                     const std::vector<ClusterRow> &rows)
 {
-    std::ofstream os(path);
-    if (!os)
-        return false;
-    writeClusterCsv(os, rows);
-    return static_cast<bool>(os);
+    return writeFile(path, [&](auto &os) { writeClusterCsv(os, rows); });
 }
 
 bool
 writeClusterJsonFile(const std::string &path,
                      const std::vector<ClusterRow> &rows)
 {
-    std::ofstream os(path);
-    if (!os)
-        return false;
-    writeClusterJson(os, rows);
-    return static_cast<bool>(os);
+    return writeFile(path, [&](auto &os) { writeClusterJson(os, rows); });
 }
 
 double

@@ -145,8 +145,11 @@ struct AgingRow
     reliability::ReliabilityStats rel;
 };
 
-/** Reduce an executed aging cell's snapshot to its emitted row. */
-AgingRow makeAgingRow(const AgingRunSpec &spec,
+/**
+ * Reduce an executed aging cell's snapshot to its emitted row; the
+ * age comes from the cell's config.reliability.
+ */
+AgingRow makeAgingRow(const LoadRunSpec &spec,
                       const DeviceSnapshot &snap);
 
 /** @name Aging row emission (byte-identical for identical specs,

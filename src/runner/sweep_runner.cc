@@ -70,7 +70,10 @@ sinceSeconds(const std::chrono::steady_clock::time_point &t0)
         .count();
 }
 
-/** Attribution label of an offered-load cell. */
+/**
+ * Attribution label of an offered-load cell; cells on a device with
+ * the reliability subsystem enabled append their age.
+ */
 std::string
 loadCellLabel(const LoadRunSpec &spec)
 {
@@ -81,44 +84,61 @@ loadCellLabel(const LoadRunSpec &spec)
                           : std::string("load");
     char rate[48];
     std::snprintf(rate, sizeof rate, "@%gjobs/s", spec.jobsPerSec);
-    return workload + "/" + spec.technique + rate;
+    std::string label = workload + "/" + spec.technique + rate;
+    const ReliabilityConfig &rel = spec.config.reliability;
+    if (rel.enabled) {
+        char age[64];
+        std::snprintf(age, sizeof age, "+w%lu+d%g",
+                      static_cast<unsigned long>(rel.preWearCycles),
+                      rel.retentionDays);
+        label += age;
+    }
+    return label;
 }
 
-/** Attribution label of an aging cell. */
-std::string
-agingCellLabel(const AgingRunSpec &spec)
+/**
+ * Resolve a cell's program: @p program when set, else @p workload
+ * compiled through @p cache. @p kind and @p label name the cell in
+ * the error raised when it has neither.
+ */
+std::shared_ptr<const Program>
+resolveProgram(ProgramCache &cache,
+               const std::shared_ptr<const Program> &program,
+               const std::optional<WorkloadId> &workload,
+               const WorkloadParams &params, const SsdConfig &config,
+               const char *kind, const std::string &label)
 {
-    char age[64];
-    std::snprintf(age, sizeof age, "+w%lu+d%g",
-                  static_cast<unsigned long>(spec.preWearCycles),
-                  spec.retentionDays);
-    return loadCellLabel(spec.load) + age;
+    if (program)
+        return program;
+    if (!workload)
+        throw std::invalid_argument(
+            std::string(kind) +
+            " has neither a program nor a workload: " + label);
+    auto compiled = cache.get(*workload, params, config);
+    return std::shared_ptr<const Program>(compiled,
+                                          &compiled->program);
 }
 
 /** Resolve an offered-load cell's program (explicit > workload). */
 std::shared_ptr<const Program>
 resolveLoadProgram(ProgramCache &cache, const LoadRunSpec &spec)
 {
-    if (spec.program)
-        return spec.program;
-    if (!spec.workloadId)
-        throw std::invalid_argument(
-            "LoadRunSpec has neither a program nor a workload: " +
-            spec.workload + "/" + spec.technique);
-    auto compiled =
-        cache.get(*spec.workloadId, spec.params, spec.config);
-    return std::shared_ptr<const Program>(compiled,
-                                          &compiled->program);
+    return resolveProgram(cache, spec.program, spec.workloadId,
+                          spec.params, spec.config, "LoadRunSpec",
+                          spec.workload + "/" + spec.technique);
 }
 
-/** Display name the cell's jobs are submitted under. */
+/**
+ * Display name jobs are submitted under: the explicit @p label, else
+ * the workload's name, else the program's own.
+ */
 std::string
-loadJobName(const LoadRunSpec &spec,
-            const std::shared_ptr<const Program> &prog)
+jobName(const std::string &label, const std::optional<WorkloadId> &id,
+        const Program &prog)
 {
-    return !spec.workload.empty() ? spec.workload
-        : spec.workloadId ? workloadName(*spec.workloadId)
-                          : prog->name;
+    return !label.empty() ? label
+        : id              ? workloadName(*id)
+                          : prog.name;
 }
 
 /** Device options of an offered-load cell. */
@@ -176,8 +196,8 @@ submitLoadJobs(Device &dev, const LoadRunSpec &spec,
 /**
  * Warm-image sharing key: every spec field the warm phase's
  * simulation reads. Equal keys mean byte-identical warm phases, so
- * runLoadSweep builds the image once and lets every matching cell
- * fork it. Covers the axes the benches and the aging transform vary
+ * buildSharedWarmImages builds the image once and lets every
+ * matching cell fork it. Covers the axes the benches and aging vary
  * (technique and measured-job count are deliberately absent — the
  * warm phase runs under warmupTechnique before any measured job).
  */
@@ -329,26 +349,19 @@ SweepRunner::workerCount(std::size_t jobs) const
 RunResult
 SweepRunner::runOne(const RunSpec &spec)
 {
-    return runOneCell(spec, nullptr);
+    std::uint64_t events = 0;
+    return runOneCell(spec, nullptr, events);
 }
 
 RunResult
 SweepRunner::runOneCell(const RunSpec &spec,
-                        const std::shared_ptr<trace::Tracer> &tracer)
+                        const std::shared_ptr<trace::Tracer> &tracer,
+                        std::uint64_t &events)
 {
-    // Resolve the program: explicit > generated workload.
-    std::shared_ptr<const Program> prog = spec.program;
-    std::shared_ptr<const VectorizedProgram> compiled;
-    if (!prog) {
-        if (!spec.workloadId)
-            throw std::invalid_argument(
-                "RunSpec has neither a program nor a workload: " +
-                spec.workload + "/" + spec.technique);
-        compiled = cache_.get(*spec.workloadId, spec.params,
-                              spec.config);
-        prog = std::shared_ptr<const Program>(compiled,
-                                              &compiled->program);
-    }
+    events = 0;
+    std::shared_ptr<const Program> prog = resolveProgram(
+        cache_, spec.program, spec.workloadId, spec.params, spec.config,
+        "RunSpec", spec.workload + "/" + spec.technique);
 
     // Host baselines bypass the SSD engine entirely.
     HostKind host = spec.host;
@@ -375,12 +388,19 @@ SweepRunner::runOneCell(const RunSpec &spec,
         return r;
     }
 
-    auto policy = spec.policy ? spec.policy()
-                              : makePolicy(spec.technique);
-    Engine engine(spec.config);
-    if (tracer)
-        engine.setTracer(tracer.get());
-    RunResult r = engine.run(*prog, *policy, spec.engine);
+    // The paper's cold-SSD methodology: one tick-0 job on a fresh Device.
+    DeviceOptions dopts =
+        makeDeviceOptions(spec.config, spec.engine, spec.params);
+    dopts.tracer = tracer;
+    Device dev(std::move(dopts));
+    JobSpec job;
+    job.program = std::move(prog);
+    job.policyObj = spec.policy ? spec.policy()
+                                : makePolicy(spec.technique);
+    dev.submit(job);
+    DeviceSnapshot snap = dev.drain();
+    events = snap.eventsFired;
+    RunResult r = std::move(snap.jobs.front().result);
     // Label with the spec's display names (a custom policy object's
     // own name may differ, e.g. ablation variants).
     r.workload = spec.workload;
@@ -410,42 +430,21 @@ SweepRunner::runMultiCell(const MultiRunSpec &spec,
                 "baseline '" + slot.technique +
                 "' cannot be a stream: " + spec.label);
         sched::StreamSpec s;
-        if (slot.program) {
-            s.program = slot.program;
-        } else if (slot.workloadId) {
-            auto compiled = cache_.get(*slot.workloadId, spec.params,
-                                       spec.config);
-            s.program = std::shared_ptr<const Program>(
-                compiled, &compiled->program);
-        } else {
-            throw std::invalid_argument(
-                "StreamSlot has neither a program nor a workload: " +
-                spec.label + "/" + slot.workload);
-        }
+        s.program = resolveProgram(cache_, slot.program, slot.workloadId,
+                                   spec.params, spec.config, "StreamSlot",
+                                   spec.label + "/" + slot.workload);
         s.policy = slot.policy ? slot.policy()
                                : makePolicy(slot.technique);
-        s.name = !slot.workload.empty() ? slot.workload
-            : slot.workloadId ? workloadName(*slot.workloadId)
-                              : s.program->name;
+        s.name = jobName(slot.workload, slot.workloadId, *s.program);
         streams.push_back(std::move(s));
     }
 
-    sched::MultiRunResult mr;
-    if (spec.viaDevice) {
-        // Same cell through the persistent-device job API: every
-        // stream a tick-0 job on one fresh Device. Byte-identical to
-        // the direct engine run (the Device equivalence contract —
-        // CI diffs the two paths).
-        DeviceOptions dopts =
-            makeDeviceOptions(spec.config, spec.engine, spec.params);
-        dopts.tracer = tracer;
-        mr = runStreamsOnDevice(std::move(dopts), std::move(streams));
-    } else {
-        Engine engine(spec.config);
-        if (tracer)
-            engine.setTracer(tracer.get());
-        mr = engine.run(std::move(streams), spec.engine);
-    }
+    // Every stream a tick-0 job on one fresh Device.
+    DeviceOptions dopts =
+        makeDeviceOptions(spec.config, spec.engine, spec.params);
+    dopts.tracer = tracer;
+    sched::MultiRunResult mr =
+        runStreamsOnDevice(dopts, std::move(streams));
     // Label per-stream results with the slot's display technique (a
     // custom policy object's own name may differ), and rebuild the
     // aggregate's joined label so both agree.
@@ -489,7 +488,7 @@ SweepRunner::buildWarmImage(const LoadRunSpec &spec)
         throw std::invalid_argument(
             "buildWarmImage: spec.warmupJobs is 0: " + spec.workload);
     auto prog = resolveLoadProgram(cache_, spec);
-    const std::string name = loadJobName(spec, prog);
+    const std::string name = jobName(spec.workload, spec.workloadId, *prog);
     Device dev(loadDeviceOptions(spec));
     auto arrivals = loadArrivals(spec);
     Tick at = 0;
@@ -513,7 +512,7 @@ SweepRunner::runLoadCell(const LoadRunSpec &spec,
             "LoadRunSpec: steadyState needs warmupJobs > 0: " +
             spec.workload);
     auto prog = resolveLoadProgram(cache_, spec);
-    const std::string name = loadJobName(spec, prog);
+    const std::string name = jobName(spec.workload, spec.workloadId, *prog);
     auto arrivals = loadArrivals(spec);
 
     std::optional<Device> dev;
@@ -560,107 +559,76 @@ SweepRunner::runLoad(const LoadRunSpec &spec)
     return runLoadCell(spec, nullptr, nullptr);
 }
 
-DeviceSnapshot
-SweepRunner::runAging(const AgingRunSpec &spec)
+SweepRunner::WarmImages
+SweepRunner::buildSharedWarmImages(
+    const std::vector<const LoadRunSpec *> &recipes)
 {
-    LoadRunSpec cell = spec.load;
-    cell.config.reliability.enabled = true;
-    cell.config.reliability.preWearCycles = spec.preWearCycles;
-    cell.config.reliability.retentionDays = spec.retentionDays;
-    return runLoad(cell);
+    // Recipes whose warm-phase inputs agree share one image read-only
+    // (forking deep-copies), so an A-policies x B-ages sweep builds
+    // B images, not A*B.
+    const std::size_t n = recipes.size();
+    std::unordered_map<std::string, std::size_t> slots;
+    std::vector<std::size_t> slotOf(n, n);
+    std::vector<const LoadRunSpec *> distinct;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (!recipes[i])
+            continue;
+        const auto [it, fresh] =
+            slots.emplace(warmImageKey(*recipes[i]), distinct.size());
+        if (fresh)
+            distinct.push_back(recipes[i]);
+        slotOf[i] = it->second;
+    }
+
+    WarmImages warm;
+    warm.images.resize(n);
+    if (distinct.empty())
+        return warm;
+    std::vector<std::shared_ptr<const DeviceImage>> built(
+        distinct.size());
+    const auto w0 = std::chrono::steady_clock::now();
+    parallelFor(workerCount(distinct.size()), distinct.size(),
+                [&](std::size_t j) {
+                    built[j] = std::make_shared<const DeviceImage>(
+                        buildWarmImage(*distinct[j]));
+                });
+    warm.wallSeconds = sinceSeconds(w0);
+    warm.built = distinct.size();
+    for (std::size_t i = 0; i < n; ++i)
+        if (slotOf[i] < n)
+            warm.images[i] = built[slotOf[i]];
+    return warm;
 }
 
 std::vector<DeviceSnapshot>
-SweepRunner::runLoadSweep(const std::vector<LoadRunSpec> &specs,
-                          const std::vector<std::string> &labels)
+SweepRunner::runLoadAll(const std::vector<LoadRunSpec> &specs)
 {
     const std::size_t n = specs.size();
 
-    // Phase 1: build each distinct warm image once, in parallel.
-    // Cells whose warm-phase inputs agree share one image read-only
-    // (forking deep-copies), so an A-policies x B-ages sweep builds
-    // B images, not A*B.
-    std::vector<std::shared_ptr<const DeviceImage>> cellImage(n);
-    double warmWall = 0.0;
-    std::size_t warmBuilt = 0;
-    {
-        std::unordered_map<std::string, std::size_t> slots;
-        std::vector<std::size_t> slotOf(n, n);
-        std::vector<std::size_t> builder;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!specs[i].steadyState || specs[i].warmupJobs == 0)
-                continue;
-            const auto [it, fresh] =
-                slots.emplace(warmImageKey(specs[i]), builder.size());
-            if (fresh)
-                builder.push_back(i);
-            slotOf[i] = it->second;
-        }
-        if (!builder.empty()) {
-            std::vector<std::shared_ptr<const DeviceImage>> images(
-                builder.size());
-            const auto w0 = std::chrono::steady_clock::now();
-            parallelFor(workerCount(builder.size()), builder.size(),
-                        [&](std::size_t j) {
-                            images[j] =
-                                std::make_shared<const DeviceImage>(
-                                    buildWarmImage(specs[builder[j]]));
-                        });
-            warmWall = sinceSeconds(w0);
-            warmBuilt = builder.size();
-            for (std::size_t i = 0; i < n; ++i)
-                if (slotOf[i] < n)
-                    cellImage[i] = images[slotOf[i]];
-        }
-    }
+    // Phase 1: the distinct warm images of the steady-state cells.
+    std::vector<const LoadRunSpec *> recipes(n, nullptr);
+    for (std::size_t i = 0; i < n; ++i)
+        if (specs[i].steadyState && specs[i].warmupJobs > 0)
+            recipes[i] = &specs[i];
+    const WarmImages warm = buildSharedWarmImages(recipes);
 
     // Phase 2: the measured cells, forking from the shared images.
     std::vector<DeviceSnapshot> results(n);
     timedSweep(n, [&] {
         parallelFor(workerCount(n), n, [&](std::size_t i) {
             const auto c0 = std::chrono::steady_clock::now();
+            const std::string label = loadCellLabel(specs[i]);
             auto tracer = makeTracer(opts_.trace);
             results[i] =
-                runLoadCell(specs[i], cellImage[i].get(), tracer);
-            traceCells_[i] = {labels[i], std::move(tracer)};
-            recordCell(i, labels[i], sinceSeconds(c0),
+                runLoadCell(specs[i], warm.images[i].get(), tracer);
+            traceCells_[i] = {label, std::move(tracer)};
+            recordCell(i, label, sinceSeconds(c0),
                        results[i].eventsFired);
         });
     });
-    perfWarmWall_ = warmWall;
-    perfWarmImages_ = warmBuilt;
+    perfWarmWall_ = warm.wallSeconds;
+    perfWarmImages_ = warm.built;
     return results;
-}
-
-std::vector<DeviceSnapshot>
-SweepRunner::runAgingAll(const std::vector<AgingRunSpec> &specs)
-{
-    // Fold the aging knobs into offered-load specs up front so the
-    // warm-image dedup sees the final per-cell configs (cells of one
-    // age rung share a warm image across policies).
-    std::vector<LoadRunSpec> cells;
-    std::vector<std::string> labels;
-    cells.reserve(specs.size());
-    labels.reserve(specs.size());
-    for (const AgingRunSpec &spec : specs) {
-        LoadRunSpec cell = spec.load;
-        cell.config.reliability.enabled = true;
-        cell.config.reliability.preWearCycles = spec.preWearCycles;
-        cell.config.reliability.retentionDays = spec.retentionDays;
-        cells.push_back(std::move(cell));
-        labels.push_back(agingCellLabel(spec));
-    }
-    return runLoadSweep(cells, labels);
-}
-
-std::vector<DeviceSnapshot>
-SweepRunner::runLoadAll(const std::vector<LoadRunSpec> &specs)
-{
-    std::vector<std::string> labels;
-    labels.reserve(specs.size());
-    for (const LoadRunSpec &spec : specs)
-        labels.push_back(loadCellLabel(spec));
-    return runLoadSweep(specs, labels);
 }
 
 cluster::ClusterSnapshot
@@ -688,17 +656,10 @@ SweepRunner::runClusterCell(
     std::vector<std::string> names(nt);
     for (std::size_t t = 0; t < nt; ++t) {
         const ClusterTenant &ten = spec.tenants[t];
-        LoadRunSpec slot;
-        slot.workload = ten.name;
-        slot.technique = ten.technique;
-        slot.workloadId = ten.workloadId;
-        slot.program = ten.program;
-        slot.params = spec.params;
-        slot.config = spec.config;
-        progs[t] = resolveLoadProgram(cache_, slot);
-        names[t] = !ten.name.empty() ? ten.name
-            : ten.workloadId ? workloadName(*ten.workloadId)
-                             : progs[t]->name;
+        progs[t] = resolveProgram(cache_, ten.program, ten.workloadId,
+                                  spec.params, spec.config, "LoadRunSpec",
+                                  ten.name + "/" + ten.technique);
+        names[t] = jobName(ten.name, ten.workloadId, *progs[t]);
     }
 
     // Merged arrival schedule: jobs split across tenants by weight
@@ -806,52 +767,27 @@ SweepRunner::runClusterAll(const std::vector<ClusterRunSpec> &specs)
 {
     const std::size_t n = specs.size();
 
-    // Phase 1: build each distinct warm device image once, in
-    // parallel. The dedup key is the per-device recipe — config, age
-    // rung, warm traffic — so it collapses equal rungs both within a
-    // fleet and across cells (a P-policies x R-rungs sweep builds R
-    // images, not P*R*devices).
-    std::vector<std::vector<std::shared_ptr<const DeviceImage>>>
-        cellImages(n);
-    double warmWall = 0.0;
-    std::size_t warmBuilt = 0;
-    {
-        std::unordered_map<std::string, std::size_t> slots;
-        std::vector<LoadRunSpec> recipes;
-        std::vector<std::vector<std::size_t>> slotOf(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            cellImages[i].assign(specs[i].devices, nullptr);
-            if (specs[i].warmupJobs == 0 || specs[i].devices == 0 ||
-                specs[i].tenants.empty())
-                continue;
-            slotOf[i].assign(specs[i].devices, 0);
-            for (std::size_t d = 0; d < specs[i].devices; ++d) {
-                LoadRunSpec recipe = clusterDeviceRecipe(
-                    specs[i], clusterRung(specs[i], d));
-                const auto [it, fresh] = slots.emplace(
-                    warmImageKey(recipe), recipes.size());
-                if (fresh)
-                    recipes.push_back(std::move(recipe));
-                slotOf[i][d] = it->second;
-            }
-        }
-        if (!recipes.empty()) {
-            std::vector<std::shared_ptr<const DeviceImage>> images(
-                recipes.size());
-            const auto w0 = std::chrono::steady_clock::now();
-            parallelFor(workerCount(recipes.size()), recipes.size(),
-                        [&](std::size_t j) {
-                            images[j] =
-                                std::make_shared<const DeviceImage>(
-                                    buildWarmImage(recipes[j]));
-                        });
-            warmWall = sinceSeconds(w0);
-            warmBuilt = recipes.size();
-            for (std::size_t i = 0; i < n; ++i)
-                for (std::size_t d = 0; d < slotOf[i].size(); ++d)
-                    cellImages[i][d] = images[slotOf[i][d]];
-        }
+    // Phase 1: the distinct warm device images. The recipes are per
+    // device — config, age rung, warm traffic — flattened cell-major,
+    // so dedup collapses equal rungs both within a fleet and across
+    // cells (a P-policies x R-rungs sweep builds R images, not
+    // P*R*devices).
+    std::vector<LoadRunSpec> recipes;
+    std::vector<std::size_t> firstRecipe(n + 1, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+        firstRecipe[i] = recipes.size();
+        if (specs[i].warmupJobs == 0 || specs[i].tenants.empty())
+            continue;
+        for (std::size_t d = 0; d < specs[i].devices; ++d)
+            recipes.push_back(clusterDeviceRecipe(
+                specs[i], clusterRung(specs[i], d)));
     }
+    firstRecipe[n] = recipes.size();
+    std::vector<const LoadRunSpec *> recipePtrs;
+    recipePtrs.reserve(recipes.size());
+    for (const LoadRunSpec &r : recipes)
+        recipePtrs.push_back(&r);
+    const WarmImages warm = buildSharedWarmImages(recipePtrs);
 
     // Phase 2: the fleet cells, forking from the shared images.
     std::vector<cluster::ClusterSnapshot> results(n);
@@ -862,16 +798,18 @@ SweepRunner::runClusterAll(const std::vector<ClusterRunSpec> &specs)
             auto tracer = makeTracer(specs[i].trace.enabled()
                                          ? specs[i].trace
                                          : opts_.trace);
-            results[i] =
-                runClusterCell(specs[i], cellImages[i], tracer);
+            const std::vector<std::shared_ptr<const DeviceImage>>
+                images(warm.images.begin() + firstRecipe[i],
+                       warm.images.begin() + firstRecipe[i + 1]);
+            results[i] = runClusterCell(specs[i], images, tracer);
             traceCells_[i] = {clusterCellLabel(specs[i]),
                               std::move(tracer)};
             recordCell(i, clusterCellLabel(specs[i]),
                        sinceSeconds(c0), results[i].eventsFired);
         });
     });
-    perfWarmWall_ = warmWall;
-    perfWarmImages_ = warmBuilt;
+    perfWarmWall_ = warm.wallSeconds;
+    perfWarmImages_ = warm.built;
     return results;
 }
 
@@ -893,13 +831,12 @@ SweepRunner::run(std::vector<RunSpec> specs)
         parallelFor(threads, n, [&](std::size_t i) {
             const auto c0 = std::chrono::steady_clock::now();
             auto tracer = makeTracer(opts_.trace);
-            results[i] = runOneCell(specs[i], tracer);
-            traceCells_[i] = {
-                specs[i].workload + "/" + specs[i].technique,
-                std::move(tracer)};
-            recordCell(i,
-                       specs[i].workload + "/" + specs[i].technique,
-                       sinceSeconds(c0), results[i].eventsFired);
+            const std::string label =
+                specs[i].workload + "/" + specs[i].technique;
+            std::uint64_t events = 0;
+            results[i] = runOneCell(specs[i], tracer, events);
+            traceCells_[i] = {label, std::move(tracer)};
+            recordCell(i, label, sinceSeconds(c0), events);
         });
     });
     return SweepResult(std::move(specs), std::move(results), perfWall_,

@@ -3,12 +3,13 @@
  * Thread-pooled sweep execution.
  *
  * SweepRunner executes a vector of RunSpecs across worker threads.
- * Every run is fully independent — its own Engine (fresh simulated
- * SSD), its own policy object, and a deterministic seed derived only
- * from the spec — so the result of spec i is bit-identical whether
- * the sweep runs on 1 thread or N, and whatever order the scheduler
- * interleaves the workers in. Compiled programs are shared through
- * an immutable ProgramCache.
+ * Every cell is fully independent — its own core::Device (or fleet of
+ * them, or a host model for the CPU/GPU baselines), its own policy
+ * objects, and a deterministic seed derived only from the spec — so
+ * the result of spec i is bit-identical whether the sweep runs on 1
+ * thread or N, and whatever order the scheduler interleaves the
+ * workers in. Compiled programs are shared through an immutable
+ * ProgramCache.
  */
 
 #ifndef CONDUIT_RUNNER_SWEEP_RUNNER_HH
@@ -27,10 +28,6 @@
 
 namespace conduit::runner
 {
-
-/** The compile-once cache lives in src/core (PR 3); the runner-facing
- *  name stays available so existing call sites keep reading. */
-using conduit::ProgramCache;
 
 /** Runner knobs. */
 struct SweepOptions
@@ -148,6 +145,9 @@ class SweepRunner
      * Execute every offered-load cell across the worker pool and
      * return snapshots in spec order (cells are independent device
      * lifetimes, so results are thread-count invariant like run()).
+     * Steady-state cells fork shared warm images. Aging cells are
+     * offered-load cells whose config enables the reliability
+     * subsystem at the cell's age.
      */
     std::vector<DeviceSnapshot>
     runLoadAll(const std::vector<LoadRunSpec> &specs);
@@ -161,21 +161,6 @@ class SweepRunner
      * every such cell read-only (Device::fromImage deep-copies).
      */
     DeviceImage buildWarmImage(const LoadRunSpec &spec);
-
-    /**
-     * Execute one aging cell: the spec's offered-load cell on a
-     * device with the reliability subsystem enabled and fast-
-     * forwarded to (preWearCycles, retentionDays). Deterministic for
-     * equal specs.
-     */
-    DeviceSnapshot runAging(const AgingRunSpec &spec);
-
-    /**
-     * Execute every aging cell across the worker pool and return
-     * snapshots in spec order (thread-count invariant like run()).
-     */
-    std::vector<DeviceSnapshot>
-    runAgingAll(const std::vector<AgingRunSpec> &specs);
 
     /**
      * Execute one fleet cell: a cluster::Cluster of spec.devices
@@ -235,9 +220,15 @@ class SweepRunner
                              : nullptr;
     }
 
-    /** The shared single-spec body of run()/runOne(). */
+    /**
+     * The shared single-spec body of run()/runOne(): a host model
+     * for the CPU/GPU baselines, else one tick-0 job on a fresh
+     * Device. @p events receives the Device's fired-event count (0
+     * for host baselines).
+     */
     RunResult runOneCell(const RunSpec &spec,
-                         const std::shared_ptr<trace::Tracer> &tracer);
+                         const std::shared_ptr<trace::Tracer> &tracer,
+                         std::uint64_t &events);
 
     /** The shared multi-tenant body of runMultiAll()/runMulti(). */
     sched::MultiRunResult
@@ -256,21 +247,29 @@ class SweepRunner
     runLoadCell(const LoadRunSpec &spec, const DeviceImage *warm,
                 const std::shared_ptr<trace::Tracer> &tracer);
 
+    /** Warm images of one sweep, aligned with its recipes. */
+    struct WarmImages
+    {
+        /** One entry per recipe; null where the recipe was null. */
+        std::vector<std::shared_ptr<const DeviceImage>> images;
+
+        /** Wall spent building, and how many distinct images. */
+        double wallSeconds = 0.0;
+        std::size_t built = 0;
+    };
+
     /**
-     * Sweep @p specs with warm-image sharing: distinct warm images
-     * (deduplicated by warm-phase inputs) build once in parallel,
-     * then every cell forks its image. Labels are per-cell
-     * attribution strings, in spec order.
+     * Build the warm image of every non-null recipe, in parallel.
+     * Recipes with equal warm-phase inputs share one image, built
+     * once; every cell then forks its image read-only.
      */
-    std::vector<DeviceSnapshot>
-    runLoadSweep(const std::vector<LoadRunSpec> &specs,
-                 const std::vector<std::string> &labels);
+    WarmImages
+    buildSharedWarmImages(const std::vector<const LoadRunSpec *> &recipes);
 
     /**
      * The shared fleet-cell body: construct the cluster (device d
-     * forking @p images[d] when non-null), merge the tenant arrival
-     * streams, route every job, drain. @p images must have one entry
-     * per device (null = fresh device).
+     * forking @p images[d] when present and non-null, else fresh),
+     * merge the tenant arrival streams, route every job, drain.
      */
     cluster::ClusterSnapshot runClusterCell(
         const ClusterRunSpec &spec,

@@ -50,9 +50,9 @@ struct StreamSpec
 /**
  * Live execution state of one stream.
  *
- * Owned by Engine::run for the duration of a multi-stream run; the
- * StreamScheduler holds references and drives the stream's dispatch
- * chain as events.
+ * Owned by the Engine's session from attach until the next
+ * sessionBegin(); the StreamScheduler holds references and drives
+ * the stream's dispatch chain as events.
  */
 struct ExecContext
 {

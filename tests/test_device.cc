@@ -1,9 +1,10 @@
 /**
  * @file
- * Tests for the persistent-device job API: byte-identical equivalence
- * of tick-0 Device runs with the batch engine (and of the rebuilt
- * facade wrappers), arrival semantics (staggered-arrival determinism
- * across repeats and thread counts, causality of late arrivals),
+ * Tests for the persistent-device job API: tick-0 batch runs (region
+ * layout, admission, determinism, and agreement between the wait(),
+ * drain() and facade entry points), arrival semantics
+ * (staggered-arrival determinism across repeats and thread counts,
+ * causality of late arrivals),
  * region allocation/reclamation across job lifetimes, wait()
  * semantics, admission queueing under a bounded page pool, and the
  * deterministic arrival processes.
@@ -76,9 +77,11 @@ testDeviceOptions()
     return d;
 }
 
-// ------------------------------------------- equivalence contract
+// ------------------------------------------------- batch runs
 
-TEST(Device, TickZeroJobsReproduceRunMultiByteIdentically)
+/** Two contending tenants under different policies. */
+std::vector<sched::StreamSpec>
+twoStreams()
 {
     std::vector<sched::StreamSpec> streams(2);
     streams[0].name = "tenantA";
@@ -87,7 +90,13 @@ TEST(Device, TickZeroJobsReproduceRunMultiByteIdentically)
     streams[1].name = "tenantB";
     streams[1].program = chainProgram("b", 24, OpCode::Xor);
     streams[1].policy = makePolicy("DM-Offloading");
+    return streams;
+}
 
+/** Submit @p streams as tick-0 jobs on a fresh device and drain. */
+DeviceSnapshot
+drainStreams(const std::vector<sched::StreamSpec> &streams)
+{
     Device dev(testDeviceOptions());
     for (const auto &s : streams) {
         JobSpec job;
@@ -96,53 +105,86 @@ TEST(Device, TickZeroJobsReproduceRunMultiByteIdentically)
         job.policyObj = s.policy;
         dev.submit(job);
     }
-    const DeviceSnapshot snap = dev.drain();
+    return dev.drain();
+}
 
-    Engine eng(testCfg());
-    const sched::MultiRunResult mr = eng.run(std::move(streams));
+/** One tick-0 job of @p prog under @p policy, finished via wait(). */
+RunResult
+waitOneJob(const std::shared_ptr<const Program> &prog,
+           const std::string &policy)
+{
+    Device dev(testDeviceOptions());
+    JobSpec job;
+    job.program = prog;
+    job.policy = policy;
+    const JobId id = dev.submit(job);
+    return dev.wait(id).result;
+}
+
+/** The same job as a one-stream batch (runStreamsOnDevice). */
+RunResult
+batchOneJob(const std::shared_ptr<const Program> &prog,
+            const std::string &policy)
+{
+    std::vector<sched::StreamSpec> streams(1);
+    streams[0].program = prog;
+    streams[0].policy = makePolicy(policy);
+    return runStreamsOnDevice(testDeviceOptions(), std::move(streams))
+        .streams.front();
+}
+
+TEST(Device, TickZeroJobsReproduceRunMultiByteIdentically)
+{
+    const DeviceSnapshot snap = drainStreams(twoStreams());
+    const sched::MultiRunResult mr =
+        runStreamsOnDevice(testDeviceOptions(), twoStreams());
 
     ASSERT_EQ(snap.jobs.size(), 2u);
     for (std::size_t i = 0; i < 2; ++i) {
         expectSameResult(snap.jobs[i].result, mr.streams[i]);
+        // Tick-0 jobs admit on arrival, with no admission queueing.
         EXPECT_EQ(snap.jobs[i].arrival, 0u);
         EXPECT_EQ(snap.jobs[i].admitted, 0u);
     }
     EXPECT_EQ(snap.makespan, mr.makespan);
     EXPECT_EQ(snap.eventsFired, mr.eventsFired);
     expectSameResult(snap.aggregate, mr.aggregate);
-    // Regions laid out in submission order, like spec order.
+    // Regions laid out back to back in submission order.
     EXPECT_EQ(snap.jobs[0].basePage, 0u);
     EXPECT_EQ(snap.jobs[1].basePage, snap.jobs[0].pages);
+
+    // Deterministic: a repeat batch is identical.
+    const DeviceSnapshot again = drainStreams(twoStreams());
+    for (std::size_t i = 0; i < 2; ++i)
+        expectSameResult(snap.jobs[i].result, again.jobs[i].result);
+    EXPECT_EQ(snap.eventsFired, again.eventsFired);
 }
 
 TEST(Device, SingleJobReproducesSingleStreamEngineRun)
 {
+    // A waited-on job (advanced one event at a time) matches the
+    // same job run as a one-stream batch (drained to quiescence).
     auto prog = chainProgram("solo", 32);
-    Engine eng(testCfg());
-    ConduitPolicy pol;
-    const RunResult direct = eng.run(*prog, pol);
-
-    Device dev(testDeviceOptions());
-    JobSpec job;
-    job.program = prog;
-    job.policy = "Conduit";
-    const JobId id = dev.submit(job);
-    expectSameResult(dev.wait(id).result, direct);
+    expectSameResult(waitOneJob(prog, "Conduit"),
+                     batchOneJob(prog, "Conduit"));
 }
 
 TEST(Device, FacadeWrappersStayByteIdenticalToEngine)
 {
-    // Simulation::run / runMulti are thin wrappers over Device; they
-    // must reproduce a direct engine run exactly.
+    // Simulation::run is a thin wrapper over Device; it must match a
+    // bare device job running the facade's compiled program.
     SimOptions so;
     so.workload.scale = 0.25;
     Simulation sim(so);
     const RunResult viaFacade = sim.run(WorkloadId::Aes, "Conduit");
 
     const VectorizedProgram &vp = sim.compile(WorkloadId::Aes);
-    Engine eng(so.config);
-    auto policy = makePolicy("Conduit");
-    RunResult direct = eng.run(vp.program, *policy);
+    Device dev(makeDeviceOptions(so.config, so.engine, so.workload));
+    JobSpec job;
+    job.program = std::shared_ptr<const Program>(
+        std::shared_ptr<const void>(), &vp.program);
+    job.policy = "Conduit";
+    RunResult direct = dev.wait(dev.submit(job)).result;
     direct.workload = viaFacade.workload; // facade labels by workload
     expectSameResult(viaFacade, direct);
 }
@@ -150,16 +192,11 @@ TEST(Device, FacadeWrappersStayByteIdenticalToEngine)
 TEST(Device, IdealPolicyJobMatchesEngineRun)
 {
     auto prog = chainProgram("ideal", 16);
-    Engine eng(testCfg());
-    IdealPolicy pol;
-    const RunResult direct = eng.run(*prog, pol);
-
-    Device dev(testDeviceOptions());
-    JobSpec job;
-    job.program = prog;
-    job.policy = "Ideal";
-    const JobId id = dev.submit(job);
-    expectSameResult(dev.wait(id).result, direct);
+    const RunResult waited = waitOneJob(prog, "Ideal");
+    expectSameResult(waited, batchOneJob(prog, "Ideal"));
+    // Ideal mode bypasses movement and the offloader entirely.
+    EXPECT_EQ(waited.offloaderBusy, 0u);
+    EXPECT_EQ(waited.internalDmBusy, 0u);
 }
 
 // ------------------------------------------------ arrival semantics

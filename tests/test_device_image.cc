@@ -28,7 +28,6 @@ namespace conduit
 namespace
 {
 
-using runner::AgingRunSpec;
 using runner::LoadRunSpec;
 using runner::SweepOptions;
 using runner::SweepRunner;
@@ -337,23 +336,24 @@ TEST(DeviceImage, ForksAreMutuallyIndependent)
 // -------------------------------------------- sweep-runner fork mode
 
 /** A tiny aging ladder crossed with two policies. */
-std::vector<AgingRunSpec>
+std::vector<LoadRunSpec>
 agingMatrix(bool steadyState)
 {
-    std::vector<AgingRunSpec> cells;
+    std::vector<LoadRunSpec> cells;
     for (const char *policy : {"Conduit", "DM-Offloading"}) {
         for (std::uint32_t age : {0u, 1500u, 3000u}) {
-            AgingRunSpec cell;
-            cell.load.workload = "AES";
-            cell.load.technique = policy;
-            cell.load.workloadId = WorkloadId::Aes;
-            cell.load.params.scale = 1.0 / 64.0;
-            cell.load.jobs = 2;
-            cell.load.jobsPerSec = 2000.0;
-            cell.load.warmupJobs = 3;
-            cell.load.steadyState = steadyState;
-            cell.preWearCycles = age;
-            cell.retentionDays = age * 0.03;
+            LoadRunSpec cell;
+            cell.workload = "AES";
+            cell.technique = policy;
+            cell.workloadId = WorkloadId::Aes;
+            cell.params.scale = 1.0 / 64.0;
+            cell.jobs = 2;
+            cell.jobsPerSec = 2000.0;
+            cell.warmupJobs = 3;
+            cell.steadyState = steadyState;
+            cell.config.reliability.enabled = true;
+            cell.config.reliability.preWearCycles = age;
+            cell.config.reliability.retentionDays = age * 0.03;
             cells.push_back(cell);
         }
     }
@@ -361,9 +361,9 @@ agingMatrix(bool steadyState)
 }
 
 std::string
-agingCsv(SweepRunner &runner, const std::vector<AgingRunSpec> &cells)
+agingCsv(SweepRunner &runner, const std::vector<LoadRunSpec> &cells)
 {
-    const std::vector<DeviceSnapshot> snaps = runner.runAgingAll(cells);
+    const std::vector<DeviceSnapshot> snaps = runner.runLoadAll(cells);
     std::vector<runner::AgingRow> rows;
     for (std::size_t i = 0; i < cells.size(); ++i)
         rows.push_back(runner::makeAgingRow(cells[i], snaps[i]));

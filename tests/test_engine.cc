@@ -3,11 +3,13 @@
  * Integration tests for the Conduit runtime engine: dispatch and
  * dependence ordering, coherence (owner/dirty/version), latch
  * management, fault handling, Ideal mode, and result accounting.
+ * Every run is one tick-0 job on a fresh Device, the engine's only
+ * driver.
  */
 
 #include <gtest/gtest.h>
 
-#include "src/core/engine.hh"
+#include "src/core/device.hh"
 #include "src/trace/trace.hh"
 
 namespace conduit
@@ -22,14 +24,49 @@ testCfg()
 }
 
 /** An occupancy-only tracer (the instruction-timeline source). */
-trace::Tracer
+std::shared_ptr<trace::Tracer>
 occupancyTracer()
 {
     trace::TraceConfig cfg;
     cfg.categories =
         static_cast<std::uint32_t>(trace::Category::Occupancy);
-    return trace::Tracer(cfg);
+    return std::make_shared<trace::Tracer>(cfg);
 }
+
+/**
+ * Run @p prog under @p policy as one tick-0 job on a fresh Device
+ * (both borrowed for the duration of the call).
+ */
+RunResult
+runJob(const Program &prog, OffloadPolicy &policy,
+       const EngineOptions &opts = {}, const SsdConfig &cfg = testCfg(),
+       std::shared_ptr<trace::Tracer> tracer = nullptr)
+{
+    DeviceOptions dopts;
+    dopts.config = cfg;
+    dopts.engine = opts;
+    dopts.tracer = std::move(tracer);
+    std::vector<sched::StreamSpec> streams(1);
+    streams[0].program = std::shared_ptr<const Program>(
+        std::shared_ptr<const void>(), &prog);
+    streams[0].policy = std::shared_ptr<OffloadPolicy>(
+        std::shared_ptr<void>(), &policy);
+    return runStreamsOnDevice(dopts, std::move(streams)).streams.front();
+}
+
+/** ConduitPolicy that records every feature vector it is shown. */
+class RecordingPolicy : public ConduitPolicy
+{
+  public:
+    Target
+    select(const VecInstruction &instr, const CostFeatures &f) override
+    {
+        seen.push_back({instr.id, f});
+        return ConduitPolicy::select(instr, f);
+    }
+
+    std::vector<std::pair<InstrId, CostFeatures>> seen;
+};
 
 /**
  * Hand-build a tiny program over disjoint page-sized vectors; with
@@ -60,15 +97,13 @@ chainProgram(std::size_t n, OpCode op = OpCode::Add,
 
 TEST(Engine, RunsAndProducesMonotoneChainCompletions)
 {
-    Engine eng(testCfg());
-    trace::Tracer tracer = occupancyTracer();
-    eng.setTracer(&tracer);
+    const auto tracer = occupancyTracer();
     ConduitPolicy pol;
-    auto r = eng.run(chainProgram(16), pol);
+    auto r = runJob(chainProgram(16), pol, {}, testCfg(), tracer);
     EXPECT_EQ(r.instrCount, 16u);
     EXPECT_GT(r.execTime, 0u);
     const trace::InstructionTimeline tl =
-        trace::instructionTimeline(tracer);
+        trace::instructionTimeline(*tracer);
     ASSERT_EQ(tl.completion.size(), 16u);
     // Serial RAW chain: completions strictly increase.
     for (std::size_t i = 1; i < tl.completion.size(); ++i)
@@ -77,19 +112,17 @@ TEST(Engine, RunsAndProducesMonotoneChainCompletions)
 
 TEST(Engine, IndependentInstructionsOverlap)
 {
-    Engine s(testCfg()), p(testCfg());
     ConduitPolicy pol;
-    auto serial = s.run(chainProgram(24, OpCode::Add, true), pol);
-    auto parallel = p.run(chainProgram(24, OpCode::Add, false), pol);
+    auto serial = runJob(chainProgram(24, OpCode::Add, true), pol);
+    auto parallel = runJob(chainProgram(24, OpCode::Add, false), pol);
     // Removing the dependence chain shortens execution.
     EXPECT_LT(parallel.execTime, serial.execTime);
 }
 
 TEST(Engine, PerResourceCountsCoverAllInstructions)
 {
-    Engine eng(testCfg());
     ConduitPolicy pol;
-    auto r = eng.run(chainProgram(20), pol);
+    auto r = runJob(chainProgram(20), pol);
     EXPECT_EQ(r.perResource[0] + r.perResource[1] + r.perResource[2],
               r.instrCount);
 }
@@ -99,9 +132,8 @@ TEST(Engine, ScalarInstructionsRunOnIsp)
     Program prog = chainProgram(6);
     for (auto &vi : prog.instrs)
         vi.vectorized = false;
-    Engine eng(testCfg());
     ConduitPolicy pol;
-    auto r = eng.run(prog, pol);
+    auto r = runJob(prog, pol);
     EXPECT_EQ(r.perResource[static_cast<int>(Target::Isp)],
               prog.instrs.size());
 }
@@ -109,9 +141,8 @@ TEST(Engine, ScalarInstructionsRunOnIsp)
 TEST(Engine, UnsupportedOpsNeverReachNarrowSubstrates)
 {
     Program prog = chainProgram(8, OpCode::Gather);
-    Engine eng(testCfg());
     ConduitPolicy pol;
-    auto r = eng.run(prog, pol);
+    auto r = runJob(prog, pol);
     // Gather is ISP-only.
     EXPECT_EQ(r.perResource[static_cast<int>(Target::Isp)], 8u);
 }
@@ -119,21 +150,19 @@ TEST(Engine, UnsupportedOpsNeverReachNarrowSubstrates)
 TEST(Engine, FootprintBeyondCapacityRejected)
 {
     SsdConfig cfg = testCfg();
-    Engine eng(cfg);
     Program prog = chainProgram(2);
     prog.footprintPages = cfg.nand.totalPages() * 2;
     ConduitPolicy pol;
-    EXPECT_THROW(eng.run(prog, pol), std::invalid_argument);
+    EXPECT_THROW(runJob(prog, pol, {}, cfg), std::invalid_argument);
 }
 
 TEST(Engine, IdealModeSkipsOverheadAndMovement)
 {
     Program prog = chainProgram(32);
-    Engine a(testCfg()), b(testCfg());
     ConduitPolicy conduit;
     IdealPolicy ideal;
-    auto real = a.run(prog, conduit);
-    auto id = b.run(prog, ideal);
+    auto real = runJob(prog, conduit);
+    auto id = runJob(prog, ideal);
     EXPECT_LT(id.execTime, real.execTime);
     EXPECT_EQ(id.offloaderBusy, 0u);
     EXPECT_EQ(id.internalDmBusy, 0u);
@@ -145,25 +174,22 @@ TEST(Engine, IdealModeSkipsOverheadAndMovement)
 TEST(Engine, FaultInjectionReplaysAndStillCompletes)
 {
     Program prog = chainProgram(64);
-    Engine eng(testCfg());
     ConduitPolicy pol;
     EngineOptions opts;
     opts.transientFaultRate = 0.25;
-    auto r = eng.run(prog, pol, opts);
+    auto r = runJob(prog, pol, opts);
     EXPECT_GT(r.faultsInjected, 0u);
     EXPECT_EQ(r.replays, r.faultsInjected);
     EXPECT_EQ(r.latencyUs.count(), prog.instrs.size());
     // Replays lengthen execution versus a fault-free run.
-    Engine clean(testCfg());
-    auto c = clean.run(prog, pol);
+    auto c = runJob(prog, pol);
     EXPECT_GT(r.execTime, c.execTime);
 }
 
 TEST(Engine, FaultFreeRunInjectsNothing)
 {
-    Engine eng(testCfg());
     ConduitPolicy pol;
-    auto r = eng.run(chainProgram(32), pol);
+    auto r = runJob(chainProgram(32), pol);
     EXPECT_EQ(r.faultsInjected, 0u);
     EXPECT_EQ(r.replays, 0u);
 }
@@ -187,11 +213,10 @@ TEST(Engine, VersionCounterFlushesBeforeWrap)
             vi.deps = {i - 1};
         prog.instrs.push_back(vi);
     }
-    Engine eng(testCfg());
     ConduitPolicy pol;
     EngineOptions opts;
     opts.versionFlushThreshold = 8;
-    auto r = eng.run(prog, pol, opts);
+    auto r = runJob(prog, pol, opts);
     // 40 writes with threshold 8 force several coherence commits.
     EXPECT_GE(r.coherenceCommits, writes / 8 - 1);
 }
@@ -217,11 +242,10 @@ TEST(Engine, LatchPressureForcesEvictions)
     // Tiny device: few dies, so latch capacity is scarce.
     cfg.nand.channels = 1;
     cfg.nand.diesPerChannel = 2;
-    Engine eng(cfg);
     AresFlashPolicy pol; // everything to IFP
     EngineOptions opts;
     opts.latchPagesPerDie = 2;
-    auto r = eng.run(prog, pol, opts);
+    auto r = runJob(prog, pol, opts, cfg);
     EXPECT_GT(r.latchEvictions, 0u);
     EXPECT_GE(r.coherenceCommits, r.latchEvictions);
 }
@@ -251,14 +275,12 @@ TEST(Engine, DramStagingPressureForcesWritebacks)
     // without the end-of-run commit of whatever stayed resident.
     EngineOptions relaxed; // default: staging far exceeds footprint
     relaxed.drainResults = false;
-    Engine a(testCfg());
-    auto free = a.run(prog, *pud, relaxed);
+    auto free = runJob(prog, *pud, relaxed);
 
     EngineOptions pressured;
     pressured.drainResults = false;
     pressured.dramStagingFraction = 0.05; // 64-page floor applies
-    Engine b(testCfg());
-    auto tight = b.run(prog, *pud, pressured);
+    auto tight = runJob(prog, *pud, pressured);
 
     EXPECT_GT(tight.coherenceCommits, free.coherenceCommits);
     EXPECT_GT(tight.internalDmBusy, free.internalDmBusy);
@@ -271,8 +293,7 @@ TEST(Engine, AmpleStagingNeverEvicts)
     // fraction stays resident: no capacity-driven commits at all.
     Program prog = chainProgram(32);
     auto pud = makePolicy("PuD-SSD");
-    Engine eng(testCfg());
-    auto r = eng.run(prog, *pud);
+    auto r = runJob(prog, *pud);
     EXPECT_EQ(r.coherenceCommits, 0u);
 }
 
@@ -302,9 +323,8 @@ TEST(Engine, LatchSpillScalesWithCapacity)
     EngineOptions tiny, roomy;
     tiny.latchPagesPerDie = 2;
     roomy.latchPagesPerDie = 4096;
-    Engine a(cfg), b(cfg);
-    auto spills = a.run(prog, pol, tiny);
-    auto clean = b.run(prog, pol, roomy);
+    auto spills = runJob(prog, pol, tiny, cfg);
+    auto clean = runJob(prog, pol, roomy, cfg);
     EXPECT_GT(spills.latchEvictions, 0u);
     EXPECT_EQ(clean.latchEvictions, 0u);
     EXPECT_LT(clean.latchEvictions, spills.latchEvictions);
@@ -313,12 +333,11 @@ TEST(Engine, LatchSpillScalesWithCapacity)
 TEST(Engine, DrainChargesHostTransfer)
 {
     Program prog = chainProgram(8);
-    Engine a(testCfg()), b(testCfg());
     ConduitPolicy pol;
     EngineOptions with, without;
     without.drainResults = false;
-    auto rw = a.run(prog, pol, with);
-    auto ro = b.run(prog, pol, without);
+    auto rw = runJob(prog, pol, with);
+    auto ro = runJob(prog, pol, without);
     EXPECT_GT(rw.hostDmBusy, 0u);
     EXPECT_EQ(ro.hostDmBusy, 0u);
     EXPECT_GE(rw.execTime, ro.execTime);
@@ -326,14 +345,11 @@ TEST(Engine, DrainChargesHostTransfer)
 
 TEST(Engine, FeatureVectorMatchesSubstrateSupport)
 {
-    Engine eng(testCfg());
     Program prog = chainProgram(1, OpCode::Mul);
-    ConduitPolicy pol;
-    eng.run(prog, pol); // prepare state
-    VecInstruction vi = prog.instrs[0];
-    // A fresh engine is required for feature probing mid-state; use
-    // the same one (pages already preloaded).
-    CostFeatures f = eng.features(vi, 0);
+    RecordingPolicy pol;
+    runJob(prog, pol);
+    ASSERT_EQ(pol.seen.size(), 1u);
+    const CostFeatures &f = pol.seen.front().second;
     EXPECT_TRUE(f.supported[static_cast<int>(Target::Isp)]);
     EXPECT_TRUE(f.supported[static_cast<int>(Target::Pud)]);
     EXPECT_TRUE(f.supported[static_cast<int>(Target::Ifp)]);
@@ -341,26 +357,32 @@ TEST(Engine, FeatureVectorMatchesSubstrateSupport)
     EXPECT_LT(f.comp[static_cast<int>(Target::Pud)], kMaxTick);
 }
 
-TEST(Engine, FeatureProbeSeesDependenceDelayAfterRun)
+TEST(Engine, DispatchFeaturesSeeDependenceDelay)
 {
-    // features() after a run consults the run's completion state:
-    // an instruction depending on a completed producer reports the
-    // producer's completion tick as dependence delay at now=0.
-    Program prog = chainProgram(4);
-    Engine eng(testCfg());
-    ConduitPolicy pol;
-    eng.run(prog, pol);
-    CostFeatures f = eng.features(prog.instrs[3], 0);
-    EXPECT_GT(f.depDelay, 0u);
+    // At dispatch, an instruction whose producer has not completed
+    // yet reports the wait as dependence delay; the chain head has
+    // no producer and reports none.
+    Program prog = chainProgram(8);
+    RecordingPolicy pol;
+    runJob(prog, pol);
+    ASSERT_FALSE(pol.seen.empty());
+    bool waited = false;
+    for (const auto &[id, f] : pol.seen) {
+        if (id == 0)
+            EXPECT_EQ(f.depDelay, 0u);
+        else
+            waited = waited || f.depDelay > 0;
+    }
+    EXPECT_EQ(pol.seen.front().first, 0u);
+    EXPECT_TRUE(waited);
 }
 
 TEST(Engine, DeterministicAcrossIdenticalRuns)
 {
     Program prog = chainProgram(40);
-    Engine a(testCfg()), b(testCfg());
     ConduitPolicy p1, p2;
-    auto r1 = a.run(prog, p1);
-    auto r2 = b.run(prog, p2);
+    auto r1 = runJob(prog, p1);
+    auto r2 = runJob(prog, p2);
     EXPECT_EQ(r1.execTime, r2.execTime);
     EXPECT_EQ(r1.perResource, r2.perResource);
     EXPECT_DOUBLE_EQ(r1.energyJ(), r2.energyJ());
@@ -369,9 +391,8 @@ TEST(Engine, DeterministicAcrossIdenticalRuns)
 TEST(Engine, LatencyHistogramCoversEveryInstruction)
 {
     Program prog = chainProgram(25);
-    Engine eng(testCfg());
     DmOffloadPolicy pol;
-    auto r = eng.run(prog, pol);
+    auto r = runJob(prog, pol);
     EXPECT_EQ(r.latencyUs.count(), 25u);
     EXPECT_GT(r.latencyUs.min(), 0.0);
     EXPECT_GE(r.latencyUs.percentile(99.99), r.latencyUs.percentile(99));
@@ -403,9 +424,8 @@ TEST_P(EveryPolicy, CompletesMixedProgram)
         }
     }
     prog.footprintPages = 48;
-    Engine eng(testCfg());
     auto pol = makePolicy(GetParam());
-    auto r = eng.run(prog, *pol);
+    auto r = runJob(prog, *pol);
     EXPECT_EQ(r.instrCount, prog.instrs.size());
     EXPECT_GT(r.execTime, 0u);
     EXPECT_GT(r.energyJ(), 0.0);

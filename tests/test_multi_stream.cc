@@ -2,14 +2,15 @@
  * @file
  * Tests for the event-driven multi-stream engine: determinism of
  * co-run streams across repeat executions, equivalence of the
- * single-stream overload with a one-element multi-stream run,
- * cross-tenant contention visibility, aggregate accounting, and the
- * Simulation facade's tenant API.
+ * facade's single-stream entry point with a one-element multi-stream
+ * run, cross-tenant contention visibility, aggregate accounting, and
+ * the Simulation facade's tenant API. Every multi-stream run is a set
+ * of tick-0 jobs on a fresh Device (runStreamsOnDevice).
  */
 
 #include <gtest/gtest.h>
 
-#include "src/core/engine.hh"
+#include "src/core/device.hh"
 #include "src/core/simulation.hh"
 
 namespace conduit
@@ -47,6 +48,27 @@ chainProgram(const std::string &name, std::size_t n,
     return prog;
 }
 
+/** Co-run @p streams as tick-0 jobs on one fresh Device. */
+sched::MultiRunResult
+runStreams(std::vector<sched::StreamSpec> streams,
+           const SsdConfig &cfg = testCfg())
+{
+    DeviceOptions dopts;
+    dopts.config = cfg;
+    return runStreamsOnDevice(dopts, std::move(streams));
+}
+
+/** Run @p prog alone under a fresh @p policy. */
+RunResult
+runAlone(const std::shared_ptr<const Program> &prog,
+         const std::string &policy = "Conduit")
+{
+    std::vector<sched::StreamSpec> streams(1);
+    streams[0].program = prog;
+    streams[0].policy = makePolicy(policy);
+    return runStreams(std::move(streams)).streams.front();
+}
+
 std::vector<sched::StreamSpec>
 twoStreams()
 {
@@ -79,9 +101,8 @@ expectSameResult(const RunResult &x, const RunResult &y)
 
 TEST(MultiStream, TwoStreamRunsDeterministicAcrossRepeats)
 {
-    Engine a(testCfg()), b(testCfg());
-    auto r1 = a.run(twoStreams());
-    auto r2 = b.run(twoStreams());
+    auto r1 = runStreams(twoStreams());
+    auto r2 = runStreams(twoStreams());
     ASSERT_EQ(r1.streams.size(), 2u);
     ASSERT_EQ(r2.streams.size(), 2u);
     for (std::size_t i = 0; i < 2; ++i)
@@ -92,15 +113,19 @@ TEST(MultiStream, TwoStreamRunsDeterministicAcrossRepeats)
 
 TEST(MultiStream, OneStreamRunMatchesSingleStreamOverload)
 {
+    // The facade's single-stream entry point (one waited-on job)
+    // matches a one-element multi-stream run (a drained batch).
     auto prog = chainProgram("solo", 32);
-    Engine single(testCfg()), multi(testCfg());
+    SimOptions so;
+    so.config = testCfg();
+    Simulation sim(so);
     ConduitPolicy pol;
-    RunResult s = single.run(*prog, pol);
+    RunResult s = sim.runProgram(*prog, pol);
 
     std::vector<sched::StreamSpec> streams(1);
     streams[0].program = prog;
     streams[0].policy = makePolicy("Conduit");
-    auto m = multi.run(std::move(streams));
+    auto m = runStreams(std::move(streams));
     ASSERT_EQ(m.streams.size(), 1u);
     expectSameResult(s, m.streams.front());
     EXPECT_EQ(m.makespan, s.execTime);
@@ -109,9 +134,7 @@ TEST(MultiStream, OneStreamRunMatchesSingleStreamOverload)
 TEST(MultiStream, ColocationSlowsStreamsViaSharedCalendars)
 {
     auto prog = chainProgram("hot", 32);
-    Engine iso(testCfg());
-    ConduitPolicy pol;
-    const RunResult alone = iso.run(*prog, pol);
+    const RunResult alone = runAlone(prog);
 
     std::vector<sched::StreamSpec> streams(2);
     streams[0].name = "first";
@@ -120,8 +143,7 @@ TEST(MultiStream, ColocationSlowsStreamsViaSharedCalendars)
     streams[1].name = "second";
     streams[1].program = prog;
     streams[1].policy = makePolicy("Conduit");
-    Engine colo(testCfg());
-    auto m = colo.run(std::move(streams));
+    auto m = runStreams(std::move(streams));
 
     // Contention can only delay a stream, never speed it up — and
     // with two identical tenants on one device at least one must
@@ -137,17 +159,14 @@ TEST(MultiStream, PoliciesSeeCrossTenantContention)
     // co-run changes what a cost-based policy observes; at minimum
     // the per-stream latency tail shifts versus isolation.
     auto prog = chainProgram("tail", 48);
-    Engine iso(testCfg());
-    ConduitPolicy pol;
-    const RunResult alone = iso.run(*prog, pol);
+    const RunResult alone = runAlone(prog);
 
     std::vector<sched::StreamSpec> streams(2);
     streams[0].program = prog;
     streams[0].policy = makePolicy("Conduit");
     streams[1].program = prog;
     streams[1].policy = makePolicy("Conduit");
-    Engine colo(testCfg());
-    auto m = colo.run(std::move(streams));
+    auto m = runStreams(std::move(streams));
     const double isoP99 = alone.latencyUs.percentile(99);
     const double coloP99 =
         std::max(m.streams[0].latencyUs.percentile(99),
@@ -157,8 +176,7 @@ TEST(MultiStream, PoliciesSeeCrossTenantContention)
 
 TEST(MultiStream, AggregateSumsPerStreamCounters)
 {
-    Engine eng(testCfg());
-    auto m = eng.run(twoStreams());
+    auto m = runStreams(twoStreams());
     const RunResult &agg = m.aggregate;
     EXPECT_EQ(agg.instrCount,
               m.streams[0].instrCount + m.streams[1].instrCount);
@@ -183,8 +201,7 @@ TEST(MultiStream, StreamsOccupyDisjointPageRegions)
     streams[0].policy = makePolicy("Conduit");
     streams[1].program = chainProgram("y", 16);
     streams[1].policy = makePolicy("Conduit");
-    Engine eng(testCfg());
-    auto m = eng.run(std::move(streams));
+    auto m = runStreams(std::move(streams));
     EXPECT_EQ(m.streams[0].instrCount, 8u);
     EXPECT_EQ(m.streams[1].instrCount, 16u);
 }
@@ -200,19 +217,18 @@ TEST(MultiStream, CombinedFootprintBeyondCapacityRejected)
     streams[0].policy = makePolicy("Conduit");
     streams[1].program = prog;
     streams[1].policy = makePolicy("Conduit");
-    Engine eng(cfg);
-    EXPECT_THROW(eng.run(std::move(streams)), std::invalid_argument);
+    EXPECT_THROW(runStreams(std::move(streams), cfg),
+                 std::invalid_argument);
 }
 
 TEST(MultiStream, MissingProgramOrPolicyRejected)
 {
-    Engine eng(testCfg());
     std::vector<sched::StreamSpec> none;
-    EXPECT_THROW(eng.run(std::move(none)), std::invalid_argument);
+    EXPECT_THROW(runStreams(std::move(none)), std::invalid_argument);
 
     std::vector<sched::StreamSpec> broken(1);
     broken[0].program = chainProgram("z", 2);
-    EXPECT_THROW(eng.run(std::move(broken)), std::invalid_argument);
+    EXPECT_THROW(runStreams(std::move(broken)), std::invalid_argument);
 }
 
 TEST(MultiStream, FacadeTenantsRunDeterministically)

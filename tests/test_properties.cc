@@ -11,7 +11,7 @@
 
 #include <vector>
 
-#include "src/core/engine.hh"
+#include "src/core/device.hh"
 #include "src/sim/event_queue.hh"
 #include "src/sim/rng.hh"
 #include "src/sim/server.hh"
@@ -27,13 +27,32 @@ class RandomSeeds : public ::testing::TestWithParam<std::uint64_t>
 };
 
 /** An occupancy-only tracer (the instruction-timeline source). */
-trace::Tracer
+std::shared_ptr<trace::Tracer>
 occupancyTracer()
 {
     trace::TraceConfig cfg;
     cfg.categories =
         static_cast<std::uint32_t>(trace::Category::Occupancy);
-    return trace::Tracer(cfg);
+    return std::make_shared<trace::Tracer>(cfg);
+}
+
+/**
+ * Run @p prog under @p policy as one tick-0 job on a fresh Device,
+ * recording into @p tracer.
+ */
+RunResult
+runTraced(const Program &prog, std::shared_ptr<OffloadPolicy> policy,
+          const std::shared_ptr<trace::Tracer> &tracer,
+          const EngineOptions &opts = {})
+{
+    DeviceOptions dopts;
+    dopts.config = SsdConfig::scaled(1.0 / 256.0);
+    dopts.engine = opts;
+    dopts.tracer = tracer;
+    std::vector<sched::StreamSpec> streams(1);
+    streams[0].program = std::make_shared<const Program>(prog);
+    streams[0].policy = std::move(policy);
+    return runStreamsOnDevice(dopts, std::move(streams)).streams.front();
 }
 
 TEST_P(RandomSeeds, ServerIntervalsNeverOverlapAndFcfsHolds)
@@ -137,11 +156,8 @@ randomProgram(std::uint64_t seed, std::size_t n)
 TEST_P(RandomSeeds, RandomProgramsCompleteWithConsistentAccounting)
 {
     const Program prog = randomProgram(GetParam(), 120);
-    Engine eng(SsdConfig::scaled(1.0 / 256.0));
-    trace::Tracer tracer = occupancyTracer();
-    eng.setTracer(&tracer);
-    ConduitPolicy pol;
-    auto r = eng.run(prog, pol);
+    const auto tracer = occupancyTracer();
+    auto r = runTraced(prog, makePolicy("Conduit"), tracer);
 
     // Everything executed exactly once, somewhere.
     ASSERT_EQ(r.instrCount, prog.instrs.size());
@@ -149,7 +165,7 @@ TEST_P(RandomSeeds, RandomProgramsCompleteWithConsistentAccounting)
               r.instrCount);
     ASSERT_EQ(r.latencyUs.count(), prog.instrs.size());
     const trace::InstructionTimeline tl =
-        trace::instructionTimeline(tracer);
+        trace::instructionTimeline(*tracer);
     ASSERT_EQ(tl.completion.size(), prog.instrs.size());
 
     // Dependence ordering: a consumer never completes before its
@@ -180,14 +196,13 @@ TEST_P(RandomSeeds, RandomProgramsCompleteWithConsistentAccounting)
 TEST_P(RandomSeeds, PolicyChoicesAlwaysRespectCapabilities)
 {
     const Program prog = randomProgram(GetParam() ^ 0xABCD, 80);
-    Engine eng(SsdConfig::scaled(1.0 / 256.0));
-    trace::Tracer tracer = occupancyTracer();
-    eng.setTracer(&tracer);
-    auto pol = makePolicy(GetParam() % 2 == 0 ? "Conduit"
-                                              : "DM-Offloading");
-    (void)eng.run(prog, *pol);
+    const auto tracer = occupancyTracer();
+    (void)runTraced(prog,
+                    makePolicy(GetParam() % 2 == 0 ? "Conduit"
+                                                   : "DM-Offloading"),
+                    tracer);
     const trace::InstructionTimeline tl =
-        trace::instructionTimeline(tracer);
+        trace::instructionTimeline(*tracer);
     ASSERT_EQ(tl.resource.size(), prog.instrs.size());
     for (std::size_t i = 0; i < prog.instrs.size(); ++i) {
         const auto t = static_cast<Target>(tl.resource[i]);
@@ -202,16 +217,13 @@ TEST_P(RandomSeeds, PolicyChoicesAlwaysRespectCapabilities)
 TEST_P(RandomSeeds, FaultReplayPreservesOrderingInvariants)
 {
     const Program prog = randomProgram(GetParam() ^ 0x5EED, 100);
-    Engine eng(SsdConfig::scaled(1.0 / 256.0));
-    trace::Tracer tracer = occupancyTracer();
-    eng.setTracer(&tracer);
-    ConduitPolicy pol;
+    const auto tracer = occupancyTracer();
     EngineOptions opts;
     opts.transientFaultRate = 0.2;
-    auto r = eng.run(prog, pol, opts);
+    auto r = runTraced(prog, makePolicy("Conduit"), tracer, opts);
     ASSERT_EQ(r.replays, r.faultsInjected);
     const trace::InstructionTimeline tl =
-        trace::instructionTimeline(tracer);
+        trace::instructionTimeline(*tracer);
     for (const auto &vi : prog.instrs) {
         for (InstrId d : vi.deps)
             ASSERT_GE(tl.completion[vi.id], tl.completion[d]);

@@ -10,7 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/engine.hh"
+#include "src/core/device.hh"
 #include "src/reliability/reliability.hh"
 #include "src/runner/sweep_runner.hh"
 #include "src/sim/rng.hh"
@@ -254,14 +254,25 @@ TEST(Reliability, BadBlockRetirementShrinksPoolAndGcSurvives)
 
 // ------------------------------------------------- engine-level
 
+/** Run @p prog under @p policy as one tick-0 job on a fresh Device. */
+RunResult
+runJob(const Program &prog, const std::string &policy,
+       const SsdConfig &cfg)
+{
+    DeviceOptions dopts;
+    dopts.config = cfg;
+    std::vector<sched::StreamSpec> streams(1);
+    streams[0].program = std::make_shared<const Program>(prog);
+    streams[0].policy = makePolicy(policy);
+    return runStreamsOnDevice(dopts, std::move(streams)).streams.front();
+}
+
 TEST(Reliability, DisabledKnobsAreInertAndFreshAgedMatchesBaseline)
 {
     const Program prog = chainProgram(24);
 
     auto run = [&](const SsdConfig &cfg) {
-        Engine engine(cfg);
-        auto policy = makePolicy("Conduit");
-        return engine.run(prog, *policy);
+        return runJob(prog, "Conduit", cfg);
     };
 
     SsdConfig base = smallCfg();
@@ -297,13 +308,11 @@ TEST(Reliability, AgingStretchesEngineExecution)
         cfg.reliability.enabled = true;
         cfg.reliability.preWearCycles = pe;
         cfg.reliability.retentionDays = days;
-        Engine engine(cfg);
         // Fixed-substrate policy: every operand stages through real
         // flash reads, so the ECC ladder is squarely on the path
         // (decision-adaptive policies can sidestep it via IFP's
         // raw-bit in-place computation).
-        auto policy = makePolicy("ISP");
-        return engine.run(prog, *policy);
+        return runJob(prog, "ISP", cfg);
     };
 
     const RunResult fresh = run(0, 0.0);
@@ -316,16 +325,17 @@ TEST(Reliability, AgingStretchesEngineExecution)
 TEST(Reliability, AgingSweepIsThreadCountInvariant)
 {
     auto cells = [] {
-        std::vector<runner::AgingRunSpec> specs;
+        std::vector<runner::LoadRunSpec> specs;
         for (std::uint32_t age : {0u, 1500u, 3000u}) {
-            runner::AgingRunSpec s;
-            s.load.workloadId = WorkloadId::Aes;
-            s.load.technique = "Conduit";
-            s.load.jobs = 3;
-            s.load.jobsPerSec = 400.0;
-            s.load.arrivalSeed = 1;
-            s.preWearCycles = age;
-            s.retentionDays = age * 0.03;
+            runner::LoadRunSpec s;
+            s.workloadId = WorkloadId::Aes;
+            s.technique = "Conduit";
+            s.jobs = 3;
+            s.jobsPerSec = 400.0;
+            s.arrivalSeed = 1;
+            s.config.reliability.enabled = true;
+            s.config.reliability.preWearCycles = age;
+            s.config.reliability.retentionDays = age * 0.03;
             specs.push_back(std::move(s));
         }
         return specs;
@@ -333,8 +343,8 @@ TEST(Reliability, AgingSweepIsThreadCountInvariant)
 
     runner::SweepRunner serial({1});
     runner::SweepRunner pooled({4});
-    const auto a = serial.runAgingAll(cells);
-    const auto b = pooled.runAgingAll(cells);
+    const auto a = serial.runLoadAll(cells);
+    const auto b = pooled.runLoadAll(cells);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].makespan, b[i].makespan);

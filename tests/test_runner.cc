@@ -25,7 +25,6 @@ namespace
 {
 
 using runner::HostKind;
-using runner::ProgramCache;
 using runner::RunMatrix;
 using runner::RunSpec;
 using runner::SweepOptions;
@@ -125,6 +124,37 @@ TEST(SweepRunner, MatchesTheSimulationFacade)
     expectSameResult(facade, sweep.at("AES", "Conduit"));
 }
 
+TEST(SweepRunner, PerCellEventsMatchABareDeviceJob)
+{
+    // A RunMatrix cell is one tick-0 job on a fresh Device, so its
+    // attributed event count is that Device's; host baselines have
+    // no event kernel and fire none.
+    SweepOptions opts;
+    opts.threads = 2;
+    SweepRunner runner(opts);
+    const std::vector<RunSpec> specs = smallMatrix().build();
+    runner.run(specs);
+    const runner::SweepPerf perf = runner.lastPerf();
+    ASSERT_EQ(perf.perCell.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const RunSpec &spec = specs[i];
+        SCOPED_TRACE(spec.workload + "/" + spec.technique);
+        if (spec.technique == "CPU") {
+            EXPECT_EQ(perf.perCell[i].eventsFired, 0u);
+            continue;
+        }
+        Device dev(makeDeviceOptions(spec.config, spec.engine,
+                                     spec.params));
+        JobSpec job;
+        job.workload = spec.workloadId;
+        job.policy = spec.technique;
+        dev.submit(job);
+        const DeviceSnapshot snap = dev.drain();
+        EXPECT_GT(snap.eventsFired, 0u);
+        EXPECT_EQ(perf.perCell[i].eventsFired, snap.eventsFired);
+    }
+}
+
 TEST(SweepRunner, HostKindRunsBaselineUnderCustomLabel)
 {
     RunMatrix m;
@@ -169,7 +199,7 @@ TEST(RunMatrix, CrossProductIsWorkloadMajorAndFilterable)
 
 TEST(ProgramCache, CompilesOnceAndSharesAcrossThreads)
 {
-    ProgramCache cache;
+    conduit::ProgramCache cache;
     const SsdConfig cfg = runner::defaultSweepConfig();
     const WorkloadParams params;
 

@@ -115,8 +115,9 @@ TEST(Trace, TraceFilesAreBitIdenticalAcrossRepeats)
 
 TEST(Trace, FilterKeepsOnlyRequestedCategories)
 {
-    // Occupancy only: every event must carry that category (plain
-    // run() cells have no job admission, so Job would be empty).
+    // Occupancy only: every event must carry that category, even
+    // though every run() cell also emits Job spans and admission
+    // samples when those categories are enabled.
     SweepOptions opts;
     opts.trace.categories =
         static_cast<std::uint32_t>(trace::Category::Occupancy);

@@ -58,8 +58,8 @@ namespace
 
 using namespace conduit;
 using namespace conduit::bench;
-using conduit::runner::ClusterRunSpec;
-using conduit::runner::ClusterTenant;
+using conduit::runner::Offer;
+using conduit::runner::Tenant;
 using conduit::runner::splitCsv;
 
 std::vector<double>
@@ -214,32 +214,32 @@ main(int argc, char **argv)
     if (!keepP.empty())
         policies = keepP;
 
-    WorkloadParams params;
-    params.scale = cli.scale;
+    DeviceOptions fresh;
+    fresh.config = runner::defaultSweepConfig();
+    fresh.config.reliability.wearLevelEnabled = wearLevel;
+    fresh.workload.scale = cli.scale;
 
     SweepRunner runner(cli.runnerOptions());
 
     // Calibrate per-tenant service times once: the isolated one-job
     // makespan anchors both the SLO (x --slo-mult) and the default
     // rate ladder (aggregate service rate x fleet size).
-    std::vector<ClusterTenant> tenants;
+    std::vector<Tenant> tenants;
     double meanServiceSec = 0.0;
     {
         double weightSum = 0.0;
         for (std::size_t t = 0; t < tenantIds.size(); ++t)
             weightSum += t == 0 ? 3.0 : 1.0;
         for (std::size_t t = 0; t < tenantIds.size(); ++t) {
-            runner::LoadRunSpec iso;
-            iso.workload = workloadName(tenantIds[t]);
-            iso.workloadId = tenantIds[t];
-            iso.params = params;
-            iso.jobs = 1;
-            const DeviceSnapshot snap = runner.runLoad(iso);
-            const double tIso = ticksToSeconds(snap.makespan);
-
-            ClusterTenant ten;
+            Tenant ten;
             ten.name = workloadName(tenantIds[t]);
             ten.workloadId = tenantIds[t];
+            Offer iso;
+            iso.jobs = 1;
+            const double tIso = ticksToSeconds(
+                runner.runAll({runner::loadScenario(fresh, ten, iso)})
+                    .front()
+                    .makespan);
             ten.sloMs = tIso * 1000.0 * sloMult;
             ten.weight = t == 0 ? 3.0 : 1.0;
             meanServiceSec += tIso * ten.weight / weightSum;
@@ -247,13 +247,12 @@ main(int argc, char **argv)
         }
     }
 
-    SsdConfig cfg = runner::defaultSweepConfig();
-    cfg.reliability.wearLevelEnabled = wearLevel;
-
     // Cell matrix: fleet size, then age mix, then policy, then rate
     // ascending. Every policy sees the identical arrival schedule,
-    // so curves differ only by routing decisions.
-    std::vector<ClusterRunSpec> cells;
+    // so curves differ only by routing decisions. Device d of a mix
+    // takes rung mix[d % mix.size()]; aged rungs enable the
+    // reliability subsystem at that age.
+    std::vector<runner::Scenario> cells;
     std::vector<std::vector<double>> sizeRates;
     for (std::size_t si = 0; si < sizes.size(); ++si) {
         std::vector<double> fRates = rates;
@@ -265,28 +264,31 @@ main(int argc, char **argv)
                 fRates.push_back(base * mult);
         }
         for (const auto &mix : mixes) {
+            std::vector<DeviceOptions> devices(sizes[si], fresh);
+            for (std::size_t d = 0; d < devices.size(); ++d) {
+                const std::uint32_t rung = mix[d % mix.size()];
+                if (rung == 0)
+                    continue;
+                ReliabilityConfig &rel = devices[d].config.reliability;
+                rel.enabled = true;
+                rel.preWearCycles = rung;
+                rel.retentionDays = retentionPerKCycle * rung / 1000.0;
+            }
             for (const std::string &policy : policies) {
                 for (double rate : fRates) {
-                    ClusterRunSpec cell;
                     char label[128];
                     std::snprintf(label, sizeof label,
                                   "fleet%zu%s/%s@%gjobs/s", sizes[si],
                                   mixLabel(mix).c_str(),
                                   policy.c_str(), rate);
-                    cell.label = label;
-                    cell.placement = policy;
-                    cell.config = cfg;
-                    cell.params = params;
-                    cell.tenants = tenants;
-                    cell.devices = sizes[si];
-                    cell.ageMix = mix;
-                    cell.retentionDaysPerKCycle = retentionPerKCycle;
-                    cell.jobs = jobs;
-                    cell.jobsPerSec = rate;
-                    cell.arrivals = arrivals;
-                    cell.arrivalSeed = arrivalSeed;
-                    cell.warmupJobs = warmupJobs;
-                    cells.push_back(std::move(cell));
+                    Offer offer;
+                    offer.jobs = jobs;
+                    offer.jobsPerSec = rate;
+                    offer.arrivals = arrivals;
+                    offer.arrivalSeed = arrivalSeed;
+                    offer.warmupJobs = warmupJobs;
+                    cells.push_back(runner::fleetScenario(
+                        label, policy, devices, tenants, offer));
                 }
             }
         }
@@ -294,21 +296,10 @@ main(int argc, char **argv)
     }
 
     const std::vector<cluster::ClusterSnapshot> snaps =
-        runner.runClusterAll(cells);
-
-    // Warm-phase cost is wall-clock (nondeterministic): stderr only.
-    const runner::SweepPerf perf = runner.lastPerf();
-    if (perf.warmupImages > 0)
-        std::fprintf(stderr,
-                     "warmup: %zu image(s) built once in %.3f s, "
-                     "forked across %zu fleet cells\n",
-                     perf.warmupImages, perf.warmupSeconds,
-                     perf.cells);
-
-    std::vector<runner::ClusterRow> rows;
+        runner.runAll(cells);
+    std::vector<runner::ScenarioRow> rows;
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        const auto cellRows =
-            runner::makeClusterRows(cells[i], snaps[i]);
+        const auto cellRows = runner::makeRows(cells[i], snaps[i]);
         rows.insert(rows.end(), cellRows.begin(), cellRows.end());
     }
 
@@ -329,7 +320,7 @@ main(int argc, char **argv)
                 for (std::size_t k = 0; k < sizeRates[si].size();
                      ++k) {
                     // One fleet row then one row per tenant.
-                    const runner::ClusterRow &row = rows.at(r);
+                    const runner::ScenarioRow &row = rows.at(r);
                     r += 1 + tenants.size();
                     std::printf("  %-14s %10.2f %10.2f %9.3f %9.3f "
                                 "%8.3f %12.2f\n",
@@ -353,7 +344,7 @@ main(int argc, char **argv)
                     rows[lastCell * stride].jobsPerSec, sizes[0],
                     mixLabel(mixes[0]).c_str());
         for (std::size_t t = 0; t < tenants.size(); ++t) {
-            const runner::ClusterRow &row =
+            const runner::ScenarioRow &row =
                 rows.at(lastCell * stride + 1 + t);
             std::printf("  %-14s slo %8.3f ms  attained %6.3f  "
                         "p99 sojourn %8.3f ms\n",
@@ -363,26 +354,5 @@ main(int argc, char **argv)
         std::printf("\n");
     }
 
-    int status = 0;
-    if (!cli.cellPerfPath.empty() &&
-        !SweepCli::writeCellPerfCsv(cli.cellPerfPath,
-                                    runner.lastPerf())) {
-        std::fprintf(stderr, "error: could not write %s\n",
-                     cli.cellPerfPath.c_str());
-        status = 1;
-    }
-    if (!cli.csvPath.empty() &&
-        !runner::writeClusterCsvFile(cli.csvPath, rows)) {
-        std::fprintf(stderr, "error: could not write %s\n",
-                     cli.csvPath.c_str());
-        status = 1;
-    }
-    if (!cli.jsonPath.empty() &&
-        !runner::writeClusterJsonFile(cli.jsonPath, rows)) {
-        std::fprintf(stderr, "error: could not write %s\n",
-                     cli.jsonPath.c_str());
-        status = 1;
-    }
-    status |= cli.writeTraces(runner);
-    return status;
+    return cli.finish(rows, runner::RowFormat::Fleet, runner);
 }

@@ -19,16 +19,17 @@
  * under (a single entry, default Conduit).
  *
  * --age CYCLES runs the matrix on an aged device instead of a
- * factory-fresh one: a single pre-worn DeviceImage (reliability
- * subsystem enabled, fast-forwarded to the age, warmed with
- * --warmup-jobs jobs of traffic) is built once and forked for every
- * cell, so all cells share byte-identical initial wear, mappings and
- * staging state. On the aged device the ECC retry ladder stretches
- * every flash read, so a background tenant's die occupancy delays
- * the primary for whole retry ladders at a time — cross-tenant
- * interference tails amplify well beyond the fresh-device slowdown.
- * Aged cells run outside a SweepRunner sweep, so --trace and
- * --cell-perf are rejected in aged mode.
+ * factory-fresh one: every cell's device recipe carries the same
+ * pre-worn warm traffic (reliability subsystem enabled, fast-forwarded
+ * to the age, warmed with --warmup-jobs jobs), so the sweep builds one
+ * shared DeviceImage and forks it for every cell — all cells share
+ * byte-identical initial wear, mappings and staging state. On the
+ * aged device the ECC retry ladder stretches every flash read, so a
+ * background tenant's die occupancy delays the primary for whole
+ * retry ladders at a time — cross-tenant interference tails amplify
+ * well beyond the fresh-device slowdown. Aged cells retire eagerly
+ * (OnComplete) in a page pool sized for the largest pair, where
+ * fresh cells keep the batch OnQuiesce semantics.
  *   --age CYCLES         P/E cycles pre-absorbed (0 = fresh matrix)
  *   --retention-days D   resident-data age (default: age * 30/1000,
  *                        the deployment-time coupling
@@ -37,8 +38,6 @@
  *                        (default 4)
  */
 
-#include <chrono>
-
 #include "bench/common.hh"
 
 namespace
@@ -46,62 +45,17 @@ namespace
 
 using namespace conduit;
 using namespace conduit::bench;
-using conduit::runner::LoadRunSpec;
-using conduit::runner::MultiRunSpec;
-using conduit::runner::StreamSlot;
+using conduit::runner::Tenant;
 using conduit::runner::splitCsv;
 
-StreamSlot
-slotFor(WorkloadId id, const std::string &policy)
+Tenant
+tenantFor(WorkloadId id, const std::string &policy)
 {
-    StreamSlot s;
-    s.workloadId = id;
-    s.workload = workloadName(id);
-    s.technique = policy;
-    return s;
-}
-
-/**
- * One aged-matrix cell: fork the shared pre-worn image and co-run
- * the cell's streams as simultaneous jobs on the forked device. The
- * image is read-only (forking deep-copies), so every cell starts
- * from byte-identical wear/mapping/staging state and cells stay
- * order-independent and deterministic.
- */
-sched::MultiRunResult
-runAgedCell(const DeviceImage &img, const MultiRunSpec &cell,
-            SweepRunner &runner)
-{
-    Device dev = Device::fromImage(img);
-    const std::size_t warm = img.jobs.size();
-    const Tick at = dev.now();
-    for (const StreamSlot &slot : cell.streams) {
-        auto vp = runner.cache().get(*slot.workloadId, cell.params,
-                                     cell.config);
-        JobSpec job;
-        job.name = slot.workload;
-        job.program =
-            std::shared_ptr<const Program>(vp, &vp->program);
-        job.policyObj =
-            std::shared_ptr<OffloadPolicy>(makePolicy(slot.technique));
-        job.arrival = at;
-        dev.submit(job);
-    }
-    const DeviceSnapshot snap = dev.drain();
-
-    sched::MultiRunResult mr;
-    mr.eventsFired = snap.eventsFired;
-    Tick maxEnd = at;
-    for (std::size_t i = warm; i < snap.jobs.size(); ++i) {
-        const JobResult &jr = snap.jobs[i];
-        RunResult r = jr.result;
-        r.workload = cell.streams[i - warm].workload;
-        r.policy = cell.streams[i - warm].technique;
-        mr.streams.push_back(std::move(r));
-        maxEnd = std::max(maxEnd, jr.end);
-    }
-    mr.makespan = maxEnd - at;
-    return mr;
+    Tenant t;
+    t.workloadId = id;
+    t.name = workloadName(id);
+    t.technique = policy;
+    return t;
 }
 
 } // namespace
@@ -181,74 +135,59 @@ main(int argc, char **argv)
     if (!runner::reportUnknown({policy}, policyNames(), "policy"))
         return 2;
 
-    WorkloadParams params;
-    params.scale = cli.scale;
-
     // Aged mode: every cell forks one pre-worn device image, so all
     // cells share the aged (reliability-enabled) configuration.
-    SsdConfig config = runner::defaultSweepConfig();
+    SweepRunner runner(cli.runnerOptions());
+    runner::DeviceRecipe device;
+    device.options.config = runner::defaultSweepConfig();
+    device.options.workload.scale = cli.scale;
     if (age > 0) {
-        config.reliability.enabled = true;
-        config.reliability.preWearCycles = age;
-        config.reliability.retentionDays = retentionDays;
+        ReliabilityConfig &rel = device.options.config.reliability;
+        rel.enabled = true;
+        rel.preWearCycles = age;
+        rel.retentionDays = retentionDays;
+        // Warm jobs of the first tenant, all at tick 0, in a page
+        // pool sized for the largest co-location pair so both
+        // streams admit simultaneously like the fresh matrix does.
+        std::uint64_t maxFp = 0;
+        for (WorkloadId id : tenants) {
+            auto vp = runner.cache().get(id, device.options.workload,
+                                         device.options.config);
+            maxFp = std::max(maxFp, vp->program.footprintPages);
+        }
+        device.options.capacityPages = 2 * maxFp;
+        device.options.retire = RetirePolicy::OnComplete;
+        device.warm.name = workloadName(tenants.front());
+        device.warm.workloadId = tenants.front();
+        device.warm.ticks.assign(warmupJobs, 0);
     }
 
     // Cells: one isolated run per tenant, then every ordered pair
     // (primary, background) co-located. Cell order is the report
-    // order; runMultiAll keeps results in spec order regardless of
-    // the worker-thread count.
-    std::vector<MultiRunSpec> cells;
+    // order; runAll keeps results in cell order regardless of the
+    // worker-thread count.
+    std::vector<runner::Scenario> cells;
+    for (WorkloadId p : tenants)
+        cells.push_back(runner::batchScenario(
+            workloadName(p), device, {tenantFor(p, policy)}));
     for (WorkloadId p : tenants) {
-        MultiRunSpec iso;
-        iso.label = workloadName(p);
-        iso.config = config;
-        iso.params = params;
-        iso.streams = {slotFor(p, policy)};
-        cells.push_back(std::move(iso));
-    }
-    for (WorkloadId p : tenants) {
-        for (WorkloadId b : tenants) {
-            MultiRunSpec co;
-            co.label = workloadName(p) + "+" + workloadName(b);
-            co.config = config;
-            co.params = params;
-            co.streams = {slotFor(p, policy), slotFor(b, policy)};
-            cells.push_back(std::move(co));
-        }
+        for (WorkloadId b : tenants)
+            cells.push_back(runner::batchScenario(
+                workloadName(p) + "+" + workloadName(b), device,
+                {tenantFor(p, policy), tenantFor(b, policy)}));
     }
 
-    const auto t0 = std::chrono::steady_clock::now();
-    SweepRunner runner(cli.runnerOptions());
-    std::vector<sched::MultiRunResult> results;
-    if (age > 0) {
-        // Build the shared pre-worn image once: the aged config
-        // warmed with jobs of the first tenant, its page pool sized
-        // for the largest co-location pair so both streams admit
-        // simultaneously like the fresh matrix does. Cells then run
-        // via the device job API (forking is a Device operation).
-        LoadRunSpec warm;
-        warm.workload = workloadName(tenants.front());
-        warm.workloadId = tenants.front();
-        warm.config = config;
-        warm.params = params;
-        warm.warmupJobs = warmupJobs;
-        std::uint64_t maxFp = 0;
-        for (WorkloadId id : tenants) {
-            auto vp = runner.cache().get(id, params, config);
-            maxFp = std::max(maxFp, vp->program.footprintPages);
-        }
-        warm.capacityPages = 2 * maxFp;
-        const DeviceImage img = runner.buildWarmImage(warm);
-        results.reserve(cells.size());
-        for (const MultiRunSpec &cell : cells)
-            results.push_back(runAgedCell(img, cell, runner));
-    } else {
-        results = runner.runMultiAll(cells);
-    }
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
+    const std::vector<cluster::ClusterSnapshot> results =
+        runner.runAll(cells);
+    // Job r of a cell's snapshot is its r-th tenant's stream; the
+    // cell makespan is measured from the (possibly forked) epoch.
+    const auto stream = [&](std::size_t cell,
+                            std::size_t r) -> const RunResult & {
+        return results[cell].result(r).result;
+    };
+    const auto makespan = [&](std::size_t cell) {
+        return results[cell].makespan - results[cell].base;
+    };
 
     const std::size_t n = tenants.size();
     if (age > 0)
@@ -267,7 +206,7 @@ main(int argc, char **argv)
     std::vector<RunResult> rowResults;
 
     for (std::size_t pi = 0; pi < n; ++pi) {
-        const RunResult &alone = results[pi].streams.front();
+        const RunResult &alone = stream(pi, 0);
         std::printf("%s\n", alone.workload.c_str());
         std::printf("  %-24s %10s %10s %12s %12s\n", "tenancy",
                     "exec (ms)", "slowdown", "p99 (us)",
@@ -284,10 +223,9 @@ main(int argc, char **argv)
             rowResults.push_back(alone);
         }
         for (std::size_t bi = 0; bi < n; ++bi) {
-            const auto &cell = results[n + pi * n + bi];
-            const RunResult &primary = cell.streams.front();
-            const std::string company =
-                "+" + cell.streams.back().workload;
+            const std::size_t cell = n + pi * n + bi;
+            const RunResult &primary = stream(cell, 0);
+            const std::string company = "+" + stream(cell, 1).workload;
             const double slowdown = alone.execTime == 0
                 ? 0.0
                 : static_cast<double>(primary.execTime) /
@@ -312,29 +250,25 @@ main(int argc, char **argv)
                 "isolated runs)\n");
     for (std::size_t pi = 0; pi < n; ++pi) {
         for (std::size_t bi = pi + 1; bi < n; ++bi) {
-            const auto &cell = results[n + pi * n + bi];
+            const std::size_t cell = n + pi * n + bi;
             const Tick sum =
-                results[pi].streams.front().execTime +
-                results[bi].streams.front().execTime;
+                stream(pi, 0).execTime + stream(bi, 0).execTime;
             std::printf(
                 "  %-40s makespan %8.3f ms, serial-on-two-SSDs "
                 "%8.3f ms (%.2fx)\n",
-                cells[n + pi * n + bi].label.c_str(),
-                ticksToUs(cell.makespan) / 1000.0,
+                cells[cell].label.c_str(),
+                ticksToUs(makespan(cell)) / 1000.0,
                 ticksToUs(sum) / 1000.0,
-                cell.makespan == 0
+                makespan(cell) == 0
                     ? 0.0
                     : static_cast<double>(sum) /
-                        static_cast<double>(cell.makespan));
+                        static_cast<double>(makespan(cell)));
         }
     }
 
-    const SweepResult rows(std::move(rowSpecs), std::move(rowResults),
-                           wall, runner.workerCount(cells.size()));
-    // Aged cells bypass the runner's sweep, which therefore holds no
-    // per-cell perf or traces: finish() rejects --cell-perf/--trace.
     const auto perf = runner.lastPerf();
-    const bool swept = age == 0;
-    return cli.finish(rows, swept ? &perf : nullptr,
-                      swept ? &runner : nullptr);
+    const SweepResult rows(std::move(rowSpecs), std::move(rowResults),
+                           perf.wallSeconds,
+                           runner.workerCount(cells.size()));
+    return cli.finish(rows, &perf, &runner);
 }

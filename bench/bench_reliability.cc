@@ -12,8 +12,8 @@
  * and p99/p99.99 request latency grows monotonically with age.
  *
  * Each (workload, policy, age) cell is one deterministic device
- * lifetime (a SweepRunner offered-load cell whose config carries the
- * age); the same arrival schedule is
+ * lifetime (an offered-load Scenario whose config carries the age);
+ * the same arrival schedule is
  * replayed at every age and for every policy, so rows differ only by
  * device age and offload decisions. stdout carries only simulated
  * values and is byte-identical across thread counts; CI enforces
@@ -35,12 +35,9 @@
  *   --arrivals KIND        fixed | uniform | poisson (default)
  *   --arrival-seed N       arrival-schedule seed (default 1)
  *   --warmup-jobs N        warm jobs before the measured phase (rows
- *                          then report the measured jobs only)
- *   --steady-state         build each age rung's warm device once
- *                          and fork it per policy (DeviceImage
- *                          snapshots) instead of replaying the warm
- *                          phase per cell; outputs byte-identical,
- *                          only wall-clock changes (on stderr)
+ *                          then report the measured jobs only); each
+ *                          age rung's warm device is built once and
+ *                          forked per policy
  */
 
 #include <algorithm>
@@ -55,7 +52,8 @@ namespace
 
 using namespace conduit;
 using namespace conduit::bench;
-using conduit::runner::LoadRunSpec;
+using conduit::runner::Offer;
+using conduit::runner::Tenant;
 using conduit::runner::splitCsv;
 
 std::vector<std::uint32_t>
@@ -92,7 +90,6 @@ main(int argc, char **argv)
     ArrivalKind arrivals = ArrivalKind::Poisson;
     std::uint64_t arrivalSeed = 1;
     std::size_t warmupJobs = 0;
-    bool steadyState = false;
     const auto extra = [&](const std::string &flag,
                            const std::function<std::string()> &value) {
         if (flag == "--jobs") {
@@ -100,8 +97,6 @@ main(int argc, char **argv)
         } else if (flag == "--warmup-jobs") {
             warmupJobs =
                 parseCount("--warmup-jobs", value(), /*allow_zero=*/true);
-        } else if (flag == "--steady-state") {
-            steadyState = true;
         } else if (flag == "--ages") {
             ages = parseAges(value());
             if (ages.empty())
@@ -136,12 +131,7 @@ main(int argc, char **argv)
         "          [--jobs N] [--ages a,b,c]\n"
         "          [--retention-per-kcycle D] [--rate-mult M]\n"
         "          [--arrivals KIND] [--arrival-seed N]\n"
-        "          [--warmup-jobs N] [--steady-state]\n");
-    if (steadyState && warmupJobs == 0) {
-        std::fprintf(stderr,
-                     "--steady-state needs --warmup-jobs N (> 0)\n");
-        return 2;
-    }
+        "          [--warmup-jobs N]\n");
 
     std::vector<std::string> names;
     for (WorkloadId id : allWorkloads())
@@ -182,8 +172,9 @@ main(int argc, char **argv)
     if (!keepP.empty())
         policies = keepP;
 
-    WorkloadParams params;
-    params.scale = cli.scale;
+    DeviceOptions fresh;
+    fresh.config = runner::defaultSweepConfig();
+    fresh.workload.scale = cli.scale;
 
     SweepRunner runner(cli.runnerOptions());
 
@@ -191,58 +182,45 @@ main(int argc, char **argv)
     // One fresh-device calibration per workload anchors the offered
     // rate, which is then held fixed across ages and policies so
     // rows differ only by device age and offload decisions.
-    std::vector<LoadRunSpec> cells;
+    std::vector<runner::Scenario> cells;
     for (WorkloadId w : tenants) {
-        LoadRunSpec iso;
-        iso.workload = workloadName(w);
-        iso.technique = policies.front();
-        iso.workloadId = w;
-        iso.params = params;
-        iso.jobs = 1;
-        const DeviceSnapshot snap = runner.runLoad(iso);
-        const double tIso = ticksToSeconds(snap.makespan);
-        const double rate = (tIso > 0.0 ? 1.0 / tIso : 1.0) * rateMult;
+        Tenant tenant;
+        tenant.name = workloadName(w);
+        tenant.workloadId = w;
+        tenant.technique = policies.front();
+        Offer offer;
+        offer.jobs = 1;
+        const double tIso = ticksToSeconds(
+            runner.runAll({runner::loadScenario(fresh, tenant, offer)})
+                .front()
+                .makespan);
+        offer.jobs = jobs;
+        offer.jobsPerSec = (tIso > 0.0 ? 1.0 / tIso : 1.0) * rateMult;
+        offer.arrivals = arrivals;
+        offer.arrivalSeed = arrivalSeed;
+        offer.warmupJobs = warmupJobs;
 
         for (const std::string &policy : policies) {
+            tenant.technique = policy;
             for (std::uint32_t age : ages) {
-                LoadRunSpec cell;
-                cell.workload = workloadName(w);
-                cell.technique = policy;
-                cell.workloadId = w;
-                cell.params = params;
-                cell.jobs = jobs;
-                cell.jobsPerSec = rate;
-                cell.arrivals = arrivals;
-                cell.arrivalSeed = arrivalSeed;
-                cell.warmupJobs = warmupJobs;
-                cell.steadyState = steadyState;
-                ReliabilityConfig &rel = cell.config.reliability;
+                DeviceOptions aged = fresh;
+                ReliabilityConfig &rel = aged.config.reliability;
                 rel.enabled = true;
                 rel.preWearCycles = age;
                 rel.retentionDays = static_cast<double>(age) *
                     retentionPerKcycle / 1000.0;
-                cells.push_back(std::move(cell));
+                cells.push_back(
+                    runner::loadScenario(aged, tenant, offer));
             }
         }
     }
 
-    const std::vector<DeviceSnapshot> snaps = runner.runLoadAll(cells);
-
-    // Warm-phase cost is wall-clock (nondeterministic), so it goes
-    // to stderr: stdout stays byte-identical between cold two-phase
-    // and forked steady-state sweeps.
-    const runner::SweepPerf perf = runner.lastPerf();
-    if (perf.warmupImages > 0)
-        std::fprintf(stderr,
-                     "warmup: %zu image(s) built once in %.3f s, "
-                     "forked across %zu cells\n",
-                     perf.warmupImages, perf.warmupSeconds,
-                     perf.cells);
-
-    std::vector<runner::AgingRow> rows;
+    const std::vector<cluster::ClusterSnapshot> snaps =
+        runner.runAll(cells);
+    std::vector<runner::ScenarioRow> rows;
     rows.reserve(cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i)
-        rows.push_back(runner::makeAgingRow(cells[i], snaps[i]));
+        rows.push_back(runner::makeRows(cells[i], snaps[i]).at(1));
 
     std::printf("Reliability & device-aging sweep (%zu jobs/cell, %s "
                 "arrivals, %.3gx offered load)\n\n",
@@ -257,13 +235,13 @@ main(int argc, char **argv)
         for (const std::string &policy : policies) {
             (void)policy;
             for (std::size_t k = 0; k < ages.size(); ++k) {
-                const runner::AgingRow &row = rows.at(r++);
+                const runner::ScenarioRow &row = rows.at(r++);
                 std::printf("  %-16s %9u %8.1f %9.2f %11.2f %13.2f "
                             "%9llu %8llu %8llu %8llu\n",
-                            row.load.technique.c_str(),
+                            row.technique.c_str(),
                             row.preWearCycles, row.retentionDays,
-                            row.load.throughputJobsPerSec,
-                            row.load.p99Us, row.load.p9999Us,
+                            row.throughputJobsPerSec, row.p99Us,
+                            row.p9999Us,
                             static_cast<unsigned long long>(
                                 row.rel.eccRetries),
                             static_cast<unsigned long long>(
@@ -277,26 +255,5 @@ main(int argc, char **argv)
         std::printf("\n");
     }
 
-    int status = 0;
-    if (!cli.cellPerfPath.empty() &&
-        !SweepCli::writeCellPerfCsv(cli.cellPerfPath,
-                                    runner.lastPerf())) {
-        std::fprintf(stderr, "error: could not write %s\n",
-                     cli.cellPerfPath.c_str());
-        status = 1;
-    }
-    if (!cli.csvPath.empty() &&
-        !runner::writeAgingCsvFile(cli.csvPath, rows)) {
-        std::fprintf(stderr, "error: could not write %s\n",
-                     cli.csvPath.c_str());
-        status = 1;
-    }
-    if (!cli.jsonPath.empty() &&
-        !runner::writeAgingJsonFile(cli.jsonPath, rows)) {
-        std::fprintf(stderr, "error: could not write %s\n",
-                     cli.jsonPath.c_str());
-        status = 1;
-    }
-    status |= cli.writeTraces(runner);
-    return status;
+    return cli.finish(rows, runner::RowFormat::Aging, runner);
 }

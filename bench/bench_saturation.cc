@@ -28,12 +28,9 @@
  *   --arrival-seed N    arrival-schedule seed (default 1; the same
  *                       schedule is replayed for every policy)
  *   --warmup-jobs N     warm jobs before the measured phase (rows
- *                       then report the measured jobs only)
- *   --steady-state      build each rate rung's warm device once and
- *                       fork it per policy (DeviceImage snapshots)
- *                       instead of replaying the warm phase per
- *                       cell; outputs are byte-identical, only
- *                       wall-clock changes (reported on stderr)
+ *                       then report the measured jobs only); each
+ *                       rate rung's warm device is built once and
+ *                       forked per policy
  */
 
 #include <algorithm>
@@ -47,7 +44,8 @@ namespace
 
 using namespace conduit;
 using namespace conduit::bench;
-using conduit::runner::LoadRunSpec;
+using conduit::runner::Offer;
+using conduit::runner::Tenant;
 using conduit::runner::splitCsv;
 
 std::vector<double>
@@ -76,7 +74,6 @@ main(int argc, char **argv)
     ArrivalKind arrivals = ArrivalKind::Poisson;
     std::uint64_t arrivalSeed = 1;
     std::size_t warmupJobs = 0;
-    bool steadyState = false;
     const auto extra = [&](const std::string &flag,
                            const std::function<std::string()> &value) {
         if (flag == "--jobs") {
@@ -84,8 +81,6 @@ main(int argc, char **argv)
         } else if (flag == "--warmup-jobs") {
             warmupJobs =
                 parseCount("--warmup-jobs", value(), /*allow_zero=*/true);
-        } else if (flag == "--steady-state") {
-            steadyState = true;
         } else if (flag == "--rates") {
             rates = parseRates(value());
         } else if (flag == "--arrivals") {
@@ -108,13 +103,7 @@ main(int argc, char **argv)
     const SweepCli cli = SweepCli::parse(
         argc, argv, extra,
         "          [--jobs N] [--rates a,b] [--arrivals KIND]\n"
-        "          [--arrival-seed N] [--warmup-jobs N]\n"
-        "          [--steady-state]\n");
-    if (steadyState && warmupJobs == 0) {
-        std::fprintf(stderr,
-                     "--steady-state needs --warmup-jobs N (> 0)\n");
-        return 2;
-    }
+        "          [--arrival-seed N] [--warmup-jobs N]\n");
 
     std::vector<std::string> names;
     for (WorkloadId id : allWorkloads())
@@ -158,69 +147,58 @@ main(int argc, char **argv)
     if (!keepP.empty())
         policies = keepP;
 
-    WorkloadParams params;
-    params.scale = cli.scale;
+    DeviceOptions device;
+    device.config = runner::defaultSweepConfig();
+    device.workload.scale = cli.scale;
 
     SweepRunner runner(cli.runnerOptions());
 
     // Build the cell matrix: workload-major, policy, then rate
     // ascending. The same arrival schedule (kind, rate, seed) is
     // replayed for every policy so curves differ only by decisions.
-    std::vector<LoadRunSpec> cells;
+    std::vector<runner::Scenario> cells;
     std::vector<std::size_t> rateCounts; // per workload row
     for (WorkloadId w : tenants) {
+        Tenant tenant;
+        tenant.name = workloadName(w);
+        tenant.workloadId = w;
         std::vector<double> wRates = rates;
         if (wRates.empty()) {
             // Self-calibrate: one isolated job under the first
             // policy anchors the rate ladder at its service rate.
-            LoadRunSpec iso;
-            iso.workload = workloadName(w);
-            iso.technique = policies.front();
-            iso.workloadId = w;
-            iso.params = params;
+            tenant.technique = policies.front();
+            Offer iso;
             iso.jobs = 1;
-            const DeviceSnapshot snap = runner.runLoad(iso);
-            const double tIso = ticksToSeconds(snap.makespan);
+            const double tIso = ticksToSeconds(
+                runner.runAll({runner::loadScenario(device, tenant, iso)})
+                    .front()
+                    .makespan);
             const double base = tIso > 0.0 ? 1.0 / tIso : 1.0;
             for (double mult : {0.25, 0.5, 1.0, 2.0, 4.0})
                 wRates.push_back(base * mult);
         }
         for (const std::string &policy : policies) {
+            tenant.technique = policy;
             for (double rate : wRates) {
-                LoadRunSpec cell;
-                cell.workload = workloadName(w);
-                cell.technique = policy;
-                cell.workloadId = w;
-                cell.params = params;
-                cell.jobs = jobs;
-                cell.jobsPerSec = rate;
-                cell.arrivals = arrivals;
-                cell.arrivalSeed = arrivalSeed;
-                cell.warmupJobs = warmupJobs;
-                cell.steadyState = steadyState;
-                cells.push_back(std::move(cell));
+                Offer offer;
+                offer.jobs = jobs;
+                offer.jobsPerSec = rate;
+                offer.arrivals = arrivals;
+                offer.arrivalSeed = arrivalSeed;
+                offer.warmupJobs = warmupJobs;
+                cells.push_back(
+                    runner::loadScenario(device, tenant, offer));
             }
         }
         rateCounts.push_back(wRates.size());
     }
 
-    const std::vector<DeviceSnapshot> snaps = runner.runLoadAll(cells);
-
-    // Warm-phase cost is wall-clock (nondeterministic), so it goes
-    // to stderr: stdout stays byte-identical between cold two-phase
-    // and forked steady-state sweeps.
-    const runner::SweepPerf perf = runner.lastPerf();
-    if (perf.warmupImages > 0)
-        std::fprintf(stderr,
-                     "warmup: %zu image(s) built once in %.3f s, "
-                     "forked across %zu cells\n",
-                     perf.warmupImages, perf.warmupSeconds,
-                     perf.cells);
-
-    std::vector<runner::LoadRow> rows;
+    const std::vector<cluster::ClusterSnapshot> snaps =
+        runner.runAll(cells);
+    std::vector<runner::ScenarioRow> rows;
     rows.reserve(cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i)
-        rows.push_back(runner::makeLoadRow(cells[i], snaps[i]));
+        rows.push_back(runner::makeRows(cells[i], snaps[i]).at(1));
 
     std::printf("Open-loop saturation sweep (%zu jobs/cell, %s "
                 "arrivals)\n\n",
@@ -234,7 +212,7 @@ main(int argc, char **argv)
         for (const std::string &policy : policies) {
             (void)policy;
             for (std::size_t k = 0; k < rateCounts[wi]; ++k) {
-                const runner::LoadRow &row = rows.at(r++);
+                const runner::ScenarioRow &row = rows.at(r++);
                 std::printf(
                     "  %-16s %12.2f %12.2f %14.3f %12.2f %12.2f\n",
                     row.technique.c_str(), row.jobsPerSec,
@@ -245,26 +223,5 @@ main(int argc, char **argv)
         std::printf("\n");
     }
 
-    int status = 0;
-    if (!cli.cellPerfPath.empty() &&
-        !SweepCli::writeCellPerfCsv(cli.cellPerfPath,
-                                    runner.lastPerf())) {
-        std::fprintf(stderr, "error: could not write %s\n",
-                     cli.cellPerfPath.c_str());
-        status = 1;
-    }
-    if (!cli.csvPath.empty() &&
-        !runner::writeLoadCsvFile(cli.csvPath, rows)) {
-        std::fprintf(stderr, "error: could not write %s\n",
-                     cli.csvPath.c_str());
-        status = 1;
-    }
-    if (!cli.jsonPath.empty() &&
-        !runner::writeLoadJsonFile(cli.jsonPath, rows)) {
-        std::fprintf(stderr, "error: could not write %s\n",
-                     cli.jsonPath.c_str());
-        status = 1;
-    }
-    status |= cli.writeTraces(runner);
-    return status;
+    return cli.finish(rows, runner::RowFormat::Load, runner);
 }

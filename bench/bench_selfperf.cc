@@ -19,7 +19,7 @@
  *    and arms-then-cancels a timeout — the exact shape of an
  *    open-loop Device run), a cancel-heavy rolling window, and a
  *    DeviceImage snapshot-fork round trip (the per-cell fixed cost
- *    of steady-state sweeps). Reported as events (or forks, or
+ *    of warmed sweeps). Reported as events (or forks, or
  *    schedule+cancel pairs) per second of wall time.
  *
  * 2. Representative end-to-end scenarios, timed around the
@@ -29,10 +29,9 @@
  *      - multi-tenant-8: eight tenant streams co-run on one SSD,
  *      - open-loop-saturation: one saturation cell past the knee
  *        (pseudo-Poisson arrivals at 2x the calibrated base rate),
- *      - aging-cold / aging-fork: the same 4-age x 3-policy warmed
- *        aging sweep, warm phase replayed per cell vs forked from
- *        per-age DeviceImages — simulated digests byte-identical,
- *        the wall ratio is the steady-state speedup.
+ *      - aging-fork: a 4-age x 3-policy warmed aging sweep whose
+ *        cells fork one warm DeviceImage per age rung (image builds
+ *        folded into the wall).
  *      - fleet-4x4: a four-device cluster cell per placement policy
  *        (round-robin / random / least-backlog / affinity), two
  *        skewed tenants at 2x the calibrated fleet service rate —
@@ -67,12 +66,10 @@ namespace
 
 using namespace conduit;
 using namespace conduit::bench;
-using conduit::runner::ClusterRunSpec;
-using conduit::runner::ClusterTenant;
-using conduit::runner::LoadRunSpec;
-using conduit::runner::MultiRunSpec;
+using conduit::runner::Offer;
+using conduit::runner::Scenario;
 using conduit::runner::SweepPerf;
-using conduit::runner::StreamSlot;
+using conduit::runner::Tenant;
 
 double
 seconds(const std::chrono::steady_clock::time_point &t0)
@@ -179,22 +176,24 @@ microCancel(std::uint64_t pairs)
 /**
  * Snapshot/fork round-trip: a warm DeviceImage is built once, then
  * repeatedly forked into a live Device. Each fork is the fixed cost
- * a steady-state sweep pays per cell instead of replaying the warm
- * phase, so forks/sec bounds how cheaply warm state can be shared.
+ * a warmed sweep pays per cell instead of replaying the warm phase,
+ * so forks/sec bounds how cheaply warm state can be shared.
  */
 MicroResult
-microSnapshotFork(SweepRunner &runner, double scale,
-                  std::uint64_t forks)
+microSnapshotFork(double scale, std::uint64_t forks)
 {
-    LoadRunSpec warm;
-    warm.workloadId = WorkloadId::Aes;
-    warm.workload = workloadName(WorkloadId::Aes);
-    warm.technique = "Conduit";
-    warm.params.scale = scale;
-    warm.jobs = 0;
-    warm.warmupJobs = 4;
-    warm.jobsPerSec = 1000.0;
-    const DeviceImage img = runner.buildWarmImage(warm);
+    DeviceOptions opts;
+    opts.workload.scale = scale;
+    opts.retire = RetirePolicy::OnComplete;
+    Device warm(opts);
+    auto gaps = makeArrivals(ArrivalKind::Poisson, 1e9, 1);
+    for (Tick at : gaps->schedule(4)) {
+        JobSpec job;
+        job.workload = WorkloadId::Aes;
+        job.arrival = at;
+        warm.submit(job);
+    }
+    const DeviceImage img = warm.snapshot();
     const auto t0 = std::chrono::steady_clock::now();
     Tick sink = 0; // defeat dead-fork elimination
     for (std::uint64_t i = 0; i < forks; ++i) {
@@ -282,36 +281,59 @@ scenarioMultiTenant8(SweepRunner &runner, const SweepCli &cli,
 {
     ScenarioResult r;
     r.name = "multi-tenant-8";
-    MultiRunSpec cell;
-    cell.label = "multi-tenant-8";
-    cell.params.scale = cli.scale;
-    const WorkloadId tenants[] = {
+    runner::DeviceRecipe device;
+    device.options.workload.scale = cli.scale;
+    std::vector<Tenant> tenants;
+    const WorkloadId kinds[] = {
         WorkloadId::Aes, WorkloadId::XorFilter, WorkloadId::Jacobi1d,
         WorkloadId::LlamaInference};
     for (int copy = 0; copy < 2; ++copy) {
-        for (WorkloadId id : tenants) {
-            StreamSlot s;
-            s.workloadId = id;
-            s.workload = workloadName(id);
-            s.technique = "Conduit";
-            cell.streams.push_back(std::move(s));
+        for (WorkloadId id : kinds) {
+            Tenant t;
+            t.workloadId = id;
+            t.name = workloadName(id);
+            tenants.push_back(std::move(t));
         }
     }
+    const Scenario cell =
+        runner::batchScenario(r.name, device, std::move(tenants));
 
-    std::vector<sched::MultiRunResult> results;
+    std::vector<cluster::ClusterSnapshot> results;
     for (int rep = 0; rep < repeat; ++rep) {
-        results = runner.runMultiAll({cell});
+        results = runner.runAll({cell});
         fold(r, runner.lastPerf(), rep);
     }
     r.wallMean /= repeat;
-    const sched::MultiRunResult &mr = results.front();
-    r.digest.push_back(digestLine("makespan", mr.makespan));
-    for (std::size_t i = 0; i < mr.streams.size(); ++i)
+    const cluster::ClusterSnapshot &snap = results.front();
+    r.digest.push_back(digestLine("makespan", snap.makespan));
+    for (std::size_t i = 0; i < snap.routed.size(); ++i) {
+        const RunResult &stream = snap.result(i).result;
         r.digest.push_back(digestLine(
-            "stream" + std::to_string(i) + "/" +
-                mr.streams[i].workload,
-            mr.streams[i].execTime));
+            "stream" + std::to_string(i) + "/" + stream.workload,
+            stream.execTime));
+    }
     return r;
+}
+
+/**
+ * Calibrated offered rate: @p mult x the isolated service rate of one
+ * AES job, the anchor bench_saturation and bench_reliability use. The
+ * anchor is simulated time, so every cell is deterministic.
+ */
+double
+calibratedRate(SweepRunner &runner, const SweepCli &cli, double mult)
+{
+    DeviceOptions device;
+    device.workload.scale = cli.scale;
+    Tenant aes;
+    aes.workloadId = WorkloadId::Aes;
+    Offer iso;
+    iso.jobs = 1;
+    const Tick one =
+        runner.runAll({runner::loadScenario(device, aes, iso)})
+            .front()
+            .makespan;
+    return mult / std::max(1e-9, ticksToSeconds(one));
 }
 
 ScenarioResult
@@ -321,31 +343,23 @@ scenarioOpenLoopSaturation(SweepRunner &runner, const SweepCli &cli,
     ScenarioResult r;
     r.name = "open-loop-saturation";
 
-    // Calibrate like bench_saturation: one isolated job's makespan
-    // anchors the offered rate; 2x that sits past the knee. The
-    // anchor is simulated time, so the cell is deterministic.
-    LoadRunSpec calib;
-    calib.workloadId = WorkloadId::Aes;
-    calib.technique = "Conduit";
-    calib.params.scale = cli.scale;
-    calib.jobs = 1;
-    const DeviceSnapshot one = runner.runLoad(calib);
-    const double base_rate =
-        1.0 / std::max(1e-9, ticksToSeconds(one.makespan));
+    // 2x the calibrated service rate sits past the knee.
+    DeviceOptions device;
+    device.workload.scale = cli.scale;
+    Tenant aes;
+    aes.workloadId = WorkloadId::Aes;
+    Offer offer;
+    offer.jobs = 6;
+    offer.jobsPerSec = calibratedRate(runner, cli, 2.0);
+    const Scenario cell = runner::loadScenario(device, aes, offer);
 
-    LoadRunSpec cell = calib;
-    cell.jobs = 6;
-    cell.jobsPerSec = 2.0 * base_rate;
-    cell.arrivals = ArrivalKind::Poisson;
-    cell.arrivalSeed = 1;
-
-    std::vector<DeviceSnapshot> snaps;
+    std::vector<cluster::ClusterSnapshot> snaps;
     for (int rep = 0; rep < repeat; ++rep) {
-        snaps = runner.runLoadAll({cell});
+        snaps = runner.runAll({cell});
         fold(r, runner.lastPerf(), rep);
     }
     r.wallMean /= repeat;
-    const DeviceSnapshot &snap = snaps.front();
+    const DeviceSnapshot &snap = snaps.front().devices.front();
     r.digest.push_back(digestLine("makespan", snap.makespan));
     for (const auto &job : snap.jobs)
         r.digest.push_back(digestLine(
@@ -355,73 +369,57 @@ scenarioOpenLoopSaturation(SweepRunner &runner, const SweepCli &cli,
 }
 
 /**
- * Device-aging sweep, cold two-phase vs forked steady-state: the
- * same 4-age x 3-policy matrix with a 12-job warm phase and a 2-job
- * measured phase per cell. aging-cold replays the warm phase inside
- * every cell; aging-fork builds one warm image per age rung and
- * forks it across the policies. Simulated digests are byte-identical
- * between the two scenarios — only the wall-clock (warm-image build
- * included for the fork mode) differs, and the cold/fork wall ratio
- * is the headline speedup of steady-state sweeps.
+ * Warmed device-aging sweep: a 4-age x 3-policy matrix with a 12-job
+ * warm phase and a 2-job measured phase per cell. The sweep builds
+ * one warm image per age rung and forks it across the policies; the
+ * image builds are folded into the wall, so the scenario times the
+ * full end-to-end cost of a warmed sweep.
  */
 ScenarioResult
-scenarioAging(SweepRunner &runner, const SweepCli &cli, int repeat,
-              bool fork)
+scenarioAging(SweepRunner &runner, const SweepCli &cli, int repeat)
 {
     ScenarioResult r;
-    r.name = fork ? "aging-fork" : "aging-cold";
+    r.name = "aging-fork";
 
-    // Calibrate once, like bench_reliability: a fresh isolated job
-    // anchors the offered rate at 2x its service rate.
-    LoadRunSpec calib;
-    calib.workloadId = WorkloadId::Aes;
-    calib.technique = "Conduit";
-    calib.params.scale = cli.scale;
-    calib.jobs = 1;
-    const DeviceSnapshot one = runner.runLoad(calib);
-    const double rate =
-        2.0 / std::max(1e-9, ticksToSeconds(one.makespan));
-
+    Offer offer;
+    offer.jobs = 2;
+    offer.jobsPerSec = calibratedRate(runner, cli, 2.0);
+    offer.warmupJobs = 12;
     static const char *kPolicies[] = {"Conduit", "DM-Offloading",
                                       "BW-Offloading"};
     static const std::uint32_t kAges[] = {0, 1000, 2000, 3000};
-    std::vector<LoadRunSpec> cells;
+    std::vector<Scenario> cells;
     for (const char *policy : kPolicies) {
         for (std::uint32_t age : kAges) {
-            LoadRunSpec cell;
-            cell.workloadId = WorkloadId::Aes;
-            cell.workload = workloadName(WorkloadId::Aes);
-            cell.technique = policy;
-            cell.params.scale = cli.scale;
-            cell.jobs = 2;
-            cell.jobsPerSec = rate;
-            cell.arrivals = ArrivalKind::Poisson;
-            cell.arrivalSeed = 1;
-            cell.warmupJobs = 12;
-            cell.steadyState = fork;
-            ReliabilityConfig &rel = cell.config.reliability;
+            DeviceOptions device;
+            device.workload.scale = cli.scale;
+            ReliabilityConfig &rel = device.config.reliability;
             rel.enabled = true;
             rel.preWearCycles = age;
             rel.retentionDays = age * 30.0 / 1000.0;
-            cells.push_back(std::move(cell));
+            Tenant aes;
+            aes.workloadId = WorkloadId::Aes;
+            aes.name = workloadName(WorkloadId::Aes);
+            aes.technique = policy;
+            cells.push_back(runner::loadScenario(device, aes, offer));
         }
     }
 
-    std::vector<DeviceSnapshot> snaps;
+    std::vector<cluster::ClusterSnapshot> snaps;
     for (int rep = 0; rep < repeat; ++rep) {
-        snaps = runner.runLoadAll(cells);
+        snaps = runner.runAll(cells);
         SweepPerf perf = runner.lastPerf();
-        // Warm-image builds are part of what the fork mode pays;
-        // fold them into the wall so cold vs fork compares the full
-        // end-to-end sweep cost.
         perf.wallSeconds += perf.warmupSeconds;
         fold(r, perf, rep);
     }
     r.wallMean /= repeat;
     for (std::size_t i = 0; i < cells.size(); ++i)
         r.digest.push_back(digestLine(
-            cells[i].technique + "@" +
-                std::to_string(cells[i].config.reliability.preWearCycles) +
+            cells[i].tenants.front().technique + "@" +
+                std::to_string(cells[i]
+                                   .devices.front()
+                                   .options.config.reliability
+                                   .preWearCycles) +
                 "pe",
             snaps[i].makespan));
     return r;
@@ -441,42 +439,30 @@ scenarioFleet(SweepRunner &runner, const SweepCli &cli, int repeat)
     ScenarioResult r;
     r.name = "fleet-4x4";
 
-    // Calibrate on an isolated job, like the saturation scenario:
-    // the fleet's aggregate service rate is devices x the isolated
+    // The fleet's aggregate service rate is devices x the isolated
     // rate, and 2x that keeps every policy routing under pressure.
-    LoadRunSpec calib;
-    calib.workloadId = WorkloadId::Aes;
-    calib.technique = "Conduit";
-    calib.params.scale = cli.scale;
-    calib.jobs = 1;
-    const DeviceSnapshot one = runner.runLoad(calib);
-    const double iso =
-        1.0 / std::max(1e-9, ticksToSeconds(one.makespan));
+    Offer offer;
+    offer.jobs = 24;
+    offer.jobsPerSec = 4.0 * calibratedRate(runner, cli, 2.0);
+    DeviceOptions device;
+    device.workload.scale = cli.scale;
+    Tenant heavy;
+    heavy.workloadId = WorkloadId::Aes;
+    heavy.weight = 3.0;
+    Tenant light;
+    light.workloadId = WorkloadId::Jacobi1d;
+    light.weight = 1.0;
 
-    std::vector<ClusterRunSpec> cells;
-    for (const std::string &placement : cluster::placementNames()) {
-        ClusterRunSpec cell;
-        cell.label = "fleet4/" + placement;
-        cell.placement = placement;
-        cell.params.scale = cli.scale;
-        cell.devices = 4;
-        cell.jobs = 24;
-        cell.jobsPerSec = 2.0 * 4.0 * iso;
-        cell.arrivals = ArrivalKind::Poisson;
-        cell.arrivalSeed = 1;
-        ClusterTenant heavy;
-        heavy.workloadId = WorkloadId::Aes;
-        heavy.weight = 3.0;
-        ClusterTenant light;
-        light.workloadId = WorkloadId::Jacobi1d;
-        light.weight = 1.0;
-        cell.tenants = {heavy, light};
-        cells.push_back(std::move(cell));
-    }
+    std::vector<Scenario> cells;
+    for (const std::string &placement : cluster::placementNames())
+        cells.push_back(runner::fleetScenario(
+            "fleet4/" + placement, placement,
+            std::vector<DeviceOptions>(4, device),
+            {heavy, light}, offer));
 
     std::vector<cluster::ClusterSnapshot> snaps;
     for (int rep = 0; rep < repeat; ++rep) {
-        snaps = runner.runClusterAll(cells);
+        snaps = runner.runAll(cells);
         fold(r, runner.lastPerf(), rep);
     }
     r.wallMean /= repeat;
@@ -591,7 +577,7 @@ main(int argc, char **argv)
 
     static const std::vector<std::string> kScenarios = {
         "fig07a-reduced", "multi-tenant-8", "open-loop-saturation",
-        "aging-cold", "aging-fork", "fleet-4x4"};
+        "aging-fork", "fleet-4x4"};
     if (cli.listWorkloads)
         runner::listAndExit(kScenarios);
     if (cli.listTechniques)
@@ -632,9 +618,7 @@ main(int argc, char **argv)
         bestOf([] { return microFan(10'000'000); }),
         bestOf([] { return microOpenLoopArrivals(500'000); }),
         bestOf([] { return microCancel(2'000'000); }),
-        bestOf([&] {
-            return microSnapshotFork(runner, cli.scale, 1'000);
-        }),
+        bestOf([&] { return microSnapshotFork(cli.scale, 1'000); }),
     };
     static const char *kMicroLabels[] = {
         "chain (self-scheduling)", "fan (pre-populated)",
@@ -656,12 +640,8 @@ main(int argc, char **argv)
     if (want("open-loop-saturation"))
         scenarios.push_back(
             scenarioOpenLoopSaturation(runner, cli, repeat));
-    if (want("aging-cold"))
-        scenarios.push_back(
-            scenarioAging(runner, cli, repeat, /*fork=*/false));
     if (want("aging-fork"))
-        scenarios.push_back(
-            scenarioAging(runner, cli, repeat, /*fork=*/true));
+        scenarios.push_back(scenarioAging(runner, cli, repeat));
     if (want("fleet-4x4"))
         scenarios.push_back(scenarioFleet(runner, cli, repeat));
 

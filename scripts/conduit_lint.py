@@ -25,7 +25,13 @@ ways that invariant silently rots into build-time errors:
                     in its capture/restore/snapshot implementation nor
                     marked `// lint: transient(<why>)`. This is the
                     check that makes "the snapshot PR forgot a field"
-                    structurally impossible.
+                    structurally impossible. The same member coverage
+                    holds for every struct a warm-image recipe is made
+                    of (SsdConfig and its sub-structs, EngineOptions,
+                    WorkloadParams, DeviceOptions, DeviceRecipe,
+                    WarmTraffic) against the runner's imageKey(), so
+                    two cells differing in any field never share one
+                    warm image.
   float-accum       `+=` on a float/double accumulator inside a
                     parallelFor lambda. Cross-cell reductions must use
                     the order-preserving Histogram merge (or integer
@@ -119,11 +125,13 @@ class SnapshotClass:
     require a transient annotation because they alias, not copy.
     """
 
-    def __init__(self, name, header, impls=(), wholesale=False):
+    def __init__(self, name, header, impls=(), wholesale=False,
+                 loss="a forked device would silently lose this state"):
         self.name = name
         self.header = header
         self.impls = impls
         self.wholesale = wholesale
+        self.loss = loss
 
 
 SNAPSHOT_CLASSES = (
@@ -150,7 +158,27 @@ SNAPSHOT_CLASSES = (
     SnapshotClass("StatSet", "src/sim/stats.hh",
                   impls=[(None, ["restoreFrom"])]),
     SnapshotClass("Rng", "src/sim/rng.hh", wholesale=True),
-)
+) + tuple(
+    SnapshotClass(name, header,
+                  impls=[("src/runner/sweep_runner.cc", ["imageKey"])],
+                  loss="cells differing only in it would share one "
+                  "warm image")
+    for name, header in (
+        ("NandConfig", "src/sim/config.hh"),
+        ("DramConfig", "src/sim/config.hh"),
+        ("IspConfig", "src/sim/config.hh"),
+        ("HostConfig", "src/sim/config.hh"),
+        ("EnergyConfig", "src/sim/config.hh"),
+        ("OverheadConfig", "src/sim/config.hh"),
+        ("ComputeModelConfig", "src/sim/config.hh"),
+        ("ReliabilityConfig", "src/sim/config.hh"),
+        ("SsdConfig", "src/sim/config.hh"),
+        ("EngineOptions", "src/core/run_result.hh"),
+        ("WorkloadParams", "src/workloads/workloads.hh"),
+        ("DeviceOptions", "src/core/device.hh"),
+        ("DeviceRecipe", "src/runner/run_spec.hh"),
+        ("WarmTraffic", "src/runner/run_spec.hh"),
+    ))
 
 
 class Finding:
@@ -812,8 +840,7 @@ def check_snapshot(root, classes, findings, missing_is_error=True):
                 "snapshot", sc.header, decl_line,
                 f"{sc.name}::{name} is neither referenced in "
                 f"{fns or 'the snapshot implementation'} nor marked "
-                "`// lint: transient(<why>)` — a forked device would "
-                "silently lose this state"))
+                f"`// lint: transient(<why>)` — {sc.loss}"))
 
 
 # --------------------------------------------------------------------
@@ -1015,6 +1042,11 @@ FIXTURE_SNAPSHOT_CLASSES = (
     SnapshotClass("SnapWholesaleBad",
                   "lint/fixtures/snapshot_wholesale.hh",
                   wholesale=True),
+    SnapshotClass("KeyedBad", "lint/fixtures/snapshot_key_bad.hh",
+                  impls=[("lint/fixtures/snapshot_key_bad.hh",
+                          ["keyOf"])],
+                  loss="cells differing only in it would share one "
+                  "warm image"),
 )
 
 

@@ -82,7 +82,10 @@ Cluster::submit(const JobSpec &spec, std::size_t tenant)
     JobSpec placed = spec;
     placed.arrival = r.arrival;
     r.id = devices_[dev]->submit(placed);
-    if (tracer_ && tracer_->wants(trace::Category::Placement)) {
+    // A single-device fleet decides nothing, so it records no
+    // placement: its trace stays the bare Device's.
+    if (tracer_ && devices_.size() > 1 &&
+        tracer_->wants(trace::Category::Placement)) {
         trace::Event e;
         e.cat = trace::Category::Placement;
         e.kind = trace::EventKind::Placement;

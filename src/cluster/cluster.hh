@@ -29,7 +29,8 @@
  * repeat. Probe-free policies (and single-device fleets) skip the
  * advancement entirely, leaving each device on the bare open-loop
  * submission path a standalone Device runs: a single-device Cluster
- * is byte-identical to the equivalent bare Device run.
+ * is byte-identical to the equivalent bare Device run (and, deciding
+ * nothing, records no placement trace events).
  */
 
 #ifndef CONDUIT_CLUSTER_CLUSTER_HH
@@ -123,7 +124,7 @@ struct ClusterSnapshot
  *
  * Not thread-safe — a cluster advances one interleaved simulation;
  * drive it from one thread and sweep across clusters for parallelism
- * (SweepRunner::runClusterAll).
+ * (SweepRunner::runAll).
  */
 class Cluster
 {

@@ -32,8 +32,8 @@
  * special case of every job arriving at tick 0: regions laid out in
  * submission order, retirement in submission order at quiescence
  * (runStreamsOnDevice). The batch facade (Simulation::run /
- * runMulti) and every sweep-runner cell shape are thin wrappers over
- * this class.
+ * runMulti) and the sweep runner's scenario cells (through
+ * cluster::Cluster) are thin wrappers over this class.
  *
  * Everything is deterministic: arrivals, admission, retirement and
  * reclamation all happen at defined points in simulated time, so
@@ -138,9 +138,11 @@ struct DeviceOptions
      * captured into a DeviceImage — snapshot() strips it and a forked
      * device starts with no tracer (empty trace).
      */
+    // lint: transient(observer wiring; never part of a warm image)
     std::shared_ptr<trace::Tracer> tracer;
 
     /** Device id tagging this device's events in shared traces. */
+    // lint: transient(observer wiring; never part of a warm image)
     std::uint32_t traceDevice = 0;
 };
 
@@ -310,7 +312,7 @@ struct DeviceImage
  *
  * Not thread-safe: a Device advances one discrete-event simulation;
  * drive it from one thread (sweep across devices for parallelism,
- * as SweepRunner::runLoadAll does).
+ * as SweepRunner::runAll does).
  */
 class Device
 {
@@ -509,9 +511,8 @@ class Device
 
 /**
  * Run @p streams as tick-0 jobs on a fresh Device under @p opts and
- * convert the snapshot to the batch result shape — the shared body
- * of the facade's runStreams and the sweep runner's multi-tenant
- * cells. Every stream needs a program and a policy.
+ * convert the snapshot to the batch result shape — the body of the
+ * facade's runStreams. Every stream needs a program and a policy.
  */
 sched::MultiRunResult
 runStreamsOnDevice(const DeviceOptions &opts,

@@ -6,7 +6,9 @@
  * combination; a RunMatrix crosses workload and technique axes into a
  * vector of specs. The benches express each paper figure's evaluation
  * matrix this way and hand it to SweepRunner instead of hand-rolling
- * nested loops around Simulation::run.
+ * nested loops around Simulation::run. Every other experiment shape
+ * (co-location, offered load, aging, fleets) is a Scenario built by
+ * one of the builders here.
  */
 
 #ifndef CONDUIT_RUNNER_RUN_SPEC_HH
@@ -19,10 +21,9 @@
 #include <vector>
 
 #include "src/core/arrival.hh"
-#include "src/core/engine.hh"
+#include "src/core/device.hh"
 #include "src/offload/policy.hh"
 #include "src/sim/config.hh"
-#include "src/trace/trace.hh"
 #include "src/workloads/workloads.hh"
 
 namespace conduit::runner
@@ -112,164 +113,28 @@ struct RunSpec
 };
 
 /**
- * One tenant stream of a multi-stream cell: which workload it runs
- * and under which policy. Host baselines do not apply — streams
- * execute on the SSD engine by definition.
+ * One job source of a Scenario: what its jobs run and under which
+ * policy, plus the SLO and load share the row reducer and the fleet
+ * builder read. Host baselines do not apply — tenants execute on the
+ * SSD engine by definition.
  */
-struct StreamSlot
+struct Tenant
 {
-    /** Stream label; defaults to the workload's display name. */
-    std::string workload;
-
-    /** Policy name resolved via makePolicy() unless @ref policy. */
-    std::string technique;
-
-    /** Workload to build and compile (via the shared cache). */
-    std::optional<WorkloadId> workloadId;
-
-    /** Pre-compiled program overriding @ref workloadId. */
-    std::shared_ptr<const Program> program;
-
-    /** Custom policy constructor overriding makePolicy(technique). */
-    PolicyFactory policy;
-};
-
-/**
- * One multi-tenant cell: N streams co-running on one simulated SSD,
- * each a tick-0 job on one fresh Device. The whole cell is a single
- * deterministic device lifetime; cells are
- * independent of each other, so a set of them can be swept across
- * worker threads exactly like single-stream RunSpecs.
- */
-struct MultiRunSpec
-{
-    /** Cell label for reporting (e.g. "AES+jacobi-1d"). */
-    std::string label;
-
-    /** Device configuration the tenants share. */
-    SsdConfig config = defaultSweepConfig();
-
-    /** Engine options (device-wide) for this cell. */
-    EngineOptions engine;
-
-    /** Workload-generator knobs shared by the streams. */
-    WorkloadParams params;
-
-    /** The co-running tenants, in result order. */
-    std::vector<StreamSlot> streams;
-};
-
-/**
- * One offered-load cell: an open-loop stream of identical jobs
- * offered to a persistent Device at a given arrival rate. The cell
- * is one deterministic device lifetime (arrivals included), so a
- * set of cells sweeps across worker threads exactly like RunSpecs.
- * An aging cell is a LoadRunSpec whose config.reliability enables
- * the subsystem and fast-forwards the device to its age
- * (preWearCycles, retentionDays).
- */
-struct LoadRunSpec
-{
-    /**
-     * Row label; left empty it defaults to the workload's display
-     * name (or the program's own name) in runLoad and makeLoadRow.
-     */
-    std::string workload;
-
-    /** Policy every job runs under (resolved via makePolicy). */
-    std::string technique = "Conduit";
-
-    /** Custom policy constructor overriding makePolicy(technique). */
-    PolicyFactory policy;
-
-    /** Device configuration for the cell. */
-    SsdConfig config = defaultSweepConfig();
-
-    /** Engine options (device-wide). */
-    EngineOptions engine;
-
-    /** Workload-generator knobs. */
-    WorkloadParams params;
-
-    /** Workload each job executes (via the shared compile cache). */
-    std::optional<WorkloadId> workloadId;
-
-    /** Pre-compiled program overriding @ref workloadId. */
-    std::shared_ptr<const Program> program;
-
-    /** Jobs offered over the cell's lifetime. */
-    std::size_t jobs = 8;
-
-    /**
-     * Offered load in jobs per simulated second. 0 submits every
-     * job at tick 0 (the closed-form batch degenerate case).
-     */
-    double jobsPerSec = 0.0;
-
-    /** Arrival-process family (mean spacing is 1 / jobsPerSec). */
-    ArrivalKind arrivals = ArrivalKind::Poisson;
-
-    /** Seed for the randomized arrival processes. */
-    std::uint64_t arrivalSeed = 1;
-
-    /**
-     * Device logical-page pool; 0 auto-sizes to the whole offered
-     * job set (every job admitted on arrival; queueing then happens
-     * only on device resources, not admission).
-     */
-    std::uint64_t capacityPages = 0;
-
-    /**
-     * @name Steady-state (warm-device) measurement
-     *
-     * With warmupJobs > 0 the cell runs two phases: warmupJobs jobs
-     * of warm traffic drive the device to quiescence, then the
-     * measured @ref jobs run on the warmed device (arrival gaps
-     * continue the same process; result rows report the measured
-     * phase). steadyState selects how the warm phase executes:
-     * false replays it in place (cold two-phase), true forks the
-     * device from a warm DeviceImage — byte-identical by the
-     * fork-equivalence contract, but the image is built once and
-     * shared across every cell with identical warm-phase inputs.
-     * @{
-     */
-
-    /** Warm-traffic jobs before the measured phase (0 = cold run). */
-    std::size_t warmupJobs = 0;
-
-    /**
-     * Policy the warm traffic runs under. Fixed per rung — not the
-     * cell's technique — so cells differing only by policy share one
-     * warmed image.
-     */
-    std::string warmupTechnique = "Conduit";
-
-    /** Fork from a warm DeviceImage instead of replaying the warm
-     *  phase in place. Requires warmupJobs > 0. */
-    bool steadyState = false;
-
-    /** @} */
-};
-
-/**
- * One tenant of a fleet cell: who is offering jobs to the cluster.
- * Each tenant is an independent open-loop arrival stream; the fleet
- * merges the streams in arrival order and the placement policy picks
- * a device per job.
- */
-struct ClusterTenant
-{
-    /** Tenant label for reporting (defaults to the workload name). */
+    /** Job and row label; empty defaults to the workload's (or the
+     *  program's own) name. */
     std::string name;
 
-    /** Workload every job of this tenant executes. */
+    /** Workload every job executes (via the shared compile cache). */
     std::optional<WorkloadId> workloadId;
 
     /** Pre-compiled program overriding @ref workloadId. */
     std::shared_ptr<const Program> program;
 
-    /** Policy the tenant's jobs run under (via makePolicy). */
+    /** Policy name resolved via makePolicy() unless @ref policy. */
     std::string technique = "Conduit";
+
+    /** Custom policy constructor overriding makePolicy(technique). */
+    PolicyFactory policy;
 
     /**
      * Per-job latency objective in milliseconds; a job attains its
@@ -278,97 +143,151 @@ struct ClusterTenant
      */
     double sloMs = 0.0;
 
-    /**
-     * Relative share of the offered load (jobs and rate split
-     * proportionally across tenants; weights need not sum to 1).
-     */
+    /** Relative share of the offered load (weights need not sum
+     *  to 1). */
     double weight = 1.0;
 };
 
+/** Display name of @p t: its name, else its workload's or program's. */
+std::string tenantName(const Tenant &t);
+
 /**
- * One fleet cell: N devices behind a placement policy, serving the
- * merged open-loop job streams of the tenants. The whole cell is one
- * sequential deterministic simulation — arrivals, routing decisions,
- * and per-device execution included — so a grid of fleet cells
- * sweeps across worker threads exactly like every other cell shape.
+ * Warm traffic a device lives through before the measured phase:
+ * jobs of one program at fixed arrival ticks, under a policy named
+ * per recipe (custom factories apply to measured jobs only, so cells
+ * that differ by policy still share a warm phase). A device with warm
+ * traffic forks a DeviceImage that SweepRunner builds once per
+ * distinct recipe in a sweep.
  */
-struct ClusterRunSpec
+struct WarmTraffic
 {
-    /** Cell label for reporting (e.g. "fleet4/least-backlog"). */
+    /** Job label; empty defaults like Tenant::name. */
+    std::string name;
+
+    std::optional<WorkloadId> workloadId;
+    std::shared_ptr<const Program> program;
+
+    /** Policy every warm job runs under. */
+    std::string technique = "Conduit";
+
+    /** Arrival ticks on the fresh device's clock; empty = no warm
+     *  phase (the device starts factory-fresh). */
+    std::vector<Tick> ticks;
+};
+
+/** How to build one device of a Scenario. */
+struct DeviceRecipe
+{
+    /**
+     * Config, engine options, workload scale, page pool and
+     * retirement. A fresh device with capacityPages 0 gets a pool
+     * fitting every scheduled job at once; a warmed one keeps the
+     * pool its warm phase established.
+     */
+    DeviceOptions options;
+
+    /** Traffic baked into the device's shared warm image. */
+    WarmTraffic warm;
+};
+
+/** One scheduled job: its arrival tick and which tenant offers it. */
+struct ScheduledJob
+{
+    /** Tick on the fleet clock (see Scenario::schedule). */
+    Tick at = 0;
+    std::size_t tenant = 0;
+};
+
+/**
+ * Every SSD experiment the runner executes: devices (fresh or forked
+ * from a warm image) behind a placement policy, tenants offering jobs
+ * at an explicit arrival schedule. One cell body runs it on a
+ * cluster::Cluster — a one-device scenario is byte-identical to the
+ * bare Device, so paper cells, co-location batches, offered-load and
+ * aging cells and fleets are all Scenarios. The builders below
+ * produce the common shapes.
+ */
+struct Scenario
+{
+    /** Cell label for per-cell perf and trace attribution. */
     std::string label;
+
+    std::vector<DeviceRecipe> devices;
+
+    /** Tenants, in reporting order. */
+    std::vector<Tenant> tenants;
+
+    /**
+     * Arrivals in non-decreasing tick order, relative to the fleet
+     * epoch: the latest device clock once warm devices are forked
+     * (tick 0 for a fresh fleet).
+     */
+    std::vector<ScheduledJob> schedule;
 
     /** Placement policy name (resolved via cluster::makePlacement). */
     std::string placement = "round-robin";
 
-    /** Seed for randomized placement policies. */
-    std::uint64_t placementSeed = 1;
+    /** Offered load the rows report, in jobs per simulated second
+     *  (0 = every job at tick 0). */
+    double jobsPerSec = 0.0;
+};
 
-    /** Device configuration shared by the fleet. */
-    SsdConfig config = defaultSweepConfig();
+/**
+ * Co-location batch: every tenant one tick-0 job on @p device.
+ * Fresh batches keep DeviceOptions' default OnQuiesce retirement —
+ * the batch semantics of the facade's runMulti.
+ */
+Scenario batchScenario(std::string label, DeviceRecipe device,
+                       std::vector<Tenant> tenants);
 
-    /** Engine options (device-wide). */
-    EngineOptions engine;
+/** Open-loop traffic the load and fleet builders schedule. */
+struct Offer
+{
+    /** Measured jobs (fleet-wide for a fleet). */
+    std::size_t jobs = 8;
 
-    /** Workload-generator knobs shared by the tenants. */
-    WorkloadParams params;
-
-    /** The tenants offering jobs, in reporting order. */
-    std::vector<ClusterTenant> tenants;
-
-    /** Fleet size (devices). */
-    std::size_t devices = 1;
-
-    /**
-     * Device ages, in P/E cycles, assigned round-robin across the
-     * fleet (device d gets ageMix[d % ageMix.size()]). Empty — or
-     * all zero — runs a fresh fleet. Non-zero rungs enable the
-     * reliability subsystem on those devices and pre-warm them via
-     * shared per-rung DeviceImages (one image per distinct recipe).
-     */
-    std::vector<std::uint32_t> ageMix;
-
-    /** Retention age applied with pre-wear: days per 1000 cycles. */
-    double retentionDaysPerKCycle = 0.0;
-
-    /** Jobs offered fleet-wide over the cell's lifetime. */
-    std::size_t jobs = 64;
-
-    /**
-     * Offered fleet-wide load in jobs per simulated second. 0
-     * submits every job at tick 0.
-     */
+    /** Offered load in jobs per simulated second; 0 submits every
+     *  job at tick 0. */
     double jobsPerSec = 0.0;
 
-    /** Arrival-process family (per tenant stream). */
+    /** Arrival-process family (mean spacing is 1 / rate). */
     ArrivalKind arrivals = ArrivalKind::Poisson;
 
-    /** Base seed for the randomized arrival processes (tenant t
-     *  offsets it by t so streams are independent). */
+    /** Seed for the randomized arrival processes. */
     std::uint64_t arrivalSeed = 1;
 
-    /** Per-device logical-page pool; 0 auto-sizes per device. */
-    std::uint64_t capacityPages = 0;
-
-    /**
-     * Warm-traffic jobs per device before the measured phase (0 =
-     * cold fleet). Warm devices are forked from shared DeviceImages
-     * (one per distinct warm recipe — age rung included), so a sweep
-     * builds each image once no matter how many cells share it.
-     */
+    /** Warm jobs per device before the measured phase (0 = cold). */
     std::size_t warmupJobs = 0;
 
-    /** Policy the warm traffic runs under (fixed per image). */
+    /** Policy the warm jobs run under. */
     std::string warmupTechnique = "Conduit";
-
-    /**
-     * Cell-level tracing config; when enabled it overrides the
-     * sweep-wide SweepOptions::trace for this cell. The fleet shares
-     * one Tracer across its devices (device index = trace device id),
-     * so placement decisions and per-device activity land in one
-     * trace.
-     */
-    trace::TraceConfig trace;
 };
+
+/**
+ * Offered-load cell: @p tenant's jobs offered open-loop to one
+ * device, retiring eagerly so regions recycle under sustained load.
+ * Warm and measured gaps come from one arrival process, so the
+ * measured phase continues it from the fork epoch. An aging cell is
+ * one whose config.reliability carries the age. Labelled
+ * "workload/technique@<rate>jobs/s", plus "+w<cycles>+d<days>" on a
+ * reliability-enabled device.
+ */
+Scenario loadScenario(DeviceOptions device, Tenant tenant,
+                      const Offer &offer);
+
+/**
+ * Fleet cell: one device per entry of @p devices behind
+ * @p placement. Jobs split across tenants by weight, each tenant
+ * walking its own arrival process (seed arrivalSeed + t) at its share
+ * of the rate, merged in (arrival, per-tenant index, tenant) order.
+ * With warmupJobs, every device first lives through the first
+ * tenant's jobs at its per-device share of the rate; the measured
+ * processes then restart at the fleet epoch. An empty @p label
+ * becomes "fleet<N>/<placement>@<rate>jobs/s".
+ */
+Scenario fleetScenario(std::string label, std::string placement,
+                       std::vector<DeviceOptions> devices,
+                       std::vector<Tenant> tenants, const Offer &offer);
 
 /**
  * Builder crossing workload and technique axes into RunSpecs.

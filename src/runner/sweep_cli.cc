@@ -66,6 +66,46 @@ parseDouble(const char *prog, const std::string &flag,
     return v;
 }
 
+/** Report a failed write of @p path on stderr; 1 when it failed. */
+int
+wrote(bool ok, const std::string &path)
+{
+    if (ok)
+        return 0;
+    std::fprintf(stderr, "error: could not write %s\n", path.c_str());
+    return 1;
+}
+
+/**
+ * Write @p perf's per-cell rows to @p path as CSV
+ * (label,wall_seconds,events_fired,events_per_sec).
+ * @return false when the file could not be written.
+ */
+bool
+writeCellPerfCsv(const std::string &path, const SweepPerf &perf)
+{
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (!f)
+        return false;
+    std::fprintf(f,
+                 "label,wall_seconds,events_fired,events_per_sec\n");
+    for (const SweepPerf::CellPerf &c : perf.perCell)
+        std::fprintf(f, "%s,%.6f,%llu,%.0f\n", c.label.c_str(),
+                     c.wallSeconds,
+                     static_cast<unsigned long long>(c.eventsFired),
+                     c.eventsPerSec());
+    return std::fclose(f) == 0;
+}
+
+/** Service --trace @p path (if set) from @p runner's last sweep. */
+int
+writeTraces(const std::string &path, const SweepRunner &runner)
+{
+    if (path.empty())
+        return 0;
+    return wrote(trace::writeTraceFile(path, runner.lastTraces()), path);
+}
+
 } // namespace
 
 SweepCli
@@ -180,61 +220,24 @@ SweepCli::configure(RunMatrix &matrix,
     matrix.filterTechniques(techniques);
 }
 
-bool
-SweepCli::writeCellPerfCsv(const std::string &path,
-                           const SweepPerf &perf)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    std::fprintf(f,
-                 "label,wall_seconds,events_fired,events_per_sec\n");
-    for (const SweepPerf::CellPerf &c : perf.perCell)
-        std::fprintf(f, "%s,%.6f,%llu,%.0f\n", c.label.c_str(),
-                     c.wallSeconds,
-                     static_cast<unsigned long long>(c.eventsFired),
-                     c.eventsPerSec());
-    return std::fclose(f) == 0;
-}
-
-int
-SweepCli::writeTraces(const SweepRunner &runner) const
-{
-    if (tracePath.empty())
-        return 0;
-    if (!trace::writeTraceFile(tracePath, runner.lastTraces())) {
-        std::fprintf(stderr, "error: could not write %s\n",
-                     tracePath.c_str());
-        return 1;
-    }
-    return 0;
-}
-
 int
 SweepCli::finish(const SweepResult &sweep, const SweepPerf *perf,
                  const SweepRunner *runner) const
 {
     int status = 0;
-    if (!csvPath.empty() && !sweep.writeCsvFile(csvPath)) {
-        std::fprintf(stderr, "error: could not write %s\n",
-                     csvPath.c_str());
-        status = 1;
-    }
-    if (!jsonPath.empty() && !sweep.writeJsonFile(jsonPath)) {
-        std::fprintf(stderr, "error: could not write %s\n",
-                     jsonPath.c_str());
-        status = 1;
-    }
+    if (!csvPath.empty())
+        status |= wrote(sweep.writeCsvFile(csvPath), csvPath);
+    if (!jsonPath.empty())
+        status |= wrote(sweep.writeJsonFile(jsonPath), jsonPath);
     if (!cellPerfPath.empty()) {
         if (!perf) {
             std::fprintf(stderr,
                          "error: this bench does not attribute "
                          "per-cell perf; --cell-perf ignored\n");
             status = 1;
-        } else if (!writeCellPerfCsv(cellPerfPath, *perf)) {
-            std::fprintf(stderr, "error: could not write %s\n",
-                         cellPerfPath.c_str());
-            status = 1;
+        } else {
+            status |= wrote(writeCellPerfCsv(cellPerfPath, *perf),
+                            cellPerfPath);
         }
     }
     if (!tracePath.empty()) {
@@ -244,7 +247,7 @@ SweepCli::finish(const SweepResult &sweep, const SweepPerf *perf,
                          "SweepRunner sweep; --trace ignored\n");
             status = 1;
         } else {
-            status |= writeTraces(*runner);
+            status |= writeTraces(tracePath, *runner);
         }
     }
     std::fprintf(stderr,
@@ -252,6 +255,32 @@ SweepCli::finish(const SweepResult &sweep, const SweepPerf *perf,
                  sweep.size(), sweep.threads(),
                  sweep.threads() == 1 ? "" : "s",
                  sweep.wallSeconds());
+    return status;
+}
+
+int
+SweepCli::finish(const std::vector<ScenarioRow> &rows, RowFormat format,
+                 const SweepRunner &runner) const
+{
+    int status = 0;
+    const SweepPerf perf = runner.lastPerf();
+    if (!csvPath.empty())
+        status |= wrote(writeRowsCsvFile(csvPath, rows, format), csvPath);
+    if (!jsonPath.empty())
+        status |=
+            wrote(writeRowsJsonFile(jsonPath, rows, format), jsonPath);
+    if (!cellPerfPath.empty())
+        status |= wrote(writeCellPerfCsv(cellPerfPath, perf), cellPerfPath);
+    status |= writeTraces(tracePath, runner);
+    // Warm-phase cost is wall-clock (nondeterministic), so it goes to
+    // stderr with the sweep time; stdout stays byte-identical.
+    if (perf.warmupImages > 0)
+        std::fprintf(stderr,
+                     "warmup: %zu image(s) built once in %.3f s, "
+                     "forked across %zu cells\n",
+                     perf.warmupImages, perf.warmupSeconds, perf.cells);
+    std::fprintf(stderr, "[sweep] %zu cells in %.2fs\n", perf.cells,
+                 perf.wallSeconds);
     return status;
 }
 

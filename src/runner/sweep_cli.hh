@@ -122,28 +122,20 @@ struct SweepCli
      * Pass the sweep's SweepPerf (runner.lastPerf()) to service
      * --cell-perf; benches that cannot attribute per-cell perf leave
      * it null and the flag reports itself unsupported. Likewise pass
-     * @p runner to service --trace (lastTraces()); benches that
-     * collect results outside a SweepRunner sweep call writeTraces()
-     * themselves instead.
+     * @p runner to service --trace (lastTraces()).
      */
     int finish(const SweepResult &sweep,
                const SweepPerf *perf = nullptr,
                const SweepRunner *runner = nullptr) const;
 
     /**
-     * Service --trace against @p runner's lastTraces(): no-op without
-     * the flag, else write the trace file.
-     * @return Process exit status contribution (0 ok, 1 on failure).
+     * Post-sweep bookkeeping of a scenario-row bench: write --csv /
+     * --json in @p format, --cell-perf and --trace from @p runner's
+     * last sweep, and report the sweep (warm images included) on
+     * stderr. Same exit-status contract as the SweepResult overload.
      */
-    int writeTraces(const SweepRunner &runner) const;
-
-    /**
-     * Write @p perf's per-cell rows to @p path as CSV
-     * (label,wall_seconds,events_fired,events_per_sec).
-     * @return false when the file could not be written.
-     */
-    static bool writeCellPerfCsv(const std::string &path,
-                                 const SweepPerf &perf);
+    int finish(const std::vector<ScenarioRow> &rows, RowFormat format,
+               const SweepRunner &runner) const;
 };
 
 /** Print @p labels one per line (deduplicated, in order), exit 0. */

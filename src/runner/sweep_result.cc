@@ -153,18 +153,6 @@ writeFile(const std::string &path, const Write &write)
     return static_cast<bool>(os);
 }
 
-/** Field rows of @p rows, one per row, built by @p fields. */
-template <typename Row, typename Fields>
-std::vector<std::vector<Field>>
-fieldRows(const std::vector<Row> &rows, const Fields &fields)
-{
-    std::vector<std::vector<Field>> out;
-    out.reserve(rows.size());
-    for (const Row &row : rows)
-        out.push_back(fields(row));
-    return out;
-}
-
 } // namespace
 
 SweepResult::SweepResult(std::vector<RunSpec> specs,
@@ -266,195 +254,6 @@ SweepResult::writeJsonFile(const std::string &path) const
 namespace
 {
 
-std::vector<Field>
-loadRowFields(const LoadRow &r)
-{
-    return {
-        {"workload", r.workload, true},
-        {"technique", r.technique, true},
-        {"jobs_per_sec", fmtDouble(r.jobsPerSec), false},
-        {"jobs", std::to_string(r.jobs), false},
-        {"makespan_ms", fmtDouble(r.makespanMs), false},
-        {"throughput_jobs_per_sec",
-         fmtDouble(r.throughputJobsPerSec), false},
-        {"mean_sojourn_ms", fmtDouble(r.meanSojournMs), false},
-        {"latency_p50_us", fmtDouble(r.p50Us), false},
-        {"latency_p99_us", fmtDouble(r.p99Us), false},
-        {"latency_p9999_us", fmtDouble(r.p9999Us), false},
-    };
-}
-
-std::vector<Field>
-agingRowFields(const AgingRow &r)
-{
-    std::vector<Field> fields = loadRowFields(r.load);
-    // The age axis sits right after the identity columns so grouped
-    // (workload, technique) blocks read as age ladders.
-    const std::vector<Field> age = {
-        {"pre_wear_cycles", std::to_string(r.preWearCycles), false},
-        {"retention_days", fmtDouble(r.retentionDays), false},
-    };
-    fields.insert(fields.begin() + 2, age.begin(), age.end());
-    const reliability::ReliabilityStats &s = r.rel;
-    fields.push_back({"retried_reads",
-                      std::to_string(s.retriedReads), false});
-    fields.push_back({"ecc_retries",
-                      std::to_string(s.eccRetries), false});
-    fields.push_back({"soft_decodes",
-                      std::to_string(s.softDecodes), false});
-    fields.push_back({"uncorrectable_reads",
-                      std::to_string(s.uncorrectableReads), false});
-    fields.push_back({"retired_blocks",
-                      std::to_string(s.retiredBlocks), false});
-    fields.push_back({"scrub_passes",
-                      std::to_string(s.scrubPasses), false});
-    fields.push_back({"scrub_refreshes",
-                      std::to_string(s.scrubRefreshes), false});
-    return fields;
-}
-
-} // namespace
-
-LoadRow
-makeLoadRow(const LoadRunSpec &spec, const DeviceSnapshot &snap)
-{
-    LoadRow r;
-    r.workload = !spec.workload.empty() ? spec.workload
-        : spec.workloadId              ? workloadName(*spec.workloadId)
-        : spec.program                 ? spec.program->name
-                                       : std::string();
-    r.technique = spec.technique;
-    r.jobsPerSec = spec.jobsPerSec;
-
-    // With a warm phase, report the measured phase only: the first
-    // warmupJobs entries (submission-ordered) exist to reach steady
-    // state. Both warm-phase modes carry identical warm JobResults
-    // — in-place replay retires them, a fork inherits them from the
-    // image — so rows diff clean between cold and fork sweeps.
-    const std::size_t warm =
-        std::min<std::size_t>(spec.warmupJobs, snap.jobs.size());
-    const std::size_t measured = snap.jobs.size() - warm;
-    Tick warmEnd = 0;
-    for (std::size_t i = 0; i < warm; ++i)
-        warmEnd = std::max(warmEnd, snap.jobs[i].end);
-    const Tick span =
-        snap.makespan > warmEnd ? snap.makespan - warmEnd : 0;
-
-    r.jobs = measured;
-    r.makespanMs = ticksToUs(span) / 1000.0;
-    r.throughputJobsPerSec = span == 0
-        ? 0.0
-        : static_cast<double>(measured) / ticksToSeconds(span);
-    double sojourn = 0.0;
-    for (std::size_t i = warm; i < snap.jobs.size(); ++i)
-        sojourn += ticksToUs(snap.jobs[i].sojourn()) / 1000.0;
-    r.meanSojournMs = measured == 0
-        ? 0.0
-        : sojourn / static_cast<double>(measured);
-    Histogram measuredLat;
-    if (warm > 0)
-        for (std::size_t i = warm; i < snap.jobs.size(); ++i)
-            measuredLat.merge(snap.jobs[i].result.latencyUs);
-    const Histogram &h =
-        warm > 0 ? measuredLat : snap.aggregate.latencyUs;
-    r.p50Us = h.count() ? h.percentile(50) : 0.0;
-    r.p99Us = h.count() ? h.percentile(99) : 0.0;
-    r.p9999Us = h.count() ? h.percentile(99.99) : 0.0;
-    return r;
-}
-
-void
-writeLoadCsv(std::ostream &os, const std::vector<LoadRow> &rows)
-{
-    writeFieldCsv(os, fieldRows(rows, loadRowFields));
-}
-
-void
-writeLoadJson(std::ostream &os, const std::vector<LoadRow> &rows)
-{
-    writeFieldJson(os, fieldRows(rows, loadRowFields));
-}
-
-bool
-writeLoadCsvFile(const std::string &path,
-                 const std::vector<LoadRow> &rows)
-{
-    return writeFile(path, [&](auto &os) { writeLoadCsv(os, rows); });
-}
-
-bool
-writeLoadJsonFile(const std::string &path,
-                  const std::vector<LoadRow> &rows)
-{
-    return writeFile(path, [&](auto &os) { writeLoadJson(os, rows); });
-}
-
-AgingRow
-makeAgingRow(const LoadRunSpec &spec, const DeviceSnapshot &snap)
-{
-    AgingRow r;
-    r.load = makeLoadRow(spec, snap);
-    r.preWearCycles = spec.config.reliability.preWearCycles;
-    r.retentionDays = spec.config.reliability.retentionDays;
-    r.rel = snap.reliability;
-    return r;
-}
-
-void
-writeAgingCsv(std::ostream &os, const std::vector<AgingRow> &rows)
-{
-    writeFieldCsv(os, fieldRows(rows, agingRowFields));
-}
-
-void
-writeAgingJson(std::ostream &os, const std::vector<AgingRow> &rows)
-{
-    writeFieldJson(os, fieldRows(rows, agingRowFields));
-}
-
-bool
-writeAgingCsvFile(const std::string &path,
-                  const std::vector<AgingRow> &rows)
-{
-    return writeFile(path, [&](auto &os) { writeAgingCsv(os, rows); });
-}
-
-bool
-writeAgingJsonFile(const std::string &path,
-                   const std::vector<AgingRow> &rows)
-{
-    return writeFile(path, [&](auto &os) { writeAgingJson(os, rows); });
-}
-
-namespace
-{
-
-std::vector<Field>
-clusterRowFields(const ClusterRow &r)
-{
-    return {
-        {"label", r.label, true},
-        {"placement", r.placement, true},
-        {"devices", std::to_string(r.devices), false},
-        {"tenant", r.tenant, true},
-        {"jobs_per_sec", fmtDouble(r.jobsPerSec), false},
-        {"jobs", std::to_string(r.jobs), false},
-        {"makespan_ms", fmtDouble(r.makespanMs), false},
-        {"throughput_jobs_per_sec",
-         fmtDouble(r.throughputJobsPerSec), false},
-        {"mean_sojourn_ms", fmtDouble(r.meanSojournMs), false},
-        {"latency_p50_us", fmtDouble(r.p50Us), false},
-        {"latency_p99_us", fmtDouble(r.p99Us), false},
-        {"latency_p9999_us", fmtDouble(r.p9999Us), false},
-        {"sojourn_p99_ms", fmtDouble(r.sojournP99Ms), false},
-        {"slo_ms", fmtDouble(r.sloMs), false},
-        {"slo_attainment", fmtDouble(r.sloAttainment), false},
-        {"util_mean", fmtDouble(r.utilMean), false},
-        {"util_max", fmtDouble(r.utilMax), false},
-        {"imbalance", fmtDouble(r.imbalance), false},
-    };
-}
-
 /** Nearest-rank percentile of an unsorted sample (copies & sorts). */
 double
 nearestRank(std::vector<double> xs, double pct)
@@ -470,11 +269,79 @@ nearestRank(std::vector<double> xs, double pct)
     return xs[idx];
 }
 
+/** The columns @p format emits for @p r. */
+std::vector<Field>
+scenarioFields(const ScenarioRow &r, RowFormat format)
+{
+    const auto u64 = [](std::uint64_t v) { return std::to_string(v); };
+    const std::vector<Field> tails = {
+        {"jobs_per_sec", fmtDouble(r.jobsPerSec), false},
+        {"jobs", u64(r.jobs), false},
+        {"makespan_ms", fmtDouble(r.makespanMs), false},
+        {"throughput_jobs_per_sec", fmtDouble(r.throughputJobsPerSec),
+         false},
+        {"mean_sojourn_ms", fmtDouble(r.meanSojournMs), false},
+        {"latency_p50_us", fmtDouble(r.p50Us), false},
+        {"latency_p99_us", fmtDouble(r.p99Us), false},
+        {"latency_p9999_us", fmtDouble(r.p9999Us), false},
+    };
+    std::vector<Field> fields;
+    if (format == RowFormat::Fleet) {
+        fields = {{"label", r.label, true},
+                  {"placement", r.placement, true},
+                  {"devices", u64(r.devices), false},
+                  {"tenant", r.tenant, true}};
+        fields.insert(fields.end(), tails.begin(), tails.end());
+        fields.insert(
+            fields.end(),
+            {{"sojourn_p99_ms", fmtDouble(r.sojournP99Ms), false},
+             {"slo_ms", fmtDouble(r.sloMs), false},
+             {"slo_attainment", fmtDouble(r.sloAttainment), false},
+             {"util_mean", fmtDouble(r.utilMean), false},
+             {"util_max", fmtDouble(r.utilMax), false},
+             {"imbalance", fmtDouble(r.imbalance), false}});
+        return fields;
+    }
+    fields = {{"workload", r.tenant, true},
+              {"technique", r.technique, true}};
+    if (format == RowFormat::Aging) {
+        // The age axis sits right after the identity columns so
+        // grouped (workload, technique) blocks read as age ladders.
+        fields.insert(
+            fields.end(),
+            {{"pre_wear_cycles", u64(r.preWearCycles), false},
+             {"retention_days", fmtDouble(r.retentionDays), false}});
+    }
+    fields.insert(fields.end(), tails.begin(), tails.end());
+    if (format == RowFormat::Aging) {
+        const reliability::ReliabilityStats &s = r.rel;
+        fields.insert(
+            fields.end(),
+            {{"retried_reads", u64(s.retriedReads), false},
+             {"ecc_retries", u64(s.eccRetries), false},
+             {"soft_decodes", u64(s.softDecodes), false},
+             {"uncorrectable_reads", u64(s.uncorrectableReads), false},
+             {"retired_blocks", u64(s.retiredBlocks), false},
+             {"scrub_passes", u64(s.scrubPasses), false},
+             {"scrub_refreshes", u64(s.scrubRefreshes), false}});
+    }
+    return fields;
+}
+
+std::vector<std::vector<Field>>
+scenarioFieldRows(const std::vector<ScenarioRow> &rows, RowFormat format)
+{
+    std::vector<std::vector<Field>> out;
+    out.reserve(rows.size());
+    for (const ScenarioRow &row : rows)
+        out.push_back(scenarioFields(row, format));
+    return out;
+}
+
 } // namespace
 
-std::vector<ClusterRow>
-makeClusterRows(const ClusterRunSpec &spec,
-                const cluster::ClusterSnapshot &snap)
+std::vector<ScenarioRow>
+makeRows(const Scenario &scenario, const cluster::ClusterSnapshot &snap)
 {
     using cluster::RoutedJob;
 
@@ -487,13 +354,30 @@ makeClusterRows(const ClusterRunSpec &spec,
     const Tick span = maxEnd - snap.base;
     const double spanSec = ticksToSeconds(span);
 
-    ClusterRow proto;
-    proto.label = spec.label;
-    proto.placement = spec.placement;
+    ScenarioRow proto;
+    proto.label = scenario.label;
+    proto.placement = scenario.placement;
     proto.devices = snap.devices.size();
     proto.makespanMs = ticksToUs(span) / 1000.0;
+    if (!scenario.devices.empty()) {
+        const ReliabilityConfig &age =
+            scenario.devices.front().options.config.reliability;
+        proto.preWearCycles = age.preWearCycles;
+        proto.retentionDays = age.retentionDays;
+    }
+    for (const DeviceSnapshot &d : snap.devices) {
+        const reliability::ReliabilityStats &s = d.reliability;
+        proto.rel.retriedReads += s.retriedReads;
+        proto.rel.eccRetries += s.eccRetries;
+        proto.rel.softDecodes += s.softDecodes;
+        proto.rel.uncorrectableReads += s.uncorrectableReads;
+        proto.rel.retiredBlocks += s.retiredBlocks;
+        proto.rel.scrubPasses += s.scrubPasses;
+        proto.rel.scrubRefreshes += s.scrubRefreshes;
+        proto.rel.wearLevelMigrations += s.wearLevelMigrations;
+    }
 
-    // Fleet-level balance: per-device job residency and routed-job
+    // Cell-level balance: per-device job residency and routed-job
     // counts over the measured span.
     std::vector<double> residency(snap.devices.size(), 0.0);
     std::vector<std::uint64_t> perDev(snap.devices.size(), 0);
@@ -521,8 +405,9 @@ makeClusterRows(const ClusterRunSpec &spec,
             static_cast<double>(snap.routed.size());
 
     // Per-scope reductions: index 0 is the fleet, 1.. the tenants.
-    const std::size_t scopes = 1 + spec.tenants.size();
-    std::vector<ClusterRow> rows(scopes, proto);
+    const std::vector<Tenant> &tenants = scenario.tenants;
+    const std::size_t scopes = 1 + tenants.size();
+    std::vector<ScenarioRow> rows(scopes, proto);
     std::vector<Histogram> lat(scopes);
     std::vector<std::vector<double>> sojournsMs(scopes);
     std::vector<double> sojournSum(scopes, 0.0);
@@ -532,9 +417,8 @@ makeClusterRows(const ClusterRunSpec &spec,
         const RoutedJob &j = snap.routed[r];
         const JobResult &jr = snap.result(r);
         const double sojournMs = ticksToUs(jr.sojourn()) / 1000.0;
-        const double sloMs = j.tenant < spec.tenants.size()
-            ? spec.tenants[j.tenant].sloMs
-            : 0.0;
+        const double sloMs =
+            j.tenant < tenants.size() ? tenants[j.tenant].sloMs : 0.0;
         const bool ok = sloMs <= 0.0 || sojournMs <= sloMs;
         const std::size_t scope = 1 + j.tenant;
         for (std::size_t s : {std::size_t{0}, scope}) {
@@ -550,22 +434,20 @@ makeClusterRows(const ClusterRunSpec &spec,
     }
 
     double weightSum = 0.0;
-    for (const ClusterTenant &t : spec.tenants)
+    for (const Tenant &t : tenants)
         weightSum += t.weight;
 
     for (std::size_t s = 0; s < scopes; ++s) {
-        ClusterRow &row = rows[s];
+        ScenarioRow &row = rows[s];
         if (s == 0) {
             row.tenant = "fleet";
-            row.jobsPerSec = spec.jobsPerSec;
+            row.jobsPerSec = scenario.jobsPerSec;
         } else {
-            const ClusterTenant &t = spec.tenants[s - 1];
-            row.tenant = !t.name.empty() ? t.name
-                : t.workloadId           ? workloadName(*t.workloadId)
-                : t.program              ? t.program->name
-                                         : std::string();
+            const Tenant &t = tenants[s - 1];
+            row.tenant = tenantName(t);
+            row.technique = t.technique;
             row.jobsPerSec = weightSum > 0.0
-                ? spec.jobsPerSec * t.weight / weightSum
+                ? scenario.jobsPerSec * t.weight / weightSum
                 : 0.0;
             row.sloMs = t.sloMs;
         }
@@ -589,30 +471,33 @@ makeClusterRows(const ClusterRunSpec &spec,
 }
 
 void
-writeClusterCsv(std::ostream &os, const std::vector<ClusterRow> &rows)
+writeRowsCsv(std::ostream &os, const std::vector<ScenarioRow> &rows,
+             RowFormat format)
 {
-    writeFieldCsv(os, fieldRows(rows, clusterRowFields));
+    writeFieldCsv(os, scenarioFieldRows(rows, format));
 }
 
 void
-writeClusterJson(std::ostream &os,
-                 const std::vector<ClusterRow> &rows)
+writeRowsJson(std::ostream &os, const std::vector<ScenarioRow> &rows,
+              RowFormat format)
 {
-    writeFieldJson(os, fieldRows(rows, clusterRowFields));
+    writeFieldJson(os, scenarioFieldRows(rows, format));
 }
 
 bool
-writeClusterCsvFile(const std::string &path,
-                    const std::vector<ClusterRow> &rows)
+writeRowsCsvFile(const std::string &path,
+                 const std::vector<ScenarioRow> &rows, RowFormat format)
 {
-    return writeFile(path, [&](auto &os) { writeClusterCsv(os, rows); });
+    return writeFile(path,
+                     [&](auto &os) { writeRowsCsv(os, rows, format); });
 }
 
 bool
-writeClusterJsonFile(const std::string &path,
-                     const std::vector<ClusterRow> &rows)
+writeRowsJsonFile(const std::string &path,
+                  const std::vector<ScenarioRow> &rows, RowFormat format)
 {
-    return writeFile(path, [&](auto &os) { writeClusterJson(os, rows); });
+    return writeFile(path,
+                     [&](auto &os) { writeRowsJson(os, rows, format); });
 }
 
 double

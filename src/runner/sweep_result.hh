@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "src/cluster/cluster.hh"
-#include "src/core/device.hh"
 #include "src/runner/run_spec.hh"
 
 namespace conduit::runner
@@ -86,94 +85,15 @@ class SweepResult
 };
 
 /**
- * One emitted row of an offered-load (saturation) sweep: a cell's
- * operating point plus its throughput and latency-tail outcomes.
+ * One emitted row of a scenario sweep. A cell reduces to one "fleet"
+ * row (every routed job) followed by one row per tenant (its share of
+ * the load, its tail, its SLO attainment). Cell-level columns repeat
+ * on every row so each row is self-describing; a RowFormat picks the
+ * columns a bench emits.
  */
-struct LoadRow
+struct ScenarioRow
 {
-    std::string workload;
-    std::string technique;
-
-    /** Offered load (jobs per simulated second; 0 = all at t=0). */
-    double jobsPerSec = 0.0;
-
-    /** Jobs the cell completed. */
-    std::uint64_t jobs = 0;
-
-    double makespanMs = 0.0;
-
-    /** Achieved completion rate: jobs / makespan. */
-    double throughputJobsPerSec = 0.0;
-
-    /** Mean job arrival-to-completion time. */
-    double meanSojournMs = 0.0;
-
-    /** Per-request (instruction) latency tail, device-wide. */
-    double p50Us = 0.0;
-    double p99Us = 0.0;
-    double p9999Us = 0.0;
-};
-
-/** Reduce an executed cell's snapshot to its emitted row. */
-LoadRow makeLoadRow(const LoadRunSpec &spec,
-                    const DeviceSnapshot &snap);
-
-/** @name Offered-load row emission (same contract as SweepResult's:
- *  byte-identical output for identical specs, any thread count) @{ */
-void writeLoadCsv(std::ostream &os, const std::vector<LoadRow> &rows);
-void writeLoadJson(std::ostream &os, const std::vector<LoadRow> &rows);
-bool writeLoadCsvFile(const std::string &path,
-                      const std::vector<LoadRow> &rows);
-bool writeLoadJsonFile(const std::string &path,
-                       const std::vector<LoadRow> &rows);
-/** @} */
-
-/**
- * One emitted row of a device-aging sweep: the offered-load row
- * fields plus the device's age and its reliability outcomes.
- */
-struct AgingRow
-{
-    /** The traffic cell's operating point and outcomes. */
-    LoadRow load;
-
-    /** Device age the cell ran at. */
-    std::uint32_t preWearCycles = 0;
-    double retentionDays = 0.0;
-
-    /** Reliability outcomes of the cell's device lifetime. */
-    reliability::ReliabilityStats rel;
-};
-
-/**
- * Reduce an executed aging cell's snapshot to its emitted row; the
- * age comes from the cell's config.reliability.
- */
-AgingRow makeAgingRow(const LoadRunSpec &spec,
-                      const DeviceSnapshot &snap);
-
-/** @name Aging row emission (byte-identical for identical specs,
- *  any thread count) @{ */
-void writeAgingCsv(std::ostream &os,
-                   const std::vector<AgingRow> &rows);
-void writeAgingJson(std::ostream &os,
-                    const std::vector<AgingRow> &rows);
-bool writeAgingCsvFile(const std::string &path,
-                       const std::vector<AgingRow> &rows);
-bool writeAgingJsonFile(const std::string &path,
-                        const std::vector<AgingRow> &rows);
-/** @} */
-
-/**
- * One emitted row of a fleet sweep. A cell emits one "fleet" row
- * (fleet-wide throughput, tails, utilization spread, imbalance)
- * followed by one row per tenant (its share of the load, its tail,
- * its SLO attainment). Fleet-level columns repeat on tenant rows so
- * every row is self-describing.
- */
-struct ClusterRow
-{
-    /** Cell label (ClusterRunSpec::label). */
+    /** Cell label (Scenario::label). */
     std::string label;
 
     /** Placement policy the cell routed with. */
@@ -185,13 +105,16 @@ struct ClusterRow
     /** "fleet" for the aggregate row, else the tenant's name. */
     std::string tenant;
 
+    /** The tenant's policy; empty on the fleet row. */
+    std::string technique;
+
     /** Offered load for this row's scope (jobs per simulated sec). */
     double jobsPerSec = 0.0;
 
     /** Jobs this row's scope completed (measured phase only). */
     std::uint64_t jobs = 0;
 
-    /** Fleet measured span (first arrival epoch to last job end). */
+    /** Measured span (fleet epoch to the last routed job's end). */
     double makespanMs = 0.0;
 
     /** Achieved completion rate for this row's scope. */
@@ -215,7 +138,7 @@ struct ClusterRow
      *  the fleet row weights tenants by completed jobs). */
     double sloAttainment = 1.0;
 
-    /** @name Fleet-level balance (same values on every row) @{ */
+    /** @name Cell-level columns (same values on every row) @{ */
 
     /** Mean/max per-device occupancy: sum of per-job residency
      *  (end - admitted) over the measured span. */
@@ -226,24 +149,44 @@ struct ClusterRow
      *  (1.0 = perfectly even). */
     double imbalance = 0.0;
 
+    /** Age of the cell's first device. */
+    std::uint32_t preWearCycles = 0;
+    double retentionDays = 0.0;
+
+    /** Reliability outcomes summed over the cell's devices. */
+    reliability::ReliabilityStats rel;
+
     /** @} */
 };
 
-/** Reduce an executed fleet cell to its rows (fleet + tenants). */
-std::vector<ClusterRow>
-makeClusterRows(const ClusterRunSpec &spec,
-                const cluster::ClusterSnapshot &snap);
+/** Reduce an executed scenario to its rows (fleet + tenants). */
+std::vector<ScenarioRow> makeRows(const Scenario &scenario,
+                                  const cluster::ClusterSnapshot &snap);
 
-/** @name Fleet row emission (byte-identical for identical specs,
- *  any thread count) @{ */
-void writeClusterCsv(std::ostream &os,
-                     const std::vector<ClusterRow> &rows);
-void writeClusterJson(std::ostream &os,
-                      const std::vector<ClusterRow> &rows);
-bool writeClusterCsvFile(const std::string &path,
-                         const std::vector<ClusterRow> &rows);
-bool writeClusterJsonFile(const std::string &path,
-                          const std::vector<ClusterRow> &rows);
+/** Which columns a row bench emits. */
+enum class RowFormat
+{
+    /** workload (= tenant), technique, load, throughput, tails. */
+    Load,
+    /** Load columns plus the device age and reliability outcomes. */
+    Aging,
+    /** Cell, placement and tenant identity, tails, SLO, balance. */
+    Fleet,
+};
+
+/** @name Row emission (byte-identical for identical scenarios, any
+ *  thread count) @{ */
+void writeRowsCsv(std::ostream &os, const std::vector<ScenarioRow> &rows,
+                  RowFormat format);
+void writeRowsJson(std::ostream &os,
+                   const std::vector<ScenarioRow> &rows,
+                   RowFormat format);
+bool writeRowsCsvFile(const std::string &path,
+                      const std::vector<ScenarioRow> &rows,
+                      RowFormat format);
+bool writeRowsJsonFile(const std::string &path,
+                       const std::vector<ScenarioRow> &rows,
+                       RowFormat format);
 /** @} */
 
 /** Geometric mean of a vector of ratios (0 if empty). */

@@ -7,6 +7,7 @@
 #include <exception>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -71,226 +72,145 @@ sinceSeconds(const std::chrono::steady_clock::time_point &t0)
 }
 
 /**
- * Attribution label of an offered-load cell; cells on a device with
- * the reliability subsystem enabled append their age.
- */
-std::string
-loadCellLabel(const LoadRunSpec &spec)
-{
-    const std::string workload = !spec.workload.empty()
-        ? spec.workload
-        : spec.workloadId ? workloadName(*spec.workloadId)
-        : spec.program    ? spec.program->name
-                          : std::string("load");
-    char rate[48];
-    std::snprintf(rate, sizeof rate, "@%gjobs/s", spec.jobsPerSec);
-    std::string label = workload + "/" + spec.technique + rate;
-    const ReliabilityConfig &rel = spec.config.reliability;
-    if (rel.enabled) {
-        char age[64];
-        std::snprintf(age, sizeof age, "+w%lu+d%g",
-                      static_cast<unsigned long>(rel.preWearCycles),
-                      rel.retentionDays);
-        label += age;
-    }
-    return label;
-}
-
-/**
  * Resolve a cell's program: @p program when set, else @p workload
- * compiled through @p cache. @p kind and @p label name the cell in
- * the error raised when it has neither.
+ * compiled through @p cache. @p label names the cell in the error
+ * raised when it has neither.
  */
 std::shared_ptr<const Program>
 resolveProgram(ProgramCache &cache,
                const std::shared_ptr<const Program> &program,
                const std::optional<WorkloadId> &workload,
-               const WorkloadParams &params, const SsdConfig &config,
-               const char *kind, const std::string &label)
+               const DeviceOptions &device, const std::string &label)
 {
     if (program)
         return program;
     if (!workload)
         throw std::invalid_argument(
-            std::string(kind) +
-            " has neither a program nor a workload: " + label);
-    auto compiled = cache.get(*workload, params, config);
+            "cell has neither a program nor a workload: " + label);
+    auto compiled = cache.get(*workload, device.workload, device.config);
     return std::shared_ptr<const Program>(compiled,
                                           &compiled->program);
 }
 
-/** Resolve an offered-load cell's program (explicit > workload). */
-std::shared_ptr<const Program>
-resolveLoadProgram(ProgramCache &cache, const LoadRunSpec &spec)
+/** Fresh per-cell tracer, or null when @p cfg is disabled. */
+std::shared_ptr<trace::Tracer>
+makeTracer(const trace::TraceConfig &cfg)
 {
-    return resolveProgram(cache, spec.program, spec.workloadId,
-                          spec.params, spec.config, "LoadRunSpec",
-                          spec.workload + "/" + spec.technique);
+    return cfg.enabled() ? std::make_shared<trace::Tracer>(cfg)
+                         : nullptr;
 }
 
 /**
- * Display name jobs are submitted under: the explicit @p label, else
- * the workload's name, else the program's own.
+ * Appends fields to a warm-image key, each in a round-trip format
+ * and '|'-terminated so adjacent fields stay apart.
  */
-std::string
-jobName(const std::string &label, const std::optional<WorkloadId> &id,
-        const Program &prog)
+class KeyText
 {
-    return !label.empty() ? label
-        : id              ? workloadName(*id)
-                          : prog.name;
-}
-
-/** Device options of an offered-load cell. */
-DeviceOptions
-loadDeviceOptions(const LoadRunSpec &spec)
-{
-    DeviceOptions dopts =
-        makeDeviceOptions(spec.config, spec.engine, spec.params);
-    dopts.capacityPages = spec.capacityPages;
-    // Open-loop cells retire eagerly so page regions recycle while
-    // later arrivals are still in flight.
-    dopts.retire = RetirePolicy::OnComplete;
-    return dopts;
-}
-
-/** Fresh arrival process of the cell (null at zero rate). */
-std::unique_ptr<ArrivalProcess>
-loadArrivals(const LoadRunSpec &spec)
-{
-    if (spec.jobsPerSec <= 0.0)
-        return nullptr;
-    return makeArrivals(spec.arrivals,
-                        static_cast<double>(kPsPerS) / spec.jobsPerSec,
-                        spec.arrivalSeed);
-}
-
-/**
- * Submit @p count jobs to @p dev, each advancing @p at by the next
- * arrival gap. Warm-phase jobs run under spec.warmupTechnique (by
- * name — custom policy factories apply to measured jobs only, so
- * warm phases stay shareable across a factory-varied sweep).
- */
-void
-submitLoadJobs(Device &dev, const LoadRunSpec &spec,
-               const std::shared_ptr<const Program> &prog,
-               const std::string &name, std::size_t count, bool warm,
-               ArrivalProcess *arrivals, Tick &at)
-{
-    for (std::size_t i = 0; i < count; ++i) {
-        if (arrivals)
-            at += arrivals->next();
-        JobSpec job;
-        job.name = name;
-        job.program = prog;
-        // Fresh policy object per job (policies may carry state).
-        job.policyObj = !warm && spec.policy
-            ? std::shared_ptr<OffloadPolicy>(spec.policy())
-            : std::shared_ptr<OffloadPolicy>(makePolicy(
-                  warm ? spec.warmupTechnique : spec.technique));
-        job.arrival = at;
-        dev.submit(job);
+  public:
+    template <typename T>
+    KeyText &
+    operator<<(const T &v)
+    {
+        if constexpr (std::is_same_v<T, std::string>) {
+            text_ += v;
+        } else if constexpr (std::is_floating_point_v<T>) {
+            char buf[32];
+            std::snprintf(buf, sizeof buf, "%.17g", v);
+            text_ += buf;
+        } else if constexpr (std::is_enum_v<T>) {
+            text_ += std::to_string(static_cast<long long>(v));
+        } else {
+            text_ += std::to_string(v);
+        }
+        text_ += '|';
+        return *this;
     }
-}
+
+    std::string take() { return std::move(text_); }
+
+  private:
+    std::string text_;
+};
 
 /**
- * Warm-image sharing key: every spec field the warm phase's
- * simulation reads. Equal keys mean byte-identical warm phases, so
- * buildSharedWarmImages builds the image once and lets every
- * matching cell fork it. Covers the axes the benches and aging vary
- * (technique and measured-job count are deliberately absent — the
- * warm phase runs under warmupTechnique before any measured job).
+ * Warm-image sharing key: every input a warm phase's simulation
+ * reads — each member of the recipe's DeviceOptions (every SsdConfig
+ * sub-struct field, EngineOptions, WorkloadParams, capacity,
+ * retirement) and its warm traffic. Equal keys mean byte-identical
+ * warm phases, so the image is built once and every matching device
+ * forks it. conduit-lint's member-coverage check fails the build when
+ * a member of any of these structs is missing here.
  */
 std::string
-warmImageKey(const LoadRunSpec &spec)
+imageKey(const DeviceRecipe &recipe)
 {
-    char buf[448];
-    std::snprintf(
-        buf, sizeof buf,
-        "|p%p|i%d|w%zu|r%.17g|a%d|as%llu|cap%llu|sc%.17g"
-        "|sd%llu|mc%.17g|gc%.17g|ds%.17g|mf%.17g"
-        "|re%d|pw%lu|rd%.17g|wl%d|wg%lu|wm%lu",
-        static_cast<const void *>(spec.program.get()),
-        spec.workloadId ? static_cast<int>(*spec.workloadId) : -1,
-        spec.warmupJobs, spec.jobsPerSec,
-        static_cast<int>(spec.arrivals),
-        static_cast<unsigned long long>(spec.arrivalSeed),
-        static_cast<unsigned long long>(spec.capacityPages),
-        spec.params.scale,
-        static_cast<unsigned long long>(spec.config.seed),
-        spec.config.mappingCacheCoverage, spec.config.gcThreshold,
-        spec.engine.dramStagingFraction,
-        spec.engine.mappingCacheFraction,
-        spec.config.reliability.enabled ? 1 : 0,
-        static_cast<unsigned long>(
-            spec.config.reliability.preWearCycles),
-        spec.config.reliability.retentionDays,
-        spec.config.reliability.wearLevelEnabled ? 1 : 0,
-        static_cast<unsigned long>(spec.config.reliability.wearLevelGap),
-        static_cast<unsigned long>(
-            spec.config.reliability.wearLevelMaxPerPass));
-    return spec.workload + "/" + spec.warmupTechnique + buf;
-}
+    const DeviceOptions &o = recipe.options;
+    const SsdConfig &c = o.config;
+    const NandConfig &nand = c.nand;
+    const DramConfig &dram = c.dram;
+    const IspConfig &isp = c.isp;
+    const HostConfig &host = c.host;
+    const EnergyConfig &energy = c.energy;
+    const OverheadConfig &overhead = c.overhead;
+    const ComputeModelConfig &compute = c.compute;
+    const ReliabilityConfig &rel = c.reliability;
+    const EngineOptions &e = o.engine;
+    const WarmTraffic &w = recipe.warm;
 
-/** Age rung of fleet device @p d (ageMix cycles round-robin). */
-std::uint32_t
-clusterRung(const ClusterRunSpec &spec, std::size_t d)
-{
-    return spec.ageMix.empty()
-        ? 0u
-        : spec.ageMix[d % spec.ageMix.size()];
-}
-
-/**
- * Per-device recipe of a fleet cell: the offered-load spec one
- * device of the fleet would see — the first tenant's workload as
- * warm traffic at the per-device share of the fleet rate, with the
- * age rung folded into the reliability config. Equal recipes hash to
- * equal warmImageKeys, so a fleet of one age rung forks one image.
- */
-LoadRunSpec
-clusterDeviceRecipe(const ClusterRunSpec &spec, std::uint32_t rung)
-{
-    const ClusterTenant &t0 = spec.tenants.front();
-    LoadRunSpec r;
-    r.workload = !t0.name.empty() ? t0.name
-        : t0.workloadId           ? workloadName(*t0.workloadId)
-        : t0.program              ? t0.program->name
-                                  : std::string();
-    r.technique = spec.warmupTechnique;
-    r.config = spec.config;
-    r.engine = spec.engine;
-    r.params = spec.params;
-    r.workloadId = t0.workloadId;
-    r.program = t0.program;
-    r.jobsPerSec =
-        spec.jobsPerSec / static_cast<double>(spec.devices);
-    r.arrivals = spec.arrivals;
-    r.arrivalSeed = spec.arrivalSeed;
-    r.capacityPages = spec.capacityPages;
-    r.warmupJobs = spec.warmupJobs;
-    r.warmupTechnique = spec.warmupTechnique;
-    r.steadyState = spec.warmupJobs > 0;
-    if (rung > 0) {
-        r.config.reliability.enabled = true;
-        r.config.reliability.preWearCycles = rung;
-        r.config.reliability.retentionDays =
-            spec.retentionDaysPerKCycle * rung / 1000.0;
-    }
-    return r;
-}
-
-/** Attribution label of a fleet cell. */
-std::string
-clusterCellLabel(const ClusterRunSpec &spec)
-{
-    if (!spec.label.empty())
-        return spec.label;
-    char buf[96];
-    std::snprintf(buf, sizeof buf, "fleet%zu/%s@%gjobs/s",
-                  spec.devices, spec.placement.c_str(),
-                  spec.jobsPerSec);
-    return buf;
+    KeyText k;
+    k << nand.channels << nand.diesPerChannel << nand.planesPerDie
+      << nand.blocksPerPlane << nand.pagesPerBlock << nand.pageBytes
+      << nand.channelBytesPerSec << nand.readTicks << nand.programTicks
+      << nand.eraseTicks << nand.cmdTicks << nand.dmaTicks
+      << nand.andOrTicks << nand.xorTicks << nand.latchTicks
+      << nand.maxAndOperands << nand.maxOrOperands;
+    k << dram.banks << dram.rowBytes << dram.busBytesPerSec << dram.tRcd
+      << dram.tRp << dram.tRas << dram.tCas << dram.bbopTicks;
+    k << isp.cores << isp.computeCores << isp.clockHz << isp.simdBytes
+      << isp.streamBytesPerSec;
+    k << host.pcieBytesPerSec << host.cpuLowOpsPerSec
+      << host.cpuMedOpsPerSec << host.cpuHighOpsPerSec
+      << host.gpuLowOpsPerSec << host.gpuMedOpsPerSec
+      << host.gpuHighOpsPerSec << host.cpuCacheFraction
+      << host.gpuCacheFraction << host.ioOverheadPerPage
+      << host.cpuWatts << host.gpuWatts << host.pcieJoulesPerByte;
+    k << energy.readJPerChannel << energy.andOrJPerKb << energy.xorJPerKb
+      << energy.latchJPerKb << energy.dmaJPerChannel
+      << energy.programJPerChannel << energy.bbopJ << energy.dramJPerByte
+      << energy.ispWatts << energy.channelJPerByte;
+    k << overhead.l2pLookupDram << overhead.l2pLookupFlash
+      << overhead.depTrackPerQueue << overhead.queueTrackPerResource
+      << overhead.dmTableLookup << overhead.compTableLookup
+      << overhead.translationLookup << overhead.issueTicks;
+    k << compute.pudBitwiseBbops << compute.pudAddBbops
+      << compute.pudMulBbops << compute.pudPredBbops
+      << compute.pudCopyBbops << compute.ispCyclesPerSimdLow
+      << compute.ispCyclesPerSimdMed << compute.ispCyclesPerSimdHigh
+      << compute.ispScalarCyclesPerElem << compute.ifpAddStepsPerBit
+      << compute.ifpMulStepsPerBit << compute.ifpMulShuttles;
+    k << rel.enabled << rel.preWearCycles << rel.retentionDays
+      << rel.rberFresh << rel.ratedCycles << rel.wearAlpha
+      << rel.retentionBeta << rel.nominalRetentionDays << rel.blockJitter
+      << rel.hardDecodeRber << rel.retryRberFactor << rel.maxReadRetries
+      << rel.retryTicks << rel.softDecodeTicks << rel.uncorrectableRber
+      << rel.retireSoftThreshold << rel.scrubIntervalTicks
+      << rel.scrubBlocksPerPass << rel.scrubRberThreshold
+      << rel.scrubMaxRefreshPerPass << rel.wearLevelEnabled
+      << rel.wearLevelGap << rel.wearLevelMaxPerPass;
+    k << c.vectorLanes << c.dramComputeFraction << c.mappingCacheCoverage
+      << c.gcThreshold << c.seed;
+    k << e.transientFaultRate << e.faultTimeout << e.versionFlushThreshold
+      << e.latchPagesPerDie << e.drainResults << e.dramStagingFraction
+      << e.mappingCacheFraction;
+    k << o.workload.scale << o.capacityPages << o.retire;
+    char prog[32];
+    std::snprintf(prog, sizeof prog, "%p",
+                  static_cast<const void *>(w.program.get()));
+    k << w.name << (w.workloadId ? static_cast<int>(*w.workloadId) : -1)
+      << std::string(prog) << w.technique;
+    for (Tick t : w.ticks)
+        k << t;
+    return k.take();
 }
 
 } // namespace
@@ -310,9 +230,9 @@ SweepRunner::lastPerf() const
     return p;
 }
 
-template <typename Body>
+template <typename Cell>
 void
-SweepRunner::timedSweep(std::size_t cells, const Body &body)
+SweepRunner::sweepCells(std::size_t cells, const Cell &cell)
 {
     perfCells_ = cells;
     perfEvents_.store(0, std::memory_order_relaxed);
@@ -321,19 +241,20 @@ SweepRunner::timedSweep(std::size_t cells, const Body &body)
     perfWarmImages_ = 0;
     traceCells_.assign(cells, {});
     const auto t0 = std::chrono::steady_clock::now();
-    body();
+    // Workers own disjoint per-cell slots, so no synchronization is
+    // needed beyond the pool join.
+    parallelFor(workerCount(cells), cells, [&](std::size_t i) {
+        const auto c0 = std::chrono::steady_clock::now();
+        auto tracer = makeTracer(opts_.trace);
+        auto [label, events] = cell(i, tracer);
+        SweepPerf::CellPerf &cp = perfPerCell_[i];
+        cp.wallSeconds = sinceSeconds(c0);
+        cp.eventsFired = events;
+        cp.label = label;
+        perfEvents_.fetch_add(events, std::memory_order_relaxed);
+        traceCells_[i] = {std::move(label), std::move(tracer)};
+    });
     perfWall_ = sinceSeconds(t0);
-}
-
-void
-SweepRunner::recordCell(std::size_t i, std::string label,
-                        double wallSeconds, std::uint64_t events)
-{
-    SweepPerf::CellPerf &cp = perfPerCell_[i];
-    cp.label = std::move(label);
-    cp.wallSeconds = wallSeconds;
-    cp.eventsFired = events;
-    perfEvents_.fetch_add(events, std::memory_order_relaxed);
 }
 
 unsigned
@@ -346,235 +267,90 @@ SweepRunner::workerCount(std::size_t jobs) const
         std::min<std::size_t>(threads, std::max<std::size_t>(jobs, 1)));
 }
 
-RunResult
-SweepRunner::runOne(const RunSpec &spec)
+cluster::Cluster
+SweepRunner::assemble(
+    const Scenario &s,
+    const std::vector<std::shared_ptr<const DeviceImage>> &images,
+    std::shared_ptr<trace::Tracer> tracer)
 {
-    std::uint64_t events = 0;
-    return runOneCell(spec, nullptr, events);
-}
+    if (s.devices.empty())
+        throw std::invalid_argument("Scenario has no devices: " +
+                                    s.label);
+    if (s.tenants.empty())
+        throw std::invalid_argument("Scenario has no tenants: " +
+                                    s.label);
 
-RunResult
-SweepRunner::runOneCell(const RunSpec &spec,
-                        const std::shared_ptr<trace::Tracer> &tracer,
-                        std::uint64_t &events)
-{
-    events = 0;
-    std::shared_ptr<const Program> prog = resolveProgram(
-        cache_, spec.program, spec.workloadId, spec.params, spec.config,
-        "RunSpec", spec.workload + "/" + spec.technique);
-
-    // Host baselines bypass the SSD engine entirely.
-    HostKind host = spec.host;
-    if (host == HostKind::None && !spec.policy) {
-        if (spec.technique == "CPU")
-            host = HostKind::Cpu;
-        else if (spec.technique == "GPU")
-            host = HostKind::Gpu;
-    }
-    if (host != HostKind::None) {
-        const bool gpu = host == HostKind::Gpu;
-        HostModel model(spec.config, gpu ? HostModel::Kind::Gpu
-                                         : HostModel::Kind::Cpu);
-        const HostResult hr = model.run(*prog);
-        RunResult r;
-        r.workload = spec.workload;
-        r.policy = spec.technique;
-        r.execTime = hr.totalTime;
-        r.instrCount = prog->instrs.size();
-        r.computeBusy = hr.computeTime;
-        r.hostDmBusy = hr.transferTime;
-        r.dmEnergyJ = hr.dmEnergyJ;
-        r.computeEnergyJ = hr.computeEnergyJ;
-        return r;
-    }
-
-    // The paper's cold-SSD methodology: one tick-0 job on a fresh Device.
-    DeviceOptions dopts =
-        makeDeviceOptions(spec.config, spec.engine, spec.params);
-    dopts.tracer = tracer;
-    Device dev(std::move(dopts));
-    JobSpec job;
-    job.program = std::move(prog);
-    job.policyObj = spec.policy ? spec.policy()
-                                : makePolicy(spec.technique);
-    dev.submit(job);
-    DeviceSnapshot snap = dev.drain();
-    events = snap.eventsFired;
-    RunResult r = std::move(snap.jobs.front().result);
-    // Label with the spec's display names (a custom policy object's
-    // own name may differ, e.g. ablation variants).
-    r.workload = spec.workload;
-    r.policy = spec.technique;
-    return r;
-}
-
-sched::MultiRunResult
-SweepRunner::runMulti(const MultiRunSpec &spec)
-{
-    return runMultiCell(spec, nullptr);
-}
-
-sched::MultiRunResult
-SweepRunner::runMultiCell(const MultiRunSpec &spec,
-                          const std::shared_ptr<trace::Tracer> &tracer)
-{
-    if (spec.streams.empty())
-        throw std::invalid_argument(
-            "MultiRunSpec has no streams: " + spec.label);
-    std::vector<sched::StreamSpec> streams;
-    streams.reserve(spec.streams.size());
-    for (const StreamSlot &slot : spec.streams) {
-        if (slot.technique == "CPU" || slot.technique == "GPU")
+    // Resolve each tenant's program once. Every device of a scenario
+    // shares the vectorizer geometry, so the first recipe compiles
+    // for all of them.
+    const std::size_t nt = s.tenants.size();
+    std::vector<std::shared_ptr<const Program>> progs(nt);
+    for (std::size_t t = 0; t < nt; ++t) {
+        const Tenant &ten = s.tenants[t];
+        if (!ten.policy &&
+            (ten.technique == "CPU" || ten.technique == "GPU"))
             throw std::invalid_argument(
-                "multi-stream cells run on the SSD engine; host "
-                "baseline '" + slot.technique +
-                "' cannot be a stream: " + spec.label);
-        sched::StreamSpec s;
-        s.program = resolveProgram(cache_, slot.program, slot.workloadId,
-                                   spec.params, spec.config, "StreamSlot",
-                                   spec.label + "/" + slot.workload);
-        s.policy = slot.policy ? slot.policy()
-                               : makePolicy(slot.technique);
-        s.name = jobName(slot.workload, slot.workloadId, *s.program);
-        streams.push_back(std::move(s));
+                "scenario tenants run on the SSD engine; host baseline "
+                "'" + ten.technique + "' cannot serve jobs: " + s.label);
+        progs[t] = resolveProgram(cache_, ten.program, ten.workloadId,
+                                  s.devices.front().options,
+                                  s.label + "/" + tenantName(ten));
     }
 
-    // Every stream a tick-0 job on one fresh Device.
-    DeviceOptions dopts =
-        makeDeviceOptions(spec.config, spec.engine, spec.params);
-    dopts.tracer = tracer;
-    sched::MultiRunResult mr =
-        runStreamsOnDevice(dopts, std::move(streams));
-    // Label per-stream results with the slot's display technique (a
-    // custom policy object's own name may differ), and rebuild the
-    // aggregate's joined label so both agree.
-    std::string joined;
-    for (std::size_t i = 0; i < mr.streams.size(); ++i) {
-        if (!spec.streams[i].technique.empty())
-            mr.streams[i].policy = spec.streams[i].technique;
-        if (i > 0)
-            joined += "+";
-        joined += mr.streams[i].policy;
-    }
-    mr.aggregate.policy = joined;
-    return mr;
-}
-
-std::vector<sched::MultiRunResult>
-SweepRunner::runMultiAll(const std::vector<MultiRunSpec> &specs)
-{
-    std::vector<sched::MultiRunResult> results(specs.size());
-    timedSweep(specs.size(), [&] {
-        parallelFor(workerCount(specs.size()), specs.size(),
-                    [&](std::size_t i) {
-                        const auto c0 =
-                            std::chrono::steady_clock::now();
-                        auto tracer = makeTracer(opts_.trace);
-                        results[i] = runMultiCell(specs[i], tracer);
-                        traceCells_[i] = {specs[i].label,
-                                          std::move(tracer)};
-                        recordCell(i, specs[i].label,
-                                   sinceSeconds(c0),
-                                   results[i].eventsFired);
-                    });
-    });
-    return results;
-}
-
-DeviceImage
-SweepRunner::buildWarmImage(const LoadRunSpec &spec)
-{
-    if (spec.warmupJobs == 0)
-        throw std::invalid_argument(
-            "buildWarmImage: spec.warmupJobs is 0: " + spec.workload);
-    auto prog = resolveLoadProgram(cache_, spec);
-    const std::string name = jobName(spec.workload, spec.workloadId, *prog);
-    Device dev(loadDeviceOptions(spec));
-    auto arrivals = loadArrivals(spec);
-    Tick at = 0;
-    submitLoadJobs(dev, spec, prog, name, spec.warmupJobs,
-                   /*warm=*/true, arrivals.get(), at);
-    return dev.snapshot();
-}
-
-DeviceSnapshot
-SweepRunner::runLoadCell(const LoadRunSpec &spec,
-                         const DeviceImage *warm,
-                         const std::shared_ptr<trace::Tracer> &tracer)
-{
-    if (spec.technique == "CPU" || spec.technique == "GPU")
-        throw std::invalid_argument(
-            "offered-load cells run on the SSD engine; host baseline "
-            "'" + spec.technique + "' cannot serve jobs: " +
-            spec.workload);
-    if (spec.steadyState && spec.warmupJobs == 0)
-        throw std::invalid_argument(
-            "LoadRunSpec: steadyState needs warmupJobs > 0: " +
-            spec.workload);
-    auto prog = resolveLoadProgram(cache_, spec);
-    const std::string name = jobName(spec.workload, spec.workloadId, *prog);
-    auto arrivals = loadArrivals(spec);
-
-    std::optional<Device> dev;
-    Tick at = 0;
-    if (spec.steadyState) {
-        // Fork: the warm phase already ran inside the image. Burn
-        // its arrival gaps so the measured phase continues the same
-        // arrival process a cold two-phase run sees.
-        if (warm) {
-            dev.emplace(*warm);
-        } else {
-            const DeviceImage own = buildWarmImage(spec);
-            dev.emplace(own);
+    // Fresh devices default to a pool fitting every scheduled job at
+    // once: with one device exactly the auto-size a bare Device
+    // computes (a probing fleet starts sessions before its
+    // submissions, so auto-sizing can't see the jobs itself).
+    std::uint64_t scheduledPages = 0;
+    for (const ScheduledJob &j : s.schedule)
+        scheduledPages += progs.at(j.tenant)->footprintPages;
+    cluster::ClusterOptions copts;
+    copts.tracer = std::move(tracer);
+    copts.devices.resize(s.devices.size());
+    for (std::size_t d = 0; d < s.devices.size(); ++d) {
+        if (d < images.size() && images[d]) {
+            copts.devices[d].image = images[d];
+            continue;
         }
-        if (arrivals)
-            for (std::size_t i = 0; i < spec.warmupJobs; ++i)
-                arrivals->next();
-        at = dev->now();
-    } else {
-        dev.emplace(loadDeviceOptions(spec));
-        if (spec.warmupJobs > 0) {
-            // Cold two-phase: replay the warm phase in place, with
-            // the same quiescence barrier snapshot() applies, then
-            // resume the arrival clock from the drained device.
-            submitLoadJobs(*dev, spec, prog, name, spec.warmupJobs,
-                           /*warm=*/true, arrivals.get(), at);
-            dev->drain();
-            at = dev->now();
-        }
+        DeviceOptions dopts = s.devices[d].options;
+        if (dopts.capacityPages == 0)
+            dopts.capacityPages = scheduledPages;
+        copts.devices[d].options = std::move(dopts);
     }
-    // Attach the tracer only now — after the fork (forks start
-    // traceless) or the in-place warm replay — so both steady-state
-    // modes trace exactly the measured phase.
-    if (tracer)
-        dev->setTracer(tracer);
-    submitLoadJobs(*dev, spec, prog, name, spec.jobs,
-                   /*warm=*/false, arrivals.get(), at);
-    return dev->drain();
-}
+    cluster::Cluster fleet(std::move(copts),
+                           cluster::makePlacement(s.placement));
 
-DeviceSnapshot
-SweepRunner::runLoad(const LoadRunSpec &spec)
-{
-    return runLoadCell(spec, nullptr, nullptr);
+    for (const ScheduledJob &j : s.schedule) {
+        const Tenant &ten = s.tenants[j.tenant];
+        JobSpec job;
+        job.name = tenantName(ten);
+        job.program = progs[j.tenant];
+        // Fresh policy object per job (policies may carry state).
+        job.policyObj = ten.policy
+            ? std::shared_ptr<OffloadPolicy>(ten.policy())
+            : std::shared_ptr<OffloadPolicy>(makePolicy(ten.technique));
+        job.arrival = j.at;
+        fleet.submit(job, j.tenant);
+    }
+    return fleet;
 }
 
 SweepRunner::WarmImages
 SweepRunner::buildSharedWarmImages(
-    const std::vector<const LoadRunSpec *> &recipes)
+    const std::vector<const DeviceRecipe *> &recipes)
 {
-    // Recipes whose warm-phase inputs agree share one image read-only
-    // (forking deep-copies), so an A-policies x B-ages sweep builds
-    // B images, not A*B.
+    // Recipes whose keys agree share one image read-only (forking
+    // deep-copies), so an A-policies x B-ages sweep builds B images,
+    // not A*B.
     const std::size_t n = recipes.size();
     std::unordered_map<std::string, std::size_t> slots;
     std::vector<std::size_t> slotOf(n, n);
-    std::vector<const LoadRunSpec *> distinct;
+    std::vector<const DeviceRecipe *> distinct;
     for (std::size_t i = 0; i < n; ++i) {
         if (!recipes[i])
             continue;
-        const auto [it, fresh] =
-            slots.emplace(warmImageKey(*recipes[i]), distinct.size());
+        const std::string key = imageKey(*recipes[i]);
+        const auto [it, fresh] = slots.emplace(key, distinct.size());
         if (fresh)
             distinct.push_back(recipes[i]);
         slotOf[i] = it->second;
@@ -589,8 +365,23 @@ SweepRunner::buildSharedWarmImages(
     const auto w0 = std::chrono::steady_clock::now();
     parallelFor(workerCount(distinct.size()), distinct.size(),
                 [&](std::size_t j) {
+                    // The warm phase is itself a scenario: the bare
+                    // recipe serving its warm traffic, snapshotted at
+                    // quiescence. Image builds never trace.
+                    const DeviceRecipe &r = *distinct[j];
+                    Tenant t;
+                    t.name = r.warm.name;
+                    t.workloadId = r.warm.workloadId;
+                    t.program = r.warm.program;
+                    t.technique = r.warm.technique;
+                    Scenario s;
+                    s.label = "warm/" + tenantName(t);
+                    s.devices.push_back({r.options, {}});
+                    s.tenants.push_back(std::move(t));
+                    for (Tick at : r.warm.ticks)
+                        s.schedule.push_back({at, 0});
                     built[j] = std::make_shared<const DeviceImage>(
-                        buildWarmImage(*distinct[j]));
+                        assemble(s, {}, nullptr).device(0).snapshot());
                 });
     warm.wallSeconds = sinceSeconds(w0);
     warm.built = distinct.size();
@@ -600,225 +391,37 @@ SweepRunner::buildSharedWarmImages(
     return warm;
 }
 
-std::vector<DeviceSnapshot>
-SweepRunner::runLoadAll(const std::vector<LoadRunSpec> &specs)
-{
-    const std::size_t n = specs.size();
-
-    // Phase 1: the distinct warm images of the steady-state cells.
-    std::vector<const LoadRunSpec *> recipes(n, nullptr);
-    for (std::size_t i = 0; i < n; ++i)
-        if (specs[i].steadyState && specs[i].warmupJobs > 0)
-            recipes[i] = &specs[i];
-    const WarmImages warm = buildSharedWarmImages(recipes);
-
-    // Phase 2: the measured cells, forking from the shared images.
-    std::vector<DeviceSnapshot> results(n);
-    timedSweep(n, [&] {
-        parallelFor(workerCount(n), n, [&](std::size_t i) {
-            const auto c0 = std::chrono::steady_clock::now();
-            const std::string label = loadCellLabel(specs[i]);
-            auto tracer = makeTracer(opts_.trace);
-            results[i] =
-                runLoadCell(specs[i], warm.images[i].get(), tracer);
-            traceCells_[i] = {label, std::move(tracer)};
-            recordCell(i, label, sinceSeconds(c0),
-                       results[i].eventsFired);
-        });
-    });
-    perfWarmWall_ = warm.wallSeconds;
-    perfWarmImages_ = warm.built;
-    return results;
-}
-
-cluster::ClusterSnapshot
-SweepRunner::runClusterCell(
-    const ClusterRunSpec &spec,
-    const std::vector<std::shared_ptr<const DeviceImage>> &images,
-    const std::shared_ptr<trace::Tracer> &tracer)
-{
-    if (spec.devices == 0)
-        throw std::invalid_argument(
-            "ClusterRunSpec: zero devices: " + spec.label);
-    if (spec.tenants.empty())
-        throw std::invalid_argument(
-            "ClusterRunSpec has no tenants: " + spec.label);
-    for (const ClusterTenant &t : spec.tenants)
-        if (t.technique == "CPU" || t.technique == "GPU")
-            throw std::invalid_argument(
-                "fleet cells run on the SSD engine; host baseline "
-                "'" + t.technique + "' cannot be a tenant: " +
-                spec.label);
-
-    // Resolve each tenant's program and display name once.
-    const std::size_t nt = spec.tenants.size();
-    std::vector<std::shared_ptr<const Program>> progs(nt);
-    std::vector<std::string> names(nt);
-    for (std::size_t t = 0; t < nt; ++t) {
-        const ClusterTenant &ten = spec.tenants[t];
-        progs[t] = resolveProgram(cache_, ten.program, ten.workloadId,
-                                  spec.params, spec.config, "LoadRunSpec",
-                                  ten.name + "/" + ten.technique);
-        names[t] = jobName(ten.name, ten.workloadId, *progs[t]);
-    }
-
-    // Merged arrival schedule: jobs split across tenants by weight
-    // (floor, then remainder round-robin), each tenant walking its
-    // own arrival process (seed offset by tenant index). Merge order
-    // is (arrival, per-tenant index, tenant) — a total order, so the
-    // stream is identical on every run, and a tick-0 burst (rate 0)
-    // interleaves tenants round-robin instead of tenant-major.
-    double weightSum = 0.0;
-    for (const ClusterTenant &t : spec.tenants)
-        weightSum += std::max(t.weight, 0.0);
-    std::vector<std::size_t> quota(nt, 0);
-    std::size_t assigned = 0;
-    for (std::size_t t = 0; t < nt; ++t) {
-        const double share = weightSum > 0.0
-            ? std::max(spec.tenants[t].weight, 0.0) / weightSum
-            : 1.0 / static_cast<double>(nt);
-        quota[t] = static_cast<std::size_t>(
-            static_cast<double>(spec.jobs) * share);
-        assigned += quota[t];
-    }
-    for (std::size_t t = 0; assigned < spec.jobs; t = (t + 1) % nt) {
-        ++quota[t];
-        ++assigned;
-    }
-
-    struct Slot
-    {
-        Tick at;
-        std::size_t idx;
-        std::size_t tenant;
-    };
-    std::vector<Slot> schedule;
-    schedule.reserve(spec.jobs);
-    for (std::size_t t = 0; t < nt; ++t) {
-        const double share = weightSum > 0.0
-            ? std::max(spec.tenants[t].weight, 0.0) / weightSum
-            : 1.0 / static_cast<double>(nt);
-        const double rate = spec.jobsPerSec * share;
-        std::unique_ptr<ArrivalProcess> arr;
-        if (rate > 0.0)
-            arr = makeArrivals(spec.arrivals,
-                               static_cast<double>(kPsPerS) / rate,
-                               spec.arrivalSeed + t);
-        Tick at = 0;
-        for (std::size_t i = 0; i < quota[t]; ++i) {
-            if (arr)
-                at += arr->next();
-            schedule.push_back({at, i, t});
-        }
-    }
-    std::sort(schedule.begin(), schedule.end(),
-              [](const Slot &a, const Slot &b) {
-                  if (a.at != b.at)
-                      return a.at < b.at;
-                  if (a.idx != b.idx)
-                      return a.idx < b.idx;
-                  return a.tenant < b.tenant;
-              });
-
-    // Fleet construction: device d forks its shared warm image when
-    // one was built, else starts fresh from its age rung's recipe.
-    // Fresh devices default to a pool fitting every measured job at
-    // once — the fleet-wide footprint sum, which with one device is
-    // exactly the auto-size a bare Device computes (the probe path
-    // starts sessions before submissions, so auto-sizing can't see
-    // the jobs itself).
-    std::uint64_t defaultCap = spec.capacityPages;
-    if (defaultCap == 0)
-        for (std::size_t t = 0; t < nt; ++t)
-            defaultCap += static_cast<std::uint64_t>(quota[t]) *
-                progs[t]->footprintPages;
-    cluster::ClusterOptions copts;
-    copts.tracer = tracer;
-    copts.devices.resize(spec.devices);
-    for (std::size_t d = 0; d < spec.devices; ++d) {
-        if (d < images.size() && images[d]) {
-            copts.devices[d].image = images[d];
-            continue;
-        }
-        DeviceOptions dopts = loadDeviceOptions(
-            clusterDeviceRecipe(spec, clusterRung(spec, d)));
-        dopts.capacityPages = defaultCap;
-        copts.devices[d].options = std::move(dopts);
-    }
-    cluster::Cluster fleet(
-        std::move(copts),
-        cluster::makePlacement(spec.placement, spec.placementSeed));
-
-    for (const Slot &s : schedule) {
-        JobSpec job;
-        job.name = names[s.tenant];
-        job.program = progs[s.tenant];
-        // Fresh policy object per job (policies may carry state).
-        job.policyObj = std::shared_ptr<OffloadPolicy>(
-            makePolicy(spec.tenants[s.tenant].technique));
-        job.arrival = s.at;
-        fleet.submit(job, s.tenant);
-    }
-    return fleet.drain();
-}
-
 std::vector<cluster::ClusterSnapshot>
-SweepRunner::runClusterAll(const std::vector<ClusterRunSpec> &specs)
+SweepRunner::runAll(const std::vector<Scenario> &scenarios)
 {
-    const std::size_t n = specs.size();
+    const std::size_t n = scenarios.size();
 
-    // Phase 1: the distinct warm device images. The recipes are per
-    // device — config, age rung, warm traffic — flattened cell-major,
-    // so dedup collapses equal rungs both within a fleet and across
-    // cells (a P-policies x R-rungs sweep builds R images, not
-    // P*R*devices).
-    std::vector<LoadRunSpec> recipes;
+    // Phase 1: the distinct warm images, over every device recipe
+    // flattened cell-major, so equal recipes collapse both within a
+    // fleet and across cells.
+    std::vector<const DeviceRecipe *> recipes;
     std::vector<std::size_t> firstRecipe(n + 1, 0);
     for (std::size_t i = 0; i < n; ++i) {
         firstRecipe[i] = recipes.size();
-        if (specs[i].warmupJobs == 0 || specs[i].tenants.empty())
-            continue;
-        for (std::size_t d = 0; d < specs[i].devices; ++d)
-            recipes.push_back(clusterDeviceRecipe(
-                specs[i], clusterRung(specs[i], d)));
+        for (const DeviceRecipe &r : scenarios[i].devices)
+            recipes.push_back(r.warm.ticks.empty() ? nullptr : &r);
     }
     firstRecipe[n] = recipes.size();
-    std::vector<const LoadRunSpec *> recipePtrs;
-    recipePtrs.reserve(recipes.size());
-    for (const LoadRunSpec &r : recipes)
-        recipePtrs.push_back(&r);
-    const WarmImages warm = buildSharedWarmImages(recipePtrs);
+    const WarmImages warm = buildSharedWarmImages(recipes);
 
-    // Phase 2: the fleet cells, forking from the shared images.
+    // Phase 2: the cells, forking from the shared images.
     std::vector<cluster::ClusterSnapshot> results(n);
-    timedSweep(n, [&] {
-        parallelFor(workerCount(n), n, [&](std::size_t i) {
-            const auto c0 = std::chrono::steady_clock::now();
-            // A cell-level trace config overrides the sweep-wide one.
-            auto tracer = makeTracer(specs[i].trace.enabled()
-                                         ? specs[i].trace
-                                         : opts_.trace);
-            const std::vector<std::shared_ptr<const DeviceImage>>
-                images(warm.images.begin() + firstRecipe[i],
-                       warm.images.begin() + firstRecipe[i + 1]);
-            results[i] = runClusterCell(specs[i], images, tracer);
-            traceCells_[i] = {clusterCellLabel(specs[i]),
-                              std::move(tracer)};
-            recordCell(i, clusterCellLabel(specs[i]),
-                       sinceSeconds(c0), results[i].eventsFired);
-        });
+    sweepCells(n, [&](std::size_t i,
+                      const std::shared_ptr<trace::Tracer> &tracer) {
+        const std::vector<std::shared_ptr<const DeviceImage>> images(
+            warm.images.begin() + firstRecipe[i],
+            warm.images.begin() + firstRecipe[i + 1]);
+        results[i] = assemble(scenarios[i], images, tracer).drain();
+        return std::make_pair(scenarios[i].label, results[i].eventsFired);
     });
     perfWarmWall_ = warm.wallSeconds;
     perfWarmImages_ = warm.built;
     return results;
-}
-
-cluster::ClusterSnapshot
-SweepRunner::runCluster(const ClusterRunSpec &spec)
-{
-    std::vector<cluster::ClusterSnapshot> snaps =
-        runClusterAll({spec});
-    return std::move(snaps.front());
 }
 
 SweepResult
@@ -826,21 +429,63 @@ SweepRunner::run(std::vector<RunSpec> specs)
 {
     const std::size_t n = specs.size();
     std::vector<RunResult> results(n);
-    const unsigned threads = workerCount(n);
-    timedSweep(n, [&] {
-        parallelFor(threads, n, [&](std::size_t i) {
-            const auto c0 = std::chrono::steady_clock::now();
-            auto tracer = makeTracer(opts_.trace);
-            const std::string label =
-                specs[i].workload + "/" + specs[i].technique;
-            std::uint64_t events = 0;
-            results[i] = runOneCell(specs[i], tracer, events);
-            traceCells_[i] = {label, std::move(tracer)};
-            recordCell(i, label, sinceSeconds(c0), events);
-        });
+    sweepCells(n, [&](std::size_t i,
+                      const std::shared_ptr<trace::Tracer> &tracer) {
+        const RunSpec &spec = specs[i];
+        std::string label = spec.workload + "/" + spec.technique;
+        RunResult &r = results[i];
+        std::uint64_t events = 0;
+
+        // Host baselines bypass the SSD engine entirely.
+        HostKind host = spec.host;
+        if (host == HostKind::None && !spec.policy) {
+            if (spec.technique == "CPU")
+                host = HostKind::Cpu;
+            else if (spec.technique == "GPU")
+                host = HostKind::Gpu;
+        }
+        if (host != HostKind::None) {
+            const DeviceOptions device = makeDeviceOptions(
+                spec.config, spec.engine, spec.params);
+            const auto prog = resolveProgram(
+                cache_, spec.program, spec.workloadId, device, label);
+            HostModel model(spec.config, host == HostKind::Gpu
+                                             ? HostModel::Kind::Gpu
+                                             : HostModel::Kind::Cpu);
+            const HostResult hr = model.run(*prog);
+            r.execTime = hr.totalTime;
+            r.instrCount = prog->instrs.size();
+            r.computeBusy = hr.computeTime;
+            r.hostDmBusy = hr.transferTime;
+            r.dmEnergyJ = hr.dmEnergyJ;
+            r.computeEnergyJ = hr.computeEnergyJ;
+        } else {
+            // The paper's cold-SSD methodology: one tick-0 job on a
+            // fresh device.
+            Tenant t;
+            t.workloadId = spec.workloadId;
+            t.program = spec.program;
+            t.technique = spec.technique;
+            t.policy = spec.policy;
+            const Scenario s = batchScenario(
+                label,
+                {makeDeviceOptions(spec.config, spec.engine,
+                                   spec.params),
+                 {}},
+                {std::move(t)});
+            cluster::ClusterSnapshot snap =
+                assemble(s, {}, tracer).drain();
+            events = snap.eventsFired;
+            r = std::move(snap.devices.front().jobs.front().result);
+        }
+        // Label with the spec's display names (a custom policy
+        // object's own name may differ, e.g. ablation variants).
+        r.workload = spec.workload;
+        r.policy = spec.technique;
+        return std::make_pair(std::move(label), events);
     });
     return SweepResult(std::move(specs), std::move(results), perfWall_,
-                       threads);
+                       workerCount(n));
 }
 
 } // namespace conduit::runner

@@ -60,7 +60,7 @@ enum class Category : std::uint32_t
 /** Every category bit. */
 constexpr std::uint32_t kAllCategories = 0x1Fu;
 
-/** Tracing knobs (plumbed through SweepOptions / ClusterRunSpec). */
+/** Tracing knobs (plumbed through SweepOptions). */
 struct TraceConfig
 {
     /** Enabled categories (Category bits); 0 disables tracing. */

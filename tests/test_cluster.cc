@@ -17,6 +17,7 @@
 
 #include "src/cluster/cluster.hh"
 #include "src/cluster/placement.hh"
+#include "src/core/arrival.hh"
 #include "src/core/device.hh"
 #include "src/runner/sweep_result.hh"
 #include "src/runner/sweep_runner.hh"
@@ -30,8 +31,8 @@ using cluster::Cluster;
 using cluster::ClusterOptions;
 using cluster::ClusterSnapshot;
 using cluster::makePlacement;
-using runner::ClusterRunSpec;
-using runner::ClusterTenant;
+using runner::Offer;
+using runner::Scenario;
 using runner::SweepOptions;
 using runner::SweepRunner;
 
@@ -214,34 +215,50 @@ TEST(Cluster, AllPoliciesRouteInRange)
     }
 }
 
-ClusterRunSpec
+runner::Tenant
+fleetTenant(const std::string &name,
+            const std::shared_ptr<const Program> &prog, double sloMs,
+            double weight)
+{
+    runner::Tenant t;
+    t.name = name;
+    t.program = prog;
+    t.sloMs = sloMs;
+    t.weight = weight;
+    return t;
+}
+
+/** Two-device fleet cell: a skewed heavy/light tenant mix. */
+Scenario
 fleetSpec(const std::string &placement,
           const std::shared_ptr<const Program> &heavy,
-          const std::shared_ptr<const Program> &light)
+          const std::shared_ptr<const Program> &light,
+          const std::vector<DeviceOptions> &devices,
+          std::size_t jobs = 24, std::size_t warmupJobs = 0)
 {
-    ClusterRunSpec spec;
-    spec.label = "test/" + placement;
-    spec.placement = placement;
-    spec.config = gcCfg();
-    spec.devices = 2;
-    spec.jobs = 24;
-    spec.jobsPerSec = 20000.0;
-    spec.arrivalSeed = 3;
-    // The tiny gcCfg device can't hold the whole job set at once;
-    // a bounded pool recycles regions between jobs instead.
-    spec.capacityPages = 600;
-    ClusterTenant a;
-    a.name = "heavy";
-    a.program = heavy;
-    a.sloMs = 1.0;
-    a.weight = 3.0;
-    ClusterTenant b;
-    b.name = "light";
-    b.program = light;
-    b.sloMs = 0.5;
-    b.weight = 1.0;
-    spec.tenants = {a, b};
-    return spec;
+    Offer offer;
+    offer.jobs = jobs;
+    offer.jobsPerSec = 20000.0;
+    offer.arrivalSeed = 3;
+    offer.warmupJobs = warmupJobs;
+    return runner::fleetScenario(
+        "test/" + placement, placement, devices,
+        {fleetTenant("heavy", heavy, 1.0, 3.0),
+         fleetTenant("light", light, 0.5, 1.0)},
+        offer);
+}
+
+/**
+ * Fleet devices on the tiny gcCfg device, which can't hold the whole
+ * job set at once: a bounded pool recycles regions between jobs.
+ */
+std::vector<DeviceOptions>
+fleetDevices(std::size_t n)
+{
+    DeviceOptions d;
+    d.config = gcCfg();
+    d.capacityPages = 600;
+    return std::vector<DeviceOptions>(n, d);
 }
 
 /**
@@ -253,22 +270,22 @@ TEST(Cluster, SweepRowsAreThreadInvariant)
 {
     const auto heavy = chainProgram("heavy", 16);
     const auto light = chainProgram("light", 4);
-    std::vector<ClusterRunSpec> specs;
+    std::vector<Scenario> specs;
     for (const std::string &p : cluster::placementNames())
-        specs.push_back(fleetSpec(p, heavy, light));
+        specs.push_back(fleetSpec(p, heavy, light, fleetDevices(2)));
 
     const auto sweepCsv = [&](unsigned threads) {
         SweepOptions opts;
         opts.threads = threads;
         SweepRunner runner(opts);
-        const auto snaps = runner.runClusterAll(specs);
-        std::vector<runner::ClusterRow> rows;
+        const auto snaps = runner.runAll(specs);
+        std::vector<runner::ScenarioRow> rows;
         for (std::size_t i = 0; i < specs.size(); ++i) {
-            const auto r = runner::makeClusterRows(specs[i], snaps[i]);
+            const auto r = runner::makeRows(specs[i], snaps[i]);
             rows.insert(rows.end(), r.begin(), r.end());
         }
         std::ostringstream os;
-        runner::writeClusterCsv(os, rows);
+        runner::writeRowsCsv(os, rows, runner::RowFormat::Fleet);
         return os.str();
     };
 
@@ -288,21 +305,20 @@ TEST(Cluster, AgedFleetSharesWarmImagesPerRung)
 {
     const auto heavy = chainProgram("heavy", 12);
     const auto light = chainProgram("light", 4);
-    std::vector<ClusterRunSpec> specs;
-    for (const std::string &p : {std::string("round-robin"),
-                                 std::string("least-backlog")}) {
-        ClusterRunSpec spec = fleetSpec(p, heavy, light);
-        spec.devices = 4;
-        spec.jobs = 8;
-        spec.ageMix = {0, 1500};
-        spec.retentionDaysPerKCycle = 20.0;
-        spec.warmupJobs = 3;
-        spec.capacityPages = 600;
-        specs.push_back(std::move(spec));
+    std::vector<DeviceOptions> devices = fleetDevices(4);
+    for (std::size_t d = 1; d < devices.size(); d += 2) {
+        ReliabilityConfig &rel = devices[d].config.reliability;
+        rel.enabled = true;
+        rel.preWearCycles = 1500;
+        rel.retentionDays = 30.0;
     }
+    std::vector<Scenario> specs;
+    for (const std::string &p : {std::string("round-robin"),
+                                 std::string("least-backlog")})
+        specs.push_back(fleetSpec(p, heavy, light, devices, 8, 3));
 
     SweepRunner runner(SweepOptions{});
-    const auto snaps = runner.runClusterAll(specs);
+    const auto snaps = runner.runAll(specs);
     EXPECT_EQ(runner.lastPerf().warmupImages, 2u);
     for (const auto &snap : snaps) {
         ASSERT_EQ(snap.devices.size(), 4u);
@@ -311,6 +327,42 @@ TEST(Cluster, AgedFleetSharesWarmImagesPerRung)
         EXPECT_EQ(snap.devices[0].reliability.retriedReads, 0u);
         EXPECT_GT(snap.base, 0u);
     }
+}
+
+/**
+ * The fleet builder splits jobs by weight, gives tenant t its own
+ * arrival process (seed arrivalSeed + t), and merges the streams in
+ * (arrival, per-tenant index, tenant) order.
+ */
+TEST(Cluster, FleetBuilderMergesTenantStreams)
+{
+    const auto heavy = chainProgram("heavy", 4);
+    const auto light = chainProgram("light", 2);
+    const Scenario s =
+        fleetSpec("round-robin", heavy, light, fleetDevices(2), 9);
+    ASSERT_EQ(s.schedule.size(), 9u);
+
+    std::vector<std::vector<Tick>> perTenant(2);
+    for (std::size_t i = 0; i < s.schedule.size(); ++i) {
+        if (i > 0)
+            EXPECT_LE(s.schedule[i - 1].at, s.schedule[i].at);
+        perTenant.at(s.schedule[i].tenant).push_back(s.schedule[i].at);
+    }
+    // Weights 3:1 over 9 jobs: floor(6.75) + remainder round-robin.
+    ASSERT_EQ(perTenant[0].size(), 7u);
+    ASSERT_EQ(perTenant[1].size(), 2u);
+    const double heavyRate = 20000.0 * 3.0 / 4.0;
+    EXPECT_EQ(perTenant[0],
+              makeArrivals(ArrivalKind::Poisson,
+                           static_cast<double>(kPsPerS) / heavyRate, 3)
+                  ->schedule(7));
+    const double lightRate = 20000.0 * 1.0 / 4.0;
+    EXPECT_EQ(perTenant[1],
+              makeArrivals(ArrivalKind::Poisson,
+                           static_cast<double>(kPsPerS) / lightRate, 4)
+                  ->schedule(2));
+    for (const runner::DeviceRecipe &d : s.devices)
+        EXPECT_EQ(d.options.retire, RetirePolicy::OnComplete);
 }
 
 /** DeviceProbe reports coherent host-visible backlog state. */

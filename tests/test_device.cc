@@ -227,29 +227,31 @@ TEST(Device, StaggeredArrivalsAreDeterministicAcrossRepeats)
 
 TEST(Device, LoadSweepIsThreadCountInvariant)
 {
-    std::vector<runner::LoadRunSpec> cells;
+    std::vector<runner::Scenario> cells;
     for (double rate : {500.0, 2000.0}) {
-        runner::LoadRunSpec cell;
-        cell.workload = "AES";
-        cell.technique = "Conduit";
-        cell.config = testCfg();
-        cell.params.scale = 0.25;
-        cell.workloadId = WorkloadId::Aes;
-        cell.jobs = 3;
-        cell.jobsPerSec = rate;
-        cells.push_back(cell);
+        DeviceOptions device;
+        device.config = testCfg();
+        device.workload.scale = 0.25;
+        runner::Tenant aes;
+        aes.name = "AES";
+        aes.workloadId = WorkloadId::Aes;
+        runner::Offer offer;
+        offer.jobs = 3;
+        offer.jobsPerSec = rate;
+        cells.push_back(runner::loadScenario(device, aes, offer));
     }
     runner::SweepRunner serial({1}), parallel({4});
-    const auto r1 = serial.runLoadAll(cells);
-    const auto rN = parallel.runLoadAll(cells);
+    const auto r1 = serial.runAll(cells);
+    const auto rN = parallel.runAll(cells);
     ASSERT_EQ(r1.size(), rN.size());
     for (std::size_t c = 0; c < r1.size(); ++c) {
-        ASSERT_EQ(r1[c].jobs.size(), rN[c].jobs.size());
-        for (std::size_t j = 0; j < r1[c].jobs.size(); ++j)
-            expectSameResult(r1[c].jobs[j].result,
-                             rN[c].jobs[j].result);
-        EXPECT_EQ(r1[c].makespan, rN[c].makespan);
-        EXPECT_EQ(r1[c].eventsFired, rN[c].eventsFired);
+        const DeviceSnapshot &a = r1[c].devices.front();
+        const DeviceSnapshot &b = rN[c].devices.front();
+        ASSERT_EQ(a.jobs.size(), b.jobs.size());
+        for (std::size_t j = 0; j < a.jobs.size(); ++j)
+            expectSameResult(a.jobs[j].result, b.jobs[j].result);
+        EXPECT_EQ(a.makespan, b.makespan);
+        EXPECT_EQ(a.eventsFired, b.eventsFired);
     }
 }
 

@@ -9,8 +9,9 @@
  * event counts, same RNG stream positions — under any subsequent
  * traffic. Snapshots are exercised mid-life (after GC has run, and
  * after aged-device block retirement), forks are shown to be
- * mutually independent, and the sweep-runner fork mode is shown to
- * emit byte-identical rows to cold sweeps at any thread count.
+ * mutually independent, and sweeps that share warm images across
+ * cells are shown to emit the rows each cell produces alone — and to
+ * share an image only between cells whose recipes are equal.
  */
 
 #include <gtest/gtest.h>
@@ -28,7 +29,7 @@ namespace conduit
 namespace
 {
 
-using runner::LoadRunSpec;
+using runner::Scenario;
 using runner::SweepOptions;
 using runner::SweepRunner;
 
@@ -333,63 +334,99 @@ TEST(DeviceImage, ForksAreMutuallyIndependent)
     EXPECT_NE(other.jobs.size(), first.jobs.size());
 }
 
-// -------------------------------------------- sweep-runner fork mode
+// --------------------------------------- sweep-runner shared images
+
+/** A warmed aging cell: AES offered open-loop at @p age P/E cycles. */
+Scenario
+agingCell(const char *policy, std::uint32_t age, double scale,
+          std::size_t warmupJobs, double rberFresh = 2e-4)
+{
+    DeviceOptions device;
+    device.workload.scale = scale;
+    ReliabilityConfig &rel = device.config.reliability;
+    rel.enabled = true;
+    rel.preWearCycles = age;
+    rel.retentionDays = age * 0.03;
+    rel.rberFresh = rberFresh;
+    runner::Tenant aes;
+    aes.name = "AES";
+    aes.workloadId = WorkloadId::Aes;
+    aes.technique = policy;
+    runner::Offer offer;
+    offer.jobs = 2;
+    offer.jobsPerSec = 2000.0;
+    offer.warmupJobs = warmupJobs;
+    return runner::loadScenario(device, aes, offer);
+}
 
 /** A tiny aging ladder crossed with two policies. */
-std::vector<LoadRunSpec>
-agingMatrix(bool steadyState)
+std::vector<Scenario>
+agingMatrix()
 {
-    std::vector<LoadRunSpec> cells;
-    for (const char *policy : {"Conduit", "DM-Offloading"}) {
-        for (std::uint32_t age : {0u, 1500u, 3000u}) {
-            LoadRunSpec cell;
-            cell.workload = "AES";
-            cell.technique = policy;
-            cell.workloadId = WorkloadId::Aes;
-            cell.params.scale = 1.0 / 64.0;
-            cell.jobs = 2;
-            cell.jobsPerSec = 2000.0;
-            cell.warmupJobs = 3;
-            cell.steadyState = steadyState;
-            cell.config.reliability.enabled = true;
-            cell.config.reliability.preWearCycles = age;
-            cell.config.reliability.retentionDays = age * 0.03;
-            cells.push_back(cell);
-        }
-    }
+    std::vector<Scenario> cells;
+    for (const char *policy : {"Conduit", "DM-Offloading"})
+        for (std::uint32_t age : {0u, 1500u, 3000u})
+            cells.push_back(agingCell(policy, age, 1.0 / 64.0, 3));
     return cells;
 }
 
 std::string
-agingCsv(SweepRunner &runner, const std::vector<LoadRunSpec> &cells)
+agingCsv(SweepRunner &runner, const std::vector<Scenario> &cells)
 {
-    const std::vector<DeviceSnapshot> snaps = runner.runLoadAll(cells);
-    std::vector<runner::AgingRow> rows;
+    const auto snaps = runner.runAll(cells);
+    std::vector<runner::ScenarioRow> rows;
     for (std::size_t i = 0; i < cells.size(); ++i)
-        rows.push_back(runner::makeAgingRow(cells[i], snaps[i]));
+        rows.push_back(runner::makeRows(cells[i], snaps[i]).at(1));
     std::ostringstream os;
-    runner::writeAgingCsv(os, rows);
+    runner::writeRowsCsv(os, rows, runner::RowFormat::Aging);
     return os.str();
 }
 
-TEST(DeviceImage, ForkModeSweepMatchesColdSweepByteForByte)
+/** CSV of every cell of @p cells run in its own one-cell sweep. */
+std::string
+perCellCsv(const std::vector<Scenario> &cells)
 {
-    SweepRunner runner;
-    const std::string cold = agingCsv(runner, agingMatrix(false));
-    const std::string fork = agingCsv(runner, agingMatrix(true));
-    EXPECT_EQ(cold, fork);
+    std::string csv;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        SweepRunner alone;
+        const std::string one = agingCsv(alone, {cells[i]});
+        // Keep the header once, then one data row per cell.
+        csv += i == 0 ? one : one.substr(one.find('\n') + 1);
+    }
+    return csv;
+}
 
-    // Fork mode built one warm image per age rung, shared across the
-    // two policies; cold mode built none.
+TEST(DeviceImage, SharedImageSweepMatchesPerCellSweeps)
+{
+    // One warm image per age rung, shared across the two policies —
+    // and sharing is undetectable: every row equals the cell forked
+    // from its own private image.
+    SweepRunner runner;
+    const std::string shared = agingCsv(runner, agingMatrix());
     EXPECT_EQ(runner.lastPerf().warmupImages, 3u);
+    EXPECT_EQ(shared, perCellCsv(agingMatrix()));
+}
+
+TEST(DeviceImage, ImagesAreNotSharedAcrossConfigs)
+{
+    // Two warmed aging cells that differ only in the fresh-device
+    // RBER: every config field feeds the image key, so the sweep
+    // builds two images and each row equals the cell run alone.
+    const std::vector<Scenario> cells = {
+        agingCell("Conduit", 2000, 0.5, 4, 2e-4),
+        agingCell("Conduit", 2000, 0.5, 4, 2e-3)};
+    SweepRunner runner;
+    const std::string shared = agingCsv(runner, cells);
+    EXPECT_EQ(runner.lastPerf().warmupImages, 2u);
+    EXPECT_EQ(shared, perCellCsv(cells));
 }
 
 TEST(DeviceImage, ForkModeSweepIsThreadCountInvariant)
 {
     SweepRunner serial(SweepOptions{1});
     SweepRunner pooled(SweepOptions{4});
-    const std::string one = agingCsv(serial, agingMatrix(true));
-    const std::string four = agingCsv(pooled, agingMatrix(true));
+    const std::string one = agingCsv(serial, agingMatrix());
+    const std::string four = agingCsv(pooled, agingMatrix());
     EXPECT_EQ(one, four);
 }
 

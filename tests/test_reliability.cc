@@ -325,27 +325,32 @@ TEST(Reliability, AgingStretchesEngineExecution)
 TEST(Reliability, AgingSweepIsThreadCountInvariant)
 {
     auto cells = [] {
-        std::vector<runner::LoadRunSpec> specs;
+        std::vector<runner::Scenario> specs;
         for (std::uint32_t age : {0u, 1500u, 3000u}) {
-            runner::LoadRunSpec s;
-            s.workloadId = WorkloadId::Aes;
-            s.technique = "Conduit";
-            s.jobs = 3;
-            s.jobsPerSec = 400.0;
-            s.arrivalSeed = 1;
-            s.config.reliability.enabled = true;
-            s.config.reliability.preWearCycles = age;
-            s.config.reliability.retentionDays = age * 0.03;
-            specs.push_back(std::move(s));
+            DeviceOptions device;
+            device.config.reliability.enabled = true;
+            device.config.reliability.preWearCycles = age;
+            device.config.reliability.retentionDays = age * 0.03;
+            runner::Tenant aes;
+            aes.workloadId = WorkloadId::Aes;
+            runner::Offer offer;
+            offer.jobs = 3;
+            offer.jobsPerSec = 400.0;
+            specs.push_back(runner::loadScenario(device, aes, offer));
         }
         return specs;
     }();
 
     runner::SweepRunner serial({1});
     runner::SweepRunner pooled({4});
-    const auto a = serial.runLoadAll(cells);
-    const auto b = pooled.runLoadAll(cells);
-    ASSERT_EQ(a.size(), b.size());
+    const auto sa = serial.runAll(cells);
+    const auto sb = pooled.runAll(cells);
+    ASSERT_EQ(sa.size(), sb.size());
+    std::vector<DeviceSnapshot> a, b;
+    for (std::size_t i = 0; i < sa.size(); ++i) {
+        a.push_back(sa[i].devices.front());
+        b.push_back(sb[i].devices.front());
+    }
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].makespan, b[i].makespan);
         EXPECT_EQ(a[i].eventsFired, b[i].eventsFired);

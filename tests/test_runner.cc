@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/arrival.hh"
 #include "src/core/simulation.hh"
 #include "src/runner/sweep_cli.hh"
 #include "src/sim/event_queue.hh"
@@ -235,6 +236,92 @@ TEST(SweepResult, LookupAndLabels)
     EXPECT_EQ(sweep.find("AES", "nope"), nullptr);
     EXPECT_THROW(sweep.at("AES", "nope"), std::out_of_range);
     EXPECT_GT(sweep.at("AES", "CPU").execTime, 0u);
+}
+
+// ----------------------------------------------------------------
+// Scenario builders and the one cell body.
+// ----------------------------------------------------------------
+
+TEST(Scenario, LoadBuilderContinuesOneArrivalProcess)
+{
+    // Warm and measured gaps come from one process: the warm ticks are
+    // its first `warm` arrivals, and the measured ticks are the rest,
+    // shifted to start at the fork epoch.
+    const std::size_t warm = 3, jobs = 5;
+    runner::Tenant aes;
+    aes.workloadId = WorkloadId::Aes;
+    runner::Offer offer;
+    offer.jobs = jobs;
+    offer.jobsPerSec = 750.0;
+    offer.arrivalSeed = 9;
+    offer.warmupJobs = warm;
+    const runner::Scenario s =
+        runner::loadScenario(DeviceOptions{}, aes, offer);
+
+    const std::vector<Tick> full =
+        makeArrivals(ArrivalKind::Poisson,
+                     static_cast<double>(kPsPerS) / offer.jobsPerSec, 9)
+            ->schedule(warm + jobs);
+    ASSERT_EQ(s.devices.size(), 1u);
+    EXPECT_EQ(s.devices[0].warm.ticks,
+              std::vector<Tick>(full.begin(), full.begin() + warm));
+    ASSERT_EQ(s.schedule.size(), jobs);
+    for (std::size_t k = 0; k < jobs; ++k) {
+        EXPECT_EQ(s.schedule[k].at, full[warm + k] - full[warm - 1]) << k;
+        EXPECT_EQ(s.schedule[k].tenant, 0u);
+    }
+    EXPECT_EQ(s.devices[0].options.retire, RetirePolicy::OnComplete);
+    EXPECT_EQ(s.label, "AES/Conduit@750jobs/s");
+}
+
+TEST(Scenario, BatchBuilderSubmitsEveryTenantAtTickZero)
+{
+    runner::Tenant a, b;
+    a.workloadId = WorkloadId::Aes;
+    b.workloadId = WorkloadId::Jacobi1d;
+    const runner::Scenario s =
+        runner::batchScenario("pair", {DeviceOptions{}, {}}, {a, b});
+    ASSERT_EQ(s.schedule.size(), 2u);
+    for (std::size_t t = 0; t < 2; ++t) {
+        EXPECT_EQ(s.schedule[t].at, 0u);
+        EXPECT_EQ(s.schedule[t].tenant, t);
+    }
+    EXPECT_EQ(s.devices.at(0).options.retire, RetirePolicy::OnQuiesce);
+    EXPECT_TRUE(s.devices[0].warm.ticks.empty());
+}
+
+TEST(Scenario, BatchCellMatchesTheFacadesRunMulti)
+{
+    // A co-location batch scenario and the facade's runMulti are the
+    // same device lifetime: per-stream results agree exactly.
+    Simulation sim;
+    const sched::MultiRunResult facade = sim.runMulti(
+        {{WorkloadId::Aes, "Conduit"}, {WorkloadId::Jacobi1d, "ISP"}});
+
+    runner::Tenant a, b;
+    a.workloadId = WorkloadId::Aes;
+    b.workloadId = WorkloadId::Jacobi1d;
+    b.technique = "ISP";
+    DeviceOptions device;
+    device.config = runner::defaultSweepConfig();
+    const auto snaps = SweepRunner().runAll(
+        {runner::batchScenario("pair", {device, {}}, {a, b})});
+    const cluster::ClusterSnapshot &snap = snaps.front();
+    ASSERT_EQ(snap.routed.size(), facade.streams.size());
+    for (std::size_t i = 0; i < snap.routed.size(); ++i)
+        expectSameResult(snap.result(i).result, facade.streams[i]);
+    EXPECT_EQ(snap.makespan, facade.makespan);
+}
+
+TEST(Scenario, RejectsHostBaselineTenants)
+{
+    runner::Tenant cpu;
+    cpu.workloadId = WorkloadId::Aes;
+    cpu.technique = "CPU";
+    SweepRunner runner;
+    EXPECT_THROW(
+        runner.runAll({runner::batchScenario("host", {}, {cpu})}),
+        std::invalid_argument);
 }
 
 // ----------------------------------------------------------------

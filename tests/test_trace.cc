@@ -20,6 +20,7 @@
 
 #include <sstream>
 
+#include "src/cluster/cluster.hh"
 #include "src/core/arrival.hh"
 #include "src/core/device.hh"
 #include "src/core/simulation.hh"
@@ -261,6 +262,36 @@ TEST(Trace, DeviceImageCarriesNoTracerAndForkStartsEmpty)
     fork2.submit(traceJob(prog, fork2.now()));
     fork2.drain();
     EXPECT_GT(forkTracer->events().size(), 0u);
+}
+
+TEST(Trace, SingleDeviceFleetRecordsNoPlacement)
+{
+    // A one-device fleet decides nothing, so it records no placement
+    // event and its trace stays the bare Device's; a real fleet
+    // records one decision per routed job.
+    auto prog = chainProgram(4);
+    const auto placements = [&](std::size_t devices) {
+        trace::TraceConfig cfg;
+        cfg.categories = trace::kAllCategories;
+        cluster::ClusterOptions opts;
+        opts.tracer = std::make_shared<trace::Tracer>(cfg);
+        DeviceOptions dev;
+        dev.config = SsdConfig::scaled(1.0 / 256.0);
+        opts.devices.assign(devices, {dev, nullptr});
+        const auto tracer = opts.tracer;
+        cluster::Cluster fleet(std::move(opts),
+                               cluster::makePlacement("round-robin"));
+        for (int i = 0; i < 3; ++i)
+            fleet.submit(traceJob(prog, usToTicks(10.0 * i)));
+        fleet.drain();
+        std::size_t n = 0;
+        for (const trace::Event &e : tracer->events())
+            n += e.kind == trace::EventKind::Placement;
+        EXPECT_GT(tracer->events().size(), 0u);
+        return n;
+    };
+    EXPECT_EQ(placements(1), 0u);
+    EXPECT_EQ(placements(2), 3u);
 }
 
 TEST(Trace, UntracedCellsExportNothing)

@@ -13,6 +13,7 @@
  */
 
 #include "bench/common.hh"
+#include "src/vectorizer/vectorizer.hh"
 
 namespace
 {

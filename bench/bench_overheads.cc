@@ -18,17 +18,12 @@ namespace
 
 using namespace conduit;
 
-SsdConfig
-benchCfg()
-{
-    return SsdConfig::scaled(1.0 / 128.0);
-}
-
 std::shared_ptr<const Program>
 benchProgram()
 {
     conduit::ProgramCache cache;
-    auto vp = cache.get(WorkloadId::LlamaInference, {}, benchCfg());
+    auto vp = cache.get(WorkloadId::LlamaInference, {},
+                        runner::defaultSweepConfig());
     return std::shared_ptr<const Program>(vp, &vp->program);
 }
 
@@ -46,7 +41,7 @@ DeviceOptions
 benchDevice()
 {
     DeviceOptions opts;
-    opts.config = benchCfg();
+    opts.config = runner::defaultSweepConfig();
     return opts;
 }
 

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/simulation.hh"
 #include "src/runner/sweep_cli.hh"
 
 namespace conduit::bench

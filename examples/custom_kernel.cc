@@ -13,7 +13,8 @@
 
 #include <cstdio>
 
-#include "src/core/simulation.hh"
+#include "src/core/device.hh"
+#include "src/host/host_model.hh"
 
 int
 main()
@@ -54,8 +55,14 @@ main()
     app.loops.push_back(fold);
 
     // --- 2. Compile-time preprocessing (the "LLVM pass"). ----------
-    Simulation sim;
-    const VectorizedProgram vp = sim.compileProgram(app);
+    const DeviceOptions opts; // Table 2 geometry, scaled
+    const SsdConfig &cfg = opts.config;
+    VectorizeOptions vo;
+    vo.vectorLanes = cfg.vectorLanes;
+    vo.pageBytes = cfg.nand.pageBytes;
+    const auto compiled =
+        std::make_shared<const VectorizedProgram>(Vectorizer(vo).run(app));
+    const VectorizedProgram &vp = *compiled;
     std::printf("compiled %s: %zu instructions (%llu scalar), "
                 "footprint %.1f MiB\n",
                 vp.program.name.c_str(), vp.program.instrs.size(),
@@ -67,10 +74,8 @@ main()
         std::printf("  %s\n", r.c_str());
 
     // --- 3. Inspect the instruction transformation (§4.3.2). -------
-    InstructionTransformer tx(
-        sim.options().config.nand.pageBytes,
-        sim.options().config.dram.rowBytes,
-        sim.options().config.isp.simdBytes);
+    InstructionTransformer tx(cfg.nand.pageBytes, cfg.dram.rowBytes,
+                              cfg.isp.simdBytes);
     const VecInstruction &first = vp.program.instrs.front();
     std::printf("\nfirst instruction %s lowers to:\n",
                 first.toString().c_str());
@@ -85,13 +90,19 @@ main()
     // --- 4. Run it under the runtime offloader. ---------------------
     std::printf("\n%-16s %12s %12s\n", "engine", "time (ms)",
                 "energy (mJ)");
-    const RunResult cpu = sim.runHostProgram(vp.program, false);
+    const HostResult cpu =
+        HostModel(cfg, HostModel::Kind::Cpu).run(vp.program);
     std::printf("%-16s %12.3f %12.3f\n", "CPU",
-                ticksToSeconds(cpu.execTime) * 1e3,
+                ticksToSeconds(cpu.totalTime) * 1e3,
                 cpu.energyJ() * 1e3);
     for (const char *p : {"DM-Offloading", "Conduit"}) {
-        auto policy = makePolicy(p);
-        const RunResult r = sim.runProgram(vp.program, *policy);
+        // One job on a fresh SSD per policy.
+        Device dev(opts);
+        JobSpec job;
+        job.program =
+            std::shared_ptr<const Program>(compiled, &vp.program);
+        job.policy = p;
+        const RunResult r = dev.wait(dev.submit(job)).result;
         std::printf("%-16s %12.3f %12.3f\n", p,
                     ticksToSeconds(r.execTime) * 1e3,
                     r.energyJ() * 1e3);

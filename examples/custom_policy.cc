@@ -13,7 +13,7 @@
 
 #include <cstdio>
 
-#include "src/core/simulation.hh"
+#include "src/core/device.hh"
 
 namespace
 {
@@ -48,6 +48,18 @@ class StaticOracle : public OffloadPolicy
     std::string name() const override { return "StaticOracle"; }
 };
 
+/** Run @p id as one job on a fresh SSD under @p policy. */
+RunResult
+runJob(WorkloadId id, std::shared_ptr<OffloadPolicy> policy,
+       const DeviceOptions &opts = {})
+{
+    Device dev(opts);
+    JobSpec job;
+    job.workload = id;
+    job.policyObj = std::move(policy);
+    return dev.wait(dev.submit(job)).result;
+}
+
 } // namespace
 
 int
@@ -55,22 +67,20 @@ main()
 {
     using namespace conduit;
 
-    Simulation sim;
-
     std::printf("custom policy vs Conduit's dynamic cost function\n\n");
     std::printf("%-18s %-14s %12s %14s\n", "workload", "policy",
                 "time (ms)", "vs Conduit");
     for (WorkloadId id :
          {WorkloadId::Aes, WorkloadId::Heat3d,
           WorkloadId::LlamaInference}) {
-        const RunResult conduit = sim.run(id, "Conduit");
-        StaticOracle oracle;
-        const RunResult st = sim.run(id, oracle);
+        const RunResult conduit = runJob(id, makePolicy("Conduit"));
+        const auto oracle = std::make_shared<StaticOracle>();
+        const RunResult st = runJob(id, oracle);
         std::printf("%-18s %-14s %12.3f %13.2fx\n",
                     workloadName(id).c_str(), "Conduit",
                     ticksToSeconds(conduit.execTime) * 1e3, 1.0);
         std::printf("%-18s %-14s %12.3f %13.2fx\n", "",
-                    oracle.name().c_str(),
+                    oracle->name().c_str(),
                     ticksToSeconds(st.execTime) * 1e3,
                     static_cast<double>(st.execTime) /
                         static_cast<double>(conduit.execTime));
@@ -80,10 +90,10 @@ main()
     // replay mechanism keep the run correct at a latency cost.
     std::printf("\ntransient-fault injection on heat-3d (Conduit):\n");
     for (double rate : {0.0, 0.01, 0.05}) {
-        SimOptions so;
-        so.engine.transientFaultRate = rate;
-        Simulation faulty(so);
-        auto r = faulty.run(WorkloadId::Heat3d, "Conduit");
+        DeviceOptions faulty;
+        faulty.engine.transientFaultRate = rate;
+        const RunResult r =
+            runJob(WorkloadId::Heat3d, makePolicy("Conduit"), faulty);
         std::printf("  fault rate %4.0f%%: %8.3f ms, %llu faults "
                     "replayed\n",
                     rate * 100.0, ticksToSeconds(r.execTime) * 1e3,

@@ -13,7 +13,6 @@
 
 #include <cstdio>
 
-#include "src/core/simulation.hh"
 #include "src/runner/sweep_cli.hh"
 
 int

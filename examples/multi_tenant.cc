@@ -2,46 +2,62 @@
  * @file
  * Walkthrough: co-running two tenants on one simulated SSD.
  *
- * The facade's runMulti() hands N (workload, policy) tenants to the
- * event-driven engine: every stream keeps its own program counter,
- * completion vector and result attribution (an ExecContext), while
- * the StreamScheduler interleaves their dispatch pipelines on one
- * event queue. Contention is not configured anywhere — it emerges
- * because both streams reserve the same offloader, flash-die, DRAM-
- * bank and controller-core calendars, and every policy sees the
- * other tenant's backlog through the live queue/bandwidth features.
+ * Submitting N jobs that all arrive at tick 0 to one Device, then
+ * drain()ing it, co-runs them on the event-driven engine: every
+ * stream keeps its own program counter, completion vector and result
+ * attribution (an ExecContext), while the engine interleaves their
+ * dispatch chains on one event queue. Contention is not configured
+ * anywhere — it emerges because both streams reserve the same
+ * offloader, flash-die, DRAM-bank and controller-core calendars, and
+ * every policy sees the other tenant's backlog through the live
+ * queue/bandwidth features.
  */
 
 #include <cstdio>
+#include <initializer_list>
 
-#include "src/core/simulation.hh"
+#include "src/core/device.hh"
+
+namespace
+{
+
+using namespace conduit;
+
+/** Submit one Conduit job per workload to a fresh SSD and drain it. */
+DeviceSnapshot
+coRun(std::initializer_list<WorkloadId> workloads)
+{
+    Device dev;
+    for (WorkloadId id : workloads) {
+        JobSpec job;
+        job.workload = id;
+        dev.submit(job);
+    }
+    return dev.drain();
+}
+
+} // namespace
 
 int
 main()
 {
-    using namespace conduit;
-
-    Simulation sim;
-
     // First, the single-tenant world the paper evaluates: each
     // workload alone on the device.
     const RunResult llamaAlone =
-        sim.run(WorkloadId::LlamaInference, "Conduit");
+        coRun({WorkloadId::LlamaInference}).jobs.front().result;
     const RunResult jacobiAlone =
-        sim.run(WorkloadId::Jacobi1d, "Conduit");
+        coRun({WorkloadId::Jacobi1d}).jobs.front().result;
 
     // Now the same two workloads as co-located tenants of one SSD.
-    const sched::MultiRunResult co = sim.runMulti({
-        {WorkloadId::LlamaInference, "Conduit"},
-        {WorkloadId::Jacobi1d, "Conduit"},
-    });
+    const DeviceSnapshot co =
+        coRun({WorkloadId::LlamaInference, WorkloadId::Jacobi1d});
 
     std::printf("two tenants, one SSD (Conduit policy)\n\n");
     std::printf("%-20s %14s %14s %10s %12s\n", "stream", "alone (ms)",
                 "co-run (ms)", "slowdown", "p99 (us)");
-    for (std::size_t i = 0; i < co.streams.size(); ++i) {
+    for (std::size_t i = 0; i < co.jobs.size(); ++i) {
         const RunResult &alone = i == 0 ? llamaAlone : jacobiAlone;
-        const RunResult &r = co.streams[i];
+        const RunResult &r = co.jobs[i].result;
         std::printf("%-20s %14.3f %14.3f %9.2fx %12.2f\n",
                     r.workload.c_str(),
                     ticksToUs(alone.execTime) / 1000.0,

@@ -2,7 +2,7 @@
  * @file
  * Walkthrough: open-loop arrivals on a persistent simulated SSD.
  *
- * The batch facade answers "what if N programs start together on a
+ * A tick-0 batch answers "what if N programs start together on a
  * cold device?". A deployed SSD instead serves a *stream* of jobs
  * arriving over time. This example drives the job-based Device API
  * directly: one device lives across every submission, jobs arrive at

@@ -97,7 +97,7 @@ CHECKS = (
 # lookup is fine anywhere, traversal is only a hazard where the
 # result can feed simulated output — which is all of these).
 SIM_DIRS = (
-    "src/sim", "src/core", "src/ftl", "src/sched", "src/cluster",
+    "src/sim", "src/core", "src/ftl", "src/cluster",
     "src/reliability", "src/nand", "src/dram", "src/isp", "src/host",
     "src/offload", "src/vectorizer", "src/ir", "src/workloads",
     "src/energy", "src/runner", "src/trace",

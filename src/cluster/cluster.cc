@@ -57,8 +57,6 @@ Cluster::submit(const JobSpec &spec, std::size_t tenant)
     JobView view;
     view.index = routed_.size();
     view.tenant = tenant;
-    view.footprintPages = spec.program ? spec.program->footprintPages
-                                       : 0;
     view.arrival = spec.arrival;
 
     // Probe-free policies (and trivially-placed single-device

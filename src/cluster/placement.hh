@@ -40,9 +40,6 @@ struct JobView
     /** Tenant slot the job belongs to (affinity key). */
     std::size_t tenant = 0;
 
-    /** Logical-page footprint the job will occupy. */
-    std::uint64_t footprintPages = 0;
-
     /** Arrival tick on the fleet clock. */
     Tick arrival = 0;
 };

@@ -101,6 +101,7 @@ RegionAllocator::release(std::uint64_t base, std::uint64_t pages)
 Device::Device(DeviceOptions opts)
     : opts_(std::move(opts)), engine_(opts_.config)
 {
+    engine_.setStreamDone([this](ExecContext &ctx) { onStreamDone(ctx); });
     if (opts_.tracer)
         setTracer(opts_.tracer, opts_.traceDevice);
 }
@@ -108,6 +109,7 @@ Device::Device(DeviceOptions opts)
 Device::Device(const DeviceImage &img)
     : opts_(img.options), engine_(opts_.config)
 {
+    engine_.setStreamDone([this](ExecContext &ctx) { onStreamDone(ctx); });
     // Forked devices start with an empty trace: a tracer is live
     // observer wiring, not simulated state, so it never crosses the
     // snapshot boundary. (snapshot() strips it too — this reset
@@ -115,8 +117,6 @@ Device::Device(const DeviceImage &img)
     opts_.tracer.reset();
     engine_.restoreImage(img.engine);
     regions_.reset(img.capacityPages);
-    engine_.sessionScheduler().setStreamDone(
-        [this](sched::ExecContext &ctx) { onStreamDone(ctx); });
     session_ = true;
 
     // Rebuild the retired-job history so drain() reports it exactly
@@ -158,25 +158,24 @@ Device::submit(const JobSpec &spec)
 {
     Job job;
     if (spec.program) {
-        job.spec.program = spec.program;
+        job.program = spec.program;
     } else if (spec.workload) {
         auto vp =
             cache_.get(*spec.workload, opts_.workload, opts_.config);
         // Alias the cache entry: it stays alive inside the shared_ptr
         // control block for as long as any job references it.
-        job.spec.program =
-            std::shared_ptr<const Program>(vp, &vp->program);
+        job.program = std::shared_ptr<const Program>(vp, &vp->program);
     } else {
         throw std::invalid_argument(
             "Device::submit: JobSpec needs a workload or a program");
     }
-    job.spec.policy = spec.policyObj
+    job.policy = spec.policyObj
         ? spec.policyObj
         : std::shared_ptr<OffloadPolicy>(makePolicy(spec.policy));
-    job.spec.name = !spec.name.empty() ? spec.name
+    job.name = !spec.name.empty() ? spec.name
         : spec.workload ? workloadName(*spec.workload)
                         : std::string();
-    job.footprint = job.spec.program->footprintPages;
+    job.footprint = job.program->footprintPages;
     job.requestedArrival = spec.arrival;
 
     jobs_.push_back(std::move(job));
@@ -202,8 +201,6 @@ Device::ensureSession()
     }
     engine_.sessionBegin(cap, opts_.engine);
     regions_.reset(cap);
-    engine_.sessionScheduler().setStreamDone(
-        [this](sched::ExecContext &ctx) { onStreamDone(ctx); });
     session_ = true;
 
     // Tick-0 jobs admit directly (no arrival event), in submission
@@ -226,8 +223,7 @@ Device::scheduleArrival(Job &job)
     job.result.arrival = at;
     // jobs_ is a deque: the captured reference stays valid.
     q.schedule(
-        at, [this, &job] { admit(job); },
-        sched::StreamScheduler::kDispatchPriority);
+        at, [this, &job] { admit(job); }, Engine::kDispatchPriority);
 }
 
 void
@@ -250,7 +246,8 @@ Device::attach(Job &job, std::uint64_t base)
     job.result.basePage = base;
     job.result.pages = job.footprint;
     job.result.admitted = at;
-    job.ctx = &engine_.sessionAttach(job.spec, base, at);
+    job.ctx = &engine_.sessionAttach(*job.program, *job.policy, job.name,
+                                     base, at);
     byCtx_[job.ctx] = job.result.id;
     job.state = Job::State::Running;
     if (job.ctx->finished) {
@@ -263,7 +260,7 @@ Device::attach(Job &job, std::uint64_t base)
 }
 
 void
-Device::onStreamDone(sched::ExecContext &ctx)
+Device::onStreamDone(ExecContext &ctx)
 {
     Job &job = jobs_[byCtx_.at(&ctx) - 1];
     job.state = Job::State::Finished;
@@ -307,7 +304,9 @@ Device::retire(Job &job)
     job.ctx->prog = nullptr;
     job.ctx->policy = nullptr;
     job.ctx->completion = {};
-    job.spec = sched::StreamSpec{};
+    job.name = std::string();
+    job.program.reset();
+    job.policy.reset();
 
     const std::uint64_t base = job.result.basePage;
     const std::uint64_t pages = job.result.pages;
@@ -479,35 +478,6 @@ Device::sampleQueues()
     e.b = waiting_.size();
     e.c = regions_.inUse();
     tracer_->record(e);
-}
-
-sched::MultiRunResult
-runStreamsOnDevice(const DeviceOptions &opts,
-                   std::vector<sched::StreamSpec> streams)
-{
-    if (streams.empty())
-        throw std::invalid_argument("Engine: no streams to run");
-    Device dev(opts);
-    for (sched::StreamSpec &s : streams) {
-        if (!s.program || !s.policy)
-            throw std::invalid_argument(
-                "Engine: StreamSpec needs a program and a policy");
-        JobSpec job;
-        job.name = s.name;
-        job.program = std::move(s.program);
-        job.policyObj = std::move(s.policy);
-        dev.submit(job);
-    }
-    DeviceSnapshot snap = dev.drain();
-
-    sched::MultiRunResult mr;
-    mr.makespan = snap.makespan;
-    mr.eventsFired = snap.eventsFired;
-    mr.aggregate = std::move(snap.aggregate);
-    mr.streams.reserve(snap.jobs.size());
-    for (JobResult &jr : snap.jobs)
-        mr.streams.push_back(std::move(jr.result));
-    return mr;
 }
 
 } // namespace conduit

@@ -2,9 +2,10 @@
  * @file
  * The persistent simulated SSD with dynamic job submission.
  *
- * The batch facade (Simulation::run / runMulti) answers "what if
- * these N programs start together on a cold device?". A production
- * SSD instead serves a *stream* of arriving requests: jobs show up
+ * Device is the one way to run a program on the simulated SSD. The
+ * paper's methodology asks "what if these N programs start together
+ * on a cold device?" — N jobs arriving at tick 0. A production SSD
+ * instead serves a *stream* of arriving requests: jobs show up
  * over time, occupy logical-page regions while they run, and leave.
  * Device is that long-lived object — it owns one simulated SSD for
  * its whole lifetime and accepts jobs dynamically:
@@ -30,10 +31,9 @@
  *
  * Device is the only driver of engine sessions. A batch run is the
  * special case of every job arriving at tick 0: regions laid out in
- * submission order, retirement in submission order at quiescence
- * (runStreamsOnDevice). The batch facade (Simulation::run /
- * runMulti) and the sweep runner's scenario cells (through
- * cluster::Cluster) are thin wrappers over this class.
+ * submission order, retirement in submission order at quiescence.
+ * wait() finishes one job, drain() a whole batch; the sweep runner's
+ * scenario cells (through cluster::Cluster) are built on this class.
  *
  * Everything is deterministic: arrivals, admission, retirement and
  * reclamation all happen at defined points in simulated time, so
@@ -97,8 +97,8 @@ class RegionAllocator
 enum class RetirePolicy
 {
     /**
-     * At device quiescence, in submission order — the batch
-     * semantics of the facade's runMulti for simultaneous arrivals.
+     * At device quiescence, in submission order — batch semantics
+     * for simultaneous arrivals.
      */
     OnQuiesce,
 
@@ -148,8 +148,8 @@ struct DeviceOptions
 
 /**
  * DeviceOptions carrying a run's device-wide knobs — the one place
- * the facade and the sweep runner's device paths build their options
- * from (config, engine, workload) triples.
+ * the sweep runner's device paths build their options from (config,
+ * engine, workload) triples.
  */
 inline DeviceOptions
 makeDeviceOptions(const SsdConfig &config, const EngineOptions &engine,
@@ -421,7 +421,11 @@ class Device
   private:
     struct Job
     {
-        sched::StreamSpec spec; // owns the program + policy
+        /** @name Owned until retirement (the stream borrows them) @{ */
+        std::string name;
+        std::shared_ptr<const Program> program;
+        std::shared_ptr<OffloadPolicy> policy;
+        /** @} */
         std::uint64_t footprint = 0;
         Tick requestedArrival = 0;
         enum class State
@@ -432,7 +436,7 @@ class Device
             Finished,  // all completions fired, not yet retired
             Retired,
         } state = State::Submitted;
-        sched::ExecContext *ctx = nullptr;
+        ExecContext *ctx = nullptr;
         JobResult result;
     };
 
@@ -449,7 +453,7 @@ class Device
     void attach(Job &job, std::uint64_t base);
 
     /** A stream finished — mark its job, retire in OnComplete mode. */
-    void onStreamDone(sched::ExecContext &ctx);
+    void onStreamDone(ExecContext &ctx);
 
     /**
      * Retire events (deferred region releases) fire after same-tick
@@ -496,7 +500,7 @@ class Device
     // lint: transient(snapshot() drains to quiescence first, so the admission queue is empty at capture)
     std::deque<JobId> waiting_;
     // lint: transient(empty at quiescence; lookup-only map from live contexts to jobs)
-    std::unordered_map<const sched::ExecContext *, JobId> byCtx_;
+    std::unordered_map<const ExecContext *, JobId> byCtx_;
     std::size_t retired_ = 0;
     Tick makespan_ = 0;
 
@@ -508,15 +512,6 @@ class Device
     // lint: transient-end
     /** @} */
 };
-
-/**
- * Run @p streams as tick-0 jobs on a fresh Device under @p opts and
- * convert the snapshot to the batch result shape — the body of the
- * facade's runStreams. Every stream needs a program and a policy.
- */
-sched::MultiRunResult
-runStreamsOnDevice(const DeviceOptions &opts,
-                   std::vector<sched::StreamSpec> streams);
 
 } // namespace conduit
 

@@ -658,9 +658,10 @@ Engine::executeOn(const VecInstruction &instr, Target target,
     return done;
 }
 
-sched::DispatchOutcome
-Engine::dispatchNext(sched::ExecContext &ctx, Tick event_now)
+void
+Engine::dispatchNext(ExecContext &ctx)
 {
+    const Tick event_now = queue_->now();
     ctx_ = &ctx;
     // Background scrub rides on foreground dispatch activity. Ideal
     // streams stay the unrealizable bound: they never trigger aging
@@ -754,11 +755,36 @@ Engine::dispatchNext(sched::ExecContext &ctx, Tick event_now)
     }
 
     ctx_ = nullptr;
-    return {next_dispatch, done};
+
+    // Chain the stream on: this instruction's completion event, then
+    // the next dispatch. A stream's chain is strictly sequential, and
+    // dispatches outrank same-tick completions, so one stream replays
+    // the call sequence of a serial instruction loop. Completions
+    // only advance the stream's end time: every resource was already
+    // reserved above (the §4.3.2 reservation-calendar model).
+    const Tick completes = std::max(event_now, done);
+    ++ctx.outstanding;
+    queue_->schedule(
+        completes,
+        [this, &ctx, completes] {
+            ctx.execEnd = std::max(ctx.execEnd, completes);
+            --ctx.outstanding;
+            if (ctx.done() && ctx.outstanding == 0) {
+                ctx.finished = true;
+                if (streamDone_)
+                    streamDone_(ctx);
+            }
+        },
+        kCompletionPriority);
+    if (!ctx.done()) {
+        queue_->schedule(
+            std::max(event_now, next_dispatch),
+            [this, &ctx] { dispatchNext(ctx); }, kDispatchPriority);
+    }
 }
 
 Tick
-Engine::drainStream(sched::ExecContext &ctx, Tick after)
+Engine::drainStream(ExecContext &ctx, Tick after)
 {
     ctx_ = &ctx;
     const NandConfig &n = cfg_.nand;
@@ -826,7 +852,6 @@ Engine::sessionBegin(std::uint64_t capacity_pages,
                 opts.dramStagingFraction));
     dramLru_.reset(capacity_pages);
     queue_ = std::make_unique<EventQueue>();
-    scheduler_ = std::make_unique<sched::StreamScheduler>(*this, *queue_);
     nextScrubAt_ = cfg_.reliability.scrubIntervalTicks;
     scrubCursor_ = 0;
     scrubScheduled_ = false;
@@ -943,34 +968,42 @@ Engine::scrubPass()
     // the queue drains once foreground traffic stops.
 }
 
-sched::ExecContext &
-Engine::sessionAttach(const sched::StreamSpec &spec,
-                      std::uint64_t base_page, Tick arrival)
+ExecContext &
+Engine::sessionAttach(const Program &prog, OffloadPolicy &policy,
+                      const std::string &name, std::uint64_t base_page,
+                      Tick arrival)
 {
-    if (!spec.program || !spec.policy)
-        throw std::invalid_argument(
-            "Engine: StreamSpec needs a program and a policy");
-    if (base_page + spec.program->footprintPages > pageMeta_.size())
+    if (base_page + prog.footprintPages > pageMeta_.size())
         throw std::invalid_argument(
             "Engine: stream region exceeds the session's prepared "
             "capacity");
     streamCtxs_.emplace_back(cfg_.energy);
-    sched::ExecContext &ctx = streamCtxs_.back();
-    ctx.name = spec.name.empty() ? spec.program->name : spec.name;
-    ctx.prog = spec.program.get();
-    ctx.policy = spec.policy.get();
-    ctx.ideal = spec.policy->ideal();
+    ExecContext &ctx = streamCtxs_.back();
+    ctx.name = name.empty() ? prog.name : name;
+    ctx.prog = &prog;
+    ctx.policy = &policy;
+    ctx.ideal = policy.ideal();
     ctx.base = base_page;
-    ctx.pages = spec.program->footprintPages;
-    ctx.completion.assign(spec.program->instrs.size(), 0);
+    ctx.pages = prog.footprintPages;
+    ctx.arrival = arrival;
+    ctx.completion.assign(prog.instrs.size(), 0);
     ctx.result.workload = ctx.name;
-    ctx.result.policy = spec.policy->name();
-    scheduler_->add(ctx, arrival);
+    ctx.result.policy = policy.name();
+    if (ctx.done()) {
+        // Empty program: nothing to dispatch, finished on arrival.
+        ctx.finished = true;
+        return ctx;
+    }
+    // A future arrival tick schedules the first dispatch there — the
+    // arrival event of an open-loop run.
+    queue_->schedule(
+        std::max(queue_->now(), arrival),
+        [this, &ctx] { dispatchNext(ctx); }, kDispatchPriority);
     return ctx;
 }
 
 Tick
-Engine::sessionFinish(sched::ExecContext &ctx)
+Engine::sessionFinish(ExecContext &ctx)
 {
     Tick end = ctx.execEnd;
     if (ctx.ideal) {

@@ -19,13 +19,14 @@
  *     reservation calendars, and
  *  5. records completion, energy, and trace data.
  *
- * Execution is event-driven: a sched::StreamScheduler sequences the
- * dispatch pipeline of every stream as events on an EventQueue, and
- * the engine implements sched::StreamDispatcher to run one
- * instruction's pipeline per dispatch event. With a single stream the
- * event chain degenerates to the exact call sequence of a serial
- * instruction loop, so single-stream results are byte-identical to
- * the pre-scheduler engine. With N streams, the queue interleaves
+ * Execution is event-driven: the engine sequences every stream's
+ * dispatch pipeline as a chain of events on its session EventQueue.
+ * A dispatch event runs one instruction's pipeline, then schedules
+ * that instruction's completion event and the stream's next dispatch
+ * event. With a single stream the event chain degenerates to the
+ * exact call sequence of a serial instruction loop, so single-stream
+ * results are byte-identical to a serial engine. With N streams, the
+ * queue interleaves
  * dispatches across tenants in simulated-time order, and the
  * CostFeatures queue/bandwidth terms — live reads of the shared
  * Server/ServerGroup calendars — automatically expose cross-tenant
@@ -40,10 +41,12 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/core/exec_context.hh"
 #include "src/core/run_result.hh"
 #include "src/core/transformer.hh"
 #include "src/dram/dram.hh"
@@ -56,9 +59,8 @@
 #include "src/nand/nand.hh"
 #include "src/offload/policy.hh"
 #include "src/reliability/reliability.hh"
-#include "src/sched/exec_context.hh"
-#include "src/sched/stream_scheduler.hh"
 #include "src/sim/config.hh"
+#include "src/sim/event_queue.hh"
 #include "src/sim/flat_lru.hh"
 #include "src/sim/rng.hh"
 #include "src/sim/stats.hh"
@@ -79,9 +81,16 @@ constexpr std::uint32_t kAutoDie = ~0U;
  * per-instruction dispatch pipeline. core::Device is its only driver —
  * it opens one session, attaches jobs as streams and finishes them.
  */
-class Engine : public sched::StreamDispatcher
+class Engine
 {
   public:
+    /** Dispatch events outrank completion events at the same tick. */
+    static constexpr int kDispatchPriority = 0;
+    static constexpr int kCompletionPriority = 1;
+
+    /** Invoked inside a stream's final completion event. */
+    using StreamDone = std::function<void(ExecContext &)>;
+
     explicit Engine(const SsdConfig &cfg);
 
     /**
@@ -99,22 +108,35 @@ class Engine : public sched::StreamDispatcher
 
     /**
      * Open a session: prepare a fresh device whose logical-page pool
-     * spans @p capacity_pages, with a fresh event queue + scheduler.
-     * Invalidates all streams of any previous session.
+     * spans @p capacity_pages, with a fresh event queue. Invalidates
+     * all streams of any previous session.
      */
     void sessionBegin(std::uint64_t capacity_pages,
                       const EngineOptions &opts);
 
     /**
-     * Attach a stream whose first dispatch fires at @p arrival, in
-     * the region [base_page, base_page + footprint). The returned
-     * context stays valid (stable address) until the next
-     * sessionBegin(). The caller owns region assignment — regions of
-     * concurrently attached streams must not overlap.
+     * Attach a stream running @p prog under @p policy, labelled
+     * @p name (the program's name when empty), in the region
+     * [base_page, base_page + footprint), and schedule its first
+     * dispatch at @p arrival. Same-tick first dispatches fire in
+     * attach order. An empty program is finished on attach and never
+     * dispatches. The program and policy must outlive the stream;
+     * the returned context stays valid (stable address) until the
+     * next sessionBegin(). The caller owns region assignment —
+     * regions of concurrently attached streams must not overlap.
      */
-    sched::ExecContext &sessionAttach(const sched::StreamSpec &spec,
-                                      std::uint64_t base_page,
-                                      Tick arrival);
+    ExecContext &sessionAttach(const Program &prog, OffloadPolicy &policy,
+                               const std::string &name,
+                               std::uint64_t base_page, Tick arrival);
+
+    /**
+     * Register the callback fired when a stream finishes (every
+     * instruction dispatched and every completion event fired). It
+     * runs inside the final completion event, so a persistent device
+     * can retire the job at a deterministic point in simulated time.
+     * Survives sessionBegin() and restoreImage().
+     */
+    void setStreamDone(StreamDone cb) { streamDone_ = std::move(cb); }
 
     /**
      * Finish one stream: apply the Ideal aggregate-capacity clamp or
@@ -123,7 +145,7 @@ class Engine : public sched::StreamDispatcher
      * stream, after its last completion event fired.
      * @return The stream's end tick (drain included).
      */
-    Tick sessionFinish(sched::ExecContext &ctx);
+    Tick sessionFinish(ExecContext &ctx);
 
     /**
      * Return a finished stream's page region to a reusable state:
@@ -137,9 +159,6 @@ class Engine : public sched::StreamDispatcher
     /** The session's event queue (valid after sessionBegin). */
     EventQueue &sessionQueue() { return *queue_; }
     const EventQueue &sessionQueue() const { return *queue_; }
-
-    /** The session's scheduler (valid after sessionBegin). */
-    sched::StreamScheduler &sessionScheduler() { return *scheduler_; }
 
     /** @} */
 
@@ -214,14 +233,14 @@ class Engine : public sched::StreamDispatcher
     };
 
     /**
-     * One dispatch-pipeline step for @p ctx's next instruction:
-     * offloader stage, decision, movement, reservation, recording.
-     * Invoked by the StreamScheduler per dispatch event; @p now (the
-     * event's tick) floors shared-resource acquisition so streams
-     * arriving mid-run cannot claim pre-arrival capacity.
+     * The dispatch event of @p ctx's next instruction: offloader
+     * stage, decision, movement, reservation, recording; then the
+     * instruction's completion event and, unless the program is
+     * exhausted, the stream's next dispatch event. The event's tick
+     * floors shared-resource acquisition so streams arriving mid-run
+     * cannot claim pre-arrival capacity.
      */
-    sched::DispatchOutcome dispatchNext(sched::ExecContext &ctx,
-                                        Tick now) override;
+    void dispatchNext(ExecContext &ctx);
 
     Tick offloadOverhead(const VecInstruction &instr, Tick now);
 
@@ -294,7 +313,7 @@ class Engine : public sched::StreamDispatcher
      * over PCIe (§4.4 trigger ii). The PCIe link is shared: drains
      * of co-run streams serialize on its calendar.
      */
-    Tick drainStream(sched::ExecContext &ctx, Tick after);
+    Tick drainStream(ExecContext &ctx, Tick after);
 
     PageMeta &meta(Lpn page) { return pageMeta_.at(page); }
 
@@ -351,12 +370,14 @@ class Engine : public sched::StreamDispatcher
      * attaching streams.
      */
     // lint: transient(captureImage requires quiescence: every context is complete and its results already live in the Device's retired jobs)
-    std::deque<sched::ExecContext> streamCtxs_;
+    std::deque<ExecContext> streamCtxs_;
 
-    /** Session event queue + scheduler (created by sessionBegin). */
+    /** Session event queue (created by sessionBegin). */
     std::unique_ptr<EventQueue> queue_;
-    // lint: transient(rebuilt by sessionBegin on restore; holds no state beyond the contexts it schedules)
-    std::unique_ptr<sched::StreamScheduler> scheduler_;
+
+    /** Fired inside a stream's final completion event. */
+    // lint: transient(host-side wiring installed once by the owning Device; not simulated state)
+    StreamDone streamDone_;
 
     /** @name Scrub-task state (inert with reliability disabled) @{ */
     Tick nextScrubAt_ = 0;
@@ -369,7 +390,7 @@ class Engine : public sched::StreamDispatcher
      * movement/coherence helpers attribute results, energy, and page
      * addressing through it. Between dispatches it is null.
      */
-    sched::ExecContext *ctx_ = nullptr;
+    ExecContext *ctx_ = nullptr;
 
     /** @name Tracing wiring (never part of an Image) @{ */
     // lint: transient-begin(passive observer wiring re-attached by the owner; trace buffers are not simulated state)

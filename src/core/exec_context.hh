@@ -2,7 +2,7 @@
  * @file
  * Per-stream execution state for the event-driven engine.
  *
- * A production SSD serves many tenants at once: the scheduler co-runs
+ * A production SSD serves many tenants at once: the engine co-runs
  * N independent instruction streams ("tenants") on one simulated
  * device. Each stream gets an ExecContext — its program counter,
  * per-stream completion vector, energy accumulator, and RunResult —
@@ -17,12 +17,11 @@
  * in the same device-wide tables.
  */
 
-#ifndef CONDUIT_SCHED_EXEC_CONTEXT_HH
-#define CONDUIT_SCHED_EXEC_CONTEXT_HH
+#ifndef CONDUIT_CORE_EXEC_CONTEXT_HH
+#define CONDUIT_CORE_EXEC_CONTEXT_HH
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,28 +30,15 @@
 #include "src/ir/instruction.hh"
 #include "src/offload/policy.hh"
 
-namespace conduit::sched
+namespace conduit
 {
-
-/** One tenant of a multi-stream run. */
-struct StreamSpec
-{
-    /** Result label; defaults to the program's name. */
-    std::string name;
-
-    /** Compiled instruction stream to execute. */
-    std::shared_ptr<const Program> program;
-
-    /** Offloading policy deciding this stream's targets. */
-    std::shared_ptr<OffloadPolicy> policy;
-};
 
 /**
  * Live execution state of one stream.
  *
  * Owned by the Engine's session from attach until the next
- * sessionBegin(); the StreamScheduler holds references and drives
- * the stream's dispatch chain as events.
+ * sessionBegin(); the engine's dispatch and completion events hold
+ * references to it.
  */
 struct ExecContext
 {
@@ -90,8 +76,8 @@ struct ExecContext
 
     /**
      * Every instruction dispatched AND every completion event fired.
-     * Set by the scheduler inside the last completion event (or at
-     * add() for an empty program); a persistent device retires the
+     * Set by the engine inside the last completion event (or at
+     * attach for an empty program); a persistent device retires the
      * stream's job once this flips.
      */
     bool finished = false;
@@ -109,26 +95,6 @@ struct ExecContext
     bool done() const { return prog && pc >= prog->instrs.size(); }
 };
 
-/** Outcome of a multi-stream run. */
-struct MultiRunResult
-{
-    /** Per-stream results, in StreamSpec order. */
-    std::vector<RunResult> streams;
+} // namespace conduit
 
-    /**
-     * Device-level aggregate: sums of the per-stream counters and
-     * busy times, the merged latency histogram, and the makespan as
-     * execTime. The workload/policy labels join the stream labels.
-     */
-    RunResult aggregate;
-
-    /** Latest stream completion (including result drains). */
-    Tick makespan = 0;
-
-    /** Events the scheduler fired (dispatches + completions). */
-    std::uint64_t eventsFired = 0;
-};
-
-} // namespace conduit::sched
-
-#endif // CONDUIT_SCHED_EXEC_CONTEXT_HH
+#endif // CONDUIT_CORE_EXEC_CONTEXT_HH

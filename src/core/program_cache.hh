@@ -3,8 +3,7 @@
  * Thread-safe, shared, immutable compile cache.
  *
  * Many consumers need the same compiled workload: the cells of a
- * sweep matrix, the jobs of a persistent Device, and the facade's
- * repeated run() calls. The cache compiles each distinct (workload,
+ * sweep matrix and the jobs of a persistent Device. The cache compiles each distinct (workload,
  * scale, vectorizer-geometry) combination exactly once — even under
  * concurrent first requests, which block on a shared future instead
  * of recompiling — and hands every caller a shared pointer to the

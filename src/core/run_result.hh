@@ -2,8 +2,8 @@
  * @file
  * Engine run options and per-run results.
  *
- * Split out of engine.hh so the scheduler subsystem (src/sched/) can
- * describe per-stream execution state without depending on the full
+ * Split out of engine.hh so per-stream execution state
+ * (exec_context.hh) can be described without depending on the full
  * Engine definition: an ExecContext owns a RunResult, and the Engine
  * owns ExecContexts.
  */

@@ -6,7 +6,7 @@
  * combination; a RunMatrix crosses workload and technique axes into a
  * vector of specs. The benches express each paper figure's evaluation
  * matrix this way and hand it to SweepRunner instead of hand-rolling
- * nested loops around Simulation::run. Every other experiment shape
+ * nested loops of Device jobs. Every other experiment shape
  * (co-location, offered load, aging, fleets) is a Scenario built by
  * one of the builders here.
  */
@@ -55,15 +55,11 @@ bool reportUnknown(const std::vector<std::string> &filter,
                    const std::vector<std::string> &labels,
                    const char *axis);
 
-/**
- * The device every sweep runs on unless overridden: the Table 2
- * geometry scaled for seconds-long benches, matching SimOptions'
- * default so runner-driven benches reproduce the facade's numbers.
- */
+/** The device every sweep runs on unless overridden: Device's default. */
 inline SsdConfig
 defaultSweepConfig()
 {
-    return SsdConfig::scaled(1.0 / 128.0);
+    return DeviceOptions().config;
 }
 
 /**
@@ -235,7 +231,7 @@ struct Scenario
 /**
  * Co-location batch: every tenant one tick-0 job on @p device.
  * Fresh batches keep DeviceOptions' default OnQuiesce retirement —
- * the batch semantics of the facade's runMulti.
+ * retirement in submission order at quiescence.
  */
 Scenario batchScenario(std::string label, DeviceRecipe device,
                        std::vector<Tenant> tenants);

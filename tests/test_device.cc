@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the persistent-device job API: tick-0 batch runs (region
- * layout, admission, determinism, and agreement between the wait(),
- * drain() and facade entry points), arrival semantics
+ * layout, admission, determinism, and agreement between wait() and
+ * drain()), arrival semantics
  * (staggered-arrival determinism across repeats and thread counts,
  * causality of late arrivals),
  * region allocation/reclamation across job lifetimes, wait()
@@ -14,7 +14,6 @@
 
 #include "src/core/arrival.hh"
 #include "src/core/device.hh"
-#include "src/core/simulation.hh"
 #include "src/runner/sweep_runner.hh"
 
 namespace conduit
@@ -80,31 +79,25 @@ testDeviceOptions()
 // ------------------------------------------------- batch runs
 
 /** Two contending tenants under different policies. */
-std::vector<sched::StreamSpec>
+std::vector<JobSpec>
 twoStreams()
 {
-    std::vector<sched::StreamSpec> streams(2);
-    streams[0].name = "tenantA";
-    streams[0].program = chainProgram("a", 24, OpCode::Add);
-    streams[0].policy = makePolicy("Conduit");
-    streams[1].name = "tenantB";
-    streams[1].program = chainProgram("b", 24, OpCode::Xor);
-    streams[1].policy = makePolicy("DM-Offloading");
-    return streams;
+    std::vector<JobSpec> jobs(2);
+    jobs[0].name = "tenantA";
+    jobs[0].program = chainProgram("a", 24, OpCode::Add);
+    jobs[1].name = "tenantB";
+    jobs[1].program = chainProgram("b", 24, OpCode::Xor);
+    jobs[1].policy = "DM-Offloading";
+    return jobs;
 }
 
-/** Submit @p streams as tick-0 jobs on a fresh device and drain. */
+/** Submit @p jobs as tick-0 jobs on a fresh device and drain. */
 DeviceSnapshot
-drainStreams(const std::vector<sched::StreamSpec> &streams)
+drainStreams(const std::vector<JobSpec> &jobs)
 {
     Device dev(testDeviceOptions());
-    for (const auto &s : streams) {
-        JobSpec job;
-        job.name = s.name;
-        job.program = s.program;
-        job.policyObj = s.policy;
+    for (const JobSpec &job : jobs)
         dev.submit(job);
-    }
     return dev.drain();
 }
 
@@ -121,34 +114,28 @@ waitOneJob(const std::shared_ptr<const Program> &prog,
     return dev.wait(id).result;
 }
 
-/** The same job as a one-stream batch (runStreamsOnDevice). */
+/** The same job as a one-job batch, drained to quiescence. */
 RunResult
 batchOneJob(const std::shared_ptr<const Program> &prog,
             const std::string &policy)
 {
-    std::vector<sched::StreamSpec> streams(1);
-    streams[0].program = prog;
-    streams[0].policy = makePolicy(policy);
-    return runStreamsOnDevice(testDeviceOptions(), std::move(streams))
-        .streams.front();
+    JobSpec job;
+    job.program = prog;
+    job.policy = policy;
+    return drainStreams({job}).jobs.front().result;
 }
 
-TEST(Device, TickZeroJobsReproduceRunMultiByteIdentically)
+TEST(Device, TickZeroBatchIsBackToBackAndDeterministic)
 {
     const DeviceSnapshot snap = drainStreams(twoStreams());
-    const sched::MultiRunResult mr =
-        runStreamsOnDevice(testDeviceOptions(), twoStreams());
 
     ASSERT_EQ(snap.jobs.size(), 2u);
     for (std::size_t i = 0; i < 2; ++i) {
-        expectSameResult(snap.jobs[i].result, mr.streams[i]);
         // Tick-0 jobs admit on arrival, with no admission queueing.
         EXPECT_EQ(snap.jobs[i].arrival, 0u);
         EXPECT_EQ(snap.jobs[i].admitted, 0u);
     }
-    EXPECT_EQ(snap.makespan, mr.makespan);
-    EXPECT_EQ(snap.eventsFired, mr.eventsFired);
-    expectSameResult(snap.aggregate, mr.aggregate);
+    EXPECT_EQ(snap.aggregate.execTime, snap.makespan);
     // Regions laid out back to back in submission order.
     EXPECT_EQ(snap.jobs[0].basePage, 0u);
     EXPECT_EQ(snap.jobs[1].basePage, snap.jobs[0].pages);
@@ -157,36 +144,18 @@ TEST(Device, TickZeroJobsReproduceRunMultiByteIdentically)
     const DeviceSnapshot again = drainStreams(twoStreams());
     for (std::size_t i = 0; i < 2; ++i)
         expectSameResult(snap.jobs[i].result, again.jobs[i].result);
+    expectSameResult(snap.aggregate, again.aggregate);
+    EXPECT_EQ(snap.makespan, again.makespan);
     EXPECT_EQ(snap.eventsFired, again.eventsFired);
 }
 
 TEST(Device, SingleJobReproducesSingleStreamEngineRun)
 {
     // A waited-on job (advanced one event at a time) matches the
-    // same job run as a one-stream batch (drained to quiescence).
+    // same job run as a one-job batch (drained to quiescence).
     auto prog = chainProgram("solo", 32);
     expectSameResult(waitOneJob(prog, "Conduit"),
                      batchOneJob(prog, "Conduit"));
-}
-
-TEST(Device, FacadeWrappersStayByteIdenticalToEngine)
-{
-    // Simulation::run is a thin wrapper over Device; it must match a
-    // bare device job running the facade's compiled program.
-    SimOptions so;
-    so.workload.scale = 0.25;
-    Simulation sim(so);
-    const RunResult viaFacade = sim.run(WorkloadId::Aes, "Conduit");
-
-    const VectorizedProgram &vp = sim.compile(WorkloadId::Aes);
-    Device dev(makeDeviceOptions(so.config, so.engine, so.workload));
-    JobSpec job;
-    job.program = std::shared_ptr<const Program>(
-        std::shared_ptr<const void>(), &vp.program);
-    job.policy = "Conduit";
-    RunResult direct = dev.wait(dev.submit(job)).result;
-    direct.workload = viaFacade.workload; // facade labels by workload
-    expectSameResult(viaFacade, direct);
 }
 
 TEST(Device, IdealPolicyJobMatchesEngineRun)

@@ -20,7 +20,6 @@
 
 #include "src/core/arrival.hh"
 #include "src/core/device.hh"
-#include "src/core/simulation.hh"
 #include "src/runner/sweep_result.hh"
 #include "src/runner/sweep_runner.hh"
 

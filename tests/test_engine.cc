@@ -46,12 +46,14 @@ runJob(const Program &prog, OffloadPolicy &policy,
     dopts.config = cfg;
     dopts.engine = opts;
     dopts.tracer = std::move(tracer);
-    std::vector<sched::StreamSpec> streams(1);
-    streams[0].program = std::shared_ptr<const Program>(
+    Device dev(dopts);
+    JobSpec job;
+    job.program = std::shared_ptr<const Program>(
         std::shared_ptr<const void>(), &prog);
-    streams[0].policy = std::shared_ptr<OffloadPolicy>(
+    job.policyObj = std::shared_ptr<OffloadPolicy>(
         std::shared_ptr<void>(), &policy);
-    return runStreamsOnDevice(dopts, std::move(streams)).streams.front();
+    dev.submit(job);
+    return dev.drain().jobs.front().result;
 }
 
 /** ConduitPolicy that records every feature vector it is shown. */

@@ -1,17 +1,15 @@
 /**
  * @file
  * Tests for the event-driven multi-stream engine: determinism of
- * co-run streams across repeat executions, equivalence of the
- * facade's single-stream entry point with a one-element multi-stream
- * run, cross-tenant contention visibility, aggregate accounting, and
- * the Simulation facade's tenant API. Every multi-stream run is a set
- * of tick-0 jobs on a fresh Device (runStreamsOnDevice).
+ * co-run streams across repeat executions, cross-tenant contention
+ * visibility, aggregate accounting, page-region isolation, and named
+ * workload tenants. Every multi-stream run is a set of tick-0 jobs on
+ * a fresh Device, drained to quiescence.
  */
 
 #include <gtest/gtest.h>
 
 #include "src/core/device.hh"
-#include "src/core/simulation.hh"
 
 namespace conduit
 {
@@ -48,38 +46,45 @@ chainProgram(const std::string &name, std::size_t n,
     return prog;
 }
 
-/** Co-run @p streams as tick-0 jobs on one fresh Device. */
-sched::MultiRunResult
-runStreams(std::vector<sched::StreamSpec> streams,
-           const SsdConfig &cfg = testCfg())
+/** A tick-0 job running @p prog under @p policy, labelled @p name. */
+JobSpec
+tenant(std::shared_ptr<const Program> prog,
+       const std::string &policy = "Conduit", const std::string &name = "")
+{
+    JobSpec job;
+    job.name = name;
+    job.program = std::move(prog);
+    job.policy = policy;
+    return job;
+}
+
+/** Co-run @p jobs on one fresh Device and drain it. */
+DeviceSnapshot
+coRun(const std::vector<JobSpec> &jobs, const SsdConfig &cfg = testCfg())
 {
     DeviceOptions dopts;
     dopts.config = cfg;
-    return runStreamsOnDevice(dopts, std::move(streams));
+    Device dev(dopts);
+    for (const JobSpec &job : jobs)
+        dev.submit(job);
+    return dev.drain();
 }
 
-/** Run @p prog alone under a fresh @p policy. */
+/** Run @p prog alone under @p policy. */
 RunResult
 runAlone(const std::shared_ptr<const Program> &prog,
          const std::string &policy = "Conduit")
 {
-    std::vector<sched::StreamSpec> streams(1);
-    streams[0].program = prog;
-    streams[0].policy = makePolicy(policy);
-    return runStreams(std::move(streams)).streams.front();
+    return coRun({tenant(prog, policy)}).jobs.front().result;
 }
 
-std::vector<sched::StreamSpec>
+std::vector<JobSpec>
 twoStreams()
 {
-    std::vector<sched::StreamSpec> streams(2);
-    streams[0].name = "tenantA";
-    streams[0].program = chainProgram("a", 24, OpCode::Add);
-    streams[0].policy = makePolicy("Conduit");
-    streams[1].name = "tenantB";
-    streams[1].program = chainProgram("b", 24, OpCode::Xor);
-    streams[1].policy = makePolicy("DM-Offloading");
-    return streams;
+    return {tenant(chainProgram("a", 24, OpCode::Add), "Conduit",
+                   "tenantA"),
+            tenant(chainProgram("b", 24, OpCode::Xor), "DM-Offloading",
+                   "tenantB")};
 }
 
 void
@@ -101,34 +106,14 @@ expectSameResult(const RunResult &x, const RunResult &y)
 
 TEST(MultiStream, TwoStreamRunsDeterministicAcrossRepeats)
 {
-    auto r1 = runStreams(twoStreams());
-    auto r2 = runStreams(twoStreams());
-    ASSERT_EQ(r1.streams.size(), 2u);
-    ASSERT_EQ(r2.streams.size(), 2u);
+    auto r1 = coRun(twoStreams());
+    auto r2 = coRun(twoStreams());
+    ASSERT_EQ(r1.jobs.size(), 2u);
+    ASSERT_EQ(r2.jobs.size(), 2u);
     for (std::size_t i = 0; i < 2; ++i)
-        expectSameResult(r1.streams[i], r2.streams[i]);
+        expectSameResult(r1.jobs[i].result, r2.jobs[i].result);
     EXPECT_EQ(r1.makespan, r2.makespan);
     EXPECT_EQ(r1.eventsFired, r2.eventsFired);
-}
-
-TEST(MultiStream, OneStreamRunMatchesSingleStreamOverload)
-{
-    // The facade's single-stream entry point (one waited-on job)
-    // matches a one-element multi-stream run (a drained batch).
-    auto prog = chainProgram("solo", 32);
-    SimOptions so;
-    so.config = testCfg();
-    Simulation sim(so);
-    ConduitPolicy pol;
-    RunResult s = sim.runProgram(*prog, pol);
-
-    std::vector<sched::StreamSpec> streams(1);
-    streams[0].program = prog;
-    streams[0].policy = makePolicy("Conduit");
-    auto m = runStreams(std::move(streams));
-    ASSERT_EQ(m.streams.size(), 1u);
-    expectSameResult(s, m.streams.front());
-    EXPECT_EQ(m.makespan, s.execTime);
 }
 
 TEST(MultiStream, ColocationSlowsStreamsViaSharedCalendars)
@@ -136,20 +121,14 @@ TEST(MultiStream, ColocationSlowsStreamsViaSharedCalendars)
     auto prog = chainProgram("hot", 32);
     const RunResult alone = runAlone(prog);
 
-    std::vector<sched::StreamSpec> streams(2);
-    streams[0].name = "first";
-    streams[0].program = prog;
-    streams[0].policy = makePolicy("Conduit");
-    streams[1].name = "second";
-    streams[1].program = prog;
-    streams[1].policy = makePolicy("Conduit");
-    auto m = runStreams(std::move(streams));
+    auto m = coRun({tenant(prog, "Conduit", "first"),
+                    tenant(prog, "Conduit", "second")});
 
     // Contention can only delay a stream, never speed it up — and
     // with two identical tenants on one device at least one must
     // queue behind the other.
-    EXPECT_GE(m.streams[0].execTime, alone.execTime);
-    EXPECT_GE(m.streams[1].execTime, alone.execTime);
+    EXPECT_GE(m.jobs[0].result.execTime, alone.execTime);
+    EXPECT_GE(m.jobs[1].result.execTime, alone.execTime);
     EXPECT_GT(m.makespan, alone.execTime);
 }
 
@@ -161,32 +140,27 @@ TEST(MultiStream, PoliciesSeeCrossTenantContention)
     auto prog = chainProgram("tail", 48);
     const RunResult alone = runAlone(prog);
 
-    std::vector<sched::StreamSpec> streams(2);
-    streams[0].program = prog;
-    streams[0].policy = makePolicy("Conduit");
-    streams[1].program = prog;
-    streams[1].policy = makePolicy("Conduit");
-    auto m = runStreams(std::move(streams));
+    auto m = coRun({tenant(prog), tenant(prog)});
     const double isoP99 = alone.latencyUs.percentile(99);
     const double coloP99 =
-        std::max(m.streams[0].latencyUs.percentile(99),
-                 m.streams[1].latencyUs.percentile(99));
+        std::max(m.jobs[0].result.latencyUs.percentile(99),
+                 m.jobs[1].result.latencyUs.percentile(99));
     EXPECT_GE(coloP99, isoP99);
 }
 
 TEST(MultiStream, AggregateSumsPerStreamCounters)
 {
-    auto m = runStreams(twoStreams());
+    auto m = coRun(twoStreams());
     const RunResult &agg = m.aggregate;
-    EXPECT_EQ(agg.instrCount,
-              m.streams[0].instrCount + m.streams[1].instrCount);
-    EXPECT_EQ(agg.latencyUs.count(), m.streams[0].latencyUs.count() +
-                                         m.streams[1].latencyUs.count());
+    const RunResult &a = m.jobs[0].result;
+    const RunResult &b = m.jobs[1].result;
+    EXPECT_EQ(agg.instrCount, a.instrCount + b.instrCount);
+    EXPECT_EQ(agg.latencyUs.count(),
+              a.latencyUs.count() + b.latencyUs.count());
     for (std::size_t i = 0; i < kNumTargets; ++i)
-        EXPECT_EQ(agg.perResource[i], m.streams[0].perResource[i] +
-                                          m.streams[1].perResource[i]);
-    EXPECT_DOUBLE_EQ(agg.energyJ(),
-                     m.streams[0].energyJ() + m.streams[1].energyJ());
+        EXPECT_EQ(agg.perResource[i],
+                  a.perResource[i] + b.perResource[i]);
+    EXPECT_DOUBLE_EQ(agg.energyJ(), a.energyJ() + b.energyJ());
     EXPECT_EQ(agg.execTime, m.makespan);
     EXPECT_EQ(agg.workload, "tenantA+tenantB");
 }
@@ -196,14 +170,10 @@ TEST(MultiStream, StreamsOccupyDisjointPageRegions)
     // Two streams writing "their" page 0 must not alias: each
     // stream's results are those of its own program, so both
     // complete all instructions and report independent counters.
-    std::vector<sched::StreamSpec> streams(2);
-    streams[0].program = chainProgram("x", 8);
-    streams[0].policy = makePolicy("Conduit");
-    streams[1].program = chainProgram("y", 16);
-    streams[1].policy = makePolicy("Conduit");
-    auto m = runStreams(std::move(streams));
-    EXPECT_EQ(m.streams[0].instrCount, 8u);
-    EXPECT_EQ(m.streams[1].instrCount, 16u);
+    auto m = coRun({tenant(chainProgram("x", 8)),
+                    tenant(chainProgram("y", 16))});
+    EXPECT_EQ(m.jobs[0].result.instrCount, 8u);
+    EXPECT_EQ(m.jobs[1].result.instrCount, 16u);
 }
 
 TEST(MultiStream, CombinedFootprintBeyondCapacityRejected)
@@ -212,39 +182,30 @@ TEST(MultiStream, CombinedFootprintBeyondCapacityRejected)
     auto prog = std::make_shared<Program>();
     *prog = *chainProgram("big", 2);
     prog->footprintPages = cfg.nand.totalPages() / 2 + 1;
-    std::vector<sched::StreamSpec> streams(2);
-    streams[0].program = prog;
-    streams[0].policy = makePolicy("Conduit");
-    streams[1].program = prog;
-    streams[1].policy = makePolicy("Conduit");
-    EXPECT_THROW(runStreams(std::move(streams), cfg),
+    EXPECT_THROW(coRun({tenant(prog), tenant(prog)}, cfg),
                  std::invalid_argument);
-}
-
-TEST(MultiStream, MissingProgramOrPolicyRejected)
-{
-    std::vector<sched::StreamSpec> none;
-    EXPECT_THROW(runStreams(std::move(none)), std::invalid_argument);
-
-    std::vector<sched::StreamSpec> broken(1);
-    broken[0].program = chainProgram("z", 2);
-    EXPECT_THROW(runStreams(std::move(broken)), std::invalid_argument);
 }
 
 TEST(MultiStream, FacadeTenantsRunDeterministically)
 {
-    SimOptions opts;
+    // Named-workload tenants compile through the device's cache.
+    DeviceOptions opts;
     opts.workload.scale = 1.0 / 64.0;
-    const std::vector<Simulation::Tenant> tenants = {
-        {WorkloadId::Aes, "Conduit"},
-        {WorkloadId::Jacobi1d, "DM-Offloading"},
+    const auto run = [&opts] {
+        Device dev(opts);
+        JobSpec job;
+        job.workload = WorkloadId::Aes;
+        dev.submit(job);
+        job.workload = WorkloadId::Jacobi1d;
+        job.policy = "DM-Offloading";
+        dev.submit(job);
+        return dev.drain();
     };
-    Simulation sim1(opts), sim2(opts);
-    auto m1 = sim1.runMulti(tenants);
-    auto m2 = sim2.runMulti(tenants);
-    ASSERT_EQ(m1.streams.size(), 2u);
-    for (std::size_t i = 0; i < m1.streams.size(); ++i)
-        expectSameResult(m1.streams[i], m2.streams[i]);
+    const DeviceSnapshot m1 = run();
+    const DeviceSnapshot m2 = run();
+    ASSERT_EQ(m1.jobs.size(), 2u);
+    for (std::size_t i = 0; i < m1.jobs.size(); ++i)
+        expectSameResult(m1.jobs[i].result, m2.jobs[i].result);
     EXPECT_EQ(m1.makespan, m2.makespan);
 }
 

@@ -49,10 +49,12 @@ runTraced(const Program &prog, std::shared_ptr<OffloadPolicy> policy,
     dopts.config = SsdConfig::scaled(1.0 / 256.0);
     dopts.engine = opts;
     dopts.tracer = tracer;
-    std::vector<sched::StreamSpec> streams(1);
-    streams[0].program = std::make_shared<const Program>(prog);
-    streams[0].policy = std::move(policy);
-    return runStreamsOnDevice(dopts, std::move(streams)).streams.front();
+    Device dev(dopts);
+    JobSpec job;
+    job.program = std::make_shared<const Program>(prog);
+    job.policyObj = std::move(policy);
+    dev.submit(job);
+    return dev.drain().jobs.front().result;
 }
 
 TEST_P(RandomSeeds, ServerIntervalsNeverOverlapAndFcfsHolds)

@@ -261,10 +261,12 @@ runJob(const Program &prog, const std::string &policy,
 {
     DeviceOptions dopts;
     dopts.config = cfg;
-    std::vector<sched::StreamSpec> streams(1);
-    streams[0].program = std::make_shared<const Program>(prog);
-    streams[0].policy = makePolicy(policy);
-    return runStreamsOnDevice(dopts, std::move(streams)).streams.front();
+    Device dev(dopts);
+    JobSpec job;
+    job.program = std::make_shared<const Program>(prog);
+    job.policy = policy;
+    dev.submit(job);
+    return dev.drain().jobs.front().result;
 }
 
 TEST(Reliability, DisabledKnobsAreInertAndFreshAgedMatchesBaseline)

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "src/core/arrival.hh"
-#include "src/core/simulation.hh"
+#include "src/host/host_model.hh"
 #include "src/runner/sweep_cli.hh"
 #include "src/sim/event_queue.hh"
 #include "src/sim/rng.hh"
@@ -115,14 +115,17 @@ TEST(SweepRunner, RepeatedSweepsAreDeterministic)
 
 TEST(SweepRunner, MatchesTheSimulationFacade)
 {
-    // The runner path and the facade path must agree run-for-run.
-    Simulation sim;
-    const RunResult facade = sim.run(WorkloadId::Aes, "Conduit");
+    // A matrix cell and one job waited on a bare default Device must
+    // agree run-for-run.
+    Device dev;
+    JobSpec job;
+    job.workload = WorkloadId::Aes;
+    const RunResult bare = dev.wait(dev.submit(job)).result;
 
     RunMatrix m;
     m.workload(WorkloadId::Aes).technique("Conduit");
     const SweepResult sweep = SweepRunner().run(m.build());
-    expectSameResult(facade, sweep.at("AES", "Conduit"));
+    expectSameResult(bare, sweep.at("AES", "Conduit"));
 }
 
 TEST(SweepRunner, PerCellEventsMatchABareDeviceJob)
@@ -163,9 +166,11 @@ TEST(SweepRunner, HostKindRunsBaselineUnderCustomLabel)
     const SweepResult sweep = SweepRunner().run(m.build());
     // Would throw inside makePolicy("OSP") if the host flag were
     // ignored; instead it must match the CPU baseline's numbers.
-    Simulation sim;
-    const RunResult cpu = sim.runHost(WorkloadId::Aes, false);
-    EXPECT_EQ(sweep.at("AES", "OSP").execTime, cpu.execTime);
+    const SsdConfig cfg = runner::defaultSweepConfig();
+    const auto aes = ProgramCache().get(WorkloadId::Aes, {}, cfg);
+    const HostResult cpu =
+        HostModel(cfg, HostModel::Kind::Cpu).run(aes->program);
+    EXPECT_EQ(sweep.at("AES", "OSP").execTime, cpu.totalTime);
 }
 
 TEST(SweepRunner, SpecWithoutProgramOrWorkloadThrows)
@@ -290,13 +295,18 @@ TEST(Scenario, BatchBuilderSubmitsEveryTenantAtTickZero)
     EXPECT_TRUE(s.devices[0].warm.ticks.empty());
 }
 
-TEST(Scenario, BatchCellMatchesTheFacadesRunMulti)
+TEST(Scenario, BatchCellMatchesABareDeviceDrain)
 {
-    // A co-location batch scenario and the facade's runMulti are the
-    // same device lifetime: per-stream results agree exactly.
-    Simulation sim;
-    const sched::MultiRunResult facade = sim.runMulti(
-        {{WorkloadId::Aes, "Conduit"}, {WorkloadId::Jacobi1d, "ISP"}});
+    // A co-location batch scenario and tick-0 jobs drained on a bare
+    // Device are the same device lifetime: per-job results agree.
+    Device dev;
+    JobSpec job;
+    job.workload = WorkloadId::Aes;
+    dev.submit(job);
+    job.workload = WorkloadId::Jacobi1d;
+    job.policy = "ISP";
+    dev.submit(job);
+    const DeviceSnapshot bare = dev.drain();
 
     runner::Tenant a, b;
     a.workloadId = WorkloadId::Aes;
@@ -307,10 +317,10 @@ TEST(Scenario, BatchCellMatchesTheFacadesRunMulti)
     const auto snaps = SweepRunner().runAll(
         {runner::batchScenario("pair", {device, {}}, {a, b})});
     const cluster::ClusterSnapshot &snap = snaps.front();
-    ASSERT_EQ(snap.routed.size(), facade.streams.size());
+    ASSERT_EQ(snap.routed.size(), bare.jobs.size());
     for (std::size_t i = 0; i < snap.routed.size(); ++i)
-        expectSameResult(snap.result(i).result, facade.streams[i]);
-    EXPECT_EQ(snap.makespan, facade.makespan);
+        expectSameResult(snap.result(i).result, bare.jobs[i].result);
+    EXPECT_EQ(snap.makespan, bare.makespan);
 }
 
 TEST(Scenario, RejectsHostBaselineTenants)

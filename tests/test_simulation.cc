@@ -1,6 +1,7 @@
 /**
  * @file
- * End-to-end tests through the Simulation facade: the headline
+ * End-to-end tests of the paper's methodology — every run one job on
+ * a fresh Device, host baselines on the HostModel: the headline
  * orderings the paper reports must hold on the simulated system.
  */
 
@@ -8,57 +9,82 @@
 
 #include <cmath>
 
-#include "src/core/simulation.hh"
+#include "src/core/device.hh"
+#include "src/host/host_model.hh"
 
 namespace conduit
 {
 namespace
 {
 
-SimOptions
+DeviceOptions
 fastOptions()
 {
-    SimOptions so;
-    so.workload.scale = 0.25;
-    return so;
+    DeviceOptions opts;
+    opts.workload.scale = 0.25;
+    return opts;
 }
 
-TEST(Simulation, CompileCachesPrograms)
+/** @p id compiled once for every test in this file. */
+std::shared_ptr<const Program>
+program(WorkloadId id)
 {
-    Simulation sim(fastOptions());
-    const auto &a = sim.compile(WorkloadId::Aes);
-    const auto &b = sim.compile(WorkloadId::Aes);
-    EXPECT_EQ(&a, &b);
+    static ProgramCache cache;
+    const DeviceOptions opts = fastOptions();
+    const auto vp = cache.get(id, opts.workload, opts.config);
+    return std::shared_ptr<const Program>(vp, &vp->program);
+}
+
+/** @p id as one job on a fresh SSD under @p policy. */
+RunResult
+run(WorkloadId id, std::shared_ptr<OffloadPolicy> policy)
+{
+    Device dev(fastOptions());
+    JobSpec job;
+    job.program = program(id);
+    job.policyObj = std::move(policy);
+    return dev.wait(dev.submit(job)).result;
+}
+
+RunResult
+run(WorkloadId id, const std::string &policy)
+{
+    return run(id, makePolicy(policy));
+}
+
+/** Host baseline: CPU, or GPU when @p gpu. */
+HostResult
+runHost(WorkloadId id, bool gpu)
+{
+    return HostModel(fastOptions().config,
+                     gpu ? HostModel::Kind::Gpu : HostModel::Kind::Cpu)
+        .run(*program(id));
 }
 
 TEST(Simulation, EveryPolicyRunsEveryWorkload)
 {
-    Simulation sim(fastOptions());
     for (WorkloadId id :
          {WorkloadId::Aes, WorkloadId::Jacobi1d}) {
         for (const char *pol :
              {"Conduit", "DM-Offloading", "BW-Offloading", "Ideal",
               "ISP", "PuD-SSD", "Flash-Cosmos", "Ares-Flash"}) {
-            auto r = sim.run(id, pol);
+            auto r = run(id, pol);
             EXPECT_GT(r.execTime, 0u) << pol;
             EXPECT_GT(r.energyJ(), 0.0) << pol;
             EXPECT_EQ(r.policy, pol);
         }
-        auto cpu = sim.runHost(id, false);
-        auto gpu = sim.runHost(id, true);
-        EXPECT_GT(cpu.execTime, 0u);
-        EXPECT_GT(gpu.execTime, 0u);
+        EXPECT_GT(runHost(id, false).totalTime, 0u);
+        EXPECT_GT(runHost(id, true).totalTime, 0u);
     }
 }
 
 TEST(Simulation, IdealUpperBoundsAllRealizablePolicies)
 {
-    Simulation sim(fastOptions());
     for (WorkloadId id : allWorkloads()) {
-        const Tick ideal = sim.run(id, "Ideal").execTime;
+        const Tick ideal = run(id, "Ideal").execTime;
         for (const char *pol :
              {"Conduit", "DM-Offloading", "BW-Offloading", "ISP"}) {
-            EXPECT_LE(ideal, sim.run(id, pol).execTime)
+            EXPECT_LE(ideal, run(id, pol).execTime)
                 << workloadName(id) << " " << pol;
         }
     }
@@ -66,20 +92,19 @@ TEST(Simulation, IdealUpperBoundsAllRealizablePolicies)
 
 TEST(Simulation, ConduitBeatsPriorOffloadingOnAverage)
 {
-    Simulation sim(fastOptions());
     double log_dm = 0.0, log_bw = 0.0, log_isp = 0.0;
     int n = 0;
     for (WorkloadId id : allWorkloads()) {
         const double conduit =
-            static_cast<double>(sim.run(id, "Conduit").execTime);
+            static_cast<double>(run(id, "Conduit").execTime);
         log_dm += std::log(
-            static_cast<double>(sim.run(id, "DM-Offloading").execTime) /
+            static_cast<double>(run(id, "DM-Offloading").execTime) /
             conduit);
         log_bw += std::log(
-            static_cast<double>(sim.run(id, "BW-Offloading").execTime) /
+            static_cast<double>(run(id, "BW-Offloading").execTime) /
             conduit);
         log_isp += std::log(
-            static_cast<double>(sim.run(id, "ISP").execTime) / conduit);
+            static_cast<double>(run(id, "ISP").execTime) / conduit);
         ++n;
     }
     // Geometric-mean slowdowns of the baselines vs Conduit (Fig. 7a:
@@ -91,14 +116,13 @@ TEST(Simulation, ConduitBeatsPriorOffloadingOnAverage)
 
 TEST(Simulation, ConduitBeatsHostCpuOnAverage)
 {
-    Simulation sim(fastOptions());
     double acc = 0.0;
     int n = 0;
     for (WorkloadId id : allWorkloads()) {
         const double cpu =
-            static_cast<double>(sim.runHost(id, false).execTime);
+            static_cast<double>(runHost(id, false).totalTime);
         const double conduit =
-            static_cast<double>(sim.run(id, "Conduit").execTime);
+            static_cast<double>(run(id, "Conduit").execTime);
         acc += std::log(cpu / conduit);
         ++n;
     }
@@ -108,12 +132,11 @@ TEST(Simulation, ConduitBeatsHostCpuOnAverage)
 
 TEST(Simulation, ConduitReducesEnergyVsHost)
 {
-    Simulation sim(fastOptions());
     double acc = 0.0;
     int n = 0;
     for (WorkloadId id : allWorkloads()) {
-        const double cpu = sim.runHost(id, false).energyJ();
-        const double conduit = sim.run(id, "Conduit").energyJ();
+        const double cpu = runHost(id, false).energyJ();
+        const double conduit = run(id, "Conduit").energyJ();
         acc += std::log(cpu / conduit);
         ++n;
     }
@@ -124,9 +147,8 @@ TEST(Simulation, ConduitReducesEnergyVsHost)
 TEST(Simulation, DmOffloadingOverusesIfpOnComputeWork)
 {
     // §6.4: DM-Offloading pins arithmetic to flash; Conduit spreads.
-    Simulation sim(fastOptions());
-    auto dm = sim.run(WorkloadId::LlmTraining, "DM-Offloading");
-    auto conduit = sim.run(WorkloadId::LlmTraining, "Conduit");
+    auto dm = run(WorkloadId::LlmTraining, "DM-Offloading");
+    auto conduit = run(WorkloadId::LlmTraining, "Conduit");
     const auto ifp = static_cast<int>(Target::Ifp);
     EXPECT_GT(dm.perResource[ifp] * 2,
               dm.instrCount); // DM sends the majority to IFP
@@ -137,9 +159,8 @@ TEST(Simulation, DmOffloadingOverusesIfpOnComputeWork)
 TEST(Simulation, LlamaAvoidsIfpMultiplication)
 {
     // Fig. 9: Conduit and Ideal avoid IFP for LlaMA2's multiplies.
-    Simulation sim(fastOptions());
-    auto conduit = sim.run(WorkloadId::LlamaInference, "Conduit");
-    auto ideal = sim.run(WorkloadId::LlamaInference, "Ideal");
+    auto conduit = run(WorkloadId::LlamaInference, "Conduit");
+    auto ideal = run(WorkloadId::LlamaInference, "Ideal");
     const auto ifp = static_cast<int>(Target::Ifp);
     EXPECT_LT(static_cast<double>(conduit.perResource[ifp]),
               0.10 * static_cast<double>(conduit.instrCount));
@@ -151,8 +172,7 @@ TEST(Simulation, MemoryBoundWorkloadsBarelyUseIsp)
 {
     // Fig. 9: AES/XOR Filter offload well under a few percent of
     // vector instructions to the controller core.
-    Simulation sim(fastOptions());
-    auto aes = sim.run(WorkloadId::Aes, "Conduit");
+    auto aes = run(WorkloadId::Aes, "Conduit");
     const auto isp = static_cast<int>(Target::Isp);
     EXPECT_LT(static_cast<double>(aes.perResource[isp]),
               0.10 * static_cast<double>(aes.instrCount));
@@ -161,9 +181,8 @@ TEST(Simulation, MemoryBoundWorkloadsBarelyUseIsp)
 TEST(Simulation, ConduitTailLatencyBeatsBwOffloading)
 {
     // Fig. 8 shape: contention-aware offloading shortens the tail.
-    Simulation sim(fastOptions());
-    auto conduit = sim.run(WorkloadId::LlamaInference, "Conduit");
-    auto bw = sim.run(WorkloadId::LlamaInference, "BW-Offloading");
+    auto conduit = run(WorkloadId::LlamaInference, "Conduit");
+    auto bw = run(WorkloadId::LlamaInference, "BW-Offloading");
     EXPECT_LT(conduit.latencyUs.percentile(99),
               bw.latencyUs.percentile(99));
     EXPECT_LT(conduit.latencyUs.percentile(99.99),
@@ -172,9 +191,8 @@ TEST(Simulation, ConduitTailLatencyBeatsBwOffloading)
 
 TEST(Simulation, RunsAreReproducible)
 {
-    Simulation a(fastOptions()), b(fastOptions());
-    auto r1 = a.run(WorkloadId::Heat3d, "Conduit");
-    auto r2 = b.run(WorkloadId::Heat3d, "Conduit");
+    auto r1 = run(WorkloadId::Heat3d, "Conduit");
+    auto r2 = run(WorkloadId::Heat3d, "Conduit");
     EXPECT_EQ(r1.execTime, r2.execTime);
     EXPECT_EQ(r1.perResource, r2.perResource);
 }
@@ -196,9 +214,7 @@ TEST(Simulation, CustomPolicyObjectsWork)
         }
         std::string name() const override { return "my-policy"; }
     };
-    Simulation sim(fastOptions());
-    MyPolicy pol;
-    auto r = sim.run(WorkloadId::Jacobi1d, pol);
+    auto r = run(WorkloadId::Jacobi1d, std::make_shared<MyPolicy>());
     EXPECT_EQ(r.policy, "my-policy");
     EXPECT_GT(r.execTime, 0u);
 }

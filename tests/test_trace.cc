@@ -23,7 +23,6 @@
 #include "src/cluster/cluster.hh"
 #include "src/core/arrival.hh"
 #include "src/core/device.hh"
-#include "src/core/simulation.hh"
 #include "src/runner/sweep_cli.hh"
 #include "src/trace/export.hh"
 #include "src/trace/trace.hh"

@@ -12,6 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/common.hh"
+#include "src/core/transformer.hh"
 
 namespace
 {

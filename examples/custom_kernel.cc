@@ -14,6 +14,7 @@
 #include <cstdio>
 
 #include "src/core/device.hh"
+#include "src/core/transformer.hh"
 #include "src/host/host_model.hh"
 
 int

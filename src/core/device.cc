@@ -1,6 +1,8 @@
 #include "src/core/device.hh"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "src/trace/trace.hh"
 
@@ -38,6 +40,26 @@ accumulateResult(RunResult &agg, const RunResult &r)
     agg.replays += r.replays;
     agg.coherenceCommits += r.coherenceCommits;
     agg.latchEvictions += r.latchEvictions;
+}
+
+/**
+ * Throw unless every operand of @p prog lies inside its footprint:
+ * the engine addresses operand pages within the job's region only.
+ */
+void
+checkOperandsInFootprint(const Program &prog)
+{
+    auto outside = [&](const Operand &o) {
+        return o.basePage > prog.footprintPages ||
+            o.pageCount > prog.footprintPages - o.basePage;
+    };
+    for (const VecInstruction &vi : prog.instrs) {
+        if (outside(vi.dst) ||
+            std::any_of(vi.srcs.begin(), vi.srcs.end(), outside))
+            throw std::invalid_argument(
+                "Device::submit: instruction " + std::to_string(vi.id) +
+                " has an operand outside the program's footprint");
+    }
 }
 
 } // namespace
@@ -169,6 +191,7 @@ Device::submit(const JobSpec &spec)
         throw std::invalid_argument(
             "Device::submit: JobSpec needs a workload or a program");
     }
+    checkOperandsInFootprint(*job.program);
     job.policy = spec.policyObj
         ? spec.policyObj
         : std::shared_ptr<OffloadPolicy>(makePolicy(spec.policy));

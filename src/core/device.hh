@@ -340,7 +340,8 @@ class Device
      * Offer a job to the device. Compilation (for workload jobs) and
      * policy construction happen immediately; the job itself arrives
      * at max(arrival, now()) in simulated time. Returns the handle
-     * for wait().
+     * for wait(). Throws std::invalid_argument if an operand of the
+     * program leaves its footprint.
      */
     JobId submit(const JobSpec &spec);
 

@@ -13,10 +13,7 @@ Engine::Engine(const SsdConfig &cfg)
     : cfg_(cfg), nand_(cfg.nand, &stats_), ftl_(nand_, cfg, &stats_),
       dram_(cfg.dram, &stats_), pud_(dram_, cfg.compute, &stats_),
       isp_(cfg.isp, cfg.compute, &stats_),
-      ifp_(nand_, cfg.compute, &stats_),
-      transformer_(cfg.nand.pageBytes, cfg.dram.rowBytes,
-                   cfg.isp.simdBytes),
-      rng_(cfg.seed)
+      ifp_(nand_, cfg.compute, &stats_), rng_(cfg.seed)
 {
     if (cfg_.reliability.enabled) {
         rel_ = std::make_unique<reliability::ReliabilityModel>(
@@ -46,8 +43,6 @@ Engine::dramTouch(Lpn page, Tick now)
         if (victim == page)
             break;
         dramLru_.erase(vit);
-        if (victim >= pageMeta_.size())
-            continue;
         PageMeta &vm = pageMeta_[victim];
         if (vm.loc == Loc::Dram && vm.dirty) {
             // Background writeback (coherence trigger iii). The
@@ -103,13 +98,12 @@ Engine::sensedOperands(const VecInstruction &instr) const
     // operation without re-sensing the array (ParaBit-style
     // latch-combining applies to MWS results as well).
     const Lpn base = streamBase();
-    const Lpn limit = streamEnd();
     std::uint32_t sensed = 0;
     for (const auto &src : instr.srcs) {
         bool latch_resident = src.pageCount > 0;
         for (Lpn p = base + src.basePage;
              p < base + src.basePage + src.pageCount; ++p) {
-            if (p >= limit || pageMeta_[p].loc != Loc::Latch) {
+            if (pageMeta_[p].loc != Loc::Latch) {
                 latch_resident = false;
                 break;
             }
@@ -121,79 +115,65 @@ Engine::sensedOperands(const VecInstruction &instr) const
 }
 
 Tick
-Engine::dmEstimate(const VecInstruction &instr, Target t,
-                   std::uint64_t &bytes, Tick aging_read) const
+Engine::compEstimate(const VecInstruction &instr, Target t,
+                     const std::vector<IfpFragment> &frags) const
 {
-    const NandConfig &n = cfg_.nand;
-    const Tick page_xfer =
-        n.dmaTicks + transferTicks(n.pageBytes, n.channelBytesPerSec);
-    const Tick flash_stage =
-        n.cmdTicks + n.readTicks + aging_read + page_xfer;
-    const Tick dram_page =
-        transferTicks(n.pageBytes, cfg_.dram.busBytesPerSec) +
-        cfg_.dram.tRcd + cfg_.dram.tCas;
-
-    std::uint64_t pages_moving = 0;
-    Tick per_page = 0;
-    bytes = 0;
-
-    auto classify = [&](Lpn page) {
-        const PageMeta &m = pageMeta_[page];
-        switch (t) {
-          case Target::Ifp:
-            if (m.loc == Loc::Dram && m.dirty) {
-                // Load the fresh copy into the die latches over the
-                // channel (latch-operand computation).
-                pages_moving++;
-                per_page = std::max(per_page, page_xfer);
-                bytes += n.pageBytes;
-            }
-            break;
-          case Target::Pud:
-            if (m.loc == Loc::Flash && !m.dramCached) {
-                pages_moving++;
-                per_page = std::max(per_page, flash_stage + dram_page);
-                bytes += n.pageBytes;
-            } else if (m.loc == Loc::Latch) {
-                pages_moving++;
-                per_page = std::max(per_page, page_xfer + dram_page);
-                bytes += n.pageBytes;
-            }
-            break;
-          case Target::Isp:
-            if (m.loc == Loc::Dram || m.dramCached) {
-                pages_moving++;
-                per_page = std::max(per_page, dram_page);
-                bytes += n.pageBytes;
-            } else if (m.loc == Loc::Latch) {
-                pages_moving++;
-                per_page = std::max(per_page, page_xfer);
-                bytes += n.pageBytes;
-            } else {
-                pages_moving++;
-                per_page = std::max(per_page, flash_stage);
-                bytes += n.pageBytes;
-            }
-        }
-    };
-
-    const Lpn base = streamBase();
-    const Lpn limit = streamEnd();
-    for (const auto &s : instr.srcs) {
-        for (Lpn p = base + s.basePage;
-             p < base + s.basePage + s.pageCount; ++p) {
-            if (p < limit)
-                classify(p);
-        }
+    const auto num_srcs = static_cast<std::uint32_t>(instr.srcs.size());
+    switch (t) {
+      case Target::Isp:
+        return isp_.estimate(instr.op, instr.elemBits, instr.lanes,
+                             num_srcs, instr.vectorized);
+      case Target::Pud:
+        return pud_.estimate(instr.op, instr.elemBits, instr.lanes);
+      case Target::Ifp: {
+        std::uint64_t per_die = 0;
+        for (const auto &fr : frags)
+            per_die = std::max(per_die, fr.bytes);
+        return ifp_.estimate(instr.op, instr.elemBits, num_srcs,
+                             sensedOperands(instr), per_die);
+      }
     }
+    return 0;
+}
 
-    if (pages_moving == 0)
-        return 0;
-    // Transfers stripe over channels (the precomputed no-contention
-    // table of §4.3.2 assumes ideal parallelism).
-    const std::uint64_t waves =
-        (pages_moving + n.channels - 1) / n.channels;
-    return static_cast<Tick>(waves) * per_page;
+Engine::Route
+Engine::routeFor(const PageMeta &m, Target t)
+{
+    // A latch page never also holds a DRAM copy (IFP writes and IFP
+    // moves clear dramCached; Ideal jobs never set it), so the
+    // DRAM-resident test comes first for ISP and PuD alike.
+    const bool in_dram = m.loc == Loc::Dram || m.dramCached;
+    switch (t) {
+      case Target::Isp:
+        // A DRAM-resident operand streams through the core's load
+        // path. The IspCore streaming bound already covers that
+        // traffic, so the DramStream hop is estimated but reserves
+        // nothing; a sensed page is staged via the DRAM buffer.
+        if (in_dram)
+            return {{Hop::DramStream}, 1, Lands::InPlace};
+        if (m.loc == Loc::Latch)
+            return {{Hop::ChannelOut}, 1, Lands::InPlace};
+        return {{Hop::Sense, Hop::ChannelOut}, 2, Lands::DramCopy};
+      case Target::Pud:
+        if (in_dram)
+            return {};
+        if (m.loc == Loc::Latch)
+            return {{Hop::ChannelOut, Hop::DramWrite}, 2, Lands::Dram};
+        return {{Hop::Sense, Hop::ChannelOut, Hop::DramWrite}, 3,
+                Lands::DramCopy};
+      case Target::Ifp:
+        // Flash and latch operands are usable in place: the extended
+        // FTL layout keeps operands co-located (§4.4). A dirty DRAM
+        // copy loads into its die's page-buffer latch over the
+        // channel (latch-operand computation, Ares-Flash style), far
+        // cheaper than programming the array.
+        if (m.loc != Loc::Dram)
+            return {};
+        if (m.dirty)
+            return {{Hop::ChannelIn}, 1, Lands::Latch};
+        return {{}, 0, Lands::Flash};
+    }
+    return {};
 }
 
 CostFeatures
@@ -209,19 +189,9 @@ Engine::features(const VecInstruction &instr, Tick now)
 
     // (6) Expected computation latency.
     const auto frags = fragmentsFor(instr);
-    std::uint64_t bytes_per_die = 0;
-    for (const auto &fr : frags)
-        bytes_per_die = std::max(bytes_per_die, fr.bytes);
-    f.comp[static_cast<std::size_t>(Target::Isp)] = isp_.estimate(
-        instr.op, instr.elemBits, instr.lanes,
-        static_cast<std::uint32_t>(instr.srcs.size()),
-        instr.vectorized);
-    f.comp[static_cast<std::size_t>(Target::Pud)] =
-        pud_.estimate(instr.op, instr.elemBits, instr.lanes);
-    f.comp[static_cast<std::size_t>(Target::Ifp)] = ifp_.estimate(
-        instr.op, instr.elemBits,
-        static_cast<std::uint32_t>(instr.srcs.size()),
-        sensedOperands(instr), bytes_per_die);
+    for (Target t : {Target::Isp, Target::Pud, Target::Ifp})
+        f.comp[static_cast<std::size_t>(t)] =
+            compEstimate(instr, t, frags);
 
     // (5) Data movement latency (static, no-contention table). With
     // reliability enabled the flash-read stage carries the expected
@@ -229,11 +199,49 @@ Engine::features(const VecInstruction &instr, Tick now)
     // shift as the device wears. (IFP computes on raw latched bits
     // without the inline ECC pipeline, so its in-place operands pay
     // no decode penalty — a fidelity note documented in README.)
+    //
+    // One walk folds every source page's route for all targets. A
+    // page costs the sum of its hops; transfers stripe over channels
+    // (the table assumes ideal parallelism), so a target pays
+    // ceil(pages / channels) waves of its slowest page. Every visit
+    // counts: a page repeated across sources is charged each time.
     const Tick aging_read =
         rel_ ? rel_->typicalReadPenalty(now) : 0;
-    for (Target t : {Target::Isp, Target::Pud, Target::Ifp}) {
-        const auto i = static_cast<std::size_t>(t);
-        f.dm[i] = dmEstimate(instr, t, f.dmBytes[i], aging_read);
+    const NandConfig &n = cfg_.nand;
+    const Tick page_xfer =
+        n.dmaTicks + transferTicks(n.pageBytes, n.channelBytesPerSec);
+    const Tick dram_page =
+        transferTicks(n.pageBytes, cfg_.dram.busBytesPerSec) +
+        cfg_.dram.tRcd + cfg_.dram.tCas;
+    // Indexed by Hop: Sense, ChannelOut, ChannelIn, DramWrite,
+    // DramStream.
+    const Tick hop_ticks[] = {n.cmdTicks + n.readTicks + aging_read,
+                              page_xfer, page_xfer, dram_page,
+                              dram_page};
+    std::array<std::uint64_t, kNumTargets> moving{};
+    std::array<Tick, kNumTargets> slowest{};
+    const Lpn base = streamBase();
+    for (const auto &s : instr.srcs) {
+        for (Lpn p = base + s.basePage;
+             p < base + s.basePage + s.pageCount; ++p) {
+            for (Target t : {Target::Isp, Target::Pud, Target::Ifp}) {
+                const Route r = routeFor(pageMeta_[p], t);
+                if (r.count == 0)
+                    continue;
+                Tick page = 0;
+                for (std::uint8_t h = 0; h < r.count; ++h)
+                    page += hop_ticks[static_cast<int>(r.hops[h])];
+                const auto i = static_cast<std::size_t>(t);
+                ++moving[i];
+                slowest[i] = std::max(slowest[i], page);
+            }
+        }
+    }
+    for (std::size_t i = 0; i < kNumTargets; ++i) {
+        const std::uint64_t waves =
+            (moving[i] + n.channels - 1) / n.channels;
+        f.dm[i] = static_cast<Tick>(waves) * slowest[i];
+        f.dmBytes[i] = moving[i] * n.pageBytes;
     }
 
     // (4) Resource queueing delay: live reads of the shared
@@ -295,6 +303,7 @@ Tick
 Engine::commitPage(Lpn page, Tick earliest)
 {
     PageMeta &m = pageMeta_[page];
+    // Latch contents program directly from the page buffer.
     Tick ready = earliest;
     if (m.loc == Loc::Dram) {
         // DRAM -> controller -> channel -> program.
@@ -305,9 +314,6 @@ Engine::commitPage(Lpn page, Tick earliest)
         ctx_->energy.dma(1);
         ctx_->energy.channelTransfer(cfg_.nand.pageBytes);
         ready = x.end;
-    } else if (m.loc == Loc::Latch) {
-        // Latch contents program directly from the page buffer.
-        ready = earliest;
     }
     auto wr = ftl_.writePage(page, ready);
     ctx_->result.internalDmBusy += wr.readyAt - ready;
@@ -321,11 +327,8 @@ Engine::commitPage(Lpn page, Tick earliest)
 }
 
 void
-Engine::recordWrite(Lpn page, Target target, std::uint32_t die,
-                    Tick when)
+Engine::recordWrite(Lpn page, Target target, Tick when)
 {
-    if (page >= streamEnd())
-        return;
     PageMeta &m = pageMeta_[page];
     if (m.version >= opts_.versionFlushThreshold) {
         // Flush before the one-byte counter wraps (§4.4).
@@ -344,8 +347,7 @@ Engine::recordWrite(Lpn page, Target target, std::uint32_t die,
         m.loc = Loc::Latch;
         // The page's latch lives on the die holding its physical
         // page, spreading latch pressure with the striped layout.
-        const Ppn ppn = ftl_.physicalOf(page);
-        m.latchDie = die == kAutoDie ? nand_.dieOf(ppn) : die;
+        m.latchDie = nand_.dieOf(ftl_.physicalOf(page));
         m.dramCached = false;
         auto &fifo = latchFifo_[m.latchDie];
         // Refresh on rewrite: one latch slot per resident page.
@@ -356,8 +358,7 @@ Engine::recordWrite(Lpn page, Target target, std::uint32_t die,
         while (fifo.size() > opts_.latchPagesPerDie) {
             const Lpn victim = fifo.front();
             fifo.pop_front();
-            if (victim < pageMeta_.size() &&
-                pageMeta_[victim].loc == Loc::Latch &&
+            if (pageMeta_[victim].loc == Loc::Latch &&
                 pageMeta_[victim].dirty) {
                 commitPage(victim, when);
                 ++ctx_->result.latchEvictions;
@@ -368,159 +369,114 @@ Engine::recordWrite(Lpn page, Target target, std::uint32_t die,
     }
 }
 
-Engine::MoveResult
-Engine::moveForIsp(const VecInstruction &instr, Tick earliest)
+Tick
+Engine::moveOperands(const VecInstruction &instr, Target target,
+                     Tick earliest)
 {
-    MoveResult r;
-    r.readyAt = earliest;
     const NandConfig &n = cfg_.nand;
+    RunResult &res = ctx_->result;
+    EnergyModel &energy = ctx_->energy;
     const Lpn base = streamBase();
-    const Lpn limit = streamEnd();
+    Tick ready = earliest;
     for (const auto &s : instr.srcs) {
         for (Lpn p = base + s.basePage;
              p < base + s.basePage + s.pageCount; ++p) {
-            if (p >= limit)
-                continue;
+            // The route is read per visit, after earlier visits'
+            // residency changes: a repeated page moves once.
             PageMeta &m = pageMeta_[p];
-            Tick end = earliest;
-            if (m.loc == Loc::Dram || m.dramCached) {
-                // DRAM-resident operands stream directly through the
-                // core's load path; the IspCore streaming bound
-                // already covers this traffic, so only energy (not
-                // extra bus serialization) is charged here.
-                ctx_->energy.dramTransfer(n.pageBytes);
-                dramTouch(p, earliest);
-            } else if (m.loc == Loc::Latch) {
-                const std::uint32_t ch =
-                    m.latchDie / n.diesPerChannel;
-                auto iv = nand_.transferOut(ch, n.pageBytes, earliest);
-                ctx_->energy.dma(1);
-                ctx_->energy.channelTransfer(n.pageBytes);
-                ctx_->result.internalDmBusy += iv.end - iv.start;
-                end = iv.end;
-            } else {
-                const Ppn ppn = ftl_.physicalOf(p);
-                const FlashAddress a = nand_.decode(ppn);
-                auto rd = nand_.readPage(a, earliest);
-                auto iv =
-                    nand_.transferOut(a.channel, n.pageBytes, rd.end);
-                ctx_->energy.flashRead(1);
-                ctx_->energy.dma(1);
-                ctx_->energy.channelTransfer(n.pageBytes);
-                ctx_->result.flashReadBusy += rd.end - rd.start;
-                ctx_->result.internalDmBusy += iv.end - iv.start;
-                m.dramCached = true; // staged via the DRAM buffer
-                dramTouch(p, earliest);
-                end = iv.end;
-            }
-            r.bytesMoved += n.pageBytes;
-            r.readyAt = std::max(r.readyAt, end);
-        }
-    }
-    return r;
-}
-
-Engine::MoveResult
-Engine::moveForPud(const VecInstruction &instr, Tick earliest)
-{
-    MoveResult r;
-    r.readyAt = earliest;
-    const NandConfig &n = cfg_.nand;
-    const Lpn base = streamBase();
-    const Lpn limit = streamEnd();
-    for (const auto &s : instr.srcs) {
-        for (Lpn p = base + s.basePage;
-             p < base + s.basePage + s.pageCount; ++p) {
-            if (p >= limit)
-                continue;
-            PageMeta &m = pageMeta_[p];
-            if (m.loc == Loc::Dram || m.dramCached) {
-                dramTouch(p, earliest);
-                continue; // already resident
-            }
-            Tick end = earliest;
-            if (m.loc == Loc::Latch) {
-                const std::uint32_t ch =
-                    m.latchDie / n.diesPerChannel;
-                auto x = nand_.transferOut(ch, n.pageBytes, earliest);
-                auto w = dram_.access(static_cast<std::uint32_t>(p),
-                                      n.pageBytes, x.end);
-                ctx_->energy.dma(1);
-                ctx_->energy.channelTransfer(n.pageBytes);
-                ctx_->energy.dramTransfer(n.pageBytes);
-                ctx_->result.internalDmBusy +=
-                    (x.end - x.start) + (w.end - w.start);
-                m.loc = Loc::Dram; // the fresh copy moves to DRAM
-                dramTouch(p, earliest);
-                end = w.end;
-            } else {
-                const Ppn ppn = ftl_.physicalOf(p);
-                const FlashAddress a = nand_.decode(ppn);
-                auto rd = nand_.readPage(a, earliest);
-                auto x = nand_.transferOut(a.channel, n.pageBytes,
-                                           rd.end);
-                auto w = dram_.access(static_cast<std::uint32_t>(p),
-                                      n.pageBytes, x.end);
-                ctx_->energy.flashRead(1);
-                ctx_->energy.dma(1);
-                ctx_->energy.channelTransfer(n.pageBytes);
-                ctx_->energy.dramTransfer(n.pageBytes);
-                ctx_->result.flashReadBusy += rd.end - rd.start;
-                ctx_->result.internalDmBusy +=
-                    (x.end - x.start) + (w.end - w.start);
-                m.dramCached = true;
-                dramTouch(p, earliest);
-                end = w.end;
-            }
-            r.bytesMoved += n.pageBytes;
-            r.readyAt = std::max(r.readyAt, end);
-        }
-    }
-    return r;
-}
-
-Engine::MoveResult
-Engine::moveForIfp(const VecInstruction &instr, Tick earliest)
-{
-    MoveResult r;
-    r.readyAt = earliest;
-    const NandConfig &n = cfg_.nand;
-    const Lpn base = streamBase();
-    const Lpn limit = streamEnd();
-    for (const auto &s : instr.srcs) {
-        for (Lpn p = base + s.basePage;
-             p < base + s.basePage + s.pageCount; ++p) {
-            if (p >= limit)
-                continue;
-            PageMeta &m = pageMeta_[p];
-            if (m.loc == Loc::Dram) {
-                if (m.dirty) {
-                    // Latch-class op: load the fresh copy into the
-                    // owning die's page-buffer latch over the channel
-                    // (latch-operand computation, Ares-Flash style) —
-                    // far cheaper than programming the array.
-                    const Ppn ppn = ftl_.physicalOf(p);
-                    const FlashAddress a = nand_.decode(ppn);
-                    auto x = nand_.transferIn(a.channel, n.pageBytes,
-                                              earliest);
-                    ctx_->energy.dma(1);
-                    ctx_->energy.channelTransfer(n.pageBytes);
-                    ctx_->result.internalDmBusy += x.end - x.start;
-                    m.loc = Loc::Latch;
-                    m.latchDie = nand_.dieIndex(a);
-                    m.dramCached = false;
-                    r.bytesMoved += n.pageBytes;
-                    r.readyAt = std::max(r.readyAt, x.end);
-                } else {
-                    m.loc = Loc::Flash; // array copy is valid
+            const Route r = routeFor(m, target);
+            FlashAddress home{};
+            Tick at = earliest;
+            for (std::uint8_t h = 0; h < r.count; ++h) {
+                switch (r.hops[h]) {
+                  case Hop::Sense: {
+                    home = nand_.decode(ftl_.physicalOf(p));
+                    auto rd = nand_.readPage(home, at);
+                    energy.flashRead(1);
+                    res.flashReadBusy += rd.end - rd.start;
+                    at = rd.end;
+                    break;
+                  }
+                  case Hop::ChannelOut:
+                  case Hop::ChannelIn: {
+                    // Out of the latch the page sits in or of the die
+                    // it was just sensed on; in to its home die.
+                    ServiceInterval x{at, at};
+                    if (r.hops[h] == Hop::ChannelIn) {
+                        home = nand_.decode(ftl_.physicalOf(p));
+                        x = nand_.transferIn(home.channel, n.pageBytes,
+                                             at);
+                    } else {
+                        x = nand_.transferOut(
+                            m.loc == Loc::Latch
+                                ? m.latchDie / n.diesPerChannel
+                                : home.channel,
+                            n.pageBytes, at);
+                    }
+                    energy.dma(1);
+                    energy.channelTransfer(n.pageBytes);
+                    res.internalDmBusy += x.end - x.start;
+                    at = x.end;
+                    break;
+                  }
+                  case Hop::DramWrite: {
+                    auto w = dram_.access(static_cast<std::uint32_t>(p),
+                                          n.pageBytes, at);
+                    res.internalDmBusy += w.end - w.start;
+                    at = w.end;
+                    [[fallthrough]];
+                  }
+                  case Hop::DramStream:
+                    energy.dramTransfer(n.pageBytes);
+                    break;
                 }
             }
-            // Loc::Flash (and, for latch-class ops, Loc::Latch) is
-            // usable in place: the extended FTL layout keeps
-            // operands co-located (§4.4).
+            switch (r.lands) {
+              case Lands::InPlace:
+                break;
+              case Lands::DramCopy:
+                m.dramCached = true;
+                break;
+              case Lands::Dram:
+                m.loc = Loc::Dram;
+                break;
+              case Lands::Latch:
+                m.loc = Loc::Latch;
+                m.latchDie = nand_.dieIndex(home);
+                m.dramCached = false;
+                break;
+              case Lands::Flash:
+                m.loc = Loc::Flash;
+                break;
+            }
+            // ISP and PuD operands that end up DRAM-resident refresh
+            // the staging LRU; IFP computes without touching DRAM.
+            if (target != Target::Ifp &&
+                (m.loc == Loc::Dram || m.dramCached))
+                dramTouch(p, earliest);
+            ready = std::max(ready, at);
         }
     }
-    return r;
+    return ready;
+}
+
+void
+Engine::computeEnergy(const VecInstruction &instr, Target target,
+                      Tick busy)
+{
+    EnergyModel &energy = ctx_->energy;
+    switch (target) {
+      case Target::Isp:
+        energy.ispBusy(busy);
+        break;
+      case Target::Pud:
+        energy.pudOp(pud_.rowsFor(instr.elemBits, instr.lanes) *
+                     pud_.bbopCount(instr.op, instr.elemBits));
+        break;
+      case Target::Ifp:
+        energy.ifpOp(instr.op, instr.srcBytes());
+        break;
+    }
 }
 
 Tick
@@ -529,132 +485,77 @@ Engine::executeOn(const VecInstruction &instr, Target target,
 {
     const auto ti = static_cast<std::size_t>(target);
     RunResult &res = ctx_->result;
-    EnergyModel &energy = ctx_->energy;
     ++res.perResource[ti];
     const Lpn base = streamBase();
 
     if (ctx_->ideal) {
         // No contention, zero movement, table-latency compute; the
-        // per-resource aggregate capacity is enforced in run().
-        Tick comp = 0;
-        switch (target) {
-          case Target::Isp:
-            comp = isp_.estimate(
-                instr.op, instr.elemBits, instr.lanes,
-                static_cast<std::uint32_t>(instr.srcs.size()),
-                instr.vectorized);
-            energy.ispBusy(comp);
-            break;
-          case Target::Pud:
-            comp = pud_.estimate(instr.op, instr.elemBits, instr.lanes);
-            energy.pudOp(pud_.rowsFor(instr.elemBits, instr.lanes) *
-                         pud_.bbopCount(instr.op, instr.elemBits));
-            break;
-          case Target::Ifp: {
-            const auto frags = fragmentsFor(instr);
-            std::uint64_t per_die = 0;
-            for (const auto &fr : frags)
-                per_die = std::max(per_die, fr.bytes);
-            comp = ifp_.estimate(
-                instr.op, instr.elemBits,
-                static_cast<std::uint32_t>(instr.srcs.size()),
-                sensedOperands(instr), per_die);
-            energy.ifpOp(instr.op, instr.srcBytes());
-            break;
-          }
-        }
+        // per-resource aggregate capacity is enforced in
+        // sessionFinish().
+        const Tick comp =
+            compEstimate(instr, target, fragmentsFor(instr));
+        computeEnergy(instr, target, comp);
         res.computeBusy += comp;
         ctx_->idealBusy[ti] += comp;
         // Track result location (only) so operand-reuse effects such
         // as latch-resident IFP operands shape Ideal's choices.
         for (Lpn p = base + instr.dst.basePage;
-             p < base + instr.dst.basePage + instr.dst.pageCount;
-             ++p) {
-            if (p >= streamEnd())
-                continue;
-            PageMeta &m = pageMeta_[p];
-            m.loc = target == Target::Ifp ? Loc::Latch : Loc::Dram;
-        }
+             p < base + instr.dst.basePage + instr.dst.pageCount; ++p)
+            pageMeta_[p].loc =
+                target == Target::Ifp ? Loc::Latch : Loc::Dram;
         return earliest + comp;
     }
 
-    Tick done = earliest;
+    // IFP counts sensed operands before the move turns dirty DRAM
+    // operands into latch residents.
+    const std::uint32_t sensed =
+        target == Target::Ifp ? sensedOperands(instr) : 0;
+    const Tick ready = moveOperands(instr, target, earliest);
+    ServiceInterval iv{ready, ready};
     switch (target) {
-      case Target::Isp: {
-        auto mv = moveForIsp(instr, earliest);
-        auto iv = isp_.execute(
-            instr.op, instr.elemBits, instr.lanes,
-            static_cast<std::uint32_t>(instr.srcs.size()),
-            instr.vectorized, mv.readyAt);
-        energy.ispBusy(iv.end - iv.start);
-        res.computeBusy += iv.end - iv.start;
-        // Result streams into SSD DRAM.
-        if (instr.dstBytes() > 0) {
-            auto w = dram_.access(
-                static_cast<std::uint32_t>(base + instr.dst.basePage),
-                instr.dstBytes(), iv.end);
-            energy.dramTransfer(instr.dstBytes());
-            res.internalDmBusy += w.end - w.start;
-            done = w.end;
-        } else {
-            done = iv.end;
-        }
-        for (Lpn p = base + instr.dst.basePage;
-             p < base + instr.dst.basePage + instr.dst.pageCount; ++p)
-            recordWrite(p, Target::Isp, 0, done);
+      case Target::Isp:
+        iv = isp_.execute(instr.op, instr.elemBits, instr.lanes,
+                          static_cast<std::uint32_t>(instr.srcs.size()),
+                          instr.vectorized, ready);
         break;
-      }
-      case Target::Pud: {
-        auto mv = moveForPud(instr, earliest);
-        auto iv = pud_.execute(
+      case Target::Pud:
+        iv = pud_.execute(
             instr.op, instr.elemBits, instr.lanes,
-            static_cast<std::uint32_t>(base + instr.dst.basePage),
-            mv.readyAt);
-        energy.pudOp(pud_.rowsFor(instr.elemBits, instr.lanes) *
-                     pud_.bbopCount(instr.op, instr.elemBits));
-        res.computeBusy += iv.end - iv.start;
-        done = iv.end;
-        for (Lpn p = base + instr.dst.basePage;
-             p < base + instr.dst.basePage + instr.dst.pageCount; ++p)
-            recordWrite(p, Target::Pud, 0, done);
+            static_cast<std::uint32_t>(base + instr.dst.basePage), ready);
         break;
-      }
       case Target::Ifp: {
-        const std::uint32_t sensed = sensedOperands(instr);
-        auto mv = moveForIfp(instr, earliest);
         const auto frags = fragmentsFor(instr);
-        auto iv = ifp_.execute(
-            instr.op, instr.elemBits,
-            static_cast<std::uint32_t>(instr.srcs.size()), sensed,
-            frags, mv.readyAt);
-        // Sensing energy: MWS activates the operand wordlines.
-        std::uint64_t sensings = 0;
-        if (sensed > 0) {
-            switch (instr.op) {
-              case OpCode::And:
-              case OpCode::Nand:
-                sensings = 1;
-                break;
-              case OpCode::Or:
-              case OpCode::Nor:
-                sensings = (sensed + cfg_.nand.maxOrOperands - 1) /
-                    cfg_.nand.maxOrOperands;
-                break;
-              default:
-                sensings = sensed;
-                break;
-            }
+        iv = ifp_.execute(instr.op, instr.elemBits,
+                          static_cast<std::uint32_t>(instr.srcs.size()),
+                          sensed, frags, ready);
+        // Sensing energy: MWS activates the operand wordlines, all
+        // at once for AND/NAND, maxOrOperands at a time for OR/NOR.
+        std::uint64_t sensings = sensed;
+        if (instr.op == OpCode::And || instr.op == OpCode::Nand) {
+            sensings = std::min<std::uint64_t>(sensed, 1);
+        } else if (instr.op == OpCode::Or || instr.op == OpCode::Nor) {
+            sensings = (sensed + cfg_.nand.maxOrOperands - 1) /
+                cfg_.nand.maxOrOperands;
         }
-        energy.ifpSense(sensings * frags.size());
-        energy.ifpOp(instr.op, instr.srcBytes());
-        res.computeBusy += iv.end - iv.start;
-        done = iv.end;
-        for (Lpn p = base + instr.dst.basePage;
-             p < base + instr.dst.basePage + instr.dst.pageCount; ++p)
-            recordWrite(p, Target::Ifp, kAutoDie, done);
+        ctx_->energy.ifpSense(sensings * frags.size());
         break;
       }
     }
+    computeEnergy(instr, target, iv.end - iv.start);
+    res.computeBusy += iv.end - iv.start;
+    Tick done = iv.end;
+    if (target == Target::Isp && instr.dstBytes() > 0) {
+        // The ISP result streams into SSD DRAM.
+        auto w = dram_.access(
+            static_cast<std::uint32_t>(base + instr.dst.basePage),
+            instr.dstBytes(), iv.end);
+        ctx_->energy.dramTransfer(instr.dstBytes());
+        res.internalDmBusy += w.end - w.start;
+        done = w.end;
+    }
+    for (Lpn p = base + instr.dst.basePage;
+         p < base + instr.dst.basePage + instr.dst.pageCount; ++p)
+        recordWrite(p, target, done);
     return done;
 }
 
@@ -701,7 +602,6 @@ Engine::dispatchNext(ExecContext &ctx)
 
     CostFeatures f = features(instr, now);
     const Target target = ctx.policy->select(instr, f);
-    (void)transformer_.transform(instr, target);
 
     // Operand availability (RAW) gates execution start.
     Tick dep_ready = now;

@@ -13,7 +13,8 @@
  *     the policy for a target resource,
  *  3. moves operands to the target (lazy coherence: flash / page
  *     buffer latches / SSD DRAM, with owner/dirty/version metadata
- *     at logical-page granularity),
+ *     at logical-page granularity) along one per-page route table,
+ *     the table the movement feature is folded from too,
  *  4. reserves the target's execution resources (dies, banks, the
  *     compute core) FCFS — contention and queueing emerge from the
  *     reservation calendars, and
@@ -39,6 +40,7 @@
 #ifndef CONDUIT_CORE_ENGINE_HH
 #define CONDUIT_CORE_ENGINE_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -48,7 +50,6 @@
 
 #include "src/core/exec_context.hh"
 #include "src/core/run_result.hh"
-#include "src/core/transformer.hh"
 #include "src/dram/dram.hh"
 #include "src/dram/pud_unit.hh"
 #include "src/energy/energy_model.hh"
@@ -72,9 +73,6 @@ namespace trace
 {
 class Tracer;
 }
-
-/** Sentinel: let recordWrite derive the latch die per page. */
-constexpr std::uint32_t kAutoDie = ~0U;
 
 /**
  * The runtime engine: the simulated SSD's substrates plus the
@@ -225,11 +223,32 @@ class Engine
         std::uint32_t latchDie = 0;
     };
 
-    /** Outcome of moving operands for one instruction. */
-    struct MoveResult
+    /** One leg of a source page's trip to a compute target. */
+    enum class Hop : std::uint8_t
     {
-        Tick readyAt = 0;
-        std::uint64_t bytesMoved = 0;
+        Sense,      // array read into the die's page buffer
+        ChannelOut, // page buffer -> controller over the channel
+        ChannelIn,  // controller -> the page's die latch
+        DramWrite,  // stage the page in an SSD DRAM bank
+        DramStream, // ISP load path reads a DRAM-resident page
+    };
+
+    /** Where the freshest copy lives once a route's hops are done. */
+    enum class Lands : std::uint8_t
+    {
+        InPlace,   // residency unchanged
+        DramCopy,  // a clean copy is now staged in SSD DRAM
+        Dram,      // the fresh copy moved to SSD DRAM
+        Latch,     // the fresh copy moved into its die's latch
+        Flash,     // the array copy is valid again
+    };
+
+    /** The ordered hops one source page takes to one target. */
+    struct Route
+    {
+        std::array<Hop, 3> hops{};
+        std::uint8_t count = 0;
+        Lands lands = Lands::InPlace;
     };
 
     /**
@@ -250,20 +269,29 @@ class Engine
     /** Source operands that require array sensing on IFP. */
     std::uint32_t sensedOperands(const VecInstruction &instr) const;
 
-    /** @name Data movement (coherence-aware) @{ */
-    MoveResult moveForIsp(const VecInstruction &instr, Tick earliest);
-    MoveResult moveForPud(const VecInstruction &instr, Tick earliest);
-    MoveResult moveForIfp(const VecInstruction &instr, Tick earliest);
-    /** @} */
+    /** Contention-free compute latency on @p t (feature (6)). */
+    Tick compEstimate(const VecInstruction &instr, Target t,
+                      const std::vector<IfpFragment> &frags) const;
 
     /**
-     * Static (contention-free) movement estimate per target.
-     * @p aging_read is the expected ECC penalty per flash read at
-     * the device's current age (0 with reliability disabled), so
-     * offload decisions account for worn-device read latency.
+     * The route table (§4.3.2, §4.4): the hops a source page in
+     * state @p m takes to @p t. features() folds every page's hops
+     * into the no-contention latency_dm; moveOperands() reserves the
+     * same hops on the calendars.
      */
-    Tick dmEstimate(const VecInstruction &instr, Target t,
-                    std::uint64_t &bytes, Tick aging_read) const;
+    static Route routeFor(const PageMeta &m, Target t);
+
+    /**
+     * Move @p instr's source pages to @p target, reserving each
+     * page's route from @p earliest and applying its residency
+     * change. @return When the last operand is in place.
+     */
+    Tick moveOperands(const VecInstruction &instr, Target target,
+                      Tick earliest);
+
+    /** Charge @p target's compute energy (ISP: @p busy ticks). */
+    void computeEnergy(const VecInstruction &instr, Target target,
+                       Tick busy);
 
     /** @name Background scrub (reliability subsystem) @{ */
 
@@ -294,8 +322,7 @@ class Engine
     void dramTouch(Lpn page, Tick now);
 
     /** Mark @p page written by @p target at @p when. */
-    void recordWrite(Lpn page, Target target, std::uint32_t die,
-                     Tick when);
+    void recordWrite(Lpn page, Target target, Tick when);
 
     /** Execute on a specific resource; returns completion time. */
     Tick executeOn(const VecInstruction &instr, Target target,
@@ -315,25 +342,13 @@ class Engine
      */
     Tick drainStream(ExecContext &ctx, Tick after);
 
-    PageMeta &meta(Lpn page) { return pageMeta_.at(page); }
-
-    /** @name Active-stream page addressing @{ */
-
-    /** First absolute LPN of the dispatching stream's region. */
+    /** First absolute LPN of the dispatching stream's region
+     *  (Device keeps every operand inside it). */
     Lpn
     streamBase() const
     {
         return ctx_ ? static_cast<Lpn>(ctx_->base) : 0;
     }
-
-    /** One-past-last absolute LPN of the dispatching stream. */
-    Lpn
-    streamEnd() const
-    {
-        return ctx_ ? static_cast<Lpn>(ctx_->base + ctx_->pages)
-                    : static_cast<Lpn>(pageMeta_.size());
-    }
-    /** @} */
 
     SsdConfig cfg_;
     StatSet stats_;
@@ -353,8 +368,6 @@ class Engine
     IspCore isp_;
     // lint: transient(stateless latency model derived from config; die/channel calendars live in nand_)
     IfpUnit ifp_;
-    // lint: transient(pure function of config; no mutable state)
-    InstructionTransformer transformer_;
     Rng rng_;
 
     Server offloader_{"conduit.offloader"};

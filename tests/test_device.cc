@@ -350,6 +350,39 @@ TEST(Device, SubmitWithoutWorkloadOrProgramThrows)
     EXPECT_THROW(dev.submit(JobSpec{}), std::invalid_argument);
 }
 
+TEST(Device, SubmitRejectsOperandOutsideFootprint)
+{
+    // An operand past the footprint would address pages of another
+    // job's region (or past the FTL's logical range).
+    auto program = [](Operand src, Operand dst) {
+        auto prog = std::make_shared<Program>();
+        prog->name = "stray";
+        prog->footprintPages = 8;
+        VecInstruction vi;
+        vi.op = OpCode::Add;
+        vi.elemBits = 8;
+        vi.lanes = 4096;
+        vi.srcs = {Operand{0, 1}, src};
+        vi.dst = dst;
+        prog->instrs.push_back(vi);
+        return prog;
+    };
+    auto submit = [](std::shared_ptr<const Program> prog) {
+        Device dev(testDeviceOptions());
+        JobSpec job;
+        job.program = std::move(prog);
+        return dev.submit(job);
+    };
+    EXPECT_THROW(submit(program({100, 1}, {7, 1})),
+                 std::invalid_argument);
+    EXPECT_THROW(submit(program({6, 3}, {7, 1})), std::invalid_argument);
+    EXPECT_THROW(submit(program({1, 1}, {7, 2})), std::invalid_argument);
+    EXPECT_THROW(submit(program({100000000, 1}, {7, 1})),
+                 std::invalid_argument);
+    // Operands that end exactly at the footprint are inside it.
+    EXPECT_EQ(submit(program({6, 2}, {7, 1})), 1u);
+}
+
 TEST(Device, WorkloadJobsCompileThroughTheDeviceCache)
 {
     DeviceOptions opts = testDeviceOptions();

@@ -379,6 +379,133 @@ TEST(Engine, DispatchFeaturesSeeDependenceDelay)
     EXPECT_TRUE(waited);
 }
 
+/** Sends instruction i to targets[i]; records every feature vector. */
+class FixedTargets : public OffloadPolicy
+{
+  public:
+    explicit FixedTargets(std::vector<Target> t) : targets(std::move(t))
+    {
+    }
+
+    Target
+    select(const VecInstruction &instr, const CostFeatures &f) override
+    {
+        seen.push_back(f);
+        return targets.at(instr.id);
+    }
+
+    std::string name() const override { return "Fixed"; }
+
+    std::vector<Target> targets;
+    std::vector<CostFeatures> seen;
+};
+
+/** The reservations operand movement leaves behind in one run. */
+struct Reserved
+{
+    std::uint64_t nandReads = 0;
+    std::uint64_t dramBytes = 0;
+    Tick internalDm = 0;
+    Tick flashRead = 0;
+};
+
+Reserved
+runReserving(const Program &prog, FixedTargets &policy)
+{
+    DeviceOptions dopts;
+    dopts.config = testCfg();
+    dopts.engine.drainResults = false;
+    Device dev(dopts);
+    JobSpec job;
+    job.program = std::shared_ptr<const Program>(
+        std::shared_ptr<const void>(), &prog);
+    job.policyObj = std::shared_ptr<OffloadPolicy>(
+        std::shared_ptr<void>(), &policy);
+    dev.submit(job);
+    const RunResult r = dev.drain().jobs.front().result;
+    const auto &c = dev.engine().stats().counters();
+    auto counter = [&](const char *name) -> std::uint64_t {
+        auto it = c.find(name);
+        return it == c.end() ? 0 : it->second.value();
+    };
+    return {counter("nand.reads"), counter("dram.bytes"),
+            r.internalDmBusy, r.flashReadBusy};
+}
+
+TEST(Engine, MovementEstimateMatchesReservedRoutePerState)
+{
+    // Instruction 0 leaves page 0 in one of four states; instruction
+    // 1 reads it on one target. Instruction 1 has no destination, so
+    // everything it adds to the run's reservations is operand
+    // movement. latency_dm must count the page (dmBytes > 0) exactly
+    // when the executor reserved a hop for it.
+    enum State { Flash, DramDirty, DramCached, Latch };
+    const char *names[] = {"flash", "dram-dirty", "dram-cached",
+                           "latch"};
+    // Expected movement per state and target (ISP, PuD, IFP).
+    const bool moves[4][kNumTargets] = {
+        {true, true, false},  // sensed from the array
+        {false, false, true}, // IFP loads the fresh copy into a latch
+        {false, false, false},
+        {true, true, false}, // shipped out of the latch
+    };
+    for (int s = Flash; s <= Latch; ++s) {
+        VecInstruction first;
+        first.op = OpCode::And;
+        first.elemBits = 8;
+        first.lanes = 4096;
+        first.srcs = {Operand{1, 1}};
+        first.dst = Operand{2, 1};
+        Target first_target = Target::Isp;
+        if (s == DramDirty) {
+            first.dst = Operand{0, 1};
+            first_target = Target::Pud;
+        } else if (s == DramCached) {
+            first.srcs = {Operand{0, 1}}; // ISP stages a clean copy
+        } else if (s == Latch) {
+            first.dst = Operand{0, 1};
+            first_target = Target::Ifp;
+        }
+        Program prog;
+        prog.name = "route";
+        prog.footprintPages = 4;
+        prog.instrs = {first};
+        FixedTargets setup({first_target});
+        const Reserved before = runReserving(prog, setup);
+
+        for (Target t : {Target::Isp, Target::Pud, Target::Ifp}) {
+            const auto ti = static_cast<std::size_t>(t);
+            SCOPED_TRACE(std::string(names[s]) + " -> " +
+                         std::string(targetName(t)));
+            VecInstruction read = first;
+            read.id = 1;
+            read.srcs = {Operand{0, 1}};
+            read.dst = Operand{3, 0};
+            prog.instrs = {first, read};
+            FixedTargets pol({first_target, t});
+            const Reserved after = runReserving(prog, pol);
+            ASSERT_EQ(pol.seen.size(), 2u);
+            const bool estimated = pol.seen[1].dmBytes[ti] > 0;
+            const bool reserved = after.nandReads > before.nandReads ||
+                after.dramBytes > before.dramBytes ||
+                after.internalDm > before.internalDm ||
+                after.flashRead > before.flashRead;
+            EXPECT_EQ(reserved, moves[s][ti]);
+            if (t == Target::Isp && (s == DramDirty || s == DramCached)) {
+                // The one designed gap: a DRAM-resident ISP operand's
+                // DramStream hop is estimated but reserves nothing,
+                // since the IspCore streaming bound already covers
+                // the traffic. Deciding it flips this assertion.
+                EXPECT_TRUE(estimated);
+                EXPECT_EQ(pol.seen[1].dmBytes[ti],
+                          testCfg().nand.pageBytes);
+            } else {
+                EXPECT_EQ(estimated, reserved);
+            }
+        }
+    }
+}
+
 TEST(Engine, DeterministicAcrossIdenticalRuns)
 {
     Program prog = chainProgram(40);

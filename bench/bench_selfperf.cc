@@ -17,10 +17,16 @@
  *    fan_wide variant with a 10x resident set), an open-loop
  *    pre-populated-arrivals shape (every arrival fires a short chain
  *    and arms-then-cancels a timeout — the exact shape of an
- *    open-loop Device run), a cancel-heavy rolling window, and a
- *    DeviceImage snapshot-fork round trip (the per-cell fixed cost
- *    of warmed sweeps). Reported as events (or forks, or
- *    schedule+cancel pairs) per second of wall time.
+ *    open-loop Device run), a cancel-heavy rolling window, an
+ *    overload shape (pre-populated arrivals whose dispatch chains
+ *    schedule every successor in front of a pile of pending
+ *    completions), and a DeviceImage snapshot-fork round trip (the
+ *    per-cell fixed cost of warmed sweeps). Reported as events (or
+ *    forks, or schedule+cancel pairs) per second of wall time. Each
+ *    event-queue micro also records the queue's deterministic work
+ *    counters (EventQueue::Counters) under "kernel_counters"; they
+ *    are exact on every host, so scripts/check_selfperf.py requires
+ *    them to equal the committed record.
  *
  * 2. Representative end-to-end scenarios, timed around the
  *    SweepRunner entry points (SweepPerf hooks):
@@ -56,6 +62,9 @@
 #include <chrono>
 #include <cstdlib>
 #include <deque>
+#include <iterator>
+#include <optional>
+#include <utility>
 
 #include "bench/common.hh"
 #include "src/cluster/placement.hh"
@@ -84,6 +93,8 @@ struct MicroResult
 {
     std::uint64_t ops = 0;
     double wallSeconds = 0.0;
+    /** Work counters of the micro's queue (event-queue micros). */
+    std::optional<EventQueue::Counters> counters;
 
     double
     opsPerSec() const
@@ -108,7 +119,7 @@ microChain(std::uint64_t events)
     };
     q.schedule(0, [&] { next(); });
     q.run();
-    return {events, seconds(t0)};
+    return {events, seconds(t0), q.counters()};
 }
 
 /** Fan shape: all events scheduled up front, then drained. */
@@ -125,7 +136,7 @@ microFan(std::uint64_t events)
                    static_cast<int>(i & 3));
     }
     q.run();
-    return {fired, seconds(t0)};
+    return {fired, seconds(t0), q.counters()};
 }
 
 /**
@@ -151,7 +162,7 @@ microOpenLoopArrivals(std::uint64_t jobs)
         });
     }
     q.run();
-    return {q.eventsFired() + done, seconds(t0)};
+    return {q.eventsFired() + done, seconds(t0), q.counters()};
 }
 
 /** Open-loop shape: rolling window of schedule + cancel pairs. */
@@ -170,7 +181,38 @@ microCancel(std::uint64_t pairs)
         }
     }
     q.run();
-    return {pairs, seconds(t0)};
+    return {pairs, seconds(t0), q.counters()};
+}
+
+/**
+ * Overload shape: pre-populated arrivals whose dispatch chains
+ * outrun their completions. Each of a job's kSteps dispatches
+ * schedules its completion kService ticks out and its successor
+ * kStepGap ticks out, so about kService / kStepGap completions pile up
+ * in the active bucket and every successor lands in front of all of
+ * them — the shape of an overloaded device, where an insert that
+ * keeps the bucket sorted in place would shift the whole pile.
+ */
+MicroResult
+microOverload(std::uint64_t jobs)
+{
+    constexpr Tick kGap = 1000;
+    constexpr Tick kStepGap = 2;
+    constexpr Tick kService = 1200;
+    constexpr int kSteps = 400;
+    EventQueue q;
+    const auto t0 = std::chrono::steady_clock::now();
+    std::function<void(int)> dispatch = [&](int left) {
+        q.scheduleAfter(kService, [] {});
+        if (left > 1)
+            q.scheduleAfter(kStepGap,
+                            [&dispatch, left] { dispatch(left - 1); });
+    };
+    for (std::uint64_t i = 0; i < jobs; ++i)
+        q.schedule(static_cast<Tick>(i) * kGap,
+                   [&dispatch] { dispatch(kSteps); });
+    q.run();
+    return {q.eventsFired(), seconds(t0), q.counters()};
 }
 
 /**
@@ -201,7 +243,7 @@ microSnapshotFork(double scale, std::uint64_t forks)
         sink ^= dev.now();
     }
     (void)sink;
-    return {forks, seconds(t0)};
+    return {forks, seconds(t0), std::nullopt};
 }
 
 /** One timed scenario: simulated digest + wall-clock statistics. */
@@ -482,9 +524,9 @@ writeJson(const std::string &path, const SweepCli &cli, int repeat,
         std::fprintf(stderr, "cannot write %s\n", path.c_str());
         return false;
     }
-    static const char *kMicroNames[] = {"chain", "fan", "fan_wide",
-                                        "open_loop", "cancel_window",
-                                        "snapshot_fork"};
+    static const char *kMicroNames[] = {
+        "chain",         "fan",      "fan_wide",     "open_loop",
+        "cancel_window", "overload", "snapshot_fork"};
     std::fprintf(f, "{\n  \"bench\": \"selfperf\",\n");
     std::fprintf(f, "  \"scale\": %g,\n", cli.scale);
     std::fprintf(f, "  \"repeat\": %d,\n", repeat);
@@ -506,6 +548,32 @@ writeJson(const std::string &path, const SweepCli &cli, int repeat,
     }
     std::fprintf(f, "    \"events_per_sec\": %.0f\n  },\n",
                  wall > 0.0 ? static_cast<double>(ops) / wall : 0.0);
+    std::fprintf(f, "  \"kernel_counters\": {\n");
+    bool first = true;
+    for (std::size_t i = 0; i < micro.size(); ++i) {
+        if (!micro[i].counters)
+            continue;
+        const EventQueue::Counters &c = *micro[i].counters;
+        const std::pair<const char *, std::uint64_t> fields[] = {
+            {"in_place_inserts", c.inPlaceInserts},
+            {"shifted_entries", c.shiftedEntries},
+            {"late_pushes", c.latePushes},
+            {"late_high_water", c.lateHighWater},
+            {"re_anchors", c.reAnchors},
+            {"counting_sorts", c.countingSorts},
+            {"comparison_sorts", c.comparisonSorts},
+            {"compactions", c.compactions}};
+        std::fprintf(f, "%s    \"%s\": {", first ? "" : ",\n",
+                     kMicroNames[i]);
+        for (std::size_t k = 0; k < std::size(fields); ++k)
+            std::fprintf(f, "%s\"%s\": %llu", k ? ", " : "",
+                         fields[k].first,
+                         static_cast<unsigned long long>(
+                             fields[k].second));
+        std::fprintf(f, "}");
+        first = false;
+    }
+    std::fprintf(f, "\n  },\n");
     std::fprintf(f, "  \"scenarios\": [\n");
     for (std::size_t i = 0; i < scenarios.size(); ++i) {
         const ScenarioResult &s = scenarios[i];
@@ -618,6 +686,7 @@ main(int argc, char **argv)
         bestOf([] { return microFan(10'000'000); }),
         bestOf([] { return microOpenLoopArrivals(500'000); }),
         bestOf([] { return microCancel(2'000'000); }),
+        bestOf([] { return microOverload(2'000); }),
         bestOf([&] { return microSnapshotFork(cli.scale, 1'000); }),
     };
     static const char *kMicroLabels[] = {
@@ -625,6 +694,7 @@ main(int argc, char **argv)
         "fan wide (10x resident set)",
         "open loop (pre-populated arrivals)",
         "cancel window (open-loop)",
+        "overload (deep inserts)",
         "snapshot fork (device image)"};
     std::fprintf(stderr, "event-kernel microbench:\n");
     for (std::size_t i = 0; i < micro.size(); ++i)

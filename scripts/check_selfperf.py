@@ -2,14 +2,23 @@
 """Perf-regression gate over bench_selfperf records.
 
 Compares a freshly produced BENCH_selfperf JSON record against the
-committed reference and fails when any events/sec figure dropped
-below ``min_ratio`` of the reference. The margin is deliberately
-generous: the reference numbers come from whatever machine produced
-the committed record, while CI runners differ in CPU generation and
-load, so the gate only catches order-of-magnitude regressions (an
-accidentally quadratic hot path, a lost cache), not percent-level
-noise. Byte-level correctness is covered separately by the digest
-diffs — this gate is purely about wall-clock speed.
+committed reference. Two gates run:
+
+- Work counters, exactly. ``kernel_counters`` holds each event-queue
+  microbench's EventQueue work counters (entries shifted, late-heap
+  pushes, re-anchors, sorts, compactions). They are a function of the
+  schedule alone, identical on every host, so every committed counter
+  must be present in the fresh record with exactly the same value. A
+  change that moves one on purpose regenerates the committed record.
+- Wall clock, loosely. The gate fails when any events/sec figure
+  dropped below ``min_ratio`` of the reference. The margin is
+  deliberately generous: the reference numbers come from whatever
+  machine produced the committed record, while CI runners differ in
+  CPU generation and load, so the gate only catches
+  order-of-magnitude regressions (an accidentally quadratic hot path,
+  a lost cache), not percent-level noise.
+
+Byte-level correctness is covered separately by the digest diffs.
 
 Every metric's per-metric ratio is printed, improvements included
 (ratio >= 2 is flagged "improved"), and a geometric-mean summary
@@ -41,6 +50,37 @@ def metrics(record):
     return out
 
 
+def counters(record):
+    """Flatten a selfperf record into {micro.counter: count}."""
+    out = {}
+    for micro, fields in record.get("kernel_counters", {}).items():
+        for name, value in fields.items():
+            out[f"{micro}.{name}"] = int(value)
+    return out
+
+
+def counter_failures(ref, new):
+    """Print every counter's comparison; return the mismatches."""
+    failures = []
+    for name, ref_val in sorted(ref.items()):
+        if name not in new:
+            failures.append(f"counter {name}: missing from the fresh "
+                            f"record")
+            status, shown = "MISSING", "-"
+        elif new[name] != ref_val:
+            failures.append(f"counter {name}: {new[name]} != committed "
+                            f"{ref_val}")
+            status, shown = "MISMATCH", str(new[name])
+        else:
+            status, shown = "exact", str(new[name])
+        print(f"counter {name:40s} ref {ref_val:14d}  new {shown:>14s}"
+              f"  {status}")
+    for name in sorted(set(new) - set(ref)):
+        print(f"counter {name:40s} ref {'-':>14s}  new {new[name]:14d}"
+              f"  new counter")
+    return failures
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("reference")
@@ -49,9 +89,11 @@ def main():
     args = parser.parse_args()
 
     with open(args.reference) as f:
-        ref = metrics(json.load(f))
+        ref_record = json.load(f)
     with open(args.fresh) as f:
-        new = metrics(json.load(f))
+        new_record = json.load(f)
+    ref = metrics(ref_record)
+    new = metrics(new_record)
 
     if not ref:
         print("error: reference record has no events/sec metrics")
@@ -99,14 +141,18 @@ def main():
         gm = math.exp(sum(math.log(r) for r in ratios if r > 0)
                       / len(ratios))
         print(f"\ngeometric-mean ratio over {len(ratios)} shared "
-              f"metrics: {gm:.2f}")
+              f"metrics: {gm:.2f}\n")
+
+    failures += counter_failures(counters(ref_record),
+                                 counters(new_record))
 
     if failures:
         print("\nperf regression gate FAILED:")
         for f_msg in failures:
             print(f"  - {f_msg}")
         return 1
-    print(f"perf gate passed (min ratio {args.min_ratio:.2f})")
+    print(f"perf gate passed (counters exact, min ratio "
+          f"{args.min_ratio:.2f})")
     return 0
 
 

@@ -1,6 +1,7 @@
 #include "src/sim/event_queue.hh"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 
 namespace conduit
@@ -66,7 +67,8 @@ EventQueue::~EventQueue()
     }
     Recycler &r = recycler();
     constexpr std::size_t kMaxPoolChunks = 4096; // 128 MiB of slots
-    constexpr std::size_t kMaxPoolVecs = kMaxBuckets * 2 + 64;
+    // Two queues' worth of buckets plus headroom, and late_.
+    constexpr std::size_t kMaxPoolVecs = kMaxBuckets * 2 + 64 + 1;
     for (auto &chunk : chunks_) {
         if (r.chunks.size() >= kMaxPoolChunks)
             break;
@@ -78,8 +80,13 @@ EventQueue::~EventQueue()
             r.vecs.emplace_back(std::move(v));
         }
     };
+    // Pooled in the reverse of the order the next queue usually takes
+    // them: its ctor pops overflow_, its first counting sort
+    // sortScratch_, and its first deep insert, which needs a sorted
+    // bucket, late_.
     for (auto &v : buckets_)
         give(v);
+    give(late_);
     give(sortScratch_);
     give(overflow_); // biggest buffer last: the next ctor pops it first
 }
@@ -147,14 +154,27 @@ EventQueue::insertCalendar(const Entry &e)
         // everything already drained compares no later than the last
         // fired event, and a new entry always compares after it (its
         // tick is >= now_ and its sequence is the largest issued).
-        vec.insert(std::lower_bound(
-                       vec.begin() +
-                           static_cast<std::ptrdiff_t>(drainPos_),
-                       vec.end(), e,
-                       [](const Entry &a, const Entry &b) {
-                           return earlier(a, b);
-                       }),
-                   e);
+        const auto pos = std::lower_bound(
+            vec.begin() + static_cast<std::ptrdiff_t>(drainPos_),
+            vec.end(), e, [](const Entry &a, const Entry &b) {
+                return earlier(a, b);
+            });
+        const auto depth = static_cast<std::size_t>(vec.end() - pos);
+        if (depth <= kMaxShift) {
+            ++counters_.inPlaceInserts;
+            counters_.shiftedEntries += depth;
+            vec.insert(pos, e);
+        } else {
+            // Shifting a deep tail per insert is quadratic under
+            // overload; the late heap merges back at the drain front.
+            if (late_.capacity() == 0)
+                late_ = takePooledVec();
+            late_.push_back(e);
+            std::push_heap(late_.begin(), late_.end(), Later{});
+            ++counters_.latePushes;
+            counters_.lateHighWater = std::max<std::uint64_t>(
+                counters_.lateHighWater, late_.size());
+        }
     } else {
         vec.push_back(e);
     }
@@ -165,6 +185,8 @@ void
 EventQueue::reAnchor()
 {
     // Only a fully drained husk can remain in the old window.
+    assert(late_.empty());
+    ++counters_.reAnchors;
     if (curBucket_ < bucketCount_)
         buckets_[curBucket_].clear();
 
@@ -262,7 +284,9 @@ EventQueue::sortBucket(std::vector<Entry> &vec)
         for (const Entry &e : vec)
             sortScratch_[sortCounts_[key(e)]++] = e;
         vec.swap(sortScratch_); // scratch becomes the next scratch
+        ++counters_.countingSorts;
     } else {
+        ++counters_.comparisonSorts;
         std::sort(vec.begin(), vec.end(),
                   [](const Entry &a, const Entry &b) {
                       return earlier(a, b);
@@ -280,7 +304,7 @@ EventQueue::advanceToLive()
             reAnchor();
         }
         std::vector<Entry> &vec = buckets_[curBucket_];
-        if (drainPos_ >= vec.size()) {
+        if (drainPos_ >= vec.size() && late_.empty()) {
             vec.clear();
             ++curBucket_;
             drainPos_ = 0;
@@ -296,7 +320,13 @@ EventQueue::advanceToLive()
             --cancelled_;
             --calEntries_;
         }
-        if (drainPos_ >= vec.size())
+        while (!late_.empty() && !liveEntry(late_.front())) {
+            std::pop_heap(late_.begin(), late_.end(), Later{});
+            late_.pop_back();
+            --cancelled_;
+            --calEntries_;
+        }
+        if (drainPos_ >= vec.size() && late_.empty())
             continue;
         // Trim the drained prefix once it dominates the bucket: in
         // the open-ended steady state one bucket hosts the whole run,
@@ -313,12 +343,20 @@ EventQueue::advanceToLive()
 void
 EventQueue::fireFront()
 {
-    const std::vector<Entry> &vec = buckets_[curBucket_];
-    const Entry e = vec[drainPos_];
-    if (drainPos_ + kPrefetchAhead < vec.size())
-        __builtin_prefetch(&slotAt(vec[drainPos_ + kPrefetchAhead].slot),
-                           1 /* for write */, 1);
-    ++drainPos_;
+    Entry e{};
+    if (frontIsLate()) {
+        e = late_.front();
+        std::pop_heap(late_.begin(), late_.end(), Later{});
+        late_.pop_back();
+    } else {
+        const std::vector<Entry> &vec = buckets_[curBucket_];
+        e = vec[drainPos_];
+        if (drainPos_ + kPrefetchAhead < vec.size())
+            __builtin_prefetch(
+                &slotAt(vec[drainPos_ + kPrefetchAhead].slot),
+                1 /* for write */, 1);
+        ++drainPos_;
+    }
     --calEntries_;
     // Release before invoking: the callback sees the event as fired
     // (its id is no longer cancellable) and may reuse the slot.
@@ -379,6 +417,7 @@ void
 EventQueue::compactAll()
 {
     const auto dead = [this](const Entry &e) { return !liveEntry(e); };
+    ++counters_.compactions;
 
     overflow_.erase(
         std::remove_if(overflow_.begin(), overflow_.end(), dead),
@@ -410,6 +449,10 @@ EventQueue::compactAll()
         }
         calEntries_ += vec.size();
     }
+    late_.erase(std::remove_if(late_.begin(), late_.end(), dead),
+                late_.end());
+    std::make_heap(late_.begin(), late_.end(), Later{});
+    calEntries_ += late_.size();
     cancelled_ = 0;
 }
 
@@ -427,7 +470,7 @@ EventQueue::run(Tick until)
 {
     std::uint64_t n = 0;
     while (advanceToLive()) {
-        if (buckets_[curBucket_][drainPos_].when > until)
+        if (front().when > until)
             break;
         fireFront();
         ++n;
@@ -454,6 +497,13 @@ EventQueue::auditPendingConservation() const
                 ++liveCount;
         }
     }
+    for (const Entry &e : late_) {
+        ++resident;
+        if (liveEntry(e))
+            ++liveCount;
+    }
+    if (!late_.empty() && !curSorted_)
+        return false; // late entries only join a bucket mid-drain
     if (resident != calEntries_)
         return false;
     for (const Entry &e : overflow_) {

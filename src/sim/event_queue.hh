@@ -34,8 +34,23 @@
  *   The window adapts: re-anchoring a lone entry doubles the bucket
  *   width, so sparse self-scheduling chains settle into a window
  *   wide enough that successors schedule straight into the active
- *   bucket (an ordered insert into its undrained tail) and
- *   re-anchoring stops.
+ *   bucket and re-anchoring stops.
+ * - The active bucket is a merge of two sides, both ordered by the
+ *   full (tick, priority, seq) key, with every entry in exactly one:
+ *
+ *     * its sorted vector, drained front to back. A successor that
+ *       lands at most kMaxShift entries from the end of the
+ *       undrained tail is inserted in place (the chain-shaped common
+ *       case: a short shift, no extra structure).
+ *     * a min-heap of "late" entries. A successor that would land
+ *       deeper — a dispatch scheduled in front of a pile of
+ *       completions under overload — is pushed here instead of
+ *       shifting the whole tail.
+ *
+ *   The drain front is the earlier of the two heads, so the merge
+ *   fires exactly the sequence one sorted bucket would. The heap is
+ *   empty whenever the front leaves a bucket, so it never outlives
+ *   the active bucket or meets a re-anchor.
  * - cancel() is lazy: the entry stays behind and is discarded when
  *   the drain front surfaces it — but when cancelled entries
  *   outnumber half of all resident entries, every tier is compacted
@@ -152,7 +167,8 @@ class EventQueue
     /** @name Slab/tier introspection (memory-bound regression tests) @{ */
     /** Slots ever allocated (bounds callback storage). */
     std::size_t slabSlots() const { return slotCount_; }
-    /** Resident ordering entries, cancelled leftovers included. */
+    /** Resident ordering entries in every tier and the late heap,
+     *  cancelled leftovers included. */
     std::size_t heapEntries() const
     {
         return calEntries_ + overflow_.size();
@@ -160,6 +176,29 @@ class EventQueue
     /** Cancelled entries still awaiting discard/compaction. */
     std::size_t cancelledEntries() const { return cancelled_; }
     /** @} */
+
+    /**
+     * Deterministic work counters: exact functions of the schedule
+     * (never of the host), so a perf gate can compare them for
+     * equality where wall-clock figures need a noise margin.
+     */
+    struct Counters
+    {
+        /** Active-bucket inserts shifted in place, and the entries
+         *  they shifted. */
+        std::uint64_t inPlaceInserts = 0;
+        std::uint64_t shiftedEntries = 0;
+        /** Deep active-bucket inserts pushed onto the late heap, and
+         *  the heap's peak size. */
+        std::uint64_t latePushes = 0;
+        std::uint64_t lateHighWater = 0;
+        std::uint64_t reAnchors = 0;
+        /** Buckets ordered by counting sort vs std::sort. */
+        std::uint64_t countingSorts = 0;
+        std::uint64_t comparisonSorts = 0;
+        std::uint64_t compactions = 0;
+    };
+    const Counters &counters() const { return counters_; }
 
     /**
      * Audit the pending() conservation invariant: recount live
@@ -179,6 +218,9 @@ class EventQueue
     static constexpr std::size_t kMaxBuckets = 512;
     /** Drained-prefix trim threshold for the active bucket. */
     static constexpr std::size_t kTrimMinDrained = 64;
+    /** Deepest in-place insert into the active bucket (2 KiB of
+     *  entries); anything deeper goes to the late heap. */
+    static constexpr std::size_t kMaxShift = 64;
     /** Slab chunk: 512 slots x 64 bytes — slots never relocate. */
     static constexpr std::size_t kChunkShift = 9;
     static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
@@ -212,6 +254,15 @@ class EventQueue
             return a.priority < b.priority;
         return a.seq < b.seq;
     }
+    /** Heap order that puts the earliest entry at late_.front(). */
+    struct Later
+    {
+        bool
+        operator()(const Entry &a, const Entry &b) const
+        {
+            return earlier(b, a);
+        }
+    };
 
     /** Thread-local recycling pool shared by queues on one thread. */
     struct Recycler
@@ -261,6 +312,23 @@ class EventQueue
      * cancelled entries. False when no live events remain.
      */
     bool advanceToLive();
+    /** True when the drain front is late_.front(), not the bucket's. */
+    bool
+    frontIsLate() const
+    {
+        if (late_.empty())
+            return false;
+        const std::vector<Entry> &vec = buckets_[curBucket_];
+        return drainPos_ >= vec.size() ||
+            earlier(late_.front(), vec[drainPos_]);
+    }
+    /** The entry at the drain front (advanceToLive() returned true). */
+    const Entry &
+    front() const
+    {
+        return frontIsLate() ? late_.front()
+                             : buckets_[curBucket_][drainPos_];
+    }
     /** Pop the entry at the drain front and invoke its callback. */
     void fireFront();
     /** Drop cancelled entries (and drained prefixes) in every tier. */
@@ -283,6 +351,9 @@ class EventQueue
     std::size_t drainPos_ = 0; // drained prefix of the active bucket
     bool curSorted_ = false;
     std::size_t calEntries_ = 0; // resident entries, drained excluded
+    /** Deep inserts into the active bucket: a min-heap under Later,
+     *  merged with the bucket's undrained tail at the drain front. */
+    std::vector<Entry> late_;
     /** @} */
 
     /** @name Far-future overflow tier @{ */
@@ -297,6 +368,7 @@ class EventQueue
 
     std::size_t live_ = 0;      // scheduled, not yet fired/cancelled
     std::size_t cancelled_ = 0; // dead entries still resident
+    Counters counters_;
     // lint: transient-end
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 1;

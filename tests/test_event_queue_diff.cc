@@ -370,6 +370,129 @@ TEST(EventQueueDifferential, PrePopulatedArrivalWindowMatches)
     ASSERT_EQ(a, b);
 }
 
+/** Hand back the calendar queue's work counters; the reference,
+ *  which has none, leaves @p out alone. */
+void
+keepCounters(const EventQueue &q, EventQueue::Counters *out)
+{
+    if (out)
+        *out = q.counters();
+}
+void keepCounters(const ReferenceEventQueue &, EventQueue::Counters *) {}
+
+/**
+ * Overload shape: piles of completions sit in the active bucket and
+ * dispatch chains schedule in front of them, so successors land deep
+ * in the undrained tail (the calendar queue's late heap) or, once a
+ * pile has mostly drained, near its end (in place). Chains and piles
+ * share ticks and priorities, so heap and tail entries tie on
+ * (tick, priority) and only seq orders them. A burst dispatcher
+ * pushes kBurst entries in front of its pile at (now + 1,
+ * priority -2), then cancels all but kKeep: the cancels hit
+ * heap-resident entries and compact the queue while the heap still
+ * holds the survivors. The outer loop then stops run(until) at the burst
+ * tick, so the front it stops on is a surviving burst entry, which
+ * sits in the late heap whenever the burst went deep. Every callback
+ * audits pending() conservation mid-drain. Comparing the two sides
+ * of the merge by tick alone fails this case.
+ */
+template <typename Q>
+std::vector<std::uint64_t>
+runDeepInserts(std::uint64_t seed, EventQueue::Counters *counters = nullptr)
+{
+    constexpr std::size_t kBurst = 600;
+    constexpr std::size_t kKeep = 100;
+    Q q;
+    Rng rng(seed);
+    std::vector<std::uint64_t> trace;
+    std::vector<EventId> deepIds; // burst survivors, cancelled later
+    std::uint64_t nextLabel = 1;
+    Tick burstTick = kMaxTick;
+    std::function<void(std::uint64_t, int)> onFire;
+    const auto add = [&](Tick when, int prio, int budget) {
+        const std::uint64_t label = nextLabel++;
+        return q.schedule(
+            when, [&onFire, label, budget] { onFire(label, budget); },
+            prio);
+    };
+    const auto prio = [&rng] { return static_cast<int>(rng.below(3)) - 1; };
+
+    // budget > 0: a dispatcher with that many successors left.
+    onFire = [&](std::uint64_t label, int budget) {
+        trace.push_back(label);
+        trace.push_back(q.now());
+        trace.push_back(q.pending());
+        audit(q);
+        if (budget <= 0) {
+            if (label % 13 == 0 && !deepIds.empty()) {
+                trace.push_back(q.cancel(deepIds.back()) ? 1 : 0);
+                deepIds.pop_back();
+            }
+            return;
+        }
+        add(q.now() + rng.below(2), prio(), budget - 1);
+        add(q.now() + 2 + rng.below(6), prio(), 0);
+        if (budget % 7 == 3 && burstTick == kMaxTick) {
+            std::vector<EventId> burst;
+            for (std::size_t i = 0; i < kBurst; ++i)
+                burst.push_back(add(q.now() + 1, -2, 0));
+            for (std::size_t i = kKeep; i < kBurst; ++i)
+                trace.push_back(q.cancel(burst[i]) ? 1 : 0);
+            deepIds.insert(deepIds.end(), burst.begin() + kKeep / 2,
+                           burst.begin() + kKeep);
+            burstTick = q.now();
+            audit(q);
+        }
+    };
+
+    for (int round = 0; round < 6; ++round) {
+        // A far sentinel widens the window's buckets past the pile's
+        // span, so the whole pile shares the active bucket.
+        const Tick base = q.now() + 1;
+        add(base + (Tick{1} << 20), 0, 0);
+        const std::size_t pile = 150 + rng.below(150);
+        for (std::size_t i = 0; i < pile; ++i)
+            add(base + rng.below(8), prio(), 0);
+        for (int c = 0; c < 4; ++c)
+            add(base + rng.below(2), prio(), 20 + static_cast<int>(c));
+        while (!q.empty()) {
+            if (burstTick != kMaxTick) {
+                trace.push_back(q.run(burstTick));
+                trace.push_back(q.now());
+                burstTick = kMaxTick;
+            } else if (rng.below(2) == 0) {
+                const std::uint64_t burst = 1 + rng.below(16);
+                for (std::uint64_t i = 0; i < burst; ++i)
+                    if (!q.runOne())
+                        break;
+            } else {
+                trace.push_back(q.run(q.now() + rng.below(3)));
+            }
+            trace.push_back(q.pending());
+            audit(q);
+        }
+    }
+    trace.push_back(q.now());
+    trace.push_back(q.eventsFired());
+    keepCounters(q, counters);
+    return trace;
+}
+
+TEST(EventQueueDifferential, DeepInsertsMergeExactly)
+{
+    for (std::uint64_t seed = 300; seed <= 305; ++seed) {
+        EventQueue::Counters c;
+        const auto cal = runDeepInserts<EventQueue>(seed, &c);
+        const auto ref = runDeepInserts<ReferenceEventQueue>(seed);
+        ASSERT_EQ(cal, ref) << "seed " << seed;
+        // The shape reaches both insert paths and compaction.
+        EXPECT_GT(c.inPlaceInserts, 0u) << "seed " << seed;
+        EXPECT_GT(c.shiftedEntries, 0u) << "seed " << seed;
+        EXPECT_GE(c.latePushes, 600u) << "seed " << seed;
+        EXPECT_GT(c.compactions, 0u) << "seed " << seed;
+    }
+}
+
 /** Re-running a seed must reproduce the identical trace (the bench
  *  digests rely on the kernel being repeat-invariant). */
 TEST(EventQueueDifferential, RepeatInvariant)

@@ -7,9 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <deque>
-#include <vector>
-
+#include <functional>
 #include <list>
+#include <vector>
 
 #include "src/sim/event_queue.hh"
 #include "src/sim/flat_lru.hh"
@@ -141,6 +141,87 @@ TEST(EventQueue, CancelHeavyMemoryStaysBounded)
     EXPECT_EQ(q.run(), kWindow);
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.heapEntries(), 0u);
+
+    // Deep inserts into the active bucket live in the late heap;
+    // cancelling them must compact it too. A pile of kPile same-tick
+    // completions sits behind a dispatcher that schedules kBurst
+    // successors in front of the pile and then cancels all of them.
+    constexpr std::size_t kPile = 1000;
+    constexpr std::size_t kBurst = 3000;
+    EventQueue deep;
+    int pileFired = 0;
+    for (std::size_t i = 0; i < kPile; ++i)
+        deep.schedule(1, [&pileFired] { ++pileFired; }, 10);
+    deep.schedule(1, [&deep] {
+        std::vector<EventId> burst;
+        for (std::size_t i = 0; i < kBurst; ++i)
+            burst.push_back(deep.schedule(1, [] { FAIL(); }));
+        for (EventId id : burst)
+            ASSERT_TRUE(deep.cancel(id));
+        EXPECT_TRUE(deep.auditPendingConservation());
+    });
+    ASSERT_TRUE(deep.runOne());
+    EXPECT_EQ(deep.counters().latePushes, kBurst);
+    EXPECT_EQ(deep.counters().compactions, 1u);
+    EXPECT_EQ(deep.pending(), kPile);
+    EXPECT_LE(deep.heapEntries(), 2 * kPile);
+    EXPECT_LE(deep.cancelledEntries(), deep.heapEntries() / 2 + 1);
+    EXPECT_EQ(deep.run(), kPile);
+    EXPECT_EQ(pileFired, static_cast<int>(kPile));
+    EXPECT_EQ(deep.heapEntries(), 0u);
+}
+
+TEST(EventQueue, WorkCountersArePinnedOnAFixedSchedule)
+{
+    // The counters are exact functions of the schedule, so a fixed
+    // one pins every field. Phase 1 — one bucket holding a dispatcher
+    // chain (priority 0) ahead of 100 completions (priority 10) and
+    // 3 tails (priority 20): every successor lands 103 entries deep,
+    // past kMaxShift, so it goes to the late heap; every per-step
+    // completion (priority 15) lands 3 deep, in place. The window is
+    // 104 one-tick buckets, so phase 2's tick-100 pair stays in it.
+    EventQueue q;
+    std::vector<int> order; // 0 dispatch, 1 completion, 2 tail, 3 step
+    std::function<void(int)> dispatch = [&](int k) {
+        order.push_back(0);
+        q.schedule(q.now(), [&order] { order.push_back(3); }, 15);
+        if (k < 9)
+            q.schedule(q.now(), [&dispatch, k] { dispatch(k + 1); });
+        else // phase 2: two entries too wide apart for counting sort
+            for (int p : {30000, 0})
+                q.schedule(100, [&order] { order.push_back(4); }, p);
+    };
+    q.schedule(0, [&dispatch] { dispatch(0); });
+    for (int i = 0; i < 100; ++i)
+        q.schedule(0, [&order] { order.push_back(1); }, 10);
+    for (int i = 0; i < 3; ++i)
+        q.schedule(0, [&order] { order.push_back(2); }, 20);
+    EXPECT_EQ(q.run(), 125u);
+    std::vector<int> want(10, 0);
+    want.insert(want.end(), 100, 1);
+    want.insert(want.end(), 10, 3);
+    want.insert(want.end(), 3, 2);
+    want.insert(want.end(), 2, 4);
+    EXPECT_EQ(order, want);
+
+    // Phase 3: cancelling 51 of 100 pending entries compacts once;
+    // tick 1000 lies past the window, so draining them re-anchors.
+    std::vector<EventId> ids;
+    for (int i = 0; i < 100; ++i)
+        ids.push_back(q.schedule(1000, [] {}));
+    for (int i = 0; i < 51; ++i)
+        ASSERT_TRUE(q.cancel(ids[static_cast<std::size_t>(i)]));
+    EXPECT_EQ(q.run(), 49u);
+
+    const EventQueue::Counters &c = q.counters();
+    EXPECT_EQ(c.inPlaceInserts, 10u);
+    EXPECT_EQ(c.shiftedEntries, 30u);
+    EXPECT_EQ(c.latePushes, 9u);
+    EXPECT_EQ(c.lateHighWater, 1u);
+    EXPECT_EQ(c.reAnchors, 2u);     // phases 1 and 3
+    EXPECT_EQ(c.countingSorts, 2u); // phases 1 and 3
+    EXPECT_EQ(c.comparisonSorts, 1u);
+    EXPECT_EQ(c.compactions, 1u);
 }
 
 TEST(EventQueue, StaleIdCannotCancelReusedSlot)

@@ -114,6 +114,5 @@ main(int argc, char **argv)
                 "IFP+ISP best on compute-intensive (+28%% over IFP) "
                 "and mixed (+40%% over IFP).\n");
 
-    const auto perf = runner.lastPerf();
-    return cli.finish(sweep, &perf, &runner);
+    return cli.finish(sweep, runner);
 }

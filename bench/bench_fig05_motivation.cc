@@ -66,6 +66,5 @@ main(int argc, char **argv)
                     ideal / dm);
     }
 
-    const auto perf = runner.lastPerf();
-    return cli.finish(sweep, &perf, &runner);
+    return cli.finish(sweep, runner);
 }

@@ -81,6 +81,5 @@ main(int argc, char **argv)
                 100.0 * gmean(ratio["Ideal"]) / conduit);
     }
 
-    const auto perf = runner.lastPerf();
-    return cli.finish(sweep, &perf, &runner);
+    return cli.finish(sweep, runner);
 }

@@ -63,6 +63,5 @@ main(int argc, char **argv)
     std::printf("paper: LlaMA2 p99 1.8x/5.6x, p99.99 10.7x/22.3x; "
                 "jacobi-1d p99 1.7x/1.1x, p99.99 1.9x/1.3x\n");
 
-    const auto perf = runner.lastPerf();
-    return cli.finish(sweep, &perf, &runner);
+    return cli.finish(sweep, runner);
 }

@@ -144,6 +144,5 @@ main(int argc, char **argv)
                     switches, tl.resource.size());
     }
 
-    const auto perf = runner.lastPerf();
-    return cli.finish(sweep, &perf, &runner);
+    return cli.finish(sweep, runner);
 }

@@ -47,9 +47,6 @@
  *                         every fleet device
  */
 
-#include <algorithm>
-#include <cstdlib>
-
 #include "bench/common.hh"
 #include "src/cluster/placement.hh"
 
@@ -61,17 +58,6 @@ using namespace conduit::bench;
 using conduit::runner::Offer;
 using conduit::runner::Tenant;
 using conduit::runner::splitCsv;
-
-std::vector<double>
-parseRates(const std::string &csv)
-{
-    std::vector<double> rates;
-    for (const std::string &tok : splitCsv(csv))
-        rates.push_back(parsePositive("--rates", tok));
-    std::sort(rates.begin(), rates.end());
-    rates.erase(std::unique(rates.begin(), rates.end()), rates.end());
-    return rates;
-}
 
 std::vector<std::size_t>
 parseSizes(const std::string &csv)
@@ -92,8 +78,7 @@ parseMix(const std::string &entry)
         const std::size_t colon = entry.find(':', pos);
         const std::string tok = entry.substr(
             pos, colon == std::string::npos ? colon : colon - pos);
-        mix.push_back(static_cast<std::uint32_t>(
-            parseCount("--age-mix", tok, /*allow_zero=*/true)));
+        mix.push_back(parseCycles("--age-mix", tok));
         if (colon == std::string::npos)
             break;
         pos = colon + 1;
@@ -125,44 +110,27 @@ int
 main(int argc, char **argv)
 {
     std::vector<std::size_t> sizes = {4};
-    std::size_t jobs = 64;
+    Offer traffic;
+    traffic.jobs = 64;
     std::vector<double> rates;
-    ArrivalKind arrivals = ArrivalKind::Poisson;
-    std::uint64_t arrivalSeed = 1;
     std::vector<std::vector<std::uint32_t>> mixes;
     double retentionPerKCycle = 0.0;
-    std::size_t warmupJobs = 0;
     double sloMult = 3.0;
     bool wearLevel = false;
     const auto extra = [&](const std::string &flag,
                            const std::function<std::string()> &value) {
+        if (parseOfferFlag(traffic, flag, value))
+            return true;
         if (flag == "--devices") {
             sizes = parseSizes(value());
-        } else if (flag == "--jobs") {
-            jobs = parseCount("--jobs", value());
         } else if (flag == "--rates") {
             rates = parseRates(value());
-        } else if (flag == "--arrivals") {
-            const std::string v = value();
-            if (!parseArrivalKind(v, arrivals)) {
-                std::fprintf(stderr,
-                             "unknown --arrivals '%s'; accepted: %s\n",
-                             v.c_str(),
-                             runner::joinLabels(arrivalKindNames())
-                                 .c_str());
-                std::exit(2);
-            }
-        } else if (flag == "--arrival-seed") {
-            arrivalSeed = parseCount("--arrival-seed", value());
         } else if (flag == "--age-mix") {
             for (const std::string &entry : splitCsv(value()))
                 mixes.push_back(parseMix(entry));
         } else if (flag == "--retention-per-kcycle") {
             retentionPerKCycle =
                 parsePositive("--retention-per-kcycle", value());
-        } else if (flag == "--warmup-jobs") {
-            warmupJobs = parseCount("--warmup-jobs", value(),
-                                    /*allow_zero=*/true);
         } else if (flag == "--slo-mult") {
             sloMult = parsePositive("--slo-mult", value());
         } else if (flag == "--wear-level") {
@@ -181,30 +149,12 @@ main(int argc, char **argv)
     if (mixes.empty())
         mixes.push_back({0});
 
-    std::vector<std::string> names;
-    for (WorkloadId id : allWorkloads())
-        names.push_back(workloadName(id));
-    if (cli.listWorkloads)
-        runner::listAndExit(names);
-    if (cli.listTechniques)
-        runner::listAndExit(cluster::placementNames());
-
     // Tenant rows: a skewed two-tenant mix by default (AES carries
     // 3x jacobi-1d's arrival weight); --workloads overrides with any
     // Table 3 applications, first listed carrying the heavy share.
-    std::vector<WorkloadId> tenantIds = {WorkloadId::Aes,
-                                         WorkloadId::Jacobi1d};
-    const auto keepW = splitCsv(cli.workloadFilter);
-    if (!runner::reportUnknown(keepW, names, "workload"))
-        return 2;
-    if (!keepW.empty()) {
-        tenantIds.clear();
-        for (WorkloadId id : allWorkloads()) {
-            if (std::find(keepW.begin(), keepW.end(),
-                          workloadName(id)) != keepW.end())
-                tenantIds.push_back(id);
-        }
-    }
+    const std::vector<WorkloadId> tenantIds =
+        selectWorkloads(cli, {WorkloadId::Aes, WorkloadId::Jacobi1d},
+                        cluster::placementNames());
 
     // The technique axis is the placement policy.
     std::vector<std::string> policies = cluster::placementNames();
@@ -215,7 +165,6 @@ main(int argc, char **argv)
         policies = keepP;
 
     DeviceOptions fresh;
-    fresh.config = runner::defaultSweepConfig();
     fresh.config.reliability.wearLevelEnabled = wearLevel;
     fresh.workload.scale = cli.scale;
 
@@ -234,12 +183,7 @@ main(int argc, char **argv)
             Tenant ten;
             ten.name = workloadName(tenantIds[t]);
             ten.workloadId = tenantIds[t];
-            Offer iso;
-            iso.jobs = 1;
-            const double tIso = ticksToSeconds(
-                runner.runAll({runner::loadScenario(fresh, ten, iso)})
-                    .front()
-                    .makespan);
+            const double tIso = isolatedServiceSeconds(runner, fresh, ten);
             ten.sloMs = tIso * 1000.0 * sloMult;
             ten.weight = t == 0 ? 3.0 : 1.0;
             meanServiceSec += tIso * ten.weight / weightSum;
@@ -281,12 +225,8 @@ main(int argc, char **argv)
                                   "fleet%zu%s/%s@%gjobs/s", sizes[si],
                                   mixLabel(mix).c_str(),
                                   policy.c_str(), rate);
-                    Offer offer;
-                    offer.jobs = jobs;
+                    Offer offer = traffic;
                     offer.jobsPerSec = rate;
-                    offer.arrivals = arrivals;
-                    offer.arrivalSeed = arrivalSeed;
-                    offer.warmupJobs = warmupJobs;
                     cells.push_back(runner::fleetScenario(
                         label, policy, devices, tenants, offer));
                 }
@@ -305,7 +245,7 @@ main(int argc, char **argv)
 
     std::printf("Fleet sweep (%zu jobs/cell fleet-wide, %s arrivals, "
                 "%zu tenants)\n\n",
-                jobs, arrivalKindName(arrivals).c_str(),
+                traffic.jobs, arrivalKindName(traffic.arrivals).c_str(),
                 tenants.size());
     std::size_t r = 0;
     for (std::size_t si = 0; si < sizes.size(); ++si) {

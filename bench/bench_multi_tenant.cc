@@ -46,7 +46,6 @@ namespace
 using namespace conduit;
 using namespace conduit::bench;
 using conduit::runner::Tenant;
-using conduit::runner::splitCsv;
 
 Tenant
 tenantFor(WorkloadId id, const std::string &policy)
@@ -72,8 +71,7 @@ main(int argc, char **argv)
     const auto extra = [&](const std::string &flag,
                            const std::function<std::string()> &value) {
         if (flag == "--age") {
-            age = static_cast<std::uint32_t>(
-                parseCount("--age", value(), /*allow_zero=*/true));
+            age = parseCycles("--age", value());
         } else if (flag == "--retention-days") {
             retentionDays = parsePositive("--retention-days", value(),
                                           /*allow_zero=*/true);
@@ -91,55 +89,27 @@ main(int argc, char **argv)
     if (retentionDays < 0.0)
         retentionDays = static_cast<double>(age) * 30.0 / 1000.0;
 
-    std::vector<std::string> names;
-    for (WorkloadId id : allWorkloads())
-        names.push_back(workloadName(id));
-    if (cli.listWorkloads)
-        runner::listAndExit(names);
-    if (cli.listTechniques)
-        runner::listAndExit(policyNames());
-
     // Tenant set: the two tail-sensitive workloads of Fig. 8 plus
     // the two cheapest Table 3 applications, so the default matrix
     // stays seconds-long. --workloads widens or narrows it.
-    std::vector<WorkloadId> tenants = {
-        WorkloadId::Aes, WorkloadId::XorFilter, WorkloadId::Jacobi1d,
-        WorkloadId::LlamaInference};
-    const auto keep = splitCsv(cli.workloadFilter);
-    if (!runner::reportUnknown(keep, names, "workload"))
-        return 2;
-    if (!keep.empty()) {
-        tenants.clear();
-        for (WorkloadId id : allWorkloads()) {
-            if (std::find(keep.begin(), keep.end(),
-                          workloadName(id)) != keep.end())
-                tenants.push_back(id);
-        }
-    }
-    const auto policies = splitCsv(cli.techniqueFilter);
+    const std::vector<WorkloadId> tenants = selectWorkloads(
+        cli,
+        {WorkloadId::Aes, WorkloadId::XorFilter, WorkloadId::Jacobi1d,
+         WorkloadId::LlamaInference},
+        policyNames());
+    const auto policies = selectSsdPolicies(cli, {"Conduit"});
     if (policies.size() > 1) {
         std::fprintf(stderr,
                      "every stream runs the same policy; give a "
                      "single --techniques entry\n");
         return 2;
     }
-    const std::string policy =
-        policies.empty() ? std::string("Conduit") : policies.front();
-    if (policy == "CPU" || policy == "GPU") {
-        std::fprintf(stderr,
-                     "streams run on the SSD engine; host baseline "
-                     "'%s' cannot be a tenant policy\n",
-                     policy.c_str());
-        return 2;
-    }
-    if (!runner::reportUnknown({policy}, policyNames(), "policy"))
-        return 2;
+    const std::string &policy = policies.front();
 
     // Aged mode: every cell forks one pre-worn device image, so all
     // cells share the aged (reliability-enabled) configuration.
     SweepRunner runner(cli.runnerOptions());
     runner::DeviceRecipe device;
-    device.options.config = runner::defaultSweepConfig();
     device.options.workload.scale = cli.scale;
     if (age > 0) {
         ReliabilityConfig &rel = device.options.config.reliability;
@@ -266,9 +236,8 @@ main(int argc, char **argv)
         }
     }
 
-    const auto perf = runner.lastPerf();
     const SweepResult rows(std::move(rowSpecs), std::move(rowResults),
-                           perf.wallSeconds,
+                           runner.lastPerf().wallSeconds,
                            runner.workerCount(cells.size()));
-    return cli.finish(rows, &perf, &runner);
+    return cli.finish(rows, runner);
 }

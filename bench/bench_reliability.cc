@@ -40,11 +40,6 @@
  *                          forked per policy
  */
 
-#include <algorithm>
-#include <cerrno>
-#include <cstdlib>
-#include <limits>
-
 #include "bench/common.hh"
 
 namespace
@@ -52,21 +47,14 @@ namespace
 
 using namespace conduit;
 using namespace conduit::bench;
-using conduit::runner::Offer;
-using conduit::runner::Tenant;
 using conduit::runner::splitCsv;
 
 std::vector<std::uint32_t>
 parseAges(const std::string &csv)
 {
     std::vector<std::uint32_t> ages;
-    for (const std::string &tok : splitCsv(csv)) {
-        const unsigned long v =
-            parseCount("--ages", tok, /*allow_zero=*/true);
-        if (v > std::numeric_limits<std::uint32_t>::max())
-            badFlagValue("--ages", tok);
-        ages.push_back(static_cast<std::uint32_t>(v));
-    }
+    for (const std::string &tok : splitCsv(csv))
+        ages.push_back(parseCycles("--ages", tok));
     // The age axis is emitted ascending and deduplicated: every
     // (workload, policy) CSV block is strictly monotone in age,
     // which is what the CI monotonicity check keys on.
@@ -82,22 +70,19 @@ main(int argc, char **argv)
 {
     using namespace conduit;
     using namespace conduit::bench;
+    using conduit::runner::Offer;
+    using conduit::runner::Tenant;
 
-    std::size_t jobs = 6;
+    Offer offer;
+    offer.jobs = 6;
     std::vector<std::uint32_t> ages = {0, 1000, 2000, 3000};
     double retentionPerKcycle = 30.0;
     double rateMult = 2.0;
-    ArrivalKind arrivals = ArrivalKind::Poisson;
-    std::uint64_t arrivalSeed = 1;
-    std::size_t warmupJobs = 0;
     const auto extra = [&](const std::string &flag,
                            const std::function<std::string()> &value) {
-        if (flag == "--jobs") {
-            jobs = parseCount("--jobs", value());
-        } else if (flag == "--warmup-jobs") {
-            warmupJobs =
-                parseCount("--warmup-jobs", value(), /*allow_zero=*/true);
-        } else if (flag == "--ages") {
+        if (parseOfferFlag(offer, flag, value))
+            return true;
+        if (flag == "--ages") {
             ages = parseAges(value());
             if (ages.empty())
                 badFlagValue("--ages", "");
@@ -108,18 +93,6 @@ main(int argc, char **argv)
                 "--retention-per-kcycle", value(), /*allow_zero=*/true);
         } else if (flag == "--rate-mult") {
             rateMult = parsePositive("--rate-mult", value());
-        } else if (flag == "--arrivals") {
-            const std::string v = value();
-            if (!parseArrivalKind(v, arrivals)) {
-                std::fprintf(stderr,
-                             "unknown --arrivals '%s'; accepted: %s\n",
-                             v.c_str(),
-                             runner::joinLabels(arrivalKindNames())
-                                 .c_str());
-                std::exit(2);
-            }
-        } else if (flag == "--arrival-seed") {
-            arrivalSeed = parseCount("--arrival-seed", value());
         } else {
             return false;
         }
@@ -133,47 +106,14 @@ main(int argc, char **argv)
         "          [--arrivals KIND] [--arrival-seed N]\n"
         "          [--warmup-jobs N]\n");
 
-    std::vector<std::string> names;
-    for (WorkloadId id : allWorkloads())
-        names.push_back(workloadName(id));
-    if (cli.listWorkloads)
-        runner::listAndExit(names);
-    if (cli.listTechniques)
-        runner::listAndExit(policyNames());
-
     // Workload rows: AES by default (flash-read heavy, so the ECC
     // ladder dominates its service time); --workloads widens.
-    std::vector<WorkloadId> tenants = {WorkloadId::Aes};
-    const auto keepW = splitCsv(cli.workloadFilter);
-    if (!runner::reportUnknown(keepW, names, "workload"))
-        return 2;
-    if (!keepW.empty()) {
-        tenants.clear();
-        for (WorkloadId id : allWorkloads()) {
-            if (std::find(keepW.begin(), keepW.end(),
-                          workloadName(id)) != keepW.end())
-                tenants.push_back(id);
-        }
-    }
-
-    std::vector<std::string> policies = {"Conduit", "DM-Offloading"};
-    const auto keepP = splitCsv(cli.techniqueFilter);
-    for (const std::string &p : keepP) {
-        if (p == "CPU" || p == "GPU") {
-            std::fprintf(stderr,
-                         "aging cells run on the SSD engine; host "
-                         "baseline '%s' cannot serve jobs\n",
-                         p.c_str());
-            return 2;
-        }
-    }
-    if (!runner::reportUnknown(keepP, policyNames(), "policy"))
-        return 2;
-    if (!keepP.empty())
-        policies = keepP;
+    const std::vector<WorkloadId> tenants =
+        selectWorkloads(cli, {WorkloadId::Aes}, policyNames());
+    const std::vector<std::string> policies =
+        selectSsdPolicies(cli, {"Conduit", "DM-Offloading"});
 
     DeviceOptions fresh;
-    fresh.config = runner::defaultSweepConfig();
     fresh.workload.scale = cli.scale;
 
     SweepRunner runner(cli.runnerOptions());
@@ -188,17 +128,8 @@ main(int argc, char **argv)
         tenant.name = workloadName(w);
         tenant.workloadId = w;
         tenant.technique = policies.front();
-        Offer offer;
-        offer.jobs = 1;
-        const double tIso = ticksToSeconds(
-            runner.runAll({runner::loadScenario(fresh, tenant, offer)})
-                .front()
-                .makespan);
-        offer.jobs = jobs;
+        const double tIso = isolatedServiceSeconds(runner, fresh, tenant);
         offer.jobsPerSec = (tIso > 0.0 ? 1.0 / tIso : 1.0) * rateMult;
-        offer.arrivals = arrivals;
-        offer.arrivalSeed = arrivalSeed;
-        offer.warmupJobs = warmupJobs;
 
         for (const std::string &policy : policies) {
             tenant.technique = policy;
@@ -224,7 +155,8 @@ main(int argc, char **argv)
 
     std::printf("Reliability & device-aging sweep (%zu jobs/cell, %s "
                 "arrivals, %.3gx offered load)\n\n",
-                jobs, arrivalKindName(arrivals).c_str(), rateMult);
+                offer.jobs, arrivalKindName(offer.arrivals).c_str(),
+                rateMult);
     std::size_t r = 0;
     for (WorkloadId w : tenants) {
         std::printf("%s\n", workloadName(w).c_str());

@@ -33,71 +33,26 @@
  *                       forked per policy
  */
 
-#include <algorithm>
-#include <cerrno>
-#include <cstdlib>
-
 #include "bench/common.hh"
-
-namespace
-{
-
-using namespace conduit;
-using namespace conduit::bench;
-using conduit::runner::Offer;
-using conduit::runner::Tenant;
-using conduit::runner::splitCsv;
-
-std::vector<double>
-parseRates(const std::string &csv)
-{
-    std::vector<double> rates;
-    for (const std::string &tok : splitCsv(csv))
-        rates.push_back(parsePositive("--rates", tok));
-    // The offered-load axis is emitted ascending and deduplicated so
-    // every policy's CSV block is strictly monotone in load.
-    std::sort(rates.begin(), rates.end());
-    rates.erase(std::unique(rates.begin(), rates.end()), rates.end());
-    return rates;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
     using namespace conduit;
     using namespace conduit::bench;
+    using conduit::runner::Offer;
+    using conduit::runner::Tenant;
 
-    std::size_t jobs = 8;
+    Offer traffic;
+    traffic.jobs = 8;
     std::vector<double> rates;
-    ArrivalKind arrivals = ArrivalKind::Poisson;
-    std::uint64_t arrivalSeed = 1;
-    std::size_t warmupJobs = 0;
     const auto extra = [&](const std::string &flag,
                            const std::function<std::string()> &value) {
-        if (flag == "--jobs") {
-            jobs = parseCount("--jobs", value());
-        } else if (flag == "--warmup-jobs") {
-            warmupJobs =
-                parseCount("--warmup-jobs", value(), /*allow_zero=*/true);
-        } else if (flag == "--rates") {
-            rates = parseRates(value());
-        } else if (flag == "--arrivals") {
-            const std::string v = value();
-            if (!parseArrivalKind(v, arrivals)) {
-                std::fprintf(stderr,
-                             "unknown --arrivals '%s'; accepted: %s\n",
-                             v.c_str(),
-                             runner::joinLabels(arrivalKindNames())
-                                 .c_str());
-                std::exit(2);
-            }
-        } else if (flag == "--arrival-seed") {
-            arrivalSeed = parseCount("--arrival-seed", value());
-        } else {
+        if (parseOfferFlag(traffic, flag, value))
+            return true;
+        if (flag != "--rates")
             return false;
-        }
+        rates = parseRates(value());
         return true;
     };
     const SweepCli cli = SweepCli::parse(
@@ -105,50 +60,15 @@ main(int argc, char **argv)
         "          [--jobs N] [--rates a,b] [--arrivals KIND]\n"
         "          [--arrival-seed N] [--warmup-jobs N]\n");
 
-    std::vector<std::string> names;
-    for (WorkloadId id : allWorkloads())
-        names.push_back(workloadName(id));
-    if (cli.listWorkloads)
-        runner::listAndExit(names);
-    if (cli.listTechniques)
-        runner::listAndExit(policyNames());
-
     // Workload rows: the tail-sensitive AES kernel by default;
-    // --workloads widens to any Table 3 application.
-    std::vector<WorkloadId> tenants = {WorkloadId::Aes};
-    const auto keepW = splitCsv(cli.workloadFilter);
-    if (!runner::reportUnknown(keepW, names, "workload"))
-        return 2;
-    if (!keepW.empty()) {
-        tenants.clear();
-        for (WorkloadId id : allWorkloads()) {
-            if (std::find(keepW.begin(), keepW.end(),
-                          workloadName(id)) != keepW.end())
-                tenants.push_back(id);
-        }
-    }
-
-    // Policy columns: validated against the policy table — an
-    // unknown filter entry is rejected with the accepted names.
-    std::vector<std::string> policies = {"Conduit", "DM-Offloading",
-                                         "BW-Offloading"};
-    const auto keepP = splitCsv(cli.techniqueFilter);
-    for (const std::string &p : keepP) {
-        if (p == "CPU" || p == "GPU") {
-            std::fprintf(stderr,
-                         "offered-load cells run on the SSD engine; "
-                         "host baseline '%s' cannot serve jobs\n",
-                         p.c_str());
-            return 2;
-        }
-    }
-    if (!runner::reportUnknown(keepP, policyNames(), "policy"))
-        return 2;
-    if (!keepP.empty())
-        policies = keepP;
+    // --workloads widens to any Table 3 application. Policy columns
+    // are validated against the policy table.
+    const std::vector<WorkloadId> tenants =
+        selectWorkloads(cli, {WorkloadId::Aes}, policyNames());
+    const std::vector<std::string> policies = selectSsdPolicies(
+        cli, {"Conduit", "DM-Offloading", "BW-Offloading"});
 
     DeviceOptions device;
-    device.config = runner::defaultSweepConfig();
     device.workload.scale = cli.scale;
 
     SweepRunner runner(cli.runnerOptions());
@@ -167,12 +87,8 @@ main(int argc, char **argv)
             // Self-calibrate: one isolated job under the first
             // policy anchors the rate ladder at its service rate.
             tenant.technique = policies.front();
-            Offer iso;
-            iso.jobs = 1;
-            const double tIso = ticksToSeconds(
-                runner.runAll({runner::loadScenario(device, tenant, iso)})
-                    .front()
-                    .makespan);
+            const double tIso =
+                isolatedServiceSeconds(runner, device, tenant);
             const double base = tIso > 0.0 ? 1.0 / tIso : 1.0;
             for (double mult : {0.25, 0.5, 1.0, 2.0, 4.0})
                 wRates.push_back(base * mult);
@@ -180,12 +96,8 @@ main(int argc, char **argv)
         for (const std::string &policy : policies) {
             tenant.technique = policy;
             for (double rate : wRates) {
-                Offer offer;
-                offer.jobs = jobs;
+                Offer offer = traffic;
                 offer.jobsPerSec = rate;
-                offer.arrivals = arrivals;
-                offer.arrivalSeed = arrivalSeed;
-                offer.warmupJobs = warmupJobs;
                 cells.push_back(
                     runner::loadScenario(device, tenant, offer));
             }
@@ -202,7 +114,7 @@ main(int argc, char **argv)
 
     std::printf("Open-loop saturation sweep (%zu jobs/cell, %s "
                 "arrivals)\n\n",
-                jobs, arrivalKindName(arrivals).c_str());
+                traffic.jobs, arrivalKindName(traffic.arrivals).c_str());
     std::size_t r = 0;
     for (std::size_t wi = 0; wi < tenants.size(); ++wi) {
         std::printf("%s\n", workloadName(tenants[wi]).c_str());

@@ -369,13 +369,8 @@ calibratedRate(SweepRunner &runner, const SweepCli &cli, double mult)
     device.workload.scale = cli.scale;
     Tenant aes;
     aes.workloadId = WorkloadId::Aes;
-    Offer iso;
-    iso.jobs = 1;
-    const Tick one =
-        runner.runAll({runner::loadScenario(device, aes, iso)})
-            .front()
-            .makespan;
-    return mult / std::max(1e-9, ticksToSeconds(one));
+    return mult /
+        std::max(1e-9, isolatedServiceSeconds(runner, device, aes));
 }
 
 ScenarioResult

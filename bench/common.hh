@@ -2,7 +2,9 @@
  * @file
  * Shared definitions for the reproduction benches: the paper's
  * technique orderings, re-exported from the sweep-runner subsystem
- * that executes every bench's evaluation matrix.
+ * that executes every bench's evaluation matrix, plus the flag
+ * parsing, row/column selection and calibration the open-loop
+ * benches (saturation, reliability, fleet, multi-tenant) share.
  *
  * All formatting/emission helpers live in src/runner (sweep_result,
  * sweep_cli); benches carry no private output code.
@@ -13,8 +15,11 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -62,7 +67,141 @@ parsePositive(const char *flag, const std::string &value,
     return v;
 }
 
+/** A P/E-cycle age (0 = fresh) that fits the config, or usage-exit. */
+inline std::uint32_t
+parseCycles(const char *flag, const std::string &value)
+{
+    const unsigned long v = parseCount(flag, value, /*allow_zero=*/true);
+    if (v > std::numeric_limits<std::uint32_t>::max())
+        badFlagValue(flag, value);
+    return static_cast<std::uint32_t>(v);
+}
+
+/**
+ * --rates: absolute offered loads in jobs/s, emitted ascending and
+ * deduplicated so every policy's block is strictly monotone in load.
+ */
+inline std::vector<double>
+parseRates(const std::string &csv)
+{
+    std::vector<double> rates;
+    for (const std::string &tok : runner::splitCsv(csv))
+        rates.push_back(parsePositive("--rates", tok));
+    std::sort(rates.begin(), rates.end());
+    rates.erase(std::unique(rates.begin(), rates.end()), rates.end());
+    return rates;
+}
+
+/**
+ * The open-loop traffic flags, written into @p offer: --jobs N,
+ * --warmup-jobs N, --arrivals KIND and --arrival-seed N. Returns
+ * false for any other flag, so a bench's SweepCli hook tries this
+ * first and then its own flags.
+ */
+inline bool
+parseOfferFlag(runner::Offer &offer, const std::string &flag,
+               const std::function<std::string()> &value)
+{
+    if (flag == "--jobs") {
+        offer.jobs = parseCount("--jobs", value());
+    } else if (flag == "--warmup-jobs") {
+        offer.warmupJobs =
+            parseCount("--warmup-jobs", value(), /*allow_zero=*/true);
+    } else if (flag == "--arrivals") {
+        const std::string v = value();
+        if (!parseArrivalKind(v, offer.arrivals)) {
+            std::fprintf(stderr, "unknown --arrivals '%s'; accepted: %s\n",
+                         v.c_str(),
+                         runner::joinLabels(arrivalKindNames()).c_str());
+            std::exit(2);
+        }
+    } else if (flag == "--arrival-seed") {
+        offer.arrivalSeed = parseCount("--arrival-seed", value());
+    } else {
+        return false;
+    }
+    return true;
+}
+
 /** @} */
+
+/** @name Row/column selection of the open-loop benches @{ */
+
+/**
+ * Workload rows: @p defaults, or every Table 3 workload --workloads
+ * names, in Table 3 order. Services --list-workloads and
+ * --list-techniques (@p columns: the names --techniques accepts);
+ * an unknown workload exits 2.
+ */
+inline std::vector<WorkloadId>
+selectWorkloads(const runner::SweepCli &cli,
+                std::vector<WorkloadId> defaults,
+                const std::vector<std::string> &columns)
+{
+    std::vector<std::string> names;
+    for (WorkloadId id : allWorkloads())
+        names.push_back(workloadName(id));
+    if (cli.listWorkloads)
+        runner::listAndExit(names);
+    if (cli.listTechniques)
+        runner::listAndExit(columns);
+    const auto keep = runner::splitCsv(cli.workloadFilter);
+    if (!runner::reportUnknown(keep, names, "workload"))
+        std::exit(2);
+    if (keep.empty())
+        return defaults;
+    std::vector<WorkloadId> rows;
+    for (WorkloadId id : allWorkloads()) {
+        if (std::find(keep.begin(), keep.end(), workloadName(id)) !=
+            keep.end())
+            rows.push_back(id);
+    }
+    return rows;
+}
+
+/**
+ * Policy columns of cells served by the SSD engine: --techniques,
+ * or @p defaults when it is empty. A host baseline (CPU/GPU) or a
+ * name the policy table lacks exits 2.
+ */
+inline std::vector<std::string>
+selectSsdPolicies(const runner::SweepCli &cli,
+                  std::vector<std::string> defaults)
+{
+    const auto keep = runner::splitCsv(cli.techniqueFilter);
+    for (const std::string &p : keep) {
+        if (p == "CPU" || p == "GPU") {
+            std::fprintf(stderr,
+                         "cells run on the SSD engine; host baseline "
+                         "'%s' cannot serve jobs\n",
+                         p.c_str());
+            std::exit(2);
+        }
+    }
+    if (!runner::reportUnknown(keep, policyNames(), "policy"))
+        std::exit(2);
+    return keep.empty() ? defaults : keep;
+}
+
+/** @} */
+
+/**
+ * Service time, in simulated seconds, of one @p tenant job alone on
+ * a fresh @p device: the anchor the open-loop benches scale offered
+ * load (and SLOs) from.
+ */
+inline double
+isolatedServiceSeconds(runner::SweepRunner &runner,
+                       const DeviceOptions &device,
+                       const runner::Tenant &tenant)
+{
+    runner::Offer one;
+    one.jobs = 1;
+    return ticksToSeconds(
+        runner.runAll({runner::loadScenario(device, tenant, one)})
+            .front()
+            .makespan);
+}
 
 using runner::RunMatrix;
 using runner::RunSpec;

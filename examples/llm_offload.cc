@@ -103,5 +103,5 @@ main(int argc, char **argv)
             mul_total ? 100.0 * mul_ifp / mul_total : 0.0);
     }
 
-    return cli.finish(sweep, nullptr, &sweeprunner);
+    return cli.finish(sweep, sweeprunner);
 }

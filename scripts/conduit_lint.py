@@ -32,6 +32,12 @@ ways that invariant silently rots into build-time errors:
                     WarmTraffic) against the runner's imageKey(), so
                     two cells differing in any field never share one
                     warm image.
+  write-only        A member of one of those imageKey-keyed settings
+                    structs that nothing under src/ reads outside the
+                    key itself: a setting the simulator ignores, which
+                    misstates the modelled device. A name occurrence
+                    counts as a read unless it is the declaration or
+                    the left side of a plain `=`.
   float-accum       `+=` on a float/double accumulator inside a
                     parallelFor lambda. Cross-cell reductions must use
                     the order-preserving Histogram merge (or integer
@@ -88,6 +94,7 @@ CHECKS = (
     "wallclock",
     "ptr-order",
     "snapshot",
+    "write-only",
     "float-accum",
     "seed-plumbing",
 )
@@ -123,15 +130,20 @@ class SnapshotClass:
     (e.g. `img.rng = rng_`), so value members are covered by the
     compiler-generated copy; raw pointer/reference members still
     require a transient annotation because they alias, not copy.
+    settings: the impls are a sharing key over simulator settings, so
+    every member must also be read somewhere outside them (the
+    write-only check).
     """
 
     def __init__(self, name, header, impls=(), wholesale=False,
-                 loss="a forked device would silently lose this state"):
+                 loss="a forked device would silently lose this state",
+                 settings=False):
         self.name = name
         self.header = header
         self.impls = impls
         self.wholesale = wholesale
         self.loss = loss
+        self.settings = settings
 
 
 SNAPSHOT_CLASSES = (
@@ -162,7 +174,7 @@ SNAPSHOT_CLASSES = (
     SnapshotClass(name, header,
                   impls=[("src/runner/sweep_runner.cc", ["imageKey"])],
                   loss="cells differing only in it would share one "
-                  "warm image")
+                  "warm image", settings=True)
     for name, header in (
         ("NandConfig", "src/sim/config.hh"),
         ("DramConfig", "src/sim/config.hh"),
@@ -443,9 +455,13 @@ def class_members(text, body_start, body_end):
                 text, i, c, "}" if c == "{" else ")")
             if inner < 0:
                 break
-            if c == "(":
-                # Remember the statement had top-level parens (it's
-                # a function declaration/definition) by marking it.
+            head = text[stmt_start:i]
+            if c == "(" and ("=" not in head or
+                             re.search(r"\boperator\b", head)):
+                # Parens before any initializer make the statement a
+                # function declaration/definition: mark it. Parens
+                # after `=` belong to a member's default initializer
+                # (`Tick t = usToTicks(50);`), which stays a member.
                 depth_paren_stmt.add(stmt_start)
             i = inner
             continue
@@ -844,7 +860,65 @@ def check_snapshot(root, classes, findings, missing_is_error=True):
 
 
 # --------------------------------------------------------------------
-# Check 5: float accumulation order inside parallelFor.
+# Check 5: write-only settings.
+# --------------------------------------------------------------------
+
+def _impl_spans(sc, path, text):
+    """[(start, end)] bodies of sc's key functions inside `path`."""
+    spans = []
+    for impl_file, fn_names in sc.impls:
+        if (impl_file or sc.header) != path:
+            continue
+        for fn in fn_names:
+            spans.extend(find_function_body(text, fn))
+    return spans
+
+
+def check_write_only(classes, sources, findings):
+    """Flag settings members nothing in `sources` reads.
+
+    A read is any whole-word occurrence of the member name outside
+    the key functions, except its own declaration and a plain
+    assignment (`name = ...`). Common names may match unrelated code,
+    so the check can miss a dead member.
+    """
+    codes = {rel: src.joined_code() for rel, src in sorted(sources.items())}
+    for sc in classes:
+        if not sc.settings or sc.header not in sources:
+            continue
+        src = sources[sc.header]
+        text = codes[sc.header]
+        body = find_class_body(text, sc.name)
+        if body is None:
+            continue  # check_snapshot reports it
+        depth_paren_stmt.clear()
+        for name, decl_off in class_members(text, body[0], body[1]):
+            word = re.compile(r"\b" + re.escape(name) + r"\b")
+            read = False
+            for rel, code in codes.items():
+                skip = _impl_spans(sc, rel, code)
+                for m in word.finditer(code):
+                    if rel == sc.header and m.start() == decl_off:
+                        continue
+                    if any(a <= m.start() < b for a, b in skip):
+                        continue
+                    if re.match(r"\s*=(?!=)", code[m.end():]):
+                        continue
+                    read = True
+                    break
+                if read:
+                    break
+            if not read:
+                findings.append(Finding(
+                    "write-only", sc.header, src.line_of_offset(decl_off),
+                    f"{sc.name}::{name} is read nowhere outside "
+                    f"{', '.join(fn for _, f in sc.impls for fn in f)}: "
+                    "the simulator ignores this setting; delete it or "
+                    "make it a constant where it is needed"))
+
+
+# --------------------------------------------------------------------
+# Check 6: float accumulation order inside parallelFor.
 # --------------------------------------------------------------------
 
 FLOAT_DECL = re.compile(
@@ -879,7 +953,7 @@ def check_float_accum(src, findings):
 
 
 # --------------------------------------------------------------------
-# Check 6: seed plumbing.
+# Check 7: seed plumbing.
 # --------------------------------------------------------------------
 
 SEED_PATTERNS = (
@@ -948,6 +1022,8 @@ def scan_tree(root, paths=None, snapshot_classes=SNAPSHOT_CLASSES,
             check_seed_plumbing(src, findings)
     if "snapshot" in checks:
         check_snapshot(root, snapshot_classes, findings)
+    if "write-only" in checks:
+        check_write_only(snapshot_classes, sources, findings)
 
     # Apply inline suppressions.
     suppressed = []
@@ -1047,6 +1123,11 @@ FIXTURE_SNAPSHOT_CLASSES = (
                           ["keyOf"])],
                   loss="cells differing only in it would share one "
                   "warm image"),
+    SnapshotClass("SettingsBad", "lint/fixtures/write_only_bad.hh",
+                  impls=[("lint/fixtures/write_only_bad.hh",
+                          ["settingsKey"])],
+                  loss="cells differing only in it would share one "
+                  "warm image", settings=True),
 )
 
 

@@ -125,7 +125,7 @@ Device::Device(DeviceOptions opts)
 {
     engine_.setStreamDone([this](ExecContext &ctx) { onStreamDone(ctx); });
     if (opts_.tracer)
-        setTracer(opts_.tracer, opts_.traceDevice);
+        setTracer(opts_.tracer);
 }
 
 Device::Device(const DeviceImage &img)
@@ -306,7 +306,7 @@ Device::retire(Job &job)
             trace::Event e;
             e.cat = trace::Category::Job;
             e.kind = trace::EventKind::Job;
-            e.device = traceDevice_;
+            e.device = traceId_;
             e.start = job.result.arrival;
             e.end = end;
             e.a = job.result.id;
@@ -475,7 +475,7 @@ Device::setTracer(std::shared_ptr<trace::Tracer> t,
                   std::uint32_t device)
 {
     tracer_ = std::move(t);
-    traceDevice_ = device;
+    traceId_ = device;
     nextQueueSampleAt_ = 0;
     engine_.setTracer(tracer_.get(), device);
 }
@@ -494,7 +494,7 @@ Device::sampleQueues()
     trace::Event e;
     e.cat = trace::Category::Queue;
     e.kind = trace::EventKind::JobQueueSample;
-    e.device = traceDevice_;
+    e.device = traceId_;
     e.start = t;
     e.end = t;
     e.a = unfinishedJobs();

@@ -140,16 +140,12 @@ struct DeviceOptions
      */
     // lint: transient(observer wiring; never part of a warm image)
     std::shared_ptr<trace::Tracer> tracer;
-
-    /** Device id tagging this device's events in shared traces. */
-    // lint: transient(observer wiring; never part of a warm image)
-    std::uint32_t traceDevice = 0;
 };
 
 /**
- * DeviceOptions carrying a run's device-wide knobs — the one place
- * the sweep runner's device paths build their options from (config,
- * engine, workload) triples.
+ * DeviceOptions from a (config, engine, workload) triple, every
+ * other field at its default. Called by perfbench's driver and
+ * test_runner.
  */
 inline DeviceOptions
 makeDeviceOptions(const SsdConfig &config, const EngineOptions &engine,
@@ -508,7 +504,7 @@ class Device
     /** @name Tracing wiring (never part of a DeviceImage) @{ */
     // lint: transient-begin(passive observer wiring; stripped from snapshots so forks start with empty traces)
     std::shared_ptr<trace::Tracer> tracer_;
-    std::uint32_t traceDevice_ = 0;
+    std::uint32_t traceId_ = 0;
     Tick nextQueueSampleAt_ = 0;
     // lint: transient-end
     /** @} */

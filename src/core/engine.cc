@@ -9,6 +9,14 @@
 namespace conduit
 {
 
+namespace
+{
+
+/** Detection timeout charged when a transient fault hits (§4.4). */
+constexpr Tick kFaultTimeout = usToTicks(50);
+
+} // namespace
+
 Engine::Engine(const SsdConfig &cfg)
     : cfg_(cfg), nand_(cfg.nand, &stats_), ftl_(nand_, cfg, &stats_),
       dram_(cfg.dram, &stats_), pud_(dram_, cfg.compute, &stats_),
@@ -617,7 +625,7 @@ Engine::dispatchNext(ExecContext &ctx)
     if (opts_.transientFaultRate > 0.0 &&
         rng_.chance(opts_.transientFaultRate)) {
         ++result.faultsInjected;
-        const Tick retry_at = done + opts_.faultTimeout;
+        const Tick retry_at = done + kFaultTimeout;
         const Target alt =
             target == Target::Isp ? Target::Pud : Target::Isp;
         const Target replay_target =
@@ -640,7 +648,7 @@ Engine::dispatchNext(ExecContext &ctx)
             trace::Event e;
             e.cat = trace::Category::Occupancy;
             e.kind = trace::EventKind::Instr;
-            e.device = traceDevice_;
+            e.device = traceId_;
             e.start = ready;
             e.end = done;
             e.a = instr.id;
@@ -716,7 +724,7 @@ Engine::drainStream(ExecContext &ctx, Tick after)
         trace::Event e;
         e.cat = trace::Category::Occupancy;
         e.kind = trace::EventKind::HostDrain;
-        e.device = traceDevice_;
+        e.device = traceId_;
         e.start = after;
         e.end = end;
         e.a = pages;
@@ -741,9 +749,7 @@ Engine::sessionBegin(std::uint64_t capacity_pages,
             "scale the workload or the device");
     }
     ftl_.preload(capacity_pages);
-    ftl_.setMappingCacheCapacity(static_cast<std::uint64_t>(
-        static_cast<double>(capacity_pages) *
-        opts.mappingCacheFraction));
+    ftl_.setMappingCacheCapacity(capacity_pages);
     pageMeta_.assign(capacity_pages, PageMeta{});
     latchFifo_.assign(nand_.numDies(), {});
     dramCapacityPages_ = std::max<std::uint64_t>(
@@ -772,7 +778,7 @@ Engine::maybeSampleBacklog(Tick now)
     trace::Event e;
     e.cat = trace::Category::Queue;
     e.kind = trace::EventKind::BacklogSample;
-    e.device = traceDevice_;
+    e.device = traceId_;
     e.lane = static_cast<std::uint32_t>(busyDieFraction(now) * 1e6);
     e.start = now;
     e.end = now;
@@ -857,7 +863,7 @@ Engine::scrubPass()
         trace::Event e;
         e.cat = trace::Category::Reliability;
         e.kind = trace::EventKind::Scrub;
-        e.device = traceDevice_;
+        e.device = traceId_;
         e.start = now;
         e.end = now;
         e.a = refreshed;

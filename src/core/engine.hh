@@ -204,7 +204,7 @@ class Engine
     setTracer(trace::Tracer *t, std::uint32_t device = 0)
     {
         tracer_ = t;
-        traceDevice_ = device;
+        traceId_ = device;
         nextTraceSampleAt_ = 0;
         nand_.setTracer(t, device);
     }
@@ -408,7 +408,7 @@ class Engine
     /** @name Tracing wiring (never part of an Image) @{ */
     // lint: transient-begin(passive observer wiring re-attached by the owner; trace buffers are not simulated state)
     trace::Tracer *tracer_ = nullptr;
-    std::uint32_t traceDevice_ = 0;
+    std::uint32_t traceId_ = 0;
     Tick nextTraceSampleAt_ = 0;
     // lint: transient-end
     /** @} */

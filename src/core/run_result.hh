@@ -28,9 +28,6 @@ struct EngineOptions
     /** Probability of a transient fault per executed instruction. */
     double transientFaultRate = 0.0;
 
-    /** Detection timeout charged when a transient fault hits. */
-    Tick faultTimeout = usToTicks(50);
-
     /** Coherence version-counter flush threshold (§4.4). */
     std::uint8_t versionFlushThreshold = 255;
 
@@ -52,12 +49,6 @@ struct EngineOptions
      * writebacks for the DRAM-pressure ablation.
      */
     double dramStagingFraction = 4.0;
-
-    /**
-     * Mapping-cache coverage as a fraction of the footprint's L2P
-     * entries (demand-based DFTL cache, §5.1).
-     */
-    double mappingCacheFraction = 1.0;
 };
 
 /** Everything a run (one instruction stream) produces. */

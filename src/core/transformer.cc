@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/isp/isp_core.hh"
+
 namespace conduit
 {
 
@@ -110,7 +112,7 @@ InstructionTransformer::nativeLanes(Target target,
       case Target::Pud:
         return rowBytes_ / ebytes;
       case Target::Isp:
-        return std::max<std::uint32_t>(1, simdBytes_ / ebytes);
+        return IspCore::simdLanes(simdBytes_, elem_bits);
     }
     return 1;
 }

@@ -35,11 +35,8 @@ Ftl::Ftl(NandArray &nand, const SsdConfig &cfg, StatSet *stats)
         n.channels) * n.diesPerChannel * n.planesPerDie;
     openBlock_.assign(plane_slots, ~0ULL);
 
-    mapCacheCapacity_ = std::max<std::uint64_t>(
-        64, static_cast<std::uint64_t>(
-                static_cast<double>(logicalPages_) *
-                cfg_.mappingCacheCoverage));
     mapLru_.reset(logicalPages_);
+    setMappingCacheCapacity(logicalPages_);
 
     if (stats_) {
         statMapHits_ = &stats_->counter("ftl.map_hits");

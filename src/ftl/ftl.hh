@@ -130,9 +130,9 @@ class Ftl
     std::uint64_t logicalPages() const { return logicalPages_; }
 
     /**
-     * Resize the demand mapping cache (entries). The engine sizes it
-     * relative to the workload footprint so that, as in §5.4, the
-     * working set pressures the SSD DRAM. Capacities down to a
+     * Resize the demand mapping cache (entries). A new FTL caches
+     * every logical page; each engine session resizes it to the
+     * session's page capacity. Capacities down to a
      * single entry are honored — a DRAM-pressure experiment sizing
      * the cache below 16 entries gets exactly the hit rate that
      * capacity implies (the old 16-entry floor silently inflated

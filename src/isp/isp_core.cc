@@ -43,8 +43,7 @@ IspCore::estimate(OpCode op, std::uint16_t elem_bits, std::uint32_t lanes,
     }
     const std::uint32_t ebytes =
         std::max<std::uint32_t>(1, elem_bits / 8);
-    const std::uint32_t simd_lanes =
-        std::max<std::uint32_t>(1, cfg_.simdBytes / ebytes);
+    const std::uint32_t simd_lanes = simdLanes(cfg_.simdBytes, elem_bits);
     const std::uint64_t issues = (lanes + simd_lanes - 1) / simd_lanes;
     const double compute_ps =
         static_cast<double>(issues) * cyclesPerSimd(op) * ps_per_cycle;

@@ -15,6 +15,7 @@
 #ifndef CONDUIT_ISP_ISP_CORE_HH
 #define CONDUIT_ISP_ISP_CORE_HH
 
+#include <algorithm>
 #include <cstdint>
 
 #include "src/ir/opcode.hh"
@@ -36,6 +37,19 @@ class IspCore
 
     /** The general-purpose core executes the full opcode set. */
     static bool supports(OpCode) { return true; }
+
+    /**
+     * Native width: @p elem_bits-wide elements one @p simd_bytes MVE
+     * issue processes (at least 1). The cost model's estimate and
+     * the instruction transformer share this one formula.
+     */
+    static std::uint32_t
+    simdLanes(std::uint32_t simd_bytes, std::uint16_t elem_bits)
+    {
+        const std::uint32_t ebytes =
+            std::max<std::uint32_t>(1, elem_bits / 8);
+        return std::max<std::uint32_t>(1, simd_bytes / ebytes);
+    }
 
     /**
      * Execute a vector (or residual scalar) fragment on the core.

@@ -94,7 +94,7 @@ NandArray::readPage(const FlashAddress &a, Tick earliest)
         trace::Event e;
         e.cat = trace::Category::Reliability;
         e.kind = trace::EventKind::EccStall;
-        e.device = traceDevice_;
+        e.device = traceId_;
         e.lane = dieIndex(a);
         e.start = iv.start;
         e.end = iv.end;

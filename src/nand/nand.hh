@@ -121,7 +121,7 @@ class NandArray
     void setTracer(trace::Tracer *t, std::uint32_t device)
     {
         tracer_ = t;
-        traceDevice_ = device;
+        traceId_ = device;
     }
 
     /**
@@ -250,7 +250,7 @@ class NandArray
     StatSet *stats_;
     reliability::ReliabilityModel *rel_ = nullptr;
     trace::Tracer *tracer_ = nullptr;
-    std::uint32_t traceDevice_ = 0;
+    std::uint32_t traceId_ = 0;
     // lint: transient-end
 
     /** Cached strides (innermost first) and the pages-per-die span. */

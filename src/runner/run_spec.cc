@@ -88,20 +88,6 @@ validateFilter(const std::vector<std::string> &filter,
 } // namespace
 
 RunMatrix &
-RunMatrix::config(const SsdConfig &cfg)
-{
-    config_ = cfg;
-    return *this;
-}
-
-RunMatrix &
-RunMatrix::engine(const EngineOptions &opts)
-{
-    engine_ = opts;
-    return *this;
-}
-
-RunMatrix &
 RunMatrix::params(const WorkloadParams &p)
 {
     params_ = p;
@@ -175,21 +161,12 @@ RunMatrix::filterTechniques(const std::string &csv)
     return *this;
 }
 
-RunMatrix &
-RunMatrix::add(RunSpec spec)
-{
-    extras_.push_back(std::move(spec));
-    return *this;
-}
-
 std::vector<std::string>
 RunMatrix::workloadLabels() const
 {
     std::vector<std::string> labels;
     for (const auto &w : workloads_)
         labels.push_back(w.label);
-    for (const auto &e : extras_)
-        labels.push_back(e.workload);
     return labels;
 }
 
@@ -199,8 +176,6 @@ RunMatrix::techniqueLabels() const
     std::vector<std::string> labels;
     for (const auto &t : techniques_)
         labels.push_back(t.label);
-    for (const auto &e : extras_)
-        labels.push_back(e.technique);
     return labels;
 }
 
@@ -220,8 +195,6 @@ RunMatrix::build() const
             RunSpec s;
             s.workload = w.label;
             s.technique = t.label;
-            s.config = config_;
-            s.engine = engine_;
             s.params = params_;
             s.workloadId = w.id;
             s.program = w.program;
@@ -229,11 +202,6 @@ RunMatrix::build() const
             s.host = t.host;
             specs.push_back(std::move(s));
         }
-    }
-    for (const auto &e : extras_) {
-        if (keeps(workloadFilter_, e.workload) &&
-            keeps(techniqueFilter_, e.technique))
-            specs.push_back(e);
     }
     return specs;
 }
@@ -277,15 +245,14 @@ cumulativeTicks(ArrivalProcess *arrivals, std::size_t count)
     return ticks;
 }
 
-/** @p offer.warmupJobs of @p t's jobs at @p ticks, or no warm phase. */
+/** @p t's jobs at @p ticks as a device's warm phase. */
 WarmTraffic
-warmTraffic(const Tenant &t, const Offer &offer, std::vector<Tick> ticks)
+warmTraffic(const Tenant &t, std::vector<Tick> ticks)
 {
     WarmTraffic w;
     w.name = t.name;
     w.workloadId = t.workloadId;
     w.program = t.program;
-    w.technique = offer.warmupTechnique;
     w.ticks = std::move(ticks);
     return w;
 }
@@ -333,7 +300,7 @@ loadScenario(DeviceOptions device, Tenant tenant, const Offer &offer)
         arrivalsAt(offer.arrivals, offer.jobsPerSec, offer.arrivalSeed);
     if (offer.warmupJobs > 0)
         recipe.warm = warmTraffic(
-            tenant, offer, cumulativeTicks(arrivals.get(), offer.warmupJobs));
+            tenant, cumulativeTicks(arrivals.get(), offer.warmupJobs));
     // The measured gaps continue the same process from the fork epoch.
     for (Tick at : cumulativeTicks(arrivals.get(), offer.jobs))
         s.schedule.push_back({at, 0});
@@ -428,7 +395,7 @@ fleetScenario(std::string label, std::string placement,
         recipe.options = std::move(d);
         recipe.options.retire = RetirePolicy::OnComplete;
         if (!warmTicks.empty())
-            recipe.warm = warmTraffic(tenants.front(), offer, warmTicks);
+            recipe.warm = warmTraffic(tenants.front(), warmTicks);
         s.devices.push_back(std::move(recipe));
     }
     s.tenants = std::move(tenants);

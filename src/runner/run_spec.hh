@@ -2,13 +2,13 @@
  * @file
  * Declarative description of a simulation sweep.
  *
- * A RunSpec names one (workload, technique, config, engine-options)
- * combination; a RunMatrix crosses workload and technique axes into a
- * vector of specs. The benches express each paper figure's evaluation
- * matrix this way and hand it to SweepRunner instead of hand-rolling
- * nested loops of Device jobs. Every other experiment shape
- * (co-location, offered load, aging, fleets) is a Scenario built by
- * one of the builders here.
+ * A RunSpec names one (workload, technique) cell on the default
+ * device at a workload scale; a RunMatrix crosses workload and
+ * technique axes into a vector of specs. The benches express each
+ * paper figure's evaluation matrix this way and hand it to
+ * SweepRunner instead of hand-rolling nested loops of Device jobs.
+ * Every other experiment shape (co-location, offered load, aging,
+ * fleets) is a Scenario built by one of the builders here.
  */
 
 #ifndef CONDUIT_RUNNER_RUN_SPEC_HH
@@ -78,12 +78,6 @@ struct RunSpec
      */
     std::string technique;
 
-    /** Device configuration (seed included — see SweepRunner). */
-    SsdConfig config = defaultSweepConfig();
-
-    /** Engine options for this run. */
-    EngineOptions engine;
-
     /** Workload-generator knobs (ignored with a custom program). */
     WorkloadParams params;
 
@@ -149,11 +143,11 @@ std::string tenantName(const Tenant &t);
 
 /**
  * Warm traffic a device lives through before the measured phase:
- * jobs of one program at fixed arrival ticks, under a policy named
- * per recipe (custom factories apply to measured jobs only, so cells
- * that differ by policy still share a warm phase). A device with warm
- * traffic forks a DeviceImage that SweepRunner builds once per
- * distinct recipe in a sweep.
+ * jobs of one program at fixed arrival ticks, all under Conduit
+ * (policies apply to measured jobs only, so cells that differ by
+ * policy still share a warm phase). A device with warm traffic forks
+ * a DeviceImage that SweepRunner builds once per distinct recipe in
+ * a sweep.
  */
 struct WarmTraffic
 {
@@ -162,9 +156,6 @@ struct WarmTraffic
 
     std::optional<WorkloadId> workloadId;
     std::shared_ptr<const Program> program;
-
-    /** Policy every warm job runs under. */
-    std::string technique = "Conduit";
 
     /** Arrival ticks on the fresh device's clock; empty = no warm
      *  phase (the device starts factory-fresh). */
@@ -254,9 +245,6 @@ struct Offer
 
     /** Warm jobs per device before the measured phase (0 = cold). */
     std::size_t warmupJobs = 0;
-
-    /** Policy the warm jobs run under. */
-    std::string warmupTechnique = "Conduit";
 };
 
 /**
@@ -295,8 +283,6 @@ Scenario fleetScenario(std::string label, std::string placement,
 class RunMatrix
 {
   public:
-    RunMatrix &config(const SsdConfig &cfg);
-    RunMatrix &engine(const EngineOptions &opts);
     RunMatrix &params(const WorkloadParams &p);
 
     RunMatrix &workload(WorkloadId id);
@@ -323,15 +309,12 @@ class RunMatrix
     RunMatrix &filterWorkloads(const std::string &csv);
     RunMatrix &filterTechniques(const std::string &csv);
 
-    /** Append a fully explicit spec (bypasses the cross product). */
-    RunMatrix &add(RunSpec spec);
-
-    /** @name Axis labels (including extras), in axis order @{ */
+    /** @name Axis labels, in axis order @{ */
     std::vector<std::string> workloadLabels() const;
     std::vector<std::string> techniqueLabels() const;
     /** @} */
 
-    /** Cross product (workload-major), then explicit extras. */
+    /** Cross product, workload-major. */
     std::vector<RunSpec> build() const;
 
   private:
@@ -349,12 +332,9 @@ class RunMatrix
         HostKind host = HostKind::None;
     };
 
-    SsdConfig config_ = defaultSweepConfig();
-    EngineOptions engine_;
     WorkloadParams params_;
     std::vector<WorkloadAxis> workloads_;
     std::vector<TechniqueAxis> techniques_;
-    std::vector<RunSpec> extras_;
     std::vector<std::string> workloadFilter_;
     std::vector<std::string> techniqueFilter_;
 };

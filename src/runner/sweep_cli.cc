@@ -221,35 +221,18 @@ SweepCli::configure(RunMatrix &matrix,
 }
 
 int
-SweepCli::finish(const SweepResult &sweep, const SweepPerf *perf,
-                 const SweepRunner *runner) const
+SweepCli::finish(const SweepResult &sweep,
+                 const SweepRunner &runner) const
 {
     int status = 0;
     if (!csvPath.empty())
         status |= wrote(sweep.writeCsvFile(csvPath), csvPath);
     if (!jsonPath.empty())
         status |= wrote(sweep.writeJsonFile(jsonPath), jsonPath);
-    if (!cellPerfPath.empty()) {
-        if (!perf) {
-            std::fprintf(stderr,
-                         "error: this bench does not attribute "
-                         "per-cell perf; --cell-perf ignored\n");
-            status = 1;
-        } else {
-            status |= wrote(writeCellPerfCsv(cellPerfPath, *perf),
-                            cellPerfPath);
-        }
-    }
-    if (!tracePath.empty()) {
-        if (!runner) {
-            std::fprintf(stderr,
-                         "error: this bench does not run through a "
-                         "SweepRunner sweep; --trace ignored\n");
-            status = 1;
-        } else {
-            status |= writeTraces(tracePath, *runner);
-        }
-    }
+    if (!cellPerfPath.empty())
+        status |= wrote(writeCellPerfCsv(cellPerfPath, runner.lastPerf()),
+                        cellPerfPath);
+    status |= writeTraces(tracePath, runner);
     std::fprintf(stderr,
                  "[sweep] %zu runs on %u thread%s in %.2fs\n",
                  sweep.size(), sweep.threads(),

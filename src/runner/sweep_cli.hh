@@ -112,21 +112,16 @@ struct SweepCli
                    const std::string &baseline = "") const;
 
     /**
-     * Post-sweep bookkeeping: write the requested CSV/JSON files
-     * and report wall-clock + thread count on stderr.
+     * Post-sweep bookkeeping: write the requested CSV/JSON files,
+     * --cell-perf and --trace from @p runner's last sweep, and
+     * report wall-clock + thread count on stderr.
      *
      * @return Process exit status: 0 on success, 1 when a requested
      *         output file could not be written (benches return this
      *         from main so scripted pipelines see the failure).
-     *
-     * Pass the sweep's SweepPerf (runner.lastPerf()) to service
-     * --cell-perf; benches that cannot attribute per-cell perf leave
-     * it null and the flag reports itself unsupported. Likewise pass
-     * @p runner to service --trace (lastTraces()).
      */
     int finish(const SweepResult &sweep,
-               const SweepPerf *perf = nullptr,
-               const SweepRunner *runner = nullptr) const;
+               const SweepRunner &runner) const;
 
     /**
      * Post-sweep bookkeeping of a scenario-row bench: write --csv /

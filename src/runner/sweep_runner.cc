@@ -19,6 +19,9 @@ namespace conduit::runner
 namespace
 {
 
+/** Policy every warm job runs under, whatever its cells measure. */
+constexpr const char *kWarmTechnique = "Conduit";
+
 /**
  * Index-parallel for over [0, n) on @p threads workers (pre-clamped
  * via SweepRunner::workerCount): workers pull the next unclaimed
@@ -139,7 +142,8 @@ class KeyText
  * retirement) and its warm traffic. Equal keys mean byte-identical
  * warm phases, so the image is built once and every matching device
  * forks it. conduit-lint's member-coverage check fails the build when
- * a member of any of these structs is missing here.
+ * a member of any of these structs is missing here, and its
+ * write-only check when one is read nowhere else.
  */
 std::string
 imageKey(const DeviceRecipe &recipe)
@@ -166,8 +170,7 @@ imageKey(const DeviceRecipe &recipe)
       << nand.maxAndOperands << nand.maxOrOperands;
     k << dram.banks << dram.rowBytes << dram.busBytesPerSec << dram.tRcd
       << dram.tRp << dram.tRas << dram.tCas << dram.bbopTicks;
-    k << isp.cores << isp.computeCores << isp.clockHz << isp.simdBytes
-      << isp.streamBytesPerSec;
+    k << isp.clockHz << isp.simdBytes << isp.streamBytesPerSec;
     k << host.pcieBytesPerSec << host.cpuLowOpsPerSec
       << host.cpuMedOpsPerSec << host.cpuHighOpsPerSec
       << host.gpuLowOpsPerSec << host.gpuMedOpsPerSec
@@ -197,17 +200,15 @@ imageKey(const DeviceRecipe &recipe)
       << rel.scrubBlocksPerPass << rel.scrubRberThreshold
       << rel.scrubMaxRefreshPerPass << rel.wearLevelEnabled
       << rel.wearLevelGap << rel.wearLevelMaxPerPass;
-    k << c.vectorLanes << c.dramComputeFraction << c.mappingCacheCoverage
-      << c.gcThreshold << c.seed;
-    k << e.transientFaultRate << e.faultTimeout << e.versionFlushThreshold
-      << e.latchPagesPerDie << e.drainResults << e.dramStagingFraction
-      << e.mappingCacheFraction;
+    k << c.vectorLanes << c.gcThreshold << c.seed;
+    k << e.transientFaultRate << e.versionFlushThreshold
+      << e.latchPagesPerDie << e.drainResults << e.dramStagingFraction;
     k << o.workload.scale << o.capacityPages << o.retire;
     char prog[32];
     std::snprintf(prog, sizeof prog, "%p",
                   static_cast<const void *>(w.program.get()));
     k << w.name << (w.workloadId ? static_cast<int>(*w.workloadId) : -1)
-      << std::string(prog) << w.technique;
+      << std::string(prog);
     for (Tick t : w.ticks)
         k << t;
     return k.take();
@@ -373,7 +374,7 @@ SweepRunner::buildSharedWarmImages(
                     t.name = r.warm.name;
                     t.workloadId = r.warm.workloadId;
                     t.program = r.warm.program;
-                    t.technique = r.warm.technique;
+                    t.technique = kWarmTechnique;
                     Scenario s;
                     s.label = "warm/" + tenantName(t);
                     s.devices.push_back({r.options, {}});
@@ -444,14 +445,14 @@ SweepRunner::run(std::vector<RunSpec> specs)
             else if (spec.technique == "GPU")
                 host = HostKind::Gpu;
         }
+        DeviceOptions device;
+        device.workload = spec.params;
         if (host != HostKind::None) {
-            const DeviceOptions device = makeDeviceOptions(
-                spec.config, spec.engine, spec.params);
             const auto prog = resolveProgram(
                 cache_, spec.program, spec.workloadId, device, label);
-            HostModel model(spec.config, host == HostKind::Gpu
-                                             ? HostModel::Kind::Gpu
-                                             : HostModel::Kind::Cpu);
+            HostModel model(device.config, host == HostKind::Gpu
+                                               ? HostModel::Kind::Gpu
+                                               : HostModel::Kind::Cpu);
             const HostResult hr = model.run(*prog);
             r.execTime = hr.totalTime;
             r.instrCount = prog->instrs.size();
@@ -468,11 +469,7 @@ SweepRunner::run(std::vector<RunSpec> specs)
             t.technique = spec.technique;
             t.policy = spec.policy;
             const Scenario s = batchScenario(
-                label,
-                {makeDeviceOptions(spec.config, spec.engine,
-                                   spec.params),
-                 {}},
-                {std::move(t)});
+                label, {std::move(device), {}}, {std::move(t)});
             cluster::ClusterSnapshot snap =
                 assemble(s, {}, tracer).drain();
             events = snap.eventsFired;

@@ -81,11 +81,13 @@ struct DramConfig
     Tick bbopTicks = nsToTicks(49);      // one bulk-bitwise row op
 };
 
-/** SSD controller embedded cores (ARM Cortex-R8 class). */
+/**
+ * SSD controller embedded cores (ARM Cortex-R8 class). Table 2's
+ * controller has 5 cores; the model simulates the 1 that serves
+ * offloaded work.
+ */
 struct IspConfig
 {
-    std::uint32_t cores = 5;             // total embedded cores
-    std::uint32_t computeCores = 1;      // cores used for offloaded work
     double clockHz = 1.5e9;
     std::uint32_t simdBytes = 32;        // MVE vector width
     /**
@@ -329,12 +331,6 @@ struct SsdConfig
      * equivalent is 16384 lanes, still 16 KiB per operand.
      */
     std::uint32_t vectorLanes = 16384;
-
-    /** Fraction of DRAM rows reserved for PuD operand staging. */
-    double dramComputeFraction = 0.5;
-
-    /** DFTL mapping-cache coverage (fraction of L2P entries cached). */
-    double mappingCacheCoverage = 0.25;
 
     /** GC trigger: free-block fraction threshold. */
     double gcThreshold = 0.05;

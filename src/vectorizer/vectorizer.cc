@@ -8,6 +8,14 @@
 namespace conduit
 {
 
+namespace
+{
+
+/** Cap on recorded producer dependences per instruction. */
+constexpr std::size_t kMaxDeps = 12;
+
+} // namespace
+
 /**
  * Internal emission state: the output instruction stream, the
  * last-writer table used for dependence metadata, and the access
@@ -84,7 +92,7 @@ struct Vectorizer::Emitter
                 auto it = lastWriter.find(p);
                 if (it != lastWriter.end() && it->second != vi.id)
                     dep_set.insert(it->second);
-                if (dep_set.size() >= opts.maxDeps)
+                if (dep_set.size() >= kMaxDeps)
                     return;
             }
         };
@@ -280,10 +288,8 @@ Vectorizer::run(const LoopProgram &lp) const
         for (std::uint64_t rep = 0; rep < loop.repeat; ++rep) {
             for (const auto &stmt : loop.body) {
                 std::string stmt_why;
-                const bool stmt_scalar = illegal ||
-                    stmtIllegal(stmt, stmt_why) ||
-                    (!opts_.partialVectorization &&
-                     (stmt.conditional || stmt.reduction));
+                const bool stmt_scalar =
+                    illegal || stmtIllegal(stmt, stmt_why);
                 if (!illegal && !stmt_why.empty() && rep == 0) {
                     std::ostringstream os;
                     os << "loop " << loop.label

@@ -42,14 +42,8 @@ struct VectorizeOptions
     std::uint32_t vectorLanes = 4096;
     std::uint32_t pageBytes = 4096;
 
-    /** Allow if-conversion / residual-scalar mixing inside a loop. */
-    bool partialVectorization = true;
-
     /** Max parallel partial accumulators for reductions. */
     std::uint32_t reductionPartials = 64;
-
-    /** Cap on recorded producer dependences per instruction. */
-    std::uint32_t maxDeps = 12;
 };
 
 /** Vectorization summary (drives Table 3 and the -Rpass remarks). */

@@ -69,6 +69,15 @@ TEST(Ftl, WriteRelocatesAndInvalidates)
     EXPECT_GT(wr.readyAt, 0u);          // program latency charged
 }
 
+TEST(Ftl, MappingCacheStartsAtFullCoverage)
+{
+    // Until a session sizes it, the DFTL cache holds every L2P entry.
+    SsdConfig cfg = smallCfg();
+    NandArray nand(cfg.nand);
+    Ftl ftl(nand, cfg);
+    EXPECT_EQ(ftl.mappingCacheCapacity(), ftl.logicalPages());
+}
+
 TEST(Ftl, MappingCacheHitsAndMisses)
 {
     SsdConfig cfg = smallCfg();

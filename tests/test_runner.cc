@@ -147,8 +147,8 @@ TEST(SweepRunner, PerCellEventsMatchABareDeviceJob)
             EXPECT_EQ(perf.perCell[i].eventsFired, 0u);
             continue;
         }
-        Device dev(makeDeviceOptions(spec.config, spec.engine,
-                                     spec.params));
+        Device dev(makeDeviceOptions(runner::defaultSweepConfig(),
+                                     EngineOptions{}, spec.params));
         JobSpec job;
         job.workload = spec.workloadId;
         job.policy = spec.technique;

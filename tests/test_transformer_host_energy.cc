@@ -9,6 +9,7 @@
 #include "src/core/transformer.hh"
 #include "src/energy/energy_model.hh"
 #include "src/host/host_model.hh"
+#include "src/isp/isp_core.hh"
 
 namespace conduit
 {
@@ -34,6 +35,16 @@ TEST(Transformer, NativeWidthsPerResource)
     EXPECT_EQ(tx.nativeLanes(Target::Pud, 8), 8192u);
     EXPECT_EQ(tx.nativeLanes(Target::Isp, 8), 32u);
     EXPECT_EQ(tx.nativeLanes(Target::Isp, 32), 8u);
+    // The ISP width is the cost model's SIMD issue width: sub-byte
+    // elements count as one byte, and elements wider than the
+    // datapath still take one lane.
+    for (std::uint16_t bits : {4, 8, 32, 512}) {
+        SCOPED_TRACE(bits);
+        EXPECT_EQ(tx.nativeLanes(Target::Isp, bits),
+                  IspCore::simdLanes(32, bits));
+    }
+    EXPECT_EQ(tx.nativeLanes(Target::Isp, 4), 32u);
+    EXPECT_EQ(tx.nativeLanes(Target::Isp, 512), 1u);
 }
 
 TEST(Transformer, VectorWidthAdaptationSplitsSubOps)

@@ -20,12 +20,19 @@ ways that invariant silently rots into build-time errors:
                     values. Address order varies run to run.
   snapshot          A snapshot-participating class (Engine, Device,
                     Ftl, NandArray, DramModel, IspCore,
-                    ReliabilityModel, EventQueue, StatSet, Rng) has a
-                    non-static data member that is neither referenced
-                    in its capture/restore/snapshot implementation nor
-                    marked `// lint: transient(<why>)`. This is the
-                    check that makes "the snapshot PR forgot a field"
-                    structurally impossible. The same member coverage
+                    ReliabilityModel, EventQueue) has a non-static
+                    data member that is neither referenced in its
+                    capture/restore/snapshot implementation nor marked
+                    `// lint: transient(<why>)`. Those substrates keep
+                    their mutable state in one State struct (FtlState,
+                    EngineState, ...) that capture copies whole, so
+                    a new member must go into the State or be marked.
+                    The State structs, their nested records, StatSet
+                    and Rng are copied wholesale: there, a raw pointer
+                    or reference member is the finding, because the
+                    copy would alias it. This is the check that makes
+                    "the snapshot PR forgot a field" structurally
+                    impossible. The same member coverage
                     holds for every struct a warm-image recipe is made
                     of (SsdConfig and its sub-structs, EngineOptions,
                     WorkloadParams, DeviceOptions, DeviceRecipe,
@@ -127,7 +134,8 @@ class SnapshotClass:
     must reference every non-transient member. Functions named
     without '::' are looked up inline in the class body itself.
     wholesale: the object is captured by whole-object copy/assignment
-    (e.g. `img.rng = rng_`), so value members are covered by the
+    (e.g. a substrate's `State`, or the engine's `stats_` copied into
+    its Image), so value members are covered by the
     compiler-generated copy; raw pointer/reference members still
     require a transient annotation because they alias, not copy.
     settings: the impls are a sharing key over simulator settings, so
@@ -155,8 +163,8 @@ SNAPSHOT_CLASSES = (
                   impls=[("src/core/device.cc",
                           ["Device::snapshot", "Device::Device"])]),
     SnapshotClass("Ftl", "src/ftl/ftl.hh",
-                  impls=[("src/ftl/ftl.cc",
-                          ["Ftl::capture", "Ftl::restore"])]),
+                  impls=[(None, ["capture"]),
+                         ("src/ftl/ftl.cc", ["Ftl::restore"])]),
     SnapshotClass("NandArray", "src/nand/nand.hh",
                   impls=[(None, ["capture", "restore"])]),
     SnapshotClass("DramModel", "src/dram/dram.hh",
@@ -167,10 +175,24 @@ SNAPSHOT_CLASSES = (
                   impls=[(None, ["capture", "restore"])]),
     SnapshotClass("EventQueue", "src/sim/event_queue.hh",
                   impls=[(None, ["restore"])]),
-    SnapshotClass("StatSet", "src/sim/stats.hh",
-                  impls=[(None, ["restoreFrom"])]),
+    SnapshotClass("StatSet", "src/sim/stats.hh", wholesale=True),
     SnapshotClass("Rng", "src/sim/rng.hh", wholesale=True),
 ) + tuple(
+    # The mutable state each class above captures by copying it whole
+    # (and the record types nested in it).
+    SnapshotClass(name, header, wholesale=True)
+    for name, header in (
+        ("EngineState", "src/core/engine.hh"),
+        ("EngineState::PageMeta", "src/core/engine.hh"),
+        ("FtlState", "src/ftl/ftl.hh"),
+        ("FtlState::BlockState", "src/ftl/ftl.hh"),
+        ("NandState", "src/nand/nand.hh"),
+        ("DramState", "src/dram/dram.hh"),
+        ("IspState", "src/isp/isp_core.hh"),
+        ("ReliabilityState", "src/reliability/reliability.hh"),
+        ("ReliabilityState::BlockWear",
+         "src/reliability/reliability.hh"),
+    )) + tuple(
     SnapshotClass(name, header,
                   impls=[("src/runner/sweep_runner.cc", ["imageKey"])],
                   loss="cells differing only in it would share one "
@@ -416,18 +438,25 @@ def find_function_body(text, qualified_name):
 
 
 def find_class_body(text, class_name):
-    """(start, end) offsets of `class/struct name ... { ... }`."""
-    pat = re.compile(
-        r"\b(?:class|struct)\s+" + re.escape(class_name) +
-        r"\b[^;{]*\{")
-    m = pat.search(text)
-    if not m:
-        return None
-    open_pos = m.end() - 1
-    end = match_paren(text, open_pos, "{", "}")
-    if end < 0:
-        return None
-    return open_pos, end
+    """(start, end) offsets of `class/struct name ... { ... }`.
+
+    A qualified name (`Outer::Inner`) is looked up scope by scope:
+    Inner's body is searched for inside Outer's only.
+    """
+    body, lo, hi = None, 0, len(text)
+    for part in class_name.split("::"):
+        pat = re.compile(
+            r"\b(?:class|struct)\s+" + re.escape(part) +
+            r"\b[^;{]*\{")
+        m = pat.search(text, lo, hi)
+        if not m:
+            return None
+        open_pos = m.end() - 1
+        end = match_paren(text, open_pos, "{", "}")
+        if end < 0:
+            return None
+        body, lo, hi = (open_pos, end), open_pos + 1, end
+    return body
 
 
 MEMBER_SKIP_PREFIX = re.compile(
@@ -1117,6 +1146,9 @@ FIXTURE_SNAPSHOT_CLASSES = (
                   impls=[(None, ["capture", "restore"])]),
     SnapshotClass("SnapWholesaleBad",
                   "lint/fixtures/snapshot_wholesale.hh",
+                  wholesale=True),
+    SnapshotClass("NestedBad::State",
+                  "lint/fixtures/snapshot_nested.hh",
                   wholesale=True),
     SnapshotClass("KeyedBad", "lint/fixtures/snapshot_key_bad.hh",
                   impls=[("lint/fixtures/snapshot_key_bad.hh",

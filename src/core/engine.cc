@@ -21,8 +21,9 @@ Engine::Engine(const SsdConfig &cfg)
     : cfg_(cfg), nand_(cfg.nand, &stats_), ftl_(nand_, cfg, &stats_),
       dram_(cfg.dram, &stats_), pud_(dram_, cfg.compute, &stats_),
       isp_(cfg.isp, cfg.compute, &stats_),
-      ifp_(nand_, cfg.compute, &stats_), rng_(cfg.seed)
+      ifp_(nand_, cfg.compute, &stats_)
 {
+    rng_ = Rng(cfg.seed);
     if (cfg_.reliability.enabled) {
         rel_ = std::make_unique<reliability::ReliabilityModel>(
             cfg_.nand, cfg_.reliability, cfg_.seed, &stats_);
@@ -965,64 +966,40 @@ Engine::captureImage() const
     if (!queue_->empty() || ctx_ != nullptr)
         throw std::logic_error(
             "Engine::captureImage: session not quiescent");
-
-    Image img;
-    img.opts = opts_;
-    img.capacityPages = pageMeta_.size();
-    img.ftl = ftl_.capture();
-    img.nand = nand_.capture();
-    img.dram = dram_.capture();
-    img.isp = isp_.capture();
-    if (rel_) {
-        img.hasReliability = true;
-        img.rel = rel_->capture();
-    }
-    img.stats = stats_;
-    img.rng = rng_;
-    img.offloader = offloader_;
-    img.pcie = pcie_;
-    img.pageMeta = pageMeta_;
-    img.latchFifo = latchFifo_;
-    img.dramCapacityPages = dramCapacityPages_;
-    img.dramLru = dramLru_;
-    img.nextScrubAt = nextScrubAt_;
-    img.scrubCursor = scrubCursor_;
-    img.queueNow = queue_->now();
-    img.queueFired = queue_->eventsFired();
-    return img;
+    std::optional<reliability::ReliabilityModel::State> rel;
+    if (rel_)
+        rel = rel_->capture();
+    return Image{ftl_.capture(), nand_.capture(), dram_.capture(),
+                 isp_.capture(), std::move(rel), *this, stats_,
+                 queue_->now(), queue_->eventsFired()};
 }
 
 void
 Engine::restoreImage(const Image &img)
 {
-    if (img.hasReliability != (rel_ != nullptr))
+    if (img.rel.has_value() != (rel_ != nullptr))
         throw std::invalid_argument(
             "Engine::restoreImage: reliability enablement mismatch "
             "between the image and this engine's config");
-
-    // Open a fresh session sized like the captured one. The FTL
-    // preload inside sessionBegin() performs only metadata writes (no
-    // media or calendar operations), so every one of its side
-    // effects is overwritten wholesale by the restores below.
-    sessionBegin(img.capacityPages, img.opts);
+    // The substrates' handles index stats_'s slots; the image's set
+    // must hold each of them in the same slot.
+    if (!img.stats.extends(stats_))
+        throw std::invalid_argument(
+            "Engine::restoreImage: the image's counters were "
+            "registered by a differently configured engine");
 
     ftl_.restore(img.ftl);
     nand_.restore(img.nand);
     dram_.restore(img.dram);
     isp_.restore(img.isp);
     if (rel_)
-        rel_->restore(img.rel);
-    stats_.restoreFrom(img.stats);
-    rng_ = img.rng;
-    offloader_ = img.offloader;
-    pcie_ = img.pcie;
-    pageMeta_ = img.pageMeta;
-    latchFifo_ = img.latchFifo;
-    dramCapacityPages_ = img.dramCapacityPages;
-    dramLru_ = img.dramLru;
-    nextScrubAt_ = img.nextScrubAt;
-    scrubCursor_ = img.scrubCursor;
+        rel_->restore(*img.rel);
+    State::operator=(img.session);
+    stats_ = img.stats;
+    ctx_ = nullptr;
+    streamCtxs_.clear();
     scrubScheduled_ = false; // quiescent capture: no pending event
+    queue_ = std::make_unique<EventQueue>();
     queue_->restore(img.queueNow, img.queueFired);
 }
 

@@ -45,6 +45,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -75,13 +76,64 @@ class Tracer;
 }
 
 /**
+ * The engine's own mutable session state — everything a DeviceImage
+ * fork must continue from besides the substrates and the StatSet:
+ * the session's options, the RNG stream position, the offloader and
+ * PCIe calendars, the coherence metadata and latch FIFOs, the
+ * DRAM-staging LRU, and the scrub-task cursor. Engine holds it as its
+ * private base, so capture copies it and restore assigns it.
+ */
+struct EngineState
+{
+    /** Where the freshest copy of a logical page lives. */
+    enum class Loc : std::uint8_t { Flash, Latch, Dram };
+
+    /** Lazy-coherence metadata (§4.4): owner, state, version. */
+    struct PageMeta
+    {
+        Loc loc = Loc::Flash;
+        bool dirty = false;
+        std::uint8_t version = 0;
+        bool dramCached = false;  // clean copy staged in SSD DRAM
+        std::uint32_t latchDie = 0;
+    };
+
+    EngineOptions opts_;
+    Rng rng_;
+
+    Server offloader_{"conduit.offloader"};
+    Server pcie_{"host.pcie"};
+
+    std::vector<PageMeta> pageMeta_;
+    std::vector<std::deque<Lpn>> latchFifo_; // per die
+
+    // DRAM staging region LRU (capacity-limited page residency,
+    // shared by all streams — capacity pressure is device-wide).
+    // FlatLru, not RankLru: with the default (near-unbounded)
+    // staging fraction evictions are rare, so O(1) touches beat
+    // paying a Fenwick update per touch for a cheaper walk that
+    // almost never runs — measured ~35% slower on the open-loop
+    // saturation scenario with RankLru here. HostModel's cache is
+    // the opposite regime (constant evictions) and uses RankLru.
+    std::uint64_t dramCapacityPages_ = 0;
+    FlatLru dramLru_;
+
+    /** @name Scrub-task cursor (inert with reliability disabled) @{ */
+    Tick nextScrubAt_ = 0;
+    std::uint64_t scrubCursor_ = 0;
+    /** @} */
+};
+
+/**
  * The runtime engine: the simulated SSD's substrates plus the
  * per-instruction dispatch pipeline. core::Device is its only driver —
  * it opens one session, attaches jobs as streams and finishes them.
  */
-class Engine
+class Engine : private EngineState
 {
   public:
+    using State = EngineState;
+
     /** Dispatch events outrank completion events at the same tick. */
     static constexpr int kDispatchPriority = 0;
     static constexpr int kCompletionPriority = 1;
@@ -210,19 +262,6 @@ class Engine
     }
 
   private:
-    /** Where the freshest copy of a logical page lives. */
-    enum class Loc : std::uint8_t { Flash, Latch, Dram };
-
-    /** Lazy-coherence metadata (§4.4): owner, state, version. */
-    struct PageMeta
-    {
-        Loc loc = Loc::Flash;
-        bool dirty = false;
-        std::uint8_t version = 0;
-        bool dramCached = false;  // clean copy staged in SSD DRAM
-        std::uint32_t latchDie = 0;
-    };
-
     /** One leg of a source page's trip to a compute target. */
     enum class Hop : std::uint8_t
     {
@@ -368,14 +407,6 @@ class Engine
     IspCore isp_;
     // lint: transient(stateless latency model derived from config; die/channel calendars live in nand_)
     IfpUnit ifp_;
-    Rng rng_;
-
-    Server offloader_{"conduit.offloader"};
-    Server pcie_{"host.pcie"};
-
-    EngineOptions opts_;
-    std::vector<PageMeta> pageMeta_;
-    std::vector<std::deque<Lpn>> latchFifo_; // per die
 
     /**
      * The session's execution contexts, in attach order; a deque so
@@ -393,8 +424,6 @@ class Engine
     StreamDone streamDone_;
 
     /** @name Scrub-task state (inert with reliability disabled) @{ */
-    Tick nextScrubAt_ = 0;
-    std::uint64_t scrubCursor_ = 0;
     bool scrubScheduled_ = false;
     /** @} */
 
@@ -413,52 +442,26 @@ class Engine
     // lint: transient-end
     /** @} */
 
-    // DRAM staging region LRU (capacity-limited page residency,
-    // shared by all streams — capacity pressure is device-wide).
-    // FlatLru, not RankLru: with the default (near-unbounded)
-    // staging fraction evictions are rare, so O(1) touches beat
-    // paying a Fenwick update per touch for a cheaper walk that
-    // almost never runs — measured ~35% slower on the open-loop
-    // saturation scenario with RankLru here. HostModel's cache is
-    // the opposite regime (constant evictions) and uses RankLru.
-    std::uint64_t dramCapacityPages_ = 0;
-    FlatLru dramLru_;
-
   public:
     /**
      * Deep snapshot of a quiescent session — every mutable simulated
      * quantity, so a restored engine's subsequent simulation is
      * byte-identical to one that lived through the captured history:
-     * substrate images (FTL, NAND, DRAM, ISP, reliability), coherence
-     * metadata and latch FIFOs, the DRAM-staging LRU, the RNG stream
-     * position, the offloader/PCIe calendars, scrub-task state, the
-     * event-queue clock, and the full StatSet. Capture requires
+     * each substrate's State, the engine's own session State, the
+     * full StatSet and the event-queue clock. Capture requires
      * quiescence (empty queue, no stream mid-dispatch), so no event
      * or borrowed context ever crosses the snapshot boundary.
      */
     struct Image
     {
-        EngineOptions opts;
-        std::uint64_t capacityPages = 0;
-
-        Ftl::Image ftl;
-        NandArray::Image nand;
-        DramModel::Image dram;
-        IspCore::Image isp;
+        Ftl::State ftl;
+        NandArray::State nand;
+        DramModel::State dram;
+        IspCore::State isp;
         /** Present exactly when cfg.reliability.enabled. */
-        bool hasReliability = false;
-        reliability::ReliabilityModel::Image rel;
-
+        std::optional<reliability::ReliabilityModel::State> rel;
+        State session;
         StatSet stats;
-        Rng rng;
-        Server offloader;
-        Server pcie;
-        std::vector<PageMeta> pageMeta;
-        std::vector<std::deque<Lpn>> latchFifo;
-        std::uint64_t dramCapacityPages = 0;
-        FlatLru dramLru;
-        Tick nextScrubAt = 0;
-        std::uint64_t scrubCursor = 0;
         Tick queueNow = 0;
         std::uint64_t queueFired = 0;
     };
@@ -471,12 +474,12 @@ class Engine
     Image captureImage() const;
 
     /**
-     * Reopen this engine as an exact continuation of @p img. Must be
-     * called on a freshly constructed Engine built from the same
-     * SsdConfig the image was captured under (geometry, seed, and
-     * reliability enablement are construction-derived and must
-     * match). Internally begins a session and then overwrites every
-     * mutable quantity with the image's.
+     * Reopen this engine as an exact continuation of @p img: assign
+     * every State and the StatSet, and open a fresh event queue at
+     * the image's clock. Must be called on a freshly constructed
+     * Engine built from the same SsdConfig the image was captured
+     * under (geometry, seed, and reliability enablement are
+     * construction-derived and must match).
      */
     void restoreImage(const Image &img);
 };

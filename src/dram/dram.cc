@@ -4,13 +4,10 @@ namespace conduit
 {
 
 DramModel::DramModel(const DramConfig &cfg, StatSet *stats)
-    : cfg_(cfg), banks_("dram.bank", cfg.banks), bus_("dram.bus"),
-      stats_(stats)
+    : DramState{ServerGroup("dram.bank", cfg.banks), Server("dram.bus")},
+      cfg_(cfg), statAccesses_(stats, "dram.accesses"),
+      statBytes_(stats, "dram.bytes")
 {
-    if (stats_) {
-        statAccesses_ = &stats_->counter("dram.accesses");
-        statBytes_ = &stats_->counter("dram.bytes");
-    }
 }
 
 ServiceInterval
@@ -22,18 +19,9 @@ DramModel::access(std::uint32_t bank, std::uint64_t bytes, Tick earliest)
         banks_.acquireOn(bank % banks_.size(), earliest, act + cfg_.tRp);
     const Tick burst = transferTicks(bytes, cfg_.busBytesPerSec);
     auto bus_iv = bus_.acquire(bank_iv.start + act, burst);
-    if (statAccesses_) {
-        statAccesses_->inc();
-        statBytes_->inc(bytes);
-    }
+    statAccesses_.inc();
+    statBytes_.inc(bytes);
     return {bank_iv.start, bus_iv.end};
-}
-
-void
-DramModel::reset()
-{
-    banks_.reset();
-    bus_.reset();
 }
 
 } // namespace conduit

@@ -26,11 +26,24 @@ namespace conduit
 {
 
 /**
+ * The DRAM subsystem's mutable calendar state: every bank Server
+ * plus the shared bus. DramModel holds it as its private base, so a
+ * DeviceImage snapshot copies it and a fork assigns it.
+ */
+struct DramState
+{
+    ServerGroup banks_;
+    Server bus_;
+};
+
+/**
  * Bank-parallel DRAM timing model.
  */
-class DramModel
+class DramModel : private DramState
 {
   public:
+    using State = DramState;
+
     explicit DramModel(const DramConfig &cfg, StatSet *stats = nullptr);
 
     const DramConfig &config() const { return cfg_; }
@@ -90,55 +103,26 @@ class DramModel
         return cfg_.tRas + cfg_.tRp;
     }
 
-    void reset();
+    /** The complete mutable state (DeviceImage capture). */
+    const State &capture() const { return *this; }
 
-    /**
-     * Mutable calendar state for DeviceImage snapshots: every bank
-     * Server plus the shared bus. Stored as plain Servers (not a
-     * ServerGroup) so the image stays default-constructible; restore
-     * re-seats them into the existing group unit by unit.
-     */
-    struct Image
-    {
-        std::vector<Server> banks;
-        Server bus;
-    };
-
-    Image
-    capture() const
-    {
-        Image img;
-        img.banks.reserve(banks_.size());
-        for (std::size_t i = 0; i < banks_.size(); ++i)
-            img.banks.push_back(banks_.unit(i));
-        img.bus = bus_;
-        return img;
-    }
-
+    /** Continue from @p s, captured from a model of this geometry. */
     void
-    restore(const Image &img)
+    restore(const State &s)
     {
-        if (img.banks.size() != banks_.size())
+        if (s.banks_.size() != banks_.size())
             throw std::invalid_argument(
                 "DramModel::restore: bank count mismatch");
-        for (std::size_t i = 0; i < banks_.size(); ++i)
-            banks_.unit(i) = img.banks[i];
-        bus_ = img.bus;
+        State::operator=(s);
     }
 
   private:
-    // lint: transient(immutable config, rebuilt by the constructor on restore)
-    DramConfig cfg_;
-    ServerGroup banks_;
-    Server bus_;
-    // lint: transient(wiring into the owning Engine's StatSet, re-bound on restore)
-    StatSet *stats_;
-
     // Hot-path counters resolved once: a StatSet lookup per access
     // costs a string construction plus a map walk.
-    // lint: transient-begin(cached StatSet pointers; the counters survive via StatSet::restoreFrom)
-    Counter *statAccesses_ = nullptr;
-    Counter *statBytes_ = nullptr;
+    // lint: transient-begin(immutable config plus StatSet handles, rebuilt/re-bound by the constructor on restore)
+    DramConfig cfg_;
+    StatSet::Handle statAccesses_;
+    StatSet::Handle statBytes_;
     // lint: transient-end
 };
 

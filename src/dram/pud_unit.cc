@@ -8,12 +8,9 @@ namespace conduit
 
 PudUnit::PudUnit(DramModel &dram, const ComputeModelConfig &model,
                  StatSet *stats)
-    : dram_(dram), model_(model), stats_(stats)
+    : dram_(dram), model_(model), statOps_(stats, "pud.ops"),
+      statBbops_(stats, "pud.bbops")
 {
-    if (stats_) {
-        statOps_ = &stats_->counter("pud.ops");
-        statBbops_ = &stats_->counter("pud.bbops");
-    }
 }
 
 std::uint32_t
@@ -84,11 +81,9 @@ PudUnit::execute(OpCode op, std::uint16_t elem_bits, std::uint32_t lanes,
         start = std::min(start, iv.start);
         end = std::max(end, iv.end);
     }
-    if (statOps_) {
-        statOps_->inc();
-        statBbops_->inc(static_cast<std::uint64_t>(rows) *
-                        bbopCount(op, elem_bits));
-    }
+    statOps_.inc();
+    statBbops_.inc(static_cast<std::uint64_t>(rows) *
+                   bbopCount(op, elem_bits));
     return {start == kMaxTick ? earliest : start, end};
 }
 

@@ -72,12 +72,11 @@ class PudUnit
   private:
     DramModel &dram_;
     ComputeModelConfig model_;
-    StatSet *stats_;
 
     // Hot-path counters resolved once: a StatSet lookup per op costs
     // a string construction plus a map walk.
-    Counter *statOps_ = nullptr;
-    Counter *statBbops_ = nullptr;
+    StatSet::Handle statOps_;
+    StatSet::Handle statBbops_;
 };
 
 } // namespace conduit

@@ -16,7 +16,10 @@ constexpr double kOverProvision = 0.07;
 } // namespace
 
 Ftl::Ftl(NandArray &nand, const SsdConfig &cfg, StatSet *stats)
-    : nand_(nand), cfg_(cfg), stats_(stats)
+    : nand_(nand), cfg_(cfg), statMapHits_(stats, "ftl.map_hits"),
+      statMapMisses_(stats, "ftl.map_misses"),
+      statGcRuns_(stats, "ftl.gc_runs"),
+      statGcMigrations_(stats, "ftl.gc_migrations")
 {
     const NandConfig &n = cfg_.nand;
     const std::uint64_t total_blocks = n.totalBlocks();
@@ -37,13 +40,6 @@ Ftl::Ftl(NandArray &nand, const SsdConfig &cfg, StatSet *stats)
 
     mapLru_.reset(logicalPages_);
     setMappingCacheCapacity(logicalPages_);
-
-    if (stats_) {
-        statMapHits_ = &stats_->counter("ftl.map_hits");
-        statMapMisses_ = &stats_->counter("ftl.map_misses");
-        statGcRuns_ = &stats_->counter("ftl.gc_runs");
-        statGcMigrations_ = &stats_->counter("ftl.gc_migrations");
-    }
 }
 
 std::uint64_t
@@ -146,14 +142,12 @@ Ftl::touchMapCache(Lpn lpn, bool &hit)
     if (mapLru_.touch(lpn)) {
         hit = true;
         ++mapHits_;
-        if (statMapHits_)
-            statMapHits_->inc();
+        statMapHits_.inc();
         return;
     }
     hit = false;
     ++mapMisses_;
-    if (statMapMisses_)
-        statMapMisses_->inc();
+    statMapMisses_.inc();
     if (mapLru_.size() > mapCacheCapacity_)
         mapLru_.popTail();
 }
@@ -252,8 +246,7 @@ Ftl::collectBlock(std::uint64_t victim, Tick now, bool scrub)
     const NandConfig &n = cfg_.nand;
     if (!scrub) {
         ++gcRuns_;
-        if (statGcRuns_)
-            statGcRuns_->inc();
+        statGcRuns_.inc();
     }
 
     BlockState &vb = blocks_[victim];
@@ -279,8 +272,7 @@ Ftl::collectBlock(std::uint64_t victim, Tick now, bool scrub)
         vb.owner[p] = kNoLpn;
         --vb.validCount;
         t = wr.end;
-        if (statGcMigrations_)
-            statGcMigrations_->inc();
+        statGcMigrations_.inc();
     }
     va.page = 0;
     nand_.eraseBlock(va, t);
@@ -405,46 +397,16 @@ Ftl::maybeGc(Tick now)
     }
 }
 
-Ftl::Image
-Ftl::capture() const
-{
-    Image img;
-    img.l2p = l2p_;
-    img.blocks = blocks_;
-    img.openBlock = openBlock_;
-    img.nextSlot = nextSlot_;
-    img.freeBlockCount = freeBlockCount_;
-    img.retiredBlocks = retiredBlocks_;
-    img.gcRuns = gcRuns_;
-    img.lastGcTick = lastGcTick_;
-    img.mapCacheCapacity = mapCacheCapacity_;
-    img.mapLru = mapLru_;
-    img.mapHits = mapHits_;
-    img.mapMisses = mapMisses_;
-    return img;
-}
-
 void
-Ftl::restore(const Image &img)
+Ftl::restore(const State &s)
 {
-    if (img.l2p.size() != l2p_.size() ||
-        img.blocks.size() != blocks_.size() ||
-        img.openBlock.size() != openBlock_.size()) {
+    if (s.l2p_.size() != l2p_.size() ||
+        s.blocks_.size() != blocks_.size() ||
+        s.openBlock_.size() != openBlock_.size()) {
         throw std::invalid_argument(
             "Ftl::restore: image geometry mismatch");
     }
-    l2p_ = img.l2p;
-    blocks_ = img.blocks;
-    openBlock_ = img.openBlock;
-    nextSlot_ = img.nextSlot;
-    freeBlockCount_ = img.freeBlockCount;
-    retiredBlocks_ = img.retiredBlocks;
-    gcRuns_ = img.gcRuns;
-    lastGcTick_ = img.lastGcTick;
-    mapCacheCapacity_ = img.mapCacheCapacity;
-    mapLru_ = img.mapLru;
-    mapHits_ = img.mapHits;
-    mapMisses_ = img.mapMisses;
+    State::operator=(s);
 }
 
 std::uint32_t

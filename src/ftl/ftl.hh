@@ -36,12 +36,64 @@ constexpr Ppn kNoPpn = ~static_cast<Ppn>(0);
 constexpr Lpn kNoLpn = ~static_cast<Lpn>(0);
 
 /**
+ * Every mutable FTL quantity: L2P mappings, per-block state
+ * (validity, reverse maps, wear, open/bad/collecting flags), the
+ * open-block cursors and stripe pointer, GC/OP accounting, and the
+ * demand mapping cache. Ftl holds it as its private base, so a
+ * DeviceImage snapshot copies it and a fork assigns it; config,
+ * wiring and geometry-derived members stay in Ftl.
+ */
+struct FtlState
+{
+    struct BlockState
+    {
+        std::vector<bool> valid;     // per page
+        std::vector<Lpn> owner;      // reverse map per page
+        std::uint32_t validCount = 0;
+        std::uint32_t writePtr = 0;  // next free page, == pagesPerBlock
+                                     // when full
+        std::uint32_t eraseCount = 0;
+        bool free = true;
+        bool bad = false; // retired: never free, never a GC victim
+
+        /**
+         * Mid-collection reentrancy guard: migrating a victim's
+         * pages allocates fresh ones, which can GC other planes —
+         * the victim itself (fewest valid pages by construction)
+         * must not be re-picked while its collection is in flight.
+         */
+        bool collecting = false;
+    };
+
+    std::vector<Ppn> l2p_;
+    std::vector<BlockState> blocks_;
+
+    /** One open block per (channel, die, plane) slot. */
+    std::vector<std::uint64_t> openBlock_;
+    std::uint64_t nextSlot_ = 0; // round-robin stripe pointer
+
+    std::uint64_t freeBlockCount_ = 0;
+    std::uint64_t retiredBlocks_ = 0;
+    std::uint64_t gcRuns_ = 0;
+    Tick lastGcTick_ = 0;
+
+    // Demand mapping cache (DFTL): flat intrusive LRU over cached
+    // L2P entries (preallocated nodes, direct-mapped lookup).
+    std::uint64_t mapCacheCapacity_ = 0;
+    FlatLru mapLru_;
+    std::uint64_t mapHits_ = 0;
+    std::uint64_t mapMisses_ = 0;
+};
+
+/**
  * Page-mapping FTL with demand mapping cache, GC, wear awareness and
  * (when a reliability model is attached) bad-block management.
  */
-class Ftl
+class Ftl : private FtlState
 {
   public:
+    using State = FtlState;
+
     Ftl(NandArray &nand, const SsdConfig &cfg, StatSet *stats = nullptr);
 
     /**
@@ -153,6 +205,15 @@ class Ftl
         return mapCacheCapacity_;
     }
 
+    /** The complete mutable state (DeviceImage capture). */
+    const State &capture() const { return *this; }
+
+    /**
+     * Continue from @p s, captured from an FTL of the same geometry.
+     * @throws std::invalid_argument on a geometry mismatch.
+     */
+    void restore(const State &s);
+
     /** @name Introspection for tests and stats @{ */
     std::uint64_t freeBlocks() const { return freeBlockCount_; }
     std::uint64_t totalBlocks() const { return blocks_.size(); }
@@ -165,26 +226,6 @@ class Ftl
     /** @} */
 
   private:
-    struct BlockState
-    {
-        std::vector<bool> valid;     // per page
-        std::vector<Lpn> owner;      // reverse map per page
-        std::uint32_t validCount = 0;
-        std::uint32_t writePtr = 0;  // next free page, == pagesPerBlock
-                                     // when full
-        std::uint32_t eraseCount = 0;
-        bool free = true;
-        bool bad = false; // retired: never free, never a GC victim
-
-        /**
-         * Mid-collection reentrancy guard: migrating a victim's
-         * pages allocates fresh ones, which can GC other planes —
-         * the victim itself (fewest valid pages by construction)
-         * must not be re-picked while its collection is in flight.
-         */
-        bool collecting = false;
-    };
-
     /** Dense block index over (channel, die, plane, block). */
     std::uint64_t blockIndex(const FlashAddress &a) const;
     FlashAddress blockAddress(std::uint64_t bi) const;
@@ -205,71 +246,18 @@ class Ftl
     bool collectPlane(std::uint64_t plane_slot, Tick now);
     void touchMapCache(Lpn lpn, bool &hit);
 
-    // lint: transient-begin(wiring: references into the owning Engine, re-bound by its constructor on restore)
+    // lint: transient-begin(wiring: references into the owning Engine and its StatSet, re-bound by its constructor on restore)
     NandArray &nand_;
     SsdConfig cfg_;
-    StatSet *stats_;
     reliability::ReliabilityModel *rel_ = nullptr;
+    StatSet::Handle statMapHits_;
+    StatSet::Handle statMapMisses_;
+    StatSet::Handle statGcRuns_;
+    StatSet::Handle statGcMigrations_;
     // lint: transient-end
-
-    std::vector<Ppn> l2p_;
-    std::vector<BlockState> blocks_;
-
-    /** One open block per (channel, die, plane) slot. */
-    std::vector<std::uint64_t> openBlock_;
-    std::uint64_t nextSlot_ = 0; // round-robin stripe pointer
 
     // lint: transient(pure function of config geometry, recomputed by the constructor)
     std::uint64_t logicalPages_ = 0;
-    std::uint64_t freeBlockCount_ = 0;
-    std::uint64_t retiredBlocks_ = 0;
-    std::uint64_t gcRuns_ = 0;
-    Tick lastGcTick_ = 0;
-
-    // Demand mapping cache (DFTL): flat intrusive LRU over cached
-    // L2P entries (preallocated nodes, direct-mapped lookup).
-    std::uint64_t mapCacheCapacity_ = 0;
-    FlatLru mapLru_;
-    std::uint64_t mapHits_ = 0;
-    std::uint64_t mapMisses_ = 0;
-
-    // Hot-path counters resolved once: StatSet lookup costs a string
-    // construction plus a map walk, far too much per translate.
-    // lint: transient-begin(cached StatSet pointers; the counters they mirror live in stats_ and survive via StatSet::restoreFrom)
-    Counter *statMapHits_ = nullptr;
-    Counter *statMapMisses_ = nullptr;
-    Counter *statGcRuns_ = nullptr;
-    Counter *statGcMigrations_ = nullptr;
-    // lint: transient-end
-
-  public:
-    /**
-     * Deep copy of every mutable FTL quantity, for DeviceImage
-     * snapshots: L2P mappings, per-block state (validity, reverse
-     * maps, wear, open/bad/collecting flags), open-block cursors and
-     * the stripe pointer, GC/OP accounting, and the demand
-     * mapping-cache contents. Geometry-derived members (config,
-     * logicalPages) are reproduced by constructing the restoring FTL
-     * from the same SsdConfig and are deliberately not captured.
-     */
-    struct Image
-    {
-        std::vector<Ppn> l2p;
-        std::vector<BlockState> blocks;
-        std::vector<std::uint64_t> openBlock;
-        std::uint64_t nextSlot = 0;
-        std::uint64_t freeBlockCount = 0;
-        std::uint64_t retiredBlocks = 0;
-        std::uint64_t gcRuns = 0;
-        Tick lastGcTick = 0;
-        std::uint64_t mapCacheCapacity = 0;
-        FlatLru mapLru;
-        std::uint64_t mapHits = 0;
-        std::uint64_t mapMisses = 0;
-    };
-
-    Image capture() const;
-    void restore(const Image &img);
 };
 
 } // namespace conduit

@@ -8,12 +8,9 @@ namespace conduit
 
 IspCore::IspCore(const IspConfig &cfg, const ComputeModelConfig &model,
                  StatSet *stats)
-    : cfg_(cfg), model_(model), core_("isp.core"), stats_(stats)
+    : cfg_(cfg), model_(model), statOps_(stats, "isp.ops"),
+      statBusyPs_(stats, "isp.busy_ps")
 {
-    if (stats_) {
-        statOps_ = &stats_->counter("isp.ops");
-        statBusyPs_ = &stats_->counter("isp.busy_ps");
-    }
 }
 
 double
@@ -66,10 +63,8 @@ IspCore::execute(OpCode op, std::uint16_t elem_bits, std::uint32_t lanes,
 {
     const Tick dur = estimate(op, elem_bits, lanes, num_srcs, vectorized);
     auto iv = core_.acquire(earliest, dur);
-    if (statOps_) {
-        statOps_->inc();
-        statBusyPs_->inc(dur);
-    }
+    statOps_.inc();
+    statBusyPs_.inc(dur);
     return iv;
 }
 

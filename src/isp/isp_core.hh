@@ -27,11 +27,23 @@ namespace conduit
 {
 
 /**
+ * The compute core's mutable calendar. IspCore holds it as its
+ * private base, so a DeviceImage snapshot copies it and a fork
+ * assigns it.
+ */
+struct IspState
+{
+    Server core_{"isp.core"};
+};
+
+/**
  * Timing model for the controller compute core.
  */
-class IspCore
+class IspCore : private IspState
 {
   public:
+    using State = IspState;
+
     IspCore(const IspConfig &cfg, const ComputeModelConfig &model,
             StatSet *stats = nullptr);
 
@@ -77,31 +89,20 @@ class IspCore
 
     void reset() { core_.reset(); }
 
-    /** Mutable calendar state for DeviceImage snapshots. */
-    struct Image
-    {
-        Server core;
-    };
-
-    Image capture() const { return Image{core_}; }
-    void restore(const Image &img) { core_ = img.core; }
+    /** The complete mutable state (DeviceImage capture). */
+    const State &capture() const { return *this; }
+    void restore(const State &s) { State::operator=(s); }
 
   private:
     double cyclesPerSimd(OpCode op) const;
 
-    // lint: transient-begin(immutable configs plus StatSet wiring, rebuilt/re-bound by the constructor on restore)
-    IspConfig cfg_;
-    ComputeModelConfig model_;
-    // lint: transient-end
-    Server core_;
-    // lint: transient(wiring into the owning Engine's StatSet, re-bound on restore)
-    StatSet *stats_;
-
     // Hot-path counters resolved once: a StatSet lookup per op costs
     // a string construction plus a map walk.
-    // lint: transient-begin(cached StatSet pointers; the counters survive via StatSet::restoreFrom)
-    Counter *statOps_ = nullptr;
-    Counter *statBusyPs_ = nullptr;
+    // lint: transient-begin(immutable configs plus StatSet handles, rebuilt/re-bound by the constructor on restore)
+    IspConfig cfg_;
+    ComputeModelConfig model_;
+    StatSet::Handle statOps_;
+    StatSet::Handle statBusyPs_;
     // lint: transient-end
 };
 

@@ -9,12 +9,9 @@ namespace conduit
 
 IfpUnit::IfpUnit(NandArray &nand, const ComputeModelConfig &model,
                  StatSet *stats)
-    : nand_(nand), model_(model), stats_(stats)
+    : nand_(nand), model_(model), statOps_(stats, "ifp.ops"),
+      statBytes_(stats, "ifp.bytes")
 {
-    if (stats_) {
-        statOps_ = &stats_->counter("ifp.ops");
-        statBytes_ = &stats_->counter("ifp.bytes");
-    }
 }
 
 Tick
@@ -127,13 +124,11 @@ IfpUnit::execute(OpCode op, std::uint16_t elem_bits,
         start = std::min(start, iv.start);
         end = std::max(end, frag_end);
     }
-    if (statOps_) {
-        statOps_->inc();
-        std::uint64_t bytes = 0;
-        for (const auto &f : frags)
-            bytes += f.bytes;
-        statBytes_->inc(bytes);
-    }
+    statOps_.inc();
+    std::uint64_t bytes = 0;
+    for (const auto &f : frags)
+        bytes += f.bytes;
+    statBytes_.inc(bytes);
     return {start == kMaxTick ? earliest : start, end};
 }
 

@@ -91,12 +91,11 @@ class IfpUnit
 
     NandArray &nand_;
     ComputeModelConfig model_;
-    StatSet *stats_;
 
     // Hot-path counters resolved once: a StatSet lookup per op costs
     // a string construction plus a map walk.
-    Counter *statOps_ = nullptr;
-    Counter *statBytes_ = nullptr;
+    StatSet::Handle statOps_;
+    StatSet::Handle statBytes_;
 };
 
 } // namespace conduit

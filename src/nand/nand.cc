@@ -24,7 +24,12 @@ NandArray::makeRadix(std::uint64_t value)
 }
 
 NandArray::NandArray(const NandConfig &cfg, StatSet *stats)
-    : cfg_(cfg), stats_(stats)
+    : cfg_(cfg), statReads_(stats, "nand.reads"),
+      statPrograms_(stats, "nand.programs"),
+      statErases_(stats, "nand.erases"),
+      statXferOutBytes_(stats, "nand.xfer_out_bytes"),
+      statXferInBytes_(stats, "nand.xfer_in_bytes"),
+      statDmaOps_(stats, "nand.dma_ops")
 {
     dies_.reserve(numDies());
     for (std::uint32_t d = 0; d < numDies(); ++d)
@@ -38,14 +43,6 @@ NandArray::NandArray(const NandConfig &cfg, StatSet *stats)
     rDie_ = makeRadix(cfg_.diesPerChannel);
     pagesPerDie_ = makeRadix(static_cast<std::uint64_t>(
         cfg_.pagesPerBlock) * cfg_.blocksPerPlane * cfg_.planesPerDie);
-    if (stats_) {
-        statReads_ = &stats_->counter("nand.reads");
-        statPrograms_ = &stats_->counter("nand.programs");
-        statErases_ = &stats_->counter("nand.erases");
-        statXferOutBytes_ = &stats_->counter("nand.xfer_out_bytes");
-        statXferInBytes_ = &stats_->counter("nand.xfer_in_bytes");
-        statDmaOps_ = &stats_->counter("nand.dma_ops");
-    }
 }
 
 FlashAddress
@@ -87,8 +84,7 @@ NandArray::readPage(const FlashAddress &a, Tick earliest)
         rel_ ? rel_->onRead(blockIndexOf(a), earliest) : 0;
     dur += penalty;
     auto iv = dies_[dieIndex(a)].acquire(earliest, dur);
-    if (statReads_)
-        statReads_->inc();
+    statReads_.inc();
     if (tracer_ && penalty > 0 &&
         tracer_->wants(trace::Category::Reliability)) {
         trace::Event e;
@@ -110,8 +106,7 @@ NandArray::programPage(const FlashAddress &a, Tick earliest)
 {
     auto iv = dies_[dieIndex(a)].acquire(
         earliest, cfg_.cmdTicks + cfg_.programTicks);
-    if (statPrograms_)
-        statPrograms_->inc();
+    statPrograms_.inc();
     return iv;
 }
 
@@ -120,8 +115,7 @@ NandArray::eraseBlock(const FlashAddress &a, Tick earliest)
 {
     auto iv = dies_[dieIndex(a)].acquire(
         earliest, cfg_.cmdTicks + cfg_.eraseTicks);
-    if (statErases_)
-        statErases_->inc();
+    statErases_.inc();
     return iv;
 }
 
@@ -132,10 +126,8 @@ NandArray::transferOut(std::uint32_t channel, std::uint64_t bytes,
     const Tick dur = cfg_.dmaTicks +
         transferTicks(bytes, cfg_.channelBytesPerSec);
     auto iv = channels_.at(channel).acquire(earliest, dur);
-    if (statXferOutBytes_) {
-        statXferOutBytes_->inc(bytes);
-        statDmaOps_->inc();
-    }
+    statXferOutBytes_.inc(bytes);
+    statDmaOps_.inc();
     return iv;
 }
 
@@ -146,10 +138,8 @@ NandArray::transferIn(std::uint32_t channel, std::uint64_t bytes,
     const Tick dur = cfg_.dmaTicks +
         transferTicks(bytes, cfg_.channelBytesPerSec);
     auto iv = channels_.at(channel).acquire(earliest, dur);
-    if (statXferInBytes_) {
-        statXferInBytes_->inc(bytes);
-        statDmaOps_->inc();
-    }
+    statXferInBytes_.inc(bytes);
+    statDmaOps_.inc();
     return iv;
 }
 

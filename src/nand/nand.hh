@@ -56,11 +56,35 @@ struct FlashAddress
 };
 
 /**
+ * The flash array's mutable calendar state: every die and channel
+ * Server (free point, busy-time integral, request count) plus the
+ * incremental min-die cache. NandArray holds it as its private base,
+ * so a DeviceImage snapshot copies it and a fork assigns it.
+ */
+struct NandState
+{
+    std::vector<Server> dies_;
+    std::vector<Server> channels_;
+
+    /**
+     * Incremental min-die tracker. Server free points only move
+     * forward, so a cached minimizer stays minimal until that die is
+     * acquired again; minDieBacklog() validates the cache against the
+     * die's current free point and rescans only on mismatch, instead
+     * of walking every die once per feature collection.
+     */
+    mutable std::uint32_t minDie_ = 0;
+    mutable Tick minDieFreeAt_ = 0;
+};
+
+/**
  * The flash array: address codec, per-die and per-channel timing.
  */
-class NandArray
+class NandArray : private NandState
 {
   public:
+    using State = NandState;
+
     explicit NandArray(const NandConfig &cfg, StatSet *stats = nullptr);
 
     const NandConfig &config() const { return cfg_; }
@@ -177,38 +201,18 @@ class NandArray
 
     void reset();
 
-    /**
-     * Mutable calendar state for DeviceImage snapshots: every die and
-     * channel Server (free point, busy-time integral, request count)
-     * plus the incremental min-die cache. The codec and config are
-     * constructor-derived and not captured.
-     */
-    struct Image
-    {
-        std::vector<Server> dies;
-        std::vector<Server> channels;
-        std::uint32_t minDie = 0;
-        Tick minDieFreeAt = 0;
-    };
+    /** The complete mutable state (DeviceImage capture). */
+    const State &capture() const { return *this; }
 
-    Image
-    capture() const
-    {
-        Image img;
-        img.dies = dies_;
-        img.channels = channels_;
-        img.minDie = minDie_;
-        img.minDieFreeAt = minDieFreeAt_;
-        return img;
-    }
-
+    /** Continue from @p s, captured from an array of this geometry. */
     void
-    restore(const Image &img)
+    restore(const State &s)
     {
-        dies_ = img.dies;
-        channels_ = img.channels;
-        minDie_ = img.minDie;
-        minDieFreeAt_ = img.minDieFreeAt;
+        if (s.dies_.size() != dies_.size() ||
+            s.channels_.size() != channels_.size())
+            throw std::invalid_argument(
+                "NandArray::restore: geometry mismatch");
+        State::operator=(s);
     }
 
   private:
@@ -244,40 +248,22 @@ class NandArray
 
     // lint: transient(immutable config, rebuilt by the constructor on restore)
     NandConfig cfg_;
-    std::vector<Server> dies_;
-    std::vector<Server> channels_;
-    // lint: transient-begin(wiring into the owning Engine, re-bound by its constructor on restore)
-    StatSet *stats_;
+    // lint: transient-begin(wiring into the owning Engine and its StatSet, re-bound by its constructor on restore)
     reliability::ReliabilityModel *rel_ = nullptr;
     trace::Tracer *tracer_ = nullptr;
     std::uint32_t traceId_ = 0;
+    StatSet::Handle statReads_;
+    StatSet::Handle statPrograms_;
+    StatSet::Handle statErases_;
+    StatSet::Handle statXferOutBytes_;
+    StatSet::Handle statXferInBytes_;
+    StatSet::Handle statDmaOps_;
     // lint: transient-end
 
     /** Cached strides (innermost first) and the pages-per-die span. */
     // lint: transient-begin(pure functions of config geometry, recomputed by the constructor)
     Radix rPage_, rBlock_, rPlane_, rDie_;
     Radix pagesPerDie_;
-    // lint: transient-end
-
-    /**
-     * Incremental min-die tracker. Server free points only move
-     * forward, so a cached minimizer stays minimal until that die is
-     * acquired again; minDieBacklog() validates the cache against the
-     * die's current free point and rescans only on mismatch, instead
-     * of walking every die once per feature collection.
-     */
-    mutable std::uint32_t minDie_ = 0;
-    mutable Tick minDieFreeAt_ = 0;
-
-    // Hot-path counters resolved once: a StatSet lookup per media op
-    // costs a string construction plus a map walk.
-    // lint: transient-begin(cached StatSet pointers; the counters survive via StatSet::restoreFrom)
-    Counter *statReads_ = nullptr;
-    Counter *statPrograms_ = nullptr;
-    Counter *statErases_ = nullptr;
-    Counter *statXferOutBytes_ = nullptr;
-    Counter *statXferInBytes_ = nullptr;
-    Counter *statDmaOps_ = nullptr;
     // lint: transient-end
 };
 

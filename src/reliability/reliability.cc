@@ -8,22 +8,20 @@ namespace conduit::reliability
 ReliabilityModel::ReliabilityModel(const NandConfig &nand,
                                    const ReliabilityConfig &cfg,
                                    std::uint64_t seed, StatSet *stats)
-    : cfg_(cfg), rber_(cfg, seed, nand.totalBlocks()), ecc_(cfg)
+    : cfg_(cfg), rber_(cfg, seed, nand.totalBlocks()), ecc_(cfg),
+      statRetriedReads_(stats, "rel.retried_reads"),
+      statEccRetries_(stats, "rel.ecc_retries"),
+      statSoftDecodes_(stats, "rel.soft_decodes"),
+      statUncorrectable_(stats, "rel.uncorrectable_reads"),
+      statRetiredBlocks_(stats, "rel.retired_blocks"),
+      statScrubPasses_(stats, "rel.scrub_passes"),
+      statScrubRefreshes_(stats, "rel.scrub_refreshes")
 {
     BlockWear init;
     init.eraseCount = cfg_.preWearCycles;
     init.retentionOffsetSeconds =
         std::max(0.0, cfg_.retentionDays) * 86400.0;
     wear_.assign(static_cast<std::size_t>(nand.totalBlocks()), init);
-    if (stats) {
-        statRetriedReads_ = &stats->counter("rel.retried_reads");
-        statEccRetries_ = &stats->counter("rel.ecc_retries");
-        statSoftDecodes_ = &stats->counter("rel.soft_decodes");
-        statUncorrectable_ = &stats->counter("rel.uncorrectable_reads");
-        statRetiredBlocks_ = &stats->counter("rel.retired_blocks");
-        statScrubPasses_ = &stats->counter("rel.scrub_passes");
-        statScrubRefreshes_ = &stats->counter("rel.scrub_refreshes");
-    }
 }
 
 double
@@ -62,14 +60,11 @@ ReliabilityModel::onRead(std::uint64_t block, Tick now)
         return 0;
     ++stats_.retriedReads;
     stats_.eccRetries += plan.retries;
-    if (statRetriedReads_) {
-        statRetriedReads_->inc();
-        statEccRetries_->inc(plan.retries);
-    }
+    statRetriedReads_.inc();
+    statEccRetries_.inc(plan.retries);
     if (plan.soft) {
         ++stats_.softDecodes;
-        if (statSoftDecodes_)
-            statSoftDecodes_->inc();
+        statSoftDecodes_.inc();
         // Only ladder-exhausting reads vote for retirement: plain
         // retries are routine on a uniformly aged device, and
         // counting them would retire the entire pool.
@@ -79,8 +74,7 @@ ReliabilityModel::onRead(std::uint64_t block, Tick now)
     if (plan.uncorrectable) {
         ++stats_.uncorrectableReads;
         w.retirePending = true;
-        if (statUncorrectable_)
-            statUncorrectable_->inc();
+        statUncorrectable_.inc();
     }
     return plan.extraTicks;
 }
@@ -106,8 +100,7 @@ ReliabilityModel::markRetired(std::uint64_t block)
     w.retired = true;
     w.retirePending = false;
     ++stats_.retiredBlocks;
-    if (statRetiredBlocks_)
-        statRetiredBlocks_->inc();
+    statRetiredBlocks_.inc();
 }
 
 bool
@@ -123,16 +116,14 @@ void
 ReliabilityModel::notePass()
 {
     ++stats_.scrubPasses;
-    if (statScrubPasses_)
-        statScrubPasses_->inc();
+    statScrubPasses_.inc();
 }
 
 void
 ReliabilityModel::noteRefresh()
 {
     ++stats_.scrubRefreshes;
-    if (statScrubRefreshes_)
-        statScrubRefreshes_->inc();
+    statScrubRefreshes_.inc();
 }
 
 void

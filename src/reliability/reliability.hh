@@ -72,10 +72,51 @@ struct ReliabilityStats
     std::uint64_t wearLevelMigrations = 0;
 };
 
+/**
+ * The device's aging state: per-block wear (including the memoized
+ * read plans, which are pure functions of wear + retention bucket),
+ * the device-total erase count, and the cumulative ReliabilityStats.
+ * ReliabilityModel holds it as its private base, so a DeviceImage
+ * snapshot copies it and a fork assigns it.
+ */
+struct ReliabilityState
+{
+    struct BlockWear
+    {
+        std::uint32_t eraseCount = 0;
+        std::uint32_t softReads = 0; // ladder-exhausting reads
+        bool retirePending = false;
+        bool retired = false;
+
+        /** Tick the resident data was (re)programmed. */
+        Tick programmedAt = 0;
+
+        /** Fast-forwarded retention predating t = 0 (cleared by the
+         *  first erase: the block then holds fresh data). */
+        double retentionOffsetSeconds = 0.0;
+
+        /**
+         * Read-plan memo: the decode plan is constant between
+         * erases within a coarse retention bucket, so the
+         * transcendental RBER/ladder math runs once per
+         * (erase, bucket) instead of once per read. kMaxTick marks
+         * it stale (fresh block or just erased).
+         */
+        Tick planBucket = kMaxTick;
+        ReadPlan plan;
+    };
+
+    std::vector<BlockWear> wear_;
+    std::uint64_t totalErases_ = 0; // beyond pre-wear, all blocks
+    ReliabilityStats stats_;
+};
+
 /** The device's aging state and reliability decision logic. */
-class ReliabilityModel
+class ReliabilityModel : private ReliabilityState
 {
   public:
+    using State = ReliabilityState;
+
     ReliabilityModel(const NandConfig &nand,
                      const ReliabilityConfig &cfg, std::uint64_t seed,
                      StatSet *stats = nullptr);
@@ -152,100 +193,45 @@ class ReliabilityModel
     const RberModel &rberModel() const { return rber_; }
     /** @} */
 
-  private:
-    struct BlockWear
-    {
-        std::uint32_t eraseCount = 0;
-        std::uint32_t softReads = 0; // ladder-exhausting reads
-        bool retirePending = false;
-        bool retired = false;
+    /** The complete mutable state (DeviceImage capture). */
+    const State &capture() const { return *this; }
 
-        /** Tick the resident data was (re)programmed. */
-        Tick programmedAt = 0;
-
-        /** Fast-forwarded retention predating t = 0 (cleared by the
-         *  first erase: the block then holds fresh data). */
-        double retentionOffsetSeconds = 0.0;
-
-        /**
-         * Read-plan memo: the decode plan is constant between
-         * erases within a coarse retention bucket, so the
-         * transcendental RBER/ladder math runs once per
-         * (erase, bucket) instead of once per read. kMaxTick marks
-         * it stale (fresh block or just erased).
-         */
-        Tick planBucket = kMaxTick;
-        ReadPlan plan;
-    };
-
-    // lint: transient-begin(config and the stateless models derived from it, rebuilt by the constructor on restore)
-    ReliabilityConfig cfg_;
-    RberModel rber_;
-    EccEngine ecc_;
-    // lint: transient-end
-    std::vector<BlockWear> wear_;
-    std::uint64_t totalErases_ = 0; // beyond pre-wear, all blocks
-
-    /** typicalReadPenalty memo (see its doc comment). */
-    static constexpr Tick kPenaltyBucketTicks = msToTicks(10);
-    mutable Tick penaltyBucket_ = kMaxTick;
-    mutable std::uint64_t penaltyErases_ = ~std::uint64_t{0};
-    mutable Tick penalty_ = 0;
-
-    ReliabilityStats stats_;
-
-    /** StatSet mirrors (resolved once; see nand.hh's rationale). */
-    // lint: transient-begin(cached StatSet pointers; the counters they mirror survive via StatSet::restoreFrom)
-    Counter *statRetriedReads_ = nullptr;
-    Counter *statEccRetries_ = nullptr;
-    Counter *statSoftDecodes_ = nullptr;
-    Counter *statUncorrectable_ = nullptr;
-    Counter *statRetiredBlocks_ = nullptr;
-    Counter *statScrubPasses_ = nullptr;
-    Counter *statScrubRefreshes_ = nullptr;
-    // lint: transient-end
-
-  public:
-    /**
-     * Deep copy of the aging state for DeviceImage snapshots:
-     * per-block wear (including the memoized read plans, which are
-     * pure functions of wear + retention bucket), the device-total
-     * erase count, and the cumulative ReliabilityStats. The
-     * typicalReadPenalty memo is not captured — restore marks it
-     * stale and the next query deterministically recomputes it from
-     * the restored wear. RberModel/EccEngine are config+seed-derived
-     * constants reproduced by construction.
-     */
-    struct Image
-    {
-        std::vector<BlockWear> wear;
-        std::uint64_t totalErases = 0;
-        ReliabilityStats stats;
-    };
-
-    Image
-    capture() const
-    {
-        Image img;
-        img.wear = wear_;
-        img.totalErases = totalErases_;
-        img.stats = stats_;
-        return img;
-    }
-
+    /** Continue from @p s, captured from a model of this geometry. */
     void
-    restore(const Image &img)
+    restore(const State &s)
     {
-        if (img.wear.size() != wear_.size())
+        if (s.wear_.size() != wear_.size())
             throw std::invalid_argument(
                 "ReliabilityModel::restore: block count mismatch");
-        wear_ = img.wear;
-        totalErases_ = img.totalErases;
-        stats_ = img.stats;
+        State::operator=(s);
         penaltyBucket_ = kMaxTick;
         penaltyErases_ = ~std::uint64_t{0};
         penalty_ = 0;
     }
+
+  private:
+    // lint: transient-begin(config, the stateless models derived from it and StatSet handles, rebuilt/re-bound by the constructor on restore)
+    ReliabilityConfig cfg_;
+    RberModel rber_;
+    EccEngine ecc_;
+    StatSet::Handle statRetriedReads_;
+    StatSet::Handle statEccRetries_;
+    StatSet::Handle statSoftDecodes_;
+    StatSet::Handle statUncorrectable_;
+    StatSet::Handle statRetiredBlocks_;
+    StatSet::Handle statScrubPasses_;
+    StatSet::Handle statScrubRefreshes_;
+    // lint: transient-end
+
+    /**
+     * typicalReadPenalty memo (see its doc comment). Not part of the
+     * State: restore marks it stale and the next query
+     * deterministically recomputes it from the restored wear.
+     */
+    static constexpr Tick kPenaltyBucketTicks = msToTicks(10);
+    mutable Tick penaltyBucket_ = kMaxTick;
+    mutable std::uint64_t penaltyErases_ = ~std::uint64_t{0};
+    mutable Tick penalty_ = 0;
 };
 
 } // namespace conduit::reliability

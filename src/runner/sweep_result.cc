@@ -254,21 +254,6 @@ SweepResult::writeJsonFile(const std::string &path) const
 namespace
 {
 
-/** Nearest-rank percentile of an unsorted sample (copies & sorts). */
-double
-nearestRank(std::vector<double> xs, double pct)
-{
-    if (xs.empty())
-        return 0.0;
-    std::sort(xs.begin(), xs.end());
-    const double rank =
-        std::ceil(pct / 100.0 * static_cast<double>(xs.size()));
-    const std::size_t idx = rank < 1.0
-        ? 0
-        : std::min(xs.size() - 1, static_cast<std::size_t>(rank) - 1);
-    return xs[idx];
-}
-
 /** The columns @p format emits for @p r. */
 std::vector<Field>
 scenarioFields(const ScenarioRow &r, RowFormat format)
@@ -461,7 +446,7 @@ makeRows(const Scenario &scenario, const cluster::ClusterSnapshot &snap)
         row.p99Us = lat[s].count() ? lat[s].percentile(99) : 0.0;
         row.p9999Us =
             lat[s].count() ? lat[s].percentile(99.99) : 0.0;
-        row.sojournP99Ms = nearestRank(sojournsMs[s], 99.0);
+        row.sojournP99Ms = nearestRankOf(sojournsMs[s], 99.0);
         row.sloAttainment = row.jobs == 0
             ? 1.0
             : static_cast<double>(attained[s]) /

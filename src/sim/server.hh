@@ -88,6 +88,8 @@ class Server
 class ServerGroup
 {
   public:
+    ServerGroup() = default;
+
     ServerGroup(std::string name, std::size_t count)
     {
         units_.reserve(count);
@@ -140,16 +142,6 @@ class ServerGroup
     }
 
     std::size_t size() const { return units_.size(); }
-
-    Server &unit(std::size_t i) { return units_.at(i); }
-    const Server &unit(std::size_t i) const { return units_.at(i); }
-
-    void
-    reset()
-    {
-        for (auto &u : units_)
-            u.reset();
-    }
 
   private:
     Server *

@@ -28,20 +28,28 @@ class Counter
 
     void inc(std::uint64_t by = 1) { value_ += by; }
     std::uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
 
   private:
     std::uint64_t value_ = 0;
 };
 
 /**
+ * Nearest-rank percentile of @p samples: the smallest value with at
+ * least ceil(p/100 * N) samples at or below it (p <= 0 gives the
+ * minimum, p >= 100 the maximum, an empty sample 0). Takes its own
+ * copy and partially orders it, so callers keep their data as is.
+ * @param p Percentile in [0, 100].
+ */
+double nearestRankOf(std::vector<double> samples, double p);
+
+/**
  * Exact-quantile histogram over double-valued samples.
  *
- * Samples are stored verbatim; quantiles use the nearest-rank method
- * on a lazily sorted copy (sorted once per mutation epoch, so a
- * batch of percentile() calls pays one sort). Sum, min and max are
- * maintained as running values — reading them never re-scans the
- * sample vector.
+ * Samples are stored verbatim; quantiles use nearestRankOf() on a
+ * copy, so reads never mutate the histogram and a shared const
+ * histogram is safe to query from several threads. Sum, min and max
+ * are maintained as running values — reading them never re-scans
+ * the sample vector.
  */
 class Histogram
 {
@@ -51,7 +59,6 @@ class Histogram
     {
         samples_.push_back(sample);
         accumulate(sample);
-        sorted_ = false;
     }
 
     std::size_t count() const { return samples_.size(); }
@@ -72,7 +79,7 @@ class Histogram
      * Nearest-rank percentile.
      * @param p Percentile in [0, 100].
      */
-    double percentile(double p) const;
+    double percentile(double p) const { return nearestRankOf(samples_, p); }
 
     /** Append every sample of @p other (aggregate histograms). */
     void
@@ -86,15 +93,12 @@ class Histogram
             samples_.push_back(v);
             accumulate(v);
         }
-        sorted_ = false;
     }
 
     void
     clear()
     {
         samples_.clear();
-        cache_.clear();
-        sorted_ = false;
         sum_ = 0.0;
         min_ = 0.0;
         max_ = 0.0;
@@ -117,60 +121,73 @@ class Histogram
     double sum_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
-    mutable std::vector<double> cache_;
-    mutable bool sorted_ = false;
 };
 
 /**
- * A registry of named counters/histograms for a simulation run.
+ * The named counters of a simulation run, held by value.
  *
- * Components look up their stats by dotted path (e.g.
- * "nand.reads", "conduit.instr_latency"). Lookup creates on demand.
+ * Counters live in one flat slot array; a name maps to its slot on
+ * first lookup (dotted paths such as "nand.reads"). Components
+ * resolve their hot-path counters once into Handles. Copying a
+ * StatSet copies every count, and assigning one is a complete
+ * restore: handles index slots, so they stay valid across an
+ * assignment from any set that registered the same names in the
+ * same order first (see extends()).
  */
 class StatSet
 {
   public:
-    Counter &counter(const std::string &name) { return counters_[name]; }
-    Histogram &histogram(const std::string &name) { return hists_[name]; }
+    /**
+     * A counter slot resolved once by name. A default handle, or
+     * one taken on a null set, ignores inc(): components built
+     * without stats need no guards.
+     */
+    class Handle
+    {
+      public:
+        Handle() = default;
 
-    const std::map<std::string, Counter> &counters() const
-    {
-        return counters_;
-    }
-    const std::map<std::string, Histogram> &histograms() const
-    {
-        return hists_;
-    }
+        Handle(StatSet *set, const std::string &name)
+            : set_(set), slot_(set ? set->slotOf(name) : 0)
+        {
+        }
+
+        void
+        inc(std::uint64_t by = 1) const
+        {
+            if (set_)
+                set_->slots_[slot_].inc(by);
+        }
+
+      private:
+        StatSet *set_ = nullptr;
+        std::size_t slot_ = 0;
+    };
+
+    /**
+     * The counter named @p name, created at zero on first use. The
+     * reference lasts until the next new name is registered; keep a
+     * Handle instead.
+     */
+    Counter &counter(const std::string &name) { return slots_[slotOf(name)]; }
+
+    /** Every counter by name, in name order. */
+    std::map<std::string, Counter> counters() const;
+
+    /**
+     * True when every counter of @p base sits in the same slot here,
+     * so handles taken on @p base stay valid after `base = *this`.
+     */
+    bool extends(const StatSet &base) const;
 
     /** Render all counters as "name value" lines (for debugging). */
     std::string dump() const;
 
-    /**
-     * Overwrite this set's contents with @p src's (DeviceImage
-     * restore). Plain assignment would discard the map nodes that
-     * subsystems cached raw Counter pointers into at construction,
-     * so instead every existing entry is zeroed in place and the
-     * source values are folded in through find-or-create lookups —
-     * addresses survive, entries absent from @p src reset to empty,
-     * and Histogram's sample-by-sample merge reproduces the running
-     * sum/min/max bit for bit.
-     */
-    void
-    restoreFrom(const StatSet &src)
-    {
-        for (auto &kv : counters_)
-            kv.second.reset();
-        for (auto &kv : hists_)
-            kv.second.clear();
-        for (const auto &kv : src.counters_)
-            counters_[kv.first].inc(kv.second.value());
-        for (const auto &kv : src.hists_)
-            hists_[kv.first].merge(kv.second);
-    }
-
   private:
-    std::map<std::string, Counter> counters_;
-    std::map<std::string, Histogram> hists_;
+    std::size_t slotOf(const std::string &name);
+
+    std::map<std::string, std::size_t> index_;
+    std::vector<Counter> slots_;
 };
 
 } // namespace conduit

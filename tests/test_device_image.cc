@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <thread>
 
 #include "src/core/arrival.hh"
 #include "src/core/device.hh"
@@ -220,13 +221,13 @@ forkEqualsContinued(const SsdConfig &cfg, std::size_t warm,
     EXPECT_EQ(contSnap.eventsFired, forkSnap.eventsFired);
     EXPECT_EQ(contImg.engine.queueNow, forkImg.engine.queueNow);
     EXPECT_EQ(contImg.engine.queueFired, forkImg.engine.queueFired);
-    EXPECT_TRUE(contImg.engine.rng == forkImg.engine.rng);
-    EXPECT_EQ(contImg.engine.ftl.nextSlot, forkImg.engine.ftl.nextSlot);
-    EXPECT_EQ(contImg.engine.ftl.freeBlockCount,
-              forkImg.engine.ftl.freeBlockCount);
-    EXPECT_EQ(contImg.engine.ftl.gcRuns, forkImg.engine.ftl.gcRuns);
-    EXPECT_EQ(contImg.engine.ftl.retiredBlocks,
-              forkImg.engine.ftl.retiredBlocks);
+    EXPECT_TRUE(contImg.engine.session.rng_ == forkImg.engine.session.rng_);
+    EXPECT_EQ(contImg.engine.ftl.nextSlot_, forkImg.engine.ftl.nextSlot_);
+    EXPECT_EQ(contImg.engine.ftl.freeBlockCount_,
+              forkImg.engine.ftl.freeBlockCount_);
+    EXPECT_EQ(contImg.engine.ftl.gcRuns_, forkImg.engine.ftl.gcRuns_);
+    EXPECT_EQ(contImg.engine.ftl.retiredBlocks_,
+              forkImg.engine.ftl.retiredBlocks_);
 }
 
 // ------------------------------------------------ fork equivalence
@@ -253,10 +254,10 @@ TEST(DeviceImage, SnapshotCapturesMidLifeFtlState)
     // The snapshot must land mid-life, after real FTL churn: GC has
     // run and the mapping table is populated — the state whose loss
     // a warm-from-scratch rebuild could never hide.
-    EXPECT_GT(img.engine.ftl.gcRuns, 0u);
-    EXPECT_GT(img.engine.ftl.mapHits + img.engine.ftl.mapMisses, 0u);
-    EXPECT_LT(img.engine.ftl.freeBlockCount,
-              img.engine.ftl.blocks.size());
+    EXPECT_GT(img.engine.ftl.gcRuns_, 0u);
+    EXPECT_GT(img.engine.ftl.mapHits_ + img.engine.ftl.mapMisses_, 0u);
+    EXPECT_LT(img.engine.ftl.freeBlockCount_,
+              img.engine.ftl.blocks_.size());
     EXPECT_EQ(img.capacityPages, 600u);
 }
 
@@ -272,8 +273,8 @@ TEST(DeviceImage, SnapshotCapturesBlockRetirement)
     // End-of-life wear: the retry ladder fired and blocks retired
     // before the snapshot, so the image carries a shrunken
     // over-provisioning pool and per-block wear state.
-    EXPECT_GT(img.engine.rel.stats.eccRetries, 0u);
-    EXPECT_GT(img.engine.ftl.retiredBlocks, 0u);
+    EXPECT_GT(img.engine.rel->stats_.eccRetries, 0u);
+    EXPECT_GT(img.engine.ftl.retiredBlocks_, 0u);
 }
 
 TEST(DeviceImage, RngStreamRestoredExactly)
@@ -289,7 +290,7 @@ TEST(DeviceImage, RngStreamRestoredExactly)
     // stream position (not just a fresh seed).
     Device fork = Device::fromImage(img);
     const DeviceImage again = fork.snapshot();
-    EXPECT_TRUE(img.engine.rng == again.engine.rng);
+    EXPECT_TRUE(img.engine.session.rng_ == again.engine.session.rng_);
 
     // And the position is mid-stream: a fresh device's RNG differs.
     Device fresh(imageTestOptions(gcCfg()));
@@ -301,7 +302,7 @@ TEST(DeviceImage, RngStreamRestoredExactly)
         return job;
     }());
     const DeviceImage freshImg = fresh.snapshot();
-    EXPECT_TRUE(img.engine.rng != freshImg.engine.rng);
+    EXPECT_TRUE(img.engine.session.rng_ != freshImg.engine.session.rng_);
 }
 
 TEST(DeviceImage, ForksAreMutuallyIndependent)
@@ -331,6 +332,54 @@ TEST(DeviceImage, ForksAreMutuallyIndependent)
     expectSameSnapshot(first, second);
     expectSameSnapshot(first, third);
     EXPECT_NE(other.jobs.size(), first.jobs.size());
+}
+
+TEST(DeviceImage, ConcurrentReadersShareOneImage)
+{
+    // Threads share one read-only image, as the sweep runner shares
+    // warm images across cells. Each reads tail percentiles straight
+    // off the image's retired jobs, then forks it: reads must not
+    // write to the image, so every fork equals a serial fork.
+    auto prog = chainProgram("shared", 24);
+    Device dev(imageTestOptions(gcCfg()));
+    auto gaps = makeArrivals(ArrivalKind::Poisson, kGapPs, 1);
+    Tick at = 0;
+    offerJobs(dev, prog, 6, *gaps, at);
+    const auto img = std::make_shared<const DeviceImage>(dev.snapshot());
+
+    const auto runFork = [&prog](const DeviceImage &image) {
+        Device f = Device::fromImage(image);
+        auto g = makeArrivals(ArrivalKind::Poisson, kGapPs, 7);
+        Tick a = f.now();
+        offerJobs(f, prog, 3, *g, a);
+        return f.drain();
+    };
+    const DeviceSnapshot serial = runFork(*img);
+
+    constexpr int kThreads = 4;
+    std::vector<DeviceSnapshot> forks(kThreads);
+    std::vector<std::vector<double>> tails(kThreads);
+    std::vector<std::thread> pool;
+    for (int t = 0; t < kThreads; ++t) {
+        pool.emplace_back([&, t] {
+            for (const JobResult &j : img->jobs)
+                for (double p : {50.0, 99.0, 99.99})
+                    tails[t].push_back(j.result.latencyUs.percentile(p));
+            forks[t] = runFork(*img);
+        });
+    }
+    for (auto &th : pool)
+        th.join();
+
+    std::vector<double> want;
+    for (const JobResult &j : img->jobs)
+        for (double p : {50.0, 99.0, 99.99})
+            want.push_back(j.result.latencyUs.percentile(p));
+    for (int t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(tails[t], want);
+        expectSameSnapshot(serial, forks[t]);
+        EXPECT_EQ(serial.eventsFired, forks[t].eventsFired);
+    }
 }
 
 // --------------------------------------- sweep-runner shared images

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <deque>
 #include <functional>
 #include <list>
@@ -461,9 +463,9 @@ TEST(Histogram, TailPercentileOfSkewedData)
 
 TEST(Histogram, PercentileCacheTracksInterleavedMutations)
 {
-    // percentile() sorts into a mutable cache; every mutation path
-    // (add, merge, clear) must invalidate it, or a later percentile
-    // would read the stale order.
+    // Every mutation path (add, merge, clear) must show in a later
+    // percentile read: no order may outlive the samples it was
+    // computed from.
     Histogram h;
     h.add(10.0);
     h.add(20.0);
@@ -561,13 +563,79 @@ TEST(Rng, UniformInUnitInterval)
     EXPECT_NEAR(sum / 10000.0, 0.5, 0.02);
 }
 
+TEST(NearestRank, MatchesSortedReferenceWithDuplicates)
+{
+    // Runs of equal values straddle the rank boundaries; the sorted
+    // reference indexes rank ceil(p/100 * N), clamped to [1, N].
+    Rng rng(5);
+    std::vector<double> xs;
+    for (int i = 0; i < 997; ++i)
+        xs.push_back(static_cast<double>(rng.below(200)) * 0.5);
+    std::vector<double> sorted = xs;
+    std::sort(sorted.begin(), sorted.end());
+    ASSERT_NE(std::adjacent_find(sorted.begin(), sorted.end()),
+              sorted.end()); // the sample does hold duplicates
+    Histogram h;
+    for (double x : xs)
+        h.add(x);
+    const auto n = static_cast<double>(sorted.size());
+    for (double p : {0.0, 0.01, 50.0, 99.0, 99.99, 100.0}) {
+        const auto rank = static_cast<std::size_t>(
+            std::clamp(std::ceil(p / 100.0 * n), 1.0, n));
+        EXPECT_EQ(nearestRankOf(xs, p), sorted[rank - 1]) << "p=" << p;
+        EXPECT_EQ(h.percentile(p), sorted[rank - 1]) << "p=" << p;
+    }
+    EXPECT_EQ(nearestRankOf({}, 50.0), 0.0);
+    EXPECT_EQ(nearestRankOf({4.0, 4.0, 1.0}, 50.0), 4.0);
+}
+
+TEST(StatSet, CopyAssignmentKeepsHandlesValid)
+{
+    // A component resolves its handles on the live set, which is
+    // later restored by assigning an image taken from a set that
+    // registered the same names first.
+    StatSet live;
+    const StatSet::Handle reads(&live, "nand.reads");
+    const StatSet::Handle bytes(&live, "dram.bytes");
+    StatSet image = live;
+    image.counter("nand.reads").inc(5);
+    image.counter("dram.bytes").inc(4096);
+    image.counter("engine.drained_pages").inc(2); // registered later
+    reads.inc(100); // live diverges before the restore
+    ASSERT_TRUE(image.extends(live));
+
+    live = image;
+    reads.inc();
+    bytes.inc(10);
+    EXPECT_EQ(live.counter("nand.reads").value(), 6u);
+    EXPECT_EQ(live.counter("dram.bytes").value(), 4106u);
+    EXPECT_EQ(live.counter("engine.drained_pages").value(), 2u);
+    EXPECT_EQ(image.counter("nand.reads").value(), 5u); // a copy
+
+    std::vector<std::string> names;
+    for (const auto &kv : live.counters())
+        names.push_back(kv.first);
+    EXPECT_EQ(names, (std::vector<std::string>{
+                         "dram.bytes", "engine.drained_pages",
+                         "nand.reads"}));
+
+    // Registration order decides the slots: a set that registered
+    // the same names the other way round cannot restore `live`.
+    StatSet swapped;
+    swapped.counter("dram.bytes");
+    swapped.counter("nand.reads");
+    EXPECT_FALSE(swapped.extends(live));
+
+    StatSet::Handle none; // no set: counts nothing, needs no guard
+    none.inc();
+}
+
 TEST(StatSet, CountersAndDump)
 {
     StatSet s;
     s.counter("a.b").inc();
     s.counter("a.b").inc(4);
     EXPECT_EQ(s.counter("a.b").value(), 5u);
-    s.histogram("h").add(2.0);
     const std::string d = s.dump();
     EXPECT_NE(d.find("a.b 5"), std::string::npos);
 }

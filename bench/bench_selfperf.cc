@@ -617,7 +617,7 @@ main(int argc, char **argv)
                            const std::function<std::string()> &value) {
         if (flag != "--repeat")
             return false;
-        repeat = static_cast<int>(parseCount("--repeat", value()));
+        repeat = parseCount<int>("--repeat", value());
         return true;
     };
     const SweepCli cli = SweepCli::parse(

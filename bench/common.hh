@@ -14,7 +14,6 @@
 #define CONDUIT_BENCH_COMMON_HH
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -39,42 +38,38 @@ badFlagValue(const char *flag, const std::string &value)
     std::exit(2);
 }
 
-/** Non-negative integer (> 0 unless @p allow_zero), or usage-exit. */
-inline unsigned long
+/**
+ * Non-negative integer (> 0 unless @p allow_zero) that fits @p T,
+ * or usage-exit.
+ */
+template <typename T = unsigned long>
+inline T
 parseCount(const char *flag, const std::string &value,
            bool allow_zero = false)
 {
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long v = std::strtoul(value.c_str(), &end, 10);
-    if (errno != 0 || end == value.c_str() || *end != '\0' ||
-        value[0] == '-' || (v == 0 && !allow_zero))
+    const auto v =
+        runner::parseUintFlag(value, std::numeric_limits<T>::max());
+    if (!v || (*v == 0 && !allow_zero))
         badFlagValue(flag, value);
-    return v;
+    return static_cast<T>(*v);
 }
 
-/** Non-negative double (> 0 unless @p allow_zero), or usage-exit. */
+/** Finite non-negative double (> 0 unless @p allow_zero), or usage-exit. */
 inline double
 parsePositive(const char *flag, const std::string &value,
               bool allow_zero = false)
 {
-    char *end = nullptr;
-    errno = 0;
-    const double v = std::strtod(value.c_str(), &end);
-    if (errno != 0 || end == value.c_str() || *end != '\0' ||
-        !(allow_zero ? v >= 0.0 : v > 0.0))
+    const auto v = runner::parseDoubleFlag(value);
+    if (!v || (*v == 0.0 && !allow_zero))
         badFlagValue(flag, value);
-    return v;
+    return *v;
 }
 
 /** A P/E-cycle age (0 = fresh) that fits the config, or usage-exit. */
 inline std::uint32_t
 parseCycles(const char *flag, const std::string &value)
 {
-    const unsigned long v = parseCount(flag, value, /*allow_zero=*/true);
-    if (v > std::numeric_limits<std::uint32_t>::max())
-        badFlagValue(flag, value);
-    return static_cast<std::uint32_t>(v);
+    return parseCount<std::uint32_t>(flag, value, /*allow_zero=*/true);
 }
 
 /**

@@ -42,6 +42,12 @@ Cluster::Cluster(ClusterOptions opts,
     }
 }
 
+Cluster::~Cluster()
+{
+    while (!devices_.empty())
+        devices_.pop_back();
+}
+
 RoutedJob
 Cluster::submit(const JobSpec &spec, std::size_t tenant)
 {
@@ -91,7 +97,7 @@ Cluster::submit(const JobSpec &spec, std::size_t tenant)
         e.start = r.arrival;
         e.end = r.arrival;
         e.a = tenant;
-        e.b = r.id;
+        e.b = devices_[dev]->traceJobNumber(r.id);
         e.c = probed ? probes[dev].pendingJobs : 0;
         // Decision record: policy name plus the probe snapshot it saw
         // (comma-free so the CSV exporter's tag column stays intact).

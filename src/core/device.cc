@@ -140,21 +140,10 @@ Device::Device(const DeviceImage &img)
     engine_.restoreImage(img.engine);
     regions_.reset(img.capacityPages);
     session_ = true;
-
-    // Rebuild the retired-job history so drain() reports it exactly
-    // as the captured device would, and new submissions continue the
-    // JobId sequence. Retired jobs reference no context, program, or
-    // policy — only their results — so plain records suffice.
-    for (const JobResult &r : img.jobs) {
-        Job job;
-        job.footprint = r.pages;
-        job.requestedArrival = r.arrival;
-        job.state = Job::State::Retired;
-        job.result = r;
-        jobs_.push_back(std::move(job));
-    }
-    retired_ = jobs_.size();
-    makespan_ = img.makespan;
+    // The fork carries device state, not job history: its job list
+    // starts empty and its makespan at the image clock.
+    makespan_ = img.engine.queueNow;
+    priorJobs_ = img.jobsServed;
 }
 
 DeviceImage
@@ -168,46 +157,41 @@ Device::snapshot()
     img.options.tracer.reset(); // trace buffers are not device state
     img.capacityPages = regions_.capacity();
     img.engine = engine_.captureImage();
-    img.makespan = makespan_;
-    img.jobs.reserve(jobs_.size());
-    for (const Job &job : jobs_)
-        img.jobs.push_back(job.result);
+    img.jobsServed = priorJobs_ + jobs_.size();
     return img;
 }
 
 JobId
 Device::submit(const JobSpec &spec)
 {
-    Job job;
+    auto live = std::make_unique<Job::Live>(opts_.config.energy);
     if (spec.program) {
-        job.program = spec.program;
+        live->program = spec.program;
     } else if (spec.workload) {
         auto vp =
             cache_.get(*spec.workload, opts_.workload, opts_.config);
         // Alias the cache entry: it stays alive inside the shared_ptr
         // control block for as long as any job references it.
-        job.program = std::shared_ptr<const Program>(vp, &vp->program);
+        live->program = std::shared_ptr<const Program>(vp, &vp->program);
     } else {
         throw std::invalid_argument(
             "Device::submit: JobSpec needs a workload or a program");
     }
-    checkOperandsInFootprint(*job.program);
-    job.policy = spec.policyObj
+    checkOperandsInFootprint(*live->program);
+    live->policy = spec.policyObj
         ? spec.policyObj
         : std::shared_ptr<OffloadPolicy>(makePolicy(spec.policy));
-    job.name = !spec.name.empty() ? spec.name
+    live->name = !spec.name.empty() ? spec.name
         : spec.workload ? workloadName(*spec.workload)
                         : std::string();
-    job.footprint = job.program->footprintPages;
-    job.requestedArrival = spec.arrival;
 
-    jobs_.push_back(std::move(job));
-    Job &j = jobs_.back();
-    j.result.id = static_cast<JobId>(jobs_.size());
-    j.result.arrival = j.requestedArrival;
+    Job &job = jobs_.emplace_back();
+    job.live = std::move(live);
+    job.result.id = static_cast<JobId>(jobs_.size());
+    job.result.arrival = spec.arrival;
     if (session_)
-        scheduleArrival(j);
-    return j.result.id;
+        scheduleArrival(job);
+    return job.result.id;
 }
 
 void
@@ -220,7 +204,7 @@ Device::ensureSession()
         // Auto-size the pool to the jobs pending right now, so a
         // batch of simultaneous arrivals admits at once.
         for (const Job &j : jobs_)
-            cap += j.footprint;
+            cap += j.footprint();
     }
     engine_.sessionBegin(cap, opts_.engine);
     regions_.reset(cap);
@@ -229,12 +213,10 @@ Device::ensureSession()
     // Tick-0 jobs admit directly (no arrival event), in submission
     // order. Future arrivals become events on the shared queue.
     for (Job &job : jobs_) {
-        if (job.requestedArrival == 0) {
-            job.result.arrival = 0;
+        if (job.result.arrival == 0)
             admit(job);
-        } else {
+        else
             scheduleArrival(job);
-        }
     }
 }
 
@@ -242,7 +224,7 @@ void
 Device::scheduleArrival(Job &job)
 {
     EventQueue &q = engine_.sessionQueue();
-    const Tick at = std::max(q.now(), job.requestedArrival);
+    const Tick at = std::max(q.now(), job.result.arrival);
     job.result.arrival = at;
     // jobs_ is a deque: the captured reference stays valid.
     q.schedule(
@@ -254,50 +236,46 @@ Device::admit(Job &job)
 {
     if (tracer_)
         sampleQueues();
-    if (auto base = regions_.allocate(job.footprint)) {
+    if (auto base = regions_.allocate(job.footprint()))
         attach(job, *base);
-        return;
-    }
-    job.state = Job::State::Waiting;
-    waiting_.push_back(job.result.id);
+    else
+        waiting_.push_back(job.result.id);
 }
 
 void
 Device::attach(Job &job, std::uint64_t base)
 {
     const Tick at = engine_.sessionQueue().now();
+    Job::Live &live = *job.live;
     job.result.basePage = base;
-    job.result.pages = job.footprint;
+    job.result.pages = job.footprint();
     job.result.admitted = at;
-    job.ctx = &engine_.sessionAttach(*job.program, *job.policy, job.name,
-                                     base, at);
-    byCtx_[job.ctx] = job.result.id;
-    job.state = Job::State::Running;
-    if (job.ctx->finished) {
-        // Empty program: finished on arrival, no completion event
-        // will ever fire for it.
-        job.state = Job::State::Finished;
-        if (opts_.retire == RetirePolicy::OnComplete)
-            retire(job);
-    }
+    live.ctx.owner = job.result.id;
+    engine_.sessionAttach(live.ctx, *live.program, *live.policy,
+                          live.name, base, at);
+    // An empty program finishes on arrival: no completion event will
+    // ever fire for it.
+    if (live.ctx.finished() && opts_.retire == RetirePolicy::OnComplete)
+        retire(job);
 }
 
 void
 Device::onStreamDone(ExecContext &ctx)
 {
-    Job &job = jobs_[byCtx_.at(&ctx) - 1];
-    job.state = Job::State::Finished;
     if (opts_.retire == RetirePolicy::OnComplete)
-        retire(job);
+        retire(jobs_[ctx.owner - 1]);
 }
 
 void
 Device::retire(Job &job)
 {
-    const Tick end = engine_.sessionFinish(*job.ctx);
+    const Tick end = engine_.sessionFinish(job.live->ctx);
     job.result.end = end;
-    job.result.result = std::move(job.ctx->result);
-    job.state = Job::State::Retired;
+    job.result.result = std::move(job.live->ctx.result);
+    // Free everything but the result, so a long-lived device serving
+    // an unbounded job stream holds per retired job only its
+    // JobResult. No event references the finished stream anymore.
+    job.live.reset();
     ++retired_;
     makespan_ = std::max(makespan_, end);
 
@@ -309,7 +287,7 @@ Device::retire(Job &job)
             e.device = traceId_;
             e.start = job.result.arrival;
             e.end = end;
-            e.a = job.result.id;
+            e.a = traceJobNumber(job.result.id);
             e.b = job.result.admitted;
             e.c = job.result.pages;
             e.str = tracer_->intern(job.result.result.workload);
@@ -317,19 +295,6 @@ Device::retire(Job &job)
         }
         sampleQueues();
     }
-
-    // Drop everything the retired job no longer needs, so a
-    // long-lived device serving an unbounded job stream holds per
-    // retired job only its JobResult: the program/policy refs, the
-    // ctx-pointer index, and the context's live state all go (no
-    // event references the finished stream anymore).
-    byCtx_.erase(job.ctx);
-    job.ctx->prog = nullptr;
-    job.ctx->policy = nullptr;
-    job.ctx->completion = {};
-    job.name = std::string();
-    job.program.reset();
-    job.policy.reset();
 
     const std::uint64_t base = job.result.basePage;
     const std::uint64_t pages = job.result.pages;
@@ -359,7 +324,7 @@ Device::releaseRegion(std::uint64_t base, std::uint64_t pages)
     engine_.sessionReclaim(base, pages);
     while (!waiting_.empty()) {
         Job &w = jobs_[waiting_.front() - 1];
-        const auto at = regions_.allocate(w.footprint);
+        const auto at = regions_.allocate(w.footprint());
         if (!at)
             break;
         waiting_.pop_front();
@@ -372,7 +337,7 @@ Device::retireFinished()
 {
     bool progress = false;
     for (Job &job : jobs_) {
-        if (job.state == Job::State::Finished) {
+        if (job.finished()) {
             retire(job);
             progress = true;
         }
@@ -411,7 +376,7 @@ Device::wait(JobId id)
     ensureSession();
     Job &job = jobs_[id - 1];
     EventQueue &q = engine_.sessionQueue();
-    while (job.state != Job::State::Retired) {
+    while (job.live) {
         if (q.runOne())
             continue;
         if (retireFinished())

@@ -49,7 +49,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/core/engine.hh"
@@ -59,7 +58,7 @@
 namespace conduit
 {
 
-/** Identifies a submitted job (sequential from 1; 0 is invalid). */
+/** Identifies a job on one device (sequential from 1; 0 is invalid). */
 using JobId = std::uint64_t;
 
 /**
@@ -252,7 +251,7 @@ struct DeviceSnapshot
      */
     RunResult aggregate;
 
-    /** Latest job end (drains included). */
+    /** Latest job end (drains included); a fork's starts at its clock. */
     Tick makespan = 0;
 
     /** Events fired on the device's queue so far. */
@@ -270,10 +269,11 @@ struct DeviceSnapshot
  * A deep snapshot of a quiescent Device — everything needed to
  * construct a device whose subsequent simulation is byte-identical
  * to one that lived through the captured history (warmup, aging, GC,
- * retirements, the lot). A value type: copy it, share it read-only
- * across threads (`std::shared_ptr<const DeviceImage>`), and fork as
- * many independent devices from one image as you like — each
- * Device::fromImage() deep-copies on construction.
+ * retirements, the lot). It holds device state, not job history: a
+ * fork starts with an empty job list. A value type: copy it, share
+ * it read-only across threads (`std::shared_ptr<const DeviceImage>`),
+ * and fork as many independent devices from one image as you like —
+ * each Device::fromImage() deep-copies on construction.
  */
 struct DeviceImage
 {
@@ -291,16 +291,9 @@ struct DeviceImage
     /** Full engine-level state (substrates, RNG, clock, stats). */
     Engine::Image engine;
 
-    /**
-     * Results of every job retired before the capture, in submission
-     * order. Forked devices carry these so drain() reports the full
-     * history — byte-identical to the continued device's — and JobId
-     * numbering continues from the right place.
-     */
-    std::vector<JobResult> jobs;
-
-    /** Latest job end at capture. */
-    Tick makespan = 0;
+    /** Jobs the captured device served: a count, not history (see
+     *  Device::traceJobNumber). */
+    std::uint64_t jobsServed = 0;
 };
 
 /**
@@ -318,8 +311,10 @@ class Device
     /**
      * Construct a device continuing exactly where @p img left off:
      * same simulated clock, same wear and mappings, same RNG stream
-     * positions, same retired-job history. Equivalent to
-     * fromImage(img).
+     * positions, same cumulative counters and event count. Its job
+     * list starts empty: JobIds restart at 1, drain() reports only
+     * jobs submitted to the fork, and the makespan starts at the
+     * image clock. Equivalent to fromImage(img).
      */
     explicit Device(const DeviceImage &img);
 
@@ -392,8 +387,11 @@ class Device
     /** Current simulated time of the device. */
     Tick now() const;
 
-    /** Jobs submitted so far. */
+    /** Jobs submitted to this device (a fork starts at 0). */
     std::size_t jobCount() const { return jobs_.size(); }
+
+    /** Job @p id's number in traces: counts jobs served before a fork. */
+    std::uint64_t traceJobNumber(JobId id) const { return priorJobs_ + id; }
 
     /** Jobs not yet retired. */
     std::size_t unfinishedJobs() const
@@ -416,25 +414,27 @@ class Device
                    std::uint32_t device = 0);
 
   private:
+    /** The only record of a job; retired exactly when live is null. */
     struct Job
     {
-        /** @name Owned until retirement (the stream borrows them) @{ */
-        std::string name;
-        std::shared_ptr<const Program> program;
-        std::shared_ptr<OffloadPolicy> policy;
-        /** @} */
-        std::uint64_t footprint = 0;
-        Tick requestedArrival = 0;
-        enum class State
+        /** Held from submission; retirement frees it in one step. */
+        struct Live
         {
-            Submitted, // not yet offered to the event queue
-            Waiting,   // arrived, queued for region capacity
-            Running,   // region allocated, stream attached
-            Finished,  // all completions fired, not yet retired
-            Retired,
-        } state = State::Submitted;
-        ExecContext *ctx = nullptr;
-        JobResult result;
+            explicit Live(const EnergyConfig &energy) : ctx(energy) {}
+            std::string name;
+            std::shared_ptr<const Program> program;
+            std::shared_ptr<OffloadPolicy> policy;
+            ExecContext ctx; // attached at admission; borrows the above
+        };
+        std::unique_ptr<Live> live;
+        JobResult result; // arrival: the requested tick until scheduled
+
+        std::uint64_t footprint() const
+        {
+            return live->program->footprintPages;
+        }
+        /** All completions fired, not yet retired. */
+        bool finished() const { return live && live->ctx.finished(); }
     };
 
     /** Start the engine session lazily, at the first advance. */
@@ -493,13 +493,15 @@ class Device
     RegionAllocator regions_;
     bool session_ = false;
 
+    // lint: transient-begin(a fork carries no job history: it starts with an empty job list and JobIds restart at 1)
     std::deque<Job> jobs_; // deque: stable addresses for callbacks
+    std::size_t retired_ = 0;
+    // lint: transient-end
     // lint: transient(snapshot() drains to quiescence first, so the admission queue is empty at capture)
     std::deque<JobId> waiting_;
-    // lint: transient(empty at quiescence; lookup-only map from live contexts to jobs)
-    std::unordered_map<const ExecContext *, JobId> byCtx_;
-    std::size_t retired_ = 0;
     Tick makespan_ = 0;
+    /** Jobs served before the fork (DeviceImage::jobsServed). */
+    std::uint64_t priorJobs_ = 0;
 
     /** @name Tracing wiring (never part of a DeviceImage) @{ */
     // lint: transient-begin(passive observer wiring; stripped from snapshots so forks start with empty traces)

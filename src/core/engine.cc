@@ -678,11 +678,8 @@ Engine::dispatchNext(ExecContext &ctx)
         [this, &ctx, completes] {
             ctx.execEnd = std::max(ctx.execEnd, completes);
             --ctx.outstanding;
-            if (ctx.done() && ctx.outstanding == 0) {
-                ctx.finished = true;
-                if (streamDone_)
-                    streamDone_(ctx);
-            }
+            if (ctx.finished() && streamDone_)
+                streamDone_(ctx);
         },
         kCompletionPriority);
     if (!ctx.done()) {
@@ -699,7 +696,7 @@ Engine::drainStream(ExecContext &ctx, Tick after)
     const NandConfig &n = cfg_.nand;
     Tick end = after;
     std::uint64_t pages = 0;
-    for (Lpn p = ctx.base; p < ctx.base + ctx.pages; ++p) {
+    for (Lpn p = ctx.base; p < ctx.base + ctx.prog->footprintPages; ++p) {
         PageMeta &m = pageMeta_[p];
         if (!m.dirty)
             continue;
@@ -742,7 +739,6 @@ Engine::sessionBegin(std::uint64_t capacity_pages,
                      const EngineOptions &opts)
 {
     ctx_ = nullptr;
-    streamCtxs_.clear();
     opts_ = opts;
     if (capacity_pages > ftl_.logicalPages()) {
         throw std::invalid_argument(
@@ -875,38 +871,31 @@ Engine::scrubPass()
     // the queue drains once foreground traffic stops.
 }
 
-ExecContext &
-Engine::sessionAttach(const Program &prog, OffloadPolicy &policy,
-                      const std::string &name, std::uint64_t base_page,
-                      Tick arrival)
+void
+Engine::sessionAttach(ExecContext &ctx, const Program &prog,
+                      OffloadPolicy &policy, const std::string &name,
+                      std::uint64_t base_page, Tick arrival)
 {
     if (base_page + prog.footprintPages > pageMeta_.size())
         throw std::invalid_argument(
             "Engine: stream region exceeds the session's prepared "
             "capacity");
-    streamCtxs_.emplace_back(cfg_.energy);
-    ExecContext &ctx = streamCtxs_.back();
     ctx.name = name.empty() ? prog.name : name;
     ctx.prog = &prog;
     ctx.policy = &policy;
     ctx.ideal = policy.ideal();
     ctx.base = base_page;
-    ctx.pages = prog.footprintPages;
     ctx.arrival = arrival;
     ctx.completion.assign(prog.instrs.size(), 0);
     ctx.result.workload = ctx.name;
     ctx.result.policy = policy.name();
-    if (ctx.done()) {
-        // Empty program: nothing to dispatch, finished on arrival.
-        ctx.finished = true;
-        return ctx;
-    }
+    if (ctx.done())
+        return; // empty program: nothing to dispatch, finished on arrival
     // A future arrival tick schedules the first dispatch there — the
     // arrival event of an open-loop run.
     queue_->schedule(
         std::max(queue_->now(), arrival),
         [this, &ctx] { dispatchNext(ctx); }, kDispatchPriority);
-    return ctx;
 }
 
 Tick
@@ -997,7 +986,6 @@ Engine::restoreImage(const Image &img)
     State::operator=(img.session);
     stats_ = img.stats;
     ctx_ = nullptr;
-    streamCtxs_.clear();
     scrubScheduled_ = false; // quiescent capture: no pending event
     queue_ = std::make_unique<EventQueue>();
     queue_->restore(img.queueNow, img.queueFired);

@@ -138,7 +138,8 @@ class Engine : private EngineState
     static constexpr int kDispatchPriority = 0;
     static constexpr int kCompletionPriority = 1;
 
-    /** Invoked inside a stream's final completion event. */
+    /** Invoked inside a stream's final completion event, after which
+     *  the engine never touches the context: the callee may free it. */
     using StreamDone = std::function<void(ExecContext &)>;
 
     explicit Engine(const SsdConfig &cfg);
@@ -158,8 +159,8 @@ class Engine : private EngineState
 
     /**
      * Open a session: prepare a fresh device whose logical-page pool
-     * spans @p capacity_pages, with a fresh event queue. Invalidates
-     * all streams of any previous session.
+     * spans @p capacity_pages, with a fresh event queue. Streams of
+     * any previous session must not be resumed.
      */
     void sessionBegin(std::uint64_t capacity_pages,
                       const EngineOptions &opts);
@@ -170,14 +171,13 @@ class Engine : private EngineState
      * [base_page, base_page + footprint), and schedule its first
      * dispatch at @p arrival. Same-tick first dispatches fire in
      * attach order. An empty program is finished on attach and never
-     * dispatches. The program and policy must outlive the stream;
-     * the returned context stays valid (stable address) until the
-     * next sessionBegin(). The caller owns region assignment —
-     * regions of concurrently attached streams must not overlap.
+     * dispatches. The caller owns @p ctx (fresh), the program and the
+     * policy; none may move or die before the stream finishes. It
+     * also assigns regions: concurrent streams' must not overlap.
      */
-    ExecContext &sessionAttach(const Program &prog, OffloadPolicy &policy,
-                               const std::string &name,
-                               std::uint64_t base_page, Tick arrival);
+    void sessionAttach(ExecContext &ctx, const Program &prog,
+                       OffloadPolicy &policy, const std::string &name,
+                       std::uint64_t base_page, Tick arrival);
 
     /**
      * Register the callback fired when a stream finishes (every
@@ -407,14 +407,6 @@ class Engine : private EngineState
     IspCore isp_;
     // lint: transient(stateless latency model derived from config; die/channel calendars live in nand_)
     IfpUnit ifp_;
-
-    /**
-     * The session's execution contexts, in attach order; a deque so
-     * addresses stay stable while a persistent session keeps
-     * attaching streams.
-     */
-    // lint: transient(captureImage requires quiescence: every context is complete and its results already live in the Device's retired jobs)
-    std::deque<ExecContext> streamCtxs_;
 
     /** Session event queue (created by sessionBegin). */
     std::unique_ptr<EventQueue> queue_;

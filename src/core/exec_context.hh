@@ -36,25 +36,25 @@ namespace conduit
 /**
  * Live execution state of one stream.
  *
- * Owned by the Engine's session from attach until the next
- * sessionBegin(); the engine's dispatch and completion events hold
- * references to it.
+ * Owned by the caller of Engine::sessionAttach (Device keeps it in
+ * the job's record and frees it at retirement). The engine's
+ * dispatch and completion events hold references to it until the
+ * stream finishes, so it must not move before then.
  */
 struct ExecContext
 {
     explicit ExecContext(const EnergyConfig &ecfg) : energy(ecfg) {}
 
     /** @name Immutable per-run wiring @{ */
+    std::uint64_t owner = 0; // caller's handle; the engine never reads it
     std::string name;
     const Program *prog = nullptr;
     OffloadPolicy *policy = nullptr;
     bool ideal = false;
 
-    /** First absolute logical page of this stream's region. */
+    /** First absolute logical page of this stream's region, which
+     *  spans the program's footprint. */
     std::uint64_t base = 0;
-
-    /** Logical pages in the region (the program's footprint). */
-    std::uint64_t pages = 0;
 
     /** Simulated tick the stream joined the device (first dispatch). */
     Tick arrival = 0;
@@ -74,14 +74,6 @@ struct ExecContext
     /** Completion events scheduled but not yet fired. */
     std::uint32_t outstanding = 0;
 
-    /**
-     * Every instruction dispatched AND every completion event fired.
-     * Set by the engine inside the last completion event (or at
-     * attach for an empty program); a persistent device retires the
-     * stream's job once this flips.
-     */
-    bool finished = false;
-
     /** Aggregate per-resource compute time in Ideal mode. */
     std::array<Tick, kNumTargets> idealBusy{};
     /** @} */
@@ -93,6 +85,10 @@ struct ExecContext
     RunResult result;
 
     bool done() const { return prog && pc >= prog->instrs.size(); }
+
+    /** Every instruction dispatched and every completion fired: true
+     *  from the last completion event on (from attach if empty). */
+    bool finished() const { return done() && outstanding == 0; }
 };
 
 } // namespace conduit

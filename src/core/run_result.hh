@@ -4,8 +4,8 @@
  *
  * Split out of engine.hh so per-stream execution state
  * (exec_context.hh) can be described without depending on the full
- * Engine definition: an ExecContext owns a RunResult, and the Engine
- * owns ExecContexts.
+ * Engine definition: an ExecContext owns a RunResult, and each
+ * Device job owns its ExecContext.
  */
 
 #ifndef CONDUIT_CORE_RUN_RESULT_HH

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "src/offload/policy.hh"
@@ -39,31 +41,27 @@ badValue(const char *prog, const std::string &flag,
     usage(prog, 2);
 }
 
-/** Whole-string unsigned parse; rejects trailing garbage. */
+/** parseUintFlag into an unsigned, or usage-exit. */
 unsigned
 parseUnsigned(const char *prog, const std::string &flag,
               const std::string &value)
 {
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long v = std::strtoul(value.c_str(), &end, 10);
-    if (errno != 0 || end == value.c_str() || *end != '\0' ||
-        value[0] == '-')
+    const auto v =
+        parseUintFlag(value, std::numeric_limits<unsigned>::max());
+    if (!v)
         badValue(prog, flag, value);
-    return static_cast<unsigned>(v);
+    return static_cast<unsigned>(*v);
 }
 
-/** Whole-string double parse; rejects trailing garbage. */
+/** parseDoubleFlag, or usage-exit. */
 double
 parseDouble(const char *prog, const std::string &flag,
             const std::string &value)
 {
-    char *end = nullptr;
-    errno = 0;
-    const double v = std::strtod(value.c_str(), &end);
-    if (errno != 0 || end == value.c_str() || *end != '\0')
+    const auto v = parseDoubleFlag(value);
+    if (!v)
         badValue(prog, flag, value);
-    return v;
+    return *v;
 }
 
 /** Report a failed write of @p path on stderr; 1 when it failed. */
@@ -265,6 +263,32 @@ SweepCli::finish(const std::vector<ScenarioRow> &rows, RowFormat format,
     std::fprintf(stderr, "[sweep] %zu cells in %.2fs\n", perf.cells,
                  perf.wallSeconds);
     return status;
+}
+
+std::optional<std::uint64_t>
+parseUintFlag(const std::string &value, std::uint64_t max)
+{
+    if (value.empty() || value[0] < '0' || value[0] > '9')
+        return std::nullopt;
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
+    if (errno != 0 || *end != '\0' || v > max)
+        return std::nullopt;
+    return v;
+}
+
+std::optional<double>
+parseDoubleFlag(const std::string &value)
+{
+    if (value.empty() || value[0] < '0' || value[0] > '9')
+        return std::nullopt;
+    char *end = nullptr;
+    errno = 0;
+    const double v = std::strtod(value.c_str(), &end);
+    if (errno != 0 || *end != '\0' || !std::isfinite(v))
+        return std::nullopt;
+    return v;
 }
 
 } // namespace conduit::runner

@@ -31,7 +31,9 @@
 #ifndef CONDUIT_RUNNER_SWEEP_CLI_HH
 #define CONDUIT_RUNNER_SWEEP_CLI_HH
 
+#include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 
 #include "src/runner/sweep_runner.hh"
@@ -136,6 +138,15 @@ struct SweepCli
 /** Print @p labels one per line (deduplicated, in order), exit 0. */
 [[noreturn]] void
 listAndExit(const std::vector<std::string> &labels);
+
+/**
+ * Strict numeric flag values: an integer up to @p max, or a finite
+ * number. The whole string must parse and start with a digit (no
+ * sign, blank, inf or nan); anything else gives nullopt.
+ */
+std::optional<std::uint64_t> parseUintFlag(const std::string &value,
+                                           std::uint64_t max);
+std::optional<double> parseDoubleFlag(const std::string &value);
 
 } // namespace conduit::runner
 

@@ -330,9 +330,9 @@ makeRows(const Scenario &scenario, const cluster::ClusterSnapshot &snap)
 {
     using cluster::RoutedJob;
 
-    // Warm traffic lives in the per-device histories (forked from
-    // the warm images); snap.routed holds exactly the measured jobs,
-    // so every reduction below is over the routed record.
+    // Forked devices start with empty job lists and snap.routed
+    // holds exactly the measured jobs. The reliability counters
+    // summed below still count the warm phase (cumulative).
     Tick maxEnd = snap.base;
     for (std::size_t r = 0; r < snap.routed.size(); ++r)
         maxEnd = std::max(maxEnd, snap.result(r).end);

@@ -7,7 +7,9 @@
  * the image (Device::fromImage) behaves byte-identically to the
  * device that lived through the history — same job results, same
  * event counts, same RNG stream positions — under any subsequent
- * traffic. Snapshots are exercised mid-life (after GC has run, and
+ * traffic. A fork carries state, not history: its job list starts
+ * empty, so its job i is the continued device's job warm + i.
+ * Snapshots are exercised mid-life (after GC has run, and
  * after aged-device block retirement), forks are shown to be
  * mutually independent, and sweeps that share warm images across
  * cells are shown to emit the rows each cell produces alone — and to
@@ -162,16 +164,12 @@ expectSameJob(const JobResult &x, const JobResult &y)
                      y.result.computeEnergyJ);
 }
 
+/** The device-level (not per-job) halves of two snapshots agree. */
 void
-expectSameSnapshot(const DeviceSnapshot &x, const DeviceSnapshot &y)
+expectSameDeviceTotals(const DeviceSnapshot &x, const DeviceSnapshot &y)
 {
     EXPECT_EQ(x.makespan, y.makespan);
-    ASSERT_EQ(x.jobs.size(), y.jobs.size());
-    for (std::size_t i = 0; i < x.jobs.size(); ++i)
-        expectSameJob(x.jobs[i], y.jobs[i]);
-    EXPECT_EQ(x.aggregate.execTime, y.aggregate.execTime);
-    EXPECT_EQ(x.aggregate.latencyUs.count(),
-              y.aggregate.latencyUs.count());
+    EXPECT_EQ(x.eventsFired, y.eventsFired);
     EXPECT_EQ(x.reliability.eccRetries, y.reliability.eccRetries);
     EXPECT_EQ(x.reliability.softDecodes, y.reliability.softDecodes);
     EXPECT_EQ(x.reliability.retiredBlocks,
@@ -180,12 +178,25 @@ expectSameSnapshot(const DeviceSnapshot &x, const DeviceSnapshot &y)
               y.reliability.scrubRefreshes);
 }
 
+void
+expectSameSnapshot(const DeviceSnapshot &x, const DeviceSnapshot &y)
+{
+    expectSameDeviceTotals(x, y);
+    ASSERT_EQ(x.jobs.size(), y.jobs.size());
+    for (std::size_t i = 0; i < x.jobs.size(); ++i)
+        expectSameJob(x.jobs[i], y.jobs[i]);
+    EXPECT_EQ(x.aggregate.execTime, y.aggregate.execTime);
+    EXPECT_EQ(x.aggregate.latencyUs.count(),
+              y.aggregate.latencyUs.count());
+}
+
 /**
  * The core experiment: warm a device with @p warm jobs, snapshot,
  * then offer @p measured more jobs to (a) the continued original and
  * (b) a fork of the image — with identical arrival clocks — and
  * require byte-identical outcomes, including the post-run RNG
  * stream positions and event totals of a second snapshot of each.
+ * Fork job i is continued job warm + i; only its id differs.
  */
 void
 forkEqualsContinued(const SsdConfig &cfg, std::size_t warm,
@@ -198,7 +209,6 @@ forkEqualsContinued(const SsdConfig &cfg, std::size_t warm,
     Tick at = 0;
     offerJobs(dev, prog, warm, *gaps, at);
     const DeviceImage img = dev.snapshot();
-    EXPECT_EQ(img.jobs.size(), warm);
 
     // Continue the original.
     at = dev.now();
@@ -217,8 +227,16 @@ forkEqualsContinued(const SsdConfig &cfg, std::size_t warm,
     const DeviceSnapshot forkSnap = fork.drain();
     const DeviceImage forkImg = fork.snapshot();
 
-    expectSameSnapshot(contSnap, forkSnap);
-    EXPECT_EQ(contSnap.eventsFired, forkSnap.eventsFired);
+    expectSameDeviceTotals(contSnap, forkSnap);
+    ASSERT_EQ(contSnap.jobs.size(), warm + measured);
+    ASSERT_EQ(forkSnap.jobs.size(), measured);
+    for (std::size_t i = 0; i < measured; ++i) {
+        JobResult cont = contSnap.jobs[warm + i];
+        EXPECT_EQ(cont.id, warm + i + 1);
+        EXPECT_EQ(forkSnap.jobs[i].id, i + 1);
+        cont.id = forkSnap.jobs[i].id;
+        expectSameJob(cont, forkSnap.jobs[i]);
+    }
     EXPECT_EQ(contImg.engine.queueNow, forkImg.engine.queueNow);
     EXPECT_EQ(contImg.engine.queueFired, forkImg.engine.queueFired);
     EXPECT_TRUE(contImg.engine.session.rng_ == forkImg.engine.session.rng_);
@@ -240,6 +258,40 @@ TEST(DeviceImage, ForkEqualsContinuedAfterGc)
 TEST(DeviceImage, ForkEqualsContinuedAfterBlockRetirement)
 {
     forkEqualsContinued(agedCfg(), 8, 4);
+}
+
+TEST(DeviceImage, ForkStartsWithoutJobHistory)
+{
+    auto prog = chainProgram("fresh-list", 24);
+    Device dev(imageTestOptions(gcCfg()));
+    auto gaps = makeArrivals(ArrivalKind::Poisson, kGapPs, 1);
+    Tick at = 0;
+    offerJobs(dev, prog, 4, *gaps, at);
+    const DeviceImage img = dev.snapshot();
+    ASSERT_GT(img.engine.queueNow, 0u);
+
+    // An untouched fork drains to nothing: no warm jobs, and a
+    // makespan that starts at the clock it was forked at.
+    Device idle = Device::fromImage(img);
+    EXPECT_EQ(idle.jobCount(), 0u);
+    const DeviceSnapshot none = idle.drain();
+    EXPECT_TRUE(none.jobs.empty());
+    EXPECT_EQ(none.makespan, img.engine.queueNow);
+    EXPECT_EQ(none.aggregate.latencyUs.count(), 0u);
+
+    // JobIds restart at 1 and index the fork's own job list.
+    Device fork = Device::fromImage(img);
+    Tick a = fork.now();
+    JobSpec job;
+    job.program = prog;
+    job.arrival = a;
+    EXPECT_EQ(fork.submit(job), 1u);
+    EXPECT_EQ(fork.jobCount(), 1u);
+    EXPECT_EQ(fork.wait(1).id, 1u);
+    const DeviceSnapshot one = fork.drain();
+    ASSERT_EQ(one.jobs.size(), 1u);
+    EXPECT_GE(one.jobs.front().arrival, img.engine.queueNow);
+    EXPECT_EQ(one.makespan, one.jobs.front().end);
 }
 
 TEST(DeviceImage, SnapshotCapturesMidLifeFtlState)
@@ -337,14 +389,16 @@ TEST(DeviceImage, ForksAreMutuallyIndependent)
 TEST(DeviceImage, ConcurrentReadersShareOneImage)
 {
     // Threads share one read-only image, as the sweep runner shares
-    // warm images across cells. Each reads tail percentiles straight
-    // off the image's retired jobs, then forks it: reads must not
-    // write to the image, so every fork equals a serial fork.
+    // warm images across cells, and one read-only snapshot of the
+    // warm jobs. Each reads tail percentiles straight off the
+    // snapshot's jobs, then forks the image: reads must not write to
+    // either, so every fork equals a serial fork.
     auto prog = chainProgram("shared", 24);
     Device dev(imageTestOptions(gcCfg()));
     auto gaps = makeArrivals(ArrivalKind::Poisson, kGapPs, 1);
     Tick at = 0;
     offerJobs(dev, prog, 6, *gaps, at);
+    const auto warm = std::make_shared<const DeviceSnapshot>(dev.drain());
     const auto img = std::make_shared<const DeviceImage>(dev.snapshot());
 
     const auto runFork = [&prog](const DeviceImage &image) {
@@ -362,7 +416,7 @@ TEST(DeviceImage, ConcurrentReadersShareOneImage)
     std::vector<std::thread> pool;
     for (int t = 0; t < kThreads; ++t) {
         pool.emplace_back([&, t] {
-            for (const JobResult &j : img->jobs)
+            for (const JobResult &j : warm->jobs)
                 for (double p : {50.0, 99.0, 99.99})
                     tails[t].push_back(j.result.latencyUs.percentile(p));
             forks[t] = runFork(*img);
@@ -372,13 +426,12 @@ TEST(DeviceImage, ConcurrentReadersShareOneImage)
         th.join();
 
     std::vector<double> want;
-    for (const JobResult &j : img->jobs)
+    for (const JobResult &j : warm->jobs)
         for (double p : {50.0, 99.0, 99.99})
             want.push_back(j.result.latencyUs.percentile(p));
     for (int t = 0; t < kThreads; ++t) {
         EXPECT_EQ(tails[t], want);
         expectSameSnapshot(serial, forks[t]);
-        EXPECT_EQ(serial.eventsFired, forks[t].eventsFired);
     }
 }
 

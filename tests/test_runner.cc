@@ -243,6 +243,28 @@ TEST(SweepResult, LookupAndLabels)
     EXPECT_GT(sweep.at("AES", "CPU").execTime, 0u);
 }
 
+TEST(SweepCli, NumericFlagValuesAreStrict)
+{
+    using runner::parseDoubleFlag;
+    using runner::parseUintFlag;
+    EXPECT_EQ(parseUintFlag("0", 10), 0u);
+    EXPECT_EQ(parseUintFlag("10", 10), 10u);
+    EXPECT_EQ(parseUintFlag("4294967295", 4294967295u), 4294967295u);
+    // Out of range for the target, or not a plain digit string:
+    // strtoul alone would skip the blank and negate the sign.
+    for (const char *bad : {"11", "4294967296", " -1", "-1", "+1", " 1",
+                            "", "1x", "99999999999999999999"})
+        EXPECT_FALSE(parseUintFlag(bad, 10).has_value()) << bad;
+    EXPECT_FALSE(parseUintFlag("4294967296", 4294967295u).has_value());
+
+    EXPECT_EQ(parseDoubleFlag("0"), 0.0);
+    EXPECT_EQ(parseDoubleFlag("0.25"), 0.25);
+    EXPECT_EQ(parseDoubleFlag("1e3"), 1000.0);
+    for (const char *bad : {"inf", "nan", "1e400", "-1", " 1", "-0",
+                            ".5", "", "1.5x"})
+        EXPECT_FALSE(parseDoubleFlag(bad).has_value()) << bad;
+}
+
 // ----------------------------------------------------------------
 // Scenario builders and the one cell body.
 // ----------------------------------------------------------------

@@ -258,9 +258,18 @@ TEST(Trace, DeviceImageCarriesNoTracerAndForkStartsEmpty)
     Device fork2 = Device::fromImage(img);
     fork2.setTracer(forkTracer, 0);
     EXPECT_TRUE(forkTracer->events().empty());
-    fork2.submit(traceJob(prog, fork2.now()));
+    EXPECT_EQ(fork2.submit(traceJob(prog, fork2.now())), 1u);
     fork2.drain();
     EXPECT_GT(forkTracer->events().size(), 0u);
+
+    // The fork's job list restarts at id 1, but its trace numbers the
+    // job after the one the image's device served, as the continued
+    // device's trace would.
+    std::vector<std::uint64_t> numbers;
+    for (const trace::Event &e : forkTracer->events())
+        if (e.kind == trace::EventKind::Job)
+            numbers.push_back(e.a);
+    EXPECT_EQ(numbers, (std::vector<std::uint64_t>{2}));
 }
 
 TEST(Trace, SingleDeviceFleetRecordsNoPlacement)

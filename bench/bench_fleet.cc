@@ -145,7 +145,8 @@ main(int argc, char **argv)
         "          [--devices a,b] [--jobs N] [--rates a,b]\n"
         "          [--arrivals KIND] [--arrival-seed N]\n"
         "          [--age-mix m1,m2] [--retention-per-kcycle D]\n"
-        "          [--warmup-jobs N] [--slo-mult X] [--wear-level]\n");
+        "          [--warmup-jobs N] [--slo-mult X] [--wear-level]\n"
+        "          (--jobs, --warmup-jobs: N <= 1000000)\n");
     if (mixes.empty())
         mixes.push_back({0});
 

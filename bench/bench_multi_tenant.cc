@@ -76,7 +76,8 @@ main(int argc, char **argv)
             retentionDays = parsePositive("--retention-days", value(),
                                           /*allow_zero=*/true);
         } else if (flag == "--warmup-jobs") {
-            warmupJobs = parseCount("--warmup-jobs", value());
+            warmupJobs = parseCount("--warmup-jobs", value(),
+                                    /*allow_zero=*/false, kMaxOfferJobs);
         } else {
             return false;
         }
@@ -85,7 +86,8 @@ main(int argc, char **argv)
     const SweepCli cli = SweepCli::parse(
         argc, argv, extra,
         "          [--age CYCLES]\n"
-        "          [--retention-days D] [--warmup-jobs N]\n");
+        "          [--retention-days D] [--warmup-jobs N]\n"
+        "          (--warmup-jobs: N <= 1000000)\n");
     if (retentionDays < 0.0)
         retentionDays = static_cast<double>(age) * 30.0 / 1000.0;
 

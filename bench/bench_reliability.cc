@@ -104,7 +104,8 @@ main(int argc, char **argv)
         "          [--jobs N] [--ages a,b,c]\n"
         "          [--retention-per-kcycle D] [--rate-mult M]\n"
         "          [--arrivals KIND] [--arrival-seed N]\n"
-        "          [--warmup-jobs N]\n");
+        "          [--warmup-jobs N]\n"
+        "          (--jobs, --warmup-jobs: N <= 1000000)\n");
 
     // Workload rows: AES by default (flash-read heavy, so the ECC
     // ladder dominates its service time); --workloads widens.

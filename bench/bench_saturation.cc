@@ -58,7 +58,8 @@ main(int argc, char **argv)
     const SweepCli cli = SweepCli::parse(
         argc, argv, extra,
         "          [--jobs N] [--rates a,b] [--arrivals KIND]\n"
-        "          [--arrival-seed N] [--warmup-jobs N]\n");
+        "          [--arrival-seed N] [--warmup-jobs N]\n"
+        "          (--jobs, --warmup-jobs: N <= 1000000)\n");
 
     // Workload rows: the tail-sensitive AES kernel by default;
     // --workloads widens to any Table 3 application. Policy columns

@@ -39,16 +39,16 @@ badFlagValue(const char *flag, const std::string &value)
 }
 
 /**
- * Non-negative integer (> 0 unless @p allow_zero) that fits @p T,
- * or usage-exit.
+ * Non-negative integer (> 0 unless @p allow_zero) no larger than
+ * @p max, which defaults to what fits @p T, or usage-exit.
  */
 template <typename T = unsigned long>
 inline T
 parseCount(const char *flag, const std::string &value,
-           bool allow_zero = false)
+           bool allow_zero = false,
+           std::uint64_t max = std::numeric_limits<T>::max())
 {
-    const auto v =
-        runner::parseUintFlag(value, std::numeric_limits<T>::max());
+    const auto v = runner::parseUintFlag(value, max);
     if (!v || (*v == 0 && !allow_zero))
         badFlagValue(flag, value);
     return static_cast<T>(*v);
@@ -88,6 +88,15 @@ parseRates(const std::string &csv)
 }
 
 /**
+ * Most jobs a --jobs or --warmup-jobs count may name. A sweep builds
+ * each cell's whole arrival schedule before it runs, so a count near
+ * the type's limit would abort on allocation or spin building it
+ * instead of exiting 2. The bound sits far above the hundreds of
+ * jobs per cell the benches run. Each bench's usage text states it.
+ */
+inline constexpr std::uint64_t kMaxOfferJobs = 1000000;
+
+/**
  * The open-loop traffic flags, written into @p offer: --jobs N,
  * --warmup-jobs N, --arrivals KIND and --arrival-seed N. Returns
  * false for any other flag, so a bench's SweepCli hook tries this
@@ -98,10 +107,11 @@ parseOfferFlag(runner::Offer &offer, const std::string &flag,
                const std::function<std::string()> &value)
 {
     if (flag == "--jobs") {
-        offer.jobs = parseCount("--jobs", value());
+        offer.jobs = parseCount("--jobs", value(), /*allow_zero=*/false,
+                                kMaxOfferJobs);
     } else if (flag == "--warmup-jobs") {
-        offer.warmupJobs =
-            parseCount("--warmup-jobs", value(), /*allow_zero=*/true);
+        offer.warmupJobs = parseCount("--warmup-jobs", value(),
+                                      /*allow_zero=*/true, kMaxOfferJobs);
     } else if (flag == "--arrivals") {
         const std::string v = value();
         if (!parseArrivalKind(v, offer.arrivals)) {

@@ -28,7 +28,6 @@ Engine::Engine(const SsdConfig &cfg)
         rel_ = std::make_unique<reliability::ReliabilityModel>(
             cfg_.nand, cfg_.reliability, cfg_.seed, &stats_);
         nand_.setReliability(rel_.get());
-        ftl_.setReliability(rel_.get());
     }
 }
 
@@ -826,7 +825,7 @@ Engine::scrubPass()
     for (std::uint64_t i = 0; i < window; ++i) {
         const std::uint64_t bi = scrubCursor_;
         scrubCursor_ = (scrubCursor_ + 1) % total;
-        if (!rel_->scrubDue(bi, now))
+        if (!rel_->scrubDue(bi, nand_.eraseCount(bi), now))
             continue;
         if (ftl_.scrubBlock(bi, now)) {
             // A block that retired during the scrub collection left

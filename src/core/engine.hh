@@ -101,8 +101,8 @@ struct EngineState
     EngineOptions opts_;
     Rng rng_;
 
-    Server offloader_{"conduit.offloader"};
-    Server pcie_{"host.pcie"};
+    Server offloader_;
+    Server pcie_;
 
     std::vector<PageMeta> pageMeta_;
     std::vector<std::deque<Lpn>> latchFifo_; // per die
@@ -394,8 +394,8 @@ class Engine : private EngineState
 
     /**
      * Reliability & aging model; null when disabled. Declared before
-     * the substrates that hold raw pointers into it (nand_, ftl_),
-     * so it outlives them on destruction.
+     * the substrate that holds a raw pointer into it (nand_), so it
+     * outlives it on destruction.
      */
     std::unique_ptr<reliability::ReliabilityModel> rel_;
 

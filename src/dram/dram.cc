@@ -4,7 +4,7 @@ namespace conduit
 {
 
 DramModel::DramModel(const DramConfig &cfg, StatSet *stats)
-    : DramState{ServerGroup("dram.bank", cfg.banks), Server("dram.bus")},
+    : DramState{ServerGroup(cfg.banks), Server{}},
       cfg_(cfg), statAccesses_(stats, "dram.accesses"),
       statBytes_(stats, "dram.bytes")
 {

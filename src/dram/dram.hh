@@ -68,39 +68,12 @@ class DramModel : private DramState
                                 duration);
     }
 
-    /** Occupy the least-loaded bank. */
-    ServiceInterval
-    occupyAnyBank(Tick earliest, Tick duration)
-    {
-        return banks_.acquire(earliest, duration);
-    }
-
     /** Least backlog over banks at @p now. */
     Tick bankBacklog(Tick now) const { return banks_.backlog(now); }
-
-    /** Bus backlog at @p now. */
-    Tick busBacklog(Tick now) const { return bus_.backlog(now); }
-
-    /** Bus utilization in [0,1] up to @p now. */
-    double
-    busUtilization(Tick now) const
-    {
-        return now == 0
-            ? 0.0
-            : static_cast<double>(bus_.busyTime()) /
-                static_cast<double>(now);
-    }
 
     std::uint32_t numBanks() const
     {
         return static_cast<std::uint32_t>(banks_.size());
-    }
-
-    /** Row activate + restore + precharge time (one bank cycle). */
-    Tick
-    rowCycleTicks() const
-    {
-        return cfg_.tRas + cfg_.tRp;
     }
 
     /** The complete mutable state (DeviceImage capture). */

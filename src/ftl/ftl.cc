@@ -96,7 +96,7 @@ Ftl::openBlockOn(std::uint64_t plane_slot)
             if (!blocks_[b].free)
                 continue;
             if (best == ~0ULL ||
-                blocks_[b].eraseCount < blocks_[best].eraseCount) {
+                nand_.eraseCount(b) < nand_.eraseCount(best)) {
                 best = b;
             }
         }
@@ -135,18 +135,14 @@ Ftl::allocatePage(Tick now)
 void
 Ftl::touchMapCache(Lpn lpn, bool &hit)
 {
-    // Both the member tallies and the StatSet counters are bumped
-    // here, so the read path (translate) and the write path
-    // (writePage) report mapping-cache traffic identically — the
-    // StatSet used to miss every write-path touch.
+    // The read path (translate) and the write path (writePage) both
+    // count here, so the StatSet reports all mapping-cache traffic.
     if (mapLru_.touch(lpn)) {
         hit = true;
-        ++mapHits_;
         statMapHits_.inc();
         return;
     }
     hit = false;
-    ++mapMisses_;
     statMapMisses_.inc();
     if (mapLru_.size() > mapCacheCapacity_)
         mapLru_.popTail();
@@ -244,10 +240,8 @@ bool
 Ftl::collectBlock(std::uint64_t victim, Tick now, bool scrub)
 {
     const NandConfig &n = cfg_.nand;
-    if (!scrub) {
-        ++gcRuns_;
+    if (!scrub)
         statGcRuns_.inc();
-    }
 
     BlockState &vb = blocks_[victim];
     vb.collecting = true;
@@ -276,24 +270,18 @@ Ftl::collectBlock(std::uint64_t victim, Tick now, bool scrub)
     }
     va.page = 0;
     nand_.eraseBlock(va, t);
-    ++vb.eraseCount;
     vb.collecting = false;
-    if (rel_) {
-        rel_->noteErase(victim, t);
-        if (rel_->retirePending(victim)) {
-            // Bad-block management: the erase was this block's last.
-            // It leaves the pool for good — over-provisioning
-            // shrinks, so GC triggers earlier from here on.
-            rel_->markRetired(victim);
-            vb.bad = true;
-            vb.free = false;
-            vb.writePtr = 0;
-            ++retiredBlocks_;
-            return true;
-        }
+    vb.writePtr = 0;
+    reliability::ReliabilityModel *rel = nand_.reliability();
+    if (rel && rel->retirePending(victim)) {
+        // Bad-block management: the erase was this block's last. It
+        // leaves the pool for good — never free again, and with
+        // writePtr 0 never a GC or scrub victim — so
+        // over-provisioning shrinks and GC triggers earlier.
+        rel->markRetired(victim);
+        return true;
     }
     vb.free = true;
-    vb.writePtr = 0;
     ++freeBlockCount_;
     return true;
 }
@@ -305,8 +293,9 @@ Ftl::scrubBlock(std::uint64_t block, Tick now)
     const BlockState &b = blocks_.at(block);
     // Only full, closed blocks are refreshable: a plane's active
     // write target (even when full, it stays the slot's open block
-    // until the next allocation) cannot be erased under it.
-    if (b.free || b.bad || b.collecting ||
+    // until the next allocation) cannot be erased under it, and a
+    // retired block is never full.
+    if (b.free || b.collecting ||
         b.writePtr < n.pagesPerBlock || isOpenBlock(block))
         return false;
     return collectBlock(block, now, /*scrub=*/true);
@@ -316,24 +305,24 @@ std::int64_t
 Ftl::wearLevelCandidate(std::uint32_t gap) const
 {
     const NandConfig &n = cfg_.nand;
+    const reliability::ReliabilityModel *rel = nand_.reliability();
     std::uint64_t coldest = ~0ULL;
     std::uint32_t maxErase = 0;
     for (std::uint64_t b = 0; b < blocks_.size(); ++b) {
-        const BlockState &bs = blocks_[b];
-        if (bs.bad)
+        if (rel && rel->retired(b))
             continue;
-        maxErase = std::max(maxErase, bs.eraseCount);
+        const BlockState &bs = blocks_[b];
+        maxErase = std::max(maxErase, nand_.eraseCount(b));
         // Eligibility mirrors scrubBlock: only a full, closed,
         // non-collecting block can be refreshed under itself.
         if (bs.free || bs.collecting ||
             bs.writePtr < n.pagesPerBlock || isOpenBlock(b))
             continue;
         if (coldest == ~0ULL ||
-            bs.eraseCount < blocks_[coldest].eraseCount)
+            nand_.eraseCount(b) < nand_.eraseCount(coldest))
             coldest = b;
     }
-    if (coldest == ~0ULL ||
-        maxErase - blocks_[coldest].eraseCount <= gap)
+    if (coldest == ~0ULL || maxErase - nand_.eraseCount(coldest) <= gap)
         return -1;
     return static_cast<std::int64_t>(coldest);
 }
@@ -413,8 +402,8 @@ std::uint32_t
 Ftl::maxErase() const
 {
     std::uint32_t m = 0;
-    for (const auto &b : blocks_)
-        m = std::max(m, b.eraseCount);
+    for (std::uint64_t b = 0; b < blocks_.size(); ++b)
+        m = std::max(m, nand_.eraseCount(b));
     return m;
 }
 
@@ -422,9 +411,9 @@ std::uint32_t
 Ftl::minEraseOfUsed() const
 {
     std::uint32_t m = ~0U;
-    for (const auto &b : blocks_) {
-        if (!b.free)
-            m = std::min(m, b.eraseCount);
+    for (std::uint64_t b = 0; b < blocks_.size(); ++b) {
+        if (!blocks_[b].free)
+            m = std::min(m, nand_.eraseCount(b));
     }
     return m == ~0U ? 0 : m;
 }

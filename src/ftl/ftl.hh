@@ -37,11 +37,13 @@ constexpr Lpn kNoLpn = ~static_cast<Lpn>(0);
 
 /**
  * Every mutable FTL quantity: L2P mappings, per-block state
- * (validity, reverse maps, wear, open/bad/collecting flags), the
- * open-block cursors and stripe pointer, GC/OP accounting, and the
- * demand mapping cache. Ftl holds it as its private base, so a
- * DeviceImage snapshot copies it and a fork assigns it; config,
- * wiring and geometry-derived members stay in Ftl.
+ * (validity, reverse maps, free/collecting flags), the open-block
+ * cursors and stripe pointer, the free-pool count, and the demand
+ * mapping cache. Ftl holds it as its private base, so a DeviceImage
+ * snapshot copies it and a fork assigns it; config, wiring and
+ * geometry-derived members stay in Ftl. Block wear lives in the
+ * NandArray, retirement in the reliability model, and reported
+ * counts in the StatSet.
  */
 struct FtlState
 {
@@ -51,10 +53,8 @@ struct FtlState
         std::vector<Lpn> owner;      // reverse map per page
         std::uint32_t validCount = 0;
         std::uint32_t writePtr = 0;  // next free page, == pagesPerBlock
-                                     // when full
-        std::uint32_t eraseCount = 0;
+                                     // when full; 0 once retired
         bool free = true;
-        bool bad = false; // retired: never free, never a GC victim
 
         /**
          * Mid-collection reentrancy guard: migrating a victim's
@@ -73,21 +73,20 @@ struct FtlState
     std::uint64_t nextSlot_ = 0; // round-robin stripe pointer
 
     std::uint64_t freeBlockCount_ = 0;
-    std::uint64_t retiredBlocks_ = 0;
-    std::uint64_t gcRuns_ = 0;
     Tick lastGcTick_ = 0;
 
     // Demand mapping cache (DFTL): flat intrusive LRU over cached
     // L2P entries (preallocated nodes, direct-mapped lookup).
     std::uint64_t mapCacheCapacity_ = 0;
     FlatLru mapLru_;
-    std::uint64_t mapHits_ = 0;
-    std::uint64_t mapMisses_ = 0;
 };
 
 /**
  * Page-mapping FTL with demand mapping cache, GC, wear awareness and
- * (when a reliability model is attached) bad-block management.
+ * (when the NandArray has a reliability model attached) bad-block
+ * management: a collected block whose correction history demands
+ * retirement is permanently removed from the free pool after its
+ * erase — over-provisioning shrinks and GC runs hotter.
  */
 class Ftl : private FtlState
 {
@@ -95,18 +94,6 @@ class Ftl : private FtlState
     using State = FtlState;
 
     Ftl(NandArray &nand, const SsdConfig &cfg, StatSet *stats = nullptr);
-
-    /**
-     * Attach the reliability model (null detaches). With it set, a
-     * collected block whose correction history demands retirement is
-     * permanently removed from the free pool after its erase —
-     * over-provisioning shrinks, GC runs hotter — and every erase
-     * advances the model's wear state.
-     */
-    void setReliability(reliability::ReliabilityModel *rel)
-    {
-        rel_ = rel;
-    }
 
     /**
      * Background scrub: refresh @p block by migrating its valid
@@ -217,10 +204,6 @@ class Ftl : private FtlState
     /** @name Introspection for tests and stats @{ */
     std::uint64_t freeBlocks() const { return freeBlockCount_; }
     std::uint64_t totalBlocks() const { return blocks_.size(); }
-    std::uint64_t retiredBlocks() const { return retiredBlocks_; }
-    std::uint64_t gcRuns() const { return gcRuns_; }
-    std::uint64_t mapHits() const { return mapHits_; }
-    std::uint64_t mapMisses() const { return mapMisses_; }
     std::uint32_t maxErase() const;
     std::uint32_t minEraseOfUsed() const;
     /** @} */
@@ -249,7 +232,6 @@ class Ftl : private FtlState
     // lint: transient-begin(wiring: references into the owning Engine and its StatSet, re-bound by its constructor on restore)
     NandArray &nand_;
     SsdConfig cfg_;
-    reliability::ReliabilityModel *rel_ = nullptr;
     StatSet::Handle statMapHits_;
     StatSet::Handle statMapMisses_;
     StatSet::Handle statGcRuns_;

@@ -33,7 +33,7 @@ namespace conduit
  */
 struct IspState
 {
-    Server core_{"isp.core"};
+    Server core_;
 };
 
 /**
@@ -84,8 +84,6 @@ class IspCore : private IspState
 
     /** Pending-work backlog (delay_queue input). */
     Tick backlog(Tick now) const { return core_.backlog(now); }
-
-    Tick busyTime() const { return core_.busyTime(); }
 
     void reset() { core_.reset(); }
 

@@ -31,12 +31,9 @@ NandArray::NandArray(const NandConfig &cfg, StatSet *stats)
       statXferInBytes_(stats, "nand.xfer_in_bytes"),
       statDmaOps_(stats, "nand.dma_ops")
 {
-    dies_.reserve(numDies());
-    for (std::uint32_t d = 0; d < numDies(); ++d)
-        dies_.emplace_back("nand.die" + std::to_string(d));
-    channels_.reserve(cfg_.channels);
-    for (std::uint32_t c = 0; c < cfg_.channels; ++c)
-        channels_.emplace_back("nand.ch" + std::to_string(c));
+    dies_.resize(numDies());
+    channels_.resize(cfg_.channels);
+    erases_.assign(cfg_.totalBlocks(), 0);
     rPage_ = makeRadix(cfg_.pagesPerBlock);
     rBlock_ = makeRadix(cfg_.blocksPerPlane);
     rPlane_ = makeRadix(cfg_.planesPerDie);
@@ -80,8 +77,11 @@ NandArray::readPage(const FlashAddress &a, Tick earliest)
     // ECC retry ladder: worn / retention-aged blocks stretch the
     // sense. Charged as die-busy time, so it queues like tR and
     // co-run streams see it in the die backlogs.
-    const Tick penalty =
-        rel_ ? rel_->onRead(blockIndexOf(a), earliest) : 0;
+    Tick penalty = 0;
+    if (rel_) {
+        const std::uint64_t block = blockIndexOf(a);
+        penalty = rel_->onRead(block, erases_[block], earliest);
+    }
     dur += penalty;
     auto iv = dies_[dieIndex(a)].acquire(earliest, dur);
     statReads_.inc();
@@ -116,6 +116,10 @@ NandArray::eraseBlock(const FlashAddress &a, Tick earliest)
     auto iv = dies_[dieIndex(a)].acquire(
         earliest, cfg_.cmdTicks + cfg_.eraseTicks);
     statErases_.inc();
+    const std::uint64_t block = blockIndexOf(a);
+    ++erases_[block];
+    if (rel_)
+        rel_->noteErase(block, earliest);
     return iv;
 }
 
@@ -178,15 +182,6 @@ Tick
 NandArray::channelBacklog(std::uint32_t channel, Tick now) const
 {
     return channels_.at(channel).backlog(now);
-}
-
-Tick
-NandArray::minChannelBacklog(Tick now) const
-{
-    Tick best = kMaxTick;
-    for (const auto &c : channels_)
-        best = std::min(best, c.backlog(now));
-    return best == kMaxTick ? 0 : best;
 }
 
 double

@@ -56,15 +56,24 @@ struct FlashAddress
 };
 
 /**
- * The flash array's mutable calendar state: every die and channel
- * Server (free point, busy-time integral, request count) plus the
- * incremental min-die cache. NandArray holds it as its private base,
- * so a DeviceImage snapshot copies it and a fork assigns it.
+ * The flash array's mutable state: every die and channel Server
+ * (free point, busy-time integral), the erase count of every block,
+ * and the incremental min-die cache. NandArray holds it as its
+ * private base, so a DeviceImage snapshot copies it and a fork
+ * assigns it.
  */
 struct NandState
 {
     std::vector<Server> dies_;
     std::vector<Server> channels_;
+
+    /**
+     * Erases each block has served, indexed by blockIndexOf(). The
+     * one record of simulated wear: the FTL levels and opens blocks
+     * by it, and the reliability model adds its fast-forwarded
+     * pre-wear to it.
+     */
+    std::vector<std::uint32_t> erases_;
 
     /**
      * Incremental min-die tracker. Server free points only move
@@ -131,12 +140,16 @@ class NandArray : private NandState
      * Attach the reliability model (null detaches). When set, every
      * readPage charges the ECC retry ladder for the page's block on
      * top of tR, so worn and retention-aged blocks serve reads more
-     * slowly and their die backlogs grow accordingly.
+     * slowly and their die backlogs grow accordingly, and every
+     * eraseBlock restarts the block's retention in the model. The
+     * FTL asks the same model which blocks to retire.
      */
     void setReliability(reliability::ReliabilityModel *rel)
     {
         rel_ = rel;
     }
+
+    reliability::ReliabilityModel *reliability() const { return rel_; }
 
     /**
      * Attach a tracer (null detaches). ECC-retry stalls charged by
@@ -157,8 +170,14 @@ class NandArray : private NandState
     /** Program one page from the page buffer (tPROG). */
     ServiceInterval programPage(const FlashAddress &a, Tick earliest);
 
-    /** Erase a block (tBERS). */
+    /** Erase a block (tBERS): its erase count advances by one. */
     ServiceInterval eraseBlock(const FlashAddress &a, Tick earliest);
+
+    /** Erases block @p block (a blockIndexOf() index) has served. */
+    std::uint32_t eraseCount(std::uint64_t block) const
+    {
+        return erases_[block];
+    }
 
     /**
      * Occupy a die for an arbitrary in-die operation (used by the
@@ -185,7 +204,6 @@ class NandArray : private NandState
     Tick dieBacklog(std::uint32_t die_index, Tick now) const;
     Tick minDieBacklog(Tick now) const;
     Tick channelBacklog(std::uint32_t channel, Tick now) const;
-    Tick minChannelBacklog(Tick now) const;
     /** @} */
 
     /** Aggregate channel utilization in [0,1] up to @p now. */
@@ -196,9 +214,9 @@ class NandArray : private NandState
         return cfg_.channels * cfg_.diesPerChannel;
     }
 
-    Server &die(std::uint32_t die_index) { return dies_.at(die_index); }
     Server &channel(std::uint32_t ch) { return channels_.at(ch); }
 
+    /** Idle every die and channel calendar; erase counts stay. */
     void reset();
 
     /** The complete mutable state (DeviceImage capture). */
@@ -209,7 +227,8 @@ class NandArray : private NandState
     restore(const State &s)
     {
         if (s.dies_.size() != dies_.size() ||
-            s.channels_.size() != channels_.size())
+            s.channels_.size() != channels_.size() ||
+            s.erases_.size() != erases_.size())
             throw std::invalid_argument(
                 "NandArray::restore: geometry mismatch");
         State::operator=(s);

@@ -18,7 +18,6 @@ ReliabilityModel::ReliabilityModel(const NandConfig &nand,
       statScrubRefreshes_(stats, "rel.scrub_refreshes")
 {
     BlockWear init;
-    init.eraseCount = cfg_.preWearCycles;
     init.retentionOffsetSeconds =
         std::max(0.0, cfg_.retentionDays) * 86400.0;
     wear_.assign(static_cast<std::size_t>(nand.totalBlocks()), init);
@@ -34,15 +33,16 @@ ReliabilityModel::retentionSecondsOf(std::uint64_t block,
 }
 
 double
-ReliabilityModel::rberOf(std::uint64_t block, Tick now) const
+ReliabilityModel::rberOf(std::uint64_t block, std::uint32_t erases,
+                         Tick now) const
 {
-    const BlockWear &w = wear_[block];
-    return rber_.rber(block, w.eraseCount,
+    return rber_.rber(block, cfg_.preWearCycles + erases,
                       retentionSecondsOf(block, now));
 }
 
 Tick
-ReliabilityModel::onRead(std::uint64_t block, Tick now)
+ReliabilityModel::onRead(std::uint64_t block, std::uint32_t erases,
+                         Tick now)
 {
     BlockWear &w = wear_[block];
     // Memoized per (erase, retention bucket) — see BlockWear::plan.
@@ -50,7 +50,8 @@ ReliabilityModel::onRead(std::uint64_t block, Tick now)
     // off the per-read path; noteErase invalidates the memo.
     const Tick bucket = now / kPenaltyBucketTicks;
     if (w.planBucket != bucket) {
-        w.plan = ecc_.plan(rberOf(block, bucket * kPenaltyBucketTicks));
+        w.plan = ecc_.plan(
+            rberOf(block, erases, bucket * kPenaltyBucketTicks));
         w.planBucket = bucket;
     }
     const ReadPlan plan = w.plan;
@@ -58,12 +59,9 @@ ReliabilityModel::onRead(std::uint64_t block, Tick now)
     // maxReadRetries = 0 a plan can be soft-only (retries == 0).
     if (plan.retries == 0 && !plan.soft && !plan.uncorrectable)
         return 0;
-    ++stats_.retriedReads;
-    stats_.eccRetries += plan.retries;
     statRetriedReads_.inc();
     statEccRetries_.inc(plan.retries);
     if (plan.soft) {
-        ++stats_.softDecodes;
         statSoftDecodes_.inc();
         // Only ladder-exhausting reads vote for retirement: plain
         // retries are routine on a uniformly aged device, and
@@ -72,7 +70,6 @@ ReliabilityModel::onRead(std::uint64_t block, Tick now)
             w.retirePending = true;
     }
     if (plan.uncorrectable) {
-        ++stats_.uncorrectableReads;
         w.retirePending = true;
         statUncorrectable_.inc();
     }
@@ -83,7 +80,6 @@ void
 ReliabilityModel::noteErase(std::uint64_t block, Tick now)
 {
     BlockWear &w = wear_[block];
-    ++w.eraseCount;
     ++totalErases_;
     w.programmedAt = now;
     w.retentionOffsetSeconds = 0.0;
@@ -99,37 +95,49 @@ ReliabilityModel::markRetired(std::uint64_t block)
         return;
     w.retired = true;
     w.retirePending = false;
-    ++stats_.retiredBlocks;
     statRetiredBlocks_.inc();
 }
 
 bool
-ReliabilityModel::scrubDue(std::uint64_t block, Tick now) const
+ReliabilityModel::scrubDue(std::uint64_t block, std::uint32_t erases,
+                           Tick now) const
 {
-    const BlockWear &w = wear_[block];
-    if (w.retired)
+    if (wear_[block].retired)
         return false;
-    return rberOf(block, now) > cfg_.scrubRberThreshold;
+    return rberOf(block, erases, now) > cfg_.scrubRberThreshold;
 }
 
 void
 ReliabilityModel::notePass()
 {
-    ++stats_.scrubPasses;
     statScrubPasses_.inc();
 }
 
 void
 ReliabilityModel::noteRefresh()
 {
-    ++stats_.scrubRefreshes;
     statScrubRefreshes_.inc();
 }
 
 void
 ReliabilityModel::noteLevelMigration()
 {
-    ++stats_.wearLevelMigrations;
+    ++wearLevelMigrations_;
+}
+
+ReliabilityStats
+ReliabilityModel::stats() const
+{
+    ReliabilityStats s;
+    s.retriedReads = statRetriedReads_.value();
+    s.eccRetries = statEccRetries_.value();
+    s.softDecodes = statSoftDecodes_.value();
+    s.uncorrectableReads = statUncorrectable_.value();
+    s.retiredBlocks = statRetiredBlocks_.value();
+    s.scrubPasses = statScrubPasses_.value();
+    s.scrubRefreshes = statScrubRefreshes_.value();
+    s.wearLevelMigrations = wearLevelMigrations_;
+    return s;
 }
 
 Tick

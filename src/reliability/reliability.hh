@@ -3,25 +3,29 @@
  * Device reliability & aging state.
  *
  * ReliabilityModel is the one stateful object behind the subsystem:
- * it owns per-block wear (P/E cycles, last-erase tick, correction
- * history), composes the RberModel and EccEngine, and answers the
+ * it owns each block's retention clock, correction history and
+ * retirement, composes the RberModel and EccEngine, and answers the
  * questions the rest of the simulator asks:
  *
  *  - NandArray::readPage: "what does ECC add to this sense?"
  *    (onRead — charges the retry ladder, tracks retirement votes)
- *  - Ftl: "has this block worn out?" (retirePending / markRetired —
- *    retired blocks leave the free pool for good, shrinking
- *    over-provisioning and accelerating GC)
+ *  - Ftl: "has this block worn out?" (retirePending / markRetired /
+ *    retired — retired blocks leave the free pool for good,
+ *    shrinking over-provisioning and accelerating GC)
  *  - Engine's scrub task: "which blocks need refreshing?" (scrubDue)
  *  - Engine's cost tables: "what read penalty should the offloader
  *    expect right now?" (typicalReadPenalty — feeds the §4.3.2
  *    data-movement estimates so offload decisions see device age)
  *
+ * A block's simulated erase count lives in the NandArray, which
+ * advances it and calls noteErase at every erase; the per-block
+ * questions take that count as an argument.
+ *
  * Fast-forward: preWearCycles and retentionDays initialize every
  * block as if the device had already served that history, so aging
  * sweeps start from an aged state without simulating years. The
- * equivalence contract (tested): fast-forwarding to N cycles leaves
- * the model in exactly the state N simulated erases per block would.
+ * equivalence contract (tested): a model fast-forwarded to N cycles
+ * answers at erase count 0 exactly as a fresh model does at N.
  *
  * Everything is deterministic — wear state advances only at defined
  * simulated-time points, and the only randomness is the per-block
@@ -44,7 +48,10 @@
 namespace conduit::reliability
 {
 
-/** Cumulative reliability counters (DeviceSnapshot reporting). */
+/**
+ * Cumulative reliability counters (DeviceSnapshot reporting), read
+ * out of the StatSet's rel.* counters by ReliabilityModel::stats().
+ */
 struct ReliabilityStats
 {
     /** Reads that needed at least one retry step. */
@@ -73,17 +80,17 @@ struct ReliabilityStats
 };
 
 /**
- * The device's aging state: per-block wear (including the memoized
- * read plans, which are pure functions of wear + retention bucket),
- * the device-total erase count, and the cumulative ReliabilityStats.
- * ReliabilityModel holds it as its private base, so a DeviceImage
- * snapshot copies it and a fork assigns it.
+ * The device's aging state: per-block retention and correction
+ * history (including the memoized read plans, which are pure
+ * functions of wear + retention bucket), the device-total erase
+ * count, and the wear-leveling tally. ReliabilityModel holds it as
+ * its private base, so a DeviceImage snapshot copies it and a fork
+ * assigns it.
  */
 struct ReliabilityState
 {
     struct BlockWear
     {
-        std::uint32_t eraseCount = 0;
         std::uint32_t softReads = 0; // ladder-exhausting reads
         bool retirePending = false;
         bool retired = false;
@@ -108,7 +115,8 @@ struct ReliabilityState
 
     std::vector<BlockWear> wear_;
     std::uint64_t totalErases_ = 0; // beyond pre-wear, all blocks
-    ReliabilityStats stats_;
+    // Not a StatSet counter: one would add a name to the counter set.
+    std::uint64_t wearLevelMigrations_ = 0;
 };
 
 /** The device's aging state and reliability decision logic. */
@@ -122,15 +130,17 @@ class ReliabilityModel : private ReliabilityState
                      StatSet *stats = nullptr);
 
     /**
-     * Account one page read of @p block at @p now.
+     * Account one page read of @p block, erased @p erases times, at
+     * @p now.
      * @return Extra die-busy ticks the ECC ladder charges.
      */
-    Tick onRead(std::uint64_t block, Tick now);
+    Tick onRead(std::uint64_t block, std::uint32_t erases, Tick now);
 
     /**
-     * A block erase at @p now: wear advances, retention restarts
-     * (the fast-forwarded retention offset clears — the block now
-     * holds freshly programmed data).
+     * A block erase at @p now (NandArray::eraseBlock reports each
+     * one): the device-total erase count advances and retention
+     * restarts (the fast-forwarded retention offset clears — the
+     * block now holds freshly programmed data).
      */
     void noteErase(std::uint64_t block, Tick now);
 
@@ -153,15 +163,18 @@ class ReliabilityModel : private ReliabilityState
 
     /** @name Background scrub support @{ */
     /** RBER high enough that the block's data should be rewritten. */
-    bool scrubDue(std::uint64_t block, Tick now) const;
+    bool scrubDue(std::uint64_t block, std::uint32_t erases,
+                  Tick now) const;
 
     void notePass();
     void noteRefresh();
     void noteLevelMigration();
     /** @} */
 
-    /** Current error rate of @p block. */
-    double rberOf(std::uint64_t block, Tick now) const;
+    /** Current error rate of @p block after @p erases simulated
+     *  erases (pre-wear is added here). */
+    double rberOf(std::uint64_t block, std::uint32_t erases,
+                  Tick now) const;
 
     /**
      * Expected ECC latency of a read at the device's current average
@@ -178,19 +191,15 @@ class ReliabilityModel : private ReliabilityState
     Tick typicalReadPenalty(Tick now) const;
 
     /** @name Introspection @{ */
-    std::uint32_t wearOf(std::uint64_t block) const
-    {
-        return wear_[block].eraseCount;
-    }
-
     double retentionSecondsOf(std::uint64_t block, Tick now) const;
 
     std::uint64_t blocks() const { return wear_.size(); }
 
-    const ReliabilityStats &stats() const { return stats_; }
+    /** The counters so far; all but wearLevelMigrations read 0
+     *  when the model was built without a StatSet. */
+    ReliabilityStats stats() const;
 
     const EccEngine &ecc() const { return ecc_; }
-    const RberModel &rberModel() const { return rber_; }
     /** @} */
 
     /** The complete mutable state (DeviceImage capture). */

@@ -169,7 +169,7 @@ imageKey(const DeviceRecipe &recipe)
       << nand.andOrTicks << nand.xorTicks << nand.latchTicks
       << nand.maxAndOperands << nand.maxOrOperands;
     k << dram.banks << dram.rowBytes << dram.busBytesPerSec << dram.tRcd
-      << dram.tRp << dram.tRas << dram.tCas << dram.bbopTicks;
+      << dram.tRp << dram.tCas << dram.bbopTicks;
     k << isp.clockHz << isp.simdBytes << isp.streamBytesPerSec;
     k << host.pcieBytesPerSec << host.cpuLowOpsPerSec
       << host.cpuMedOpsPerSec << host.cpuHighOpsPerSec

@@ -58,12 +58,6 @@ struct NandConfig
     {
         return totalBlocks() * pagesPerBlock;
     }
-
-    std::uint64_t
-    capacityBytes() const
-    {
-        return totalPages() * pageBytes;
-    }
 };
 
 /** SSD-internal DRAM (LPDDR4-1866, 1 channel, 1 rank, 8 banks). */
@@ -75,7 +69,6 @@ struct DramConfig
 
     Tick tRcd = nsToTicks(18);
     Tick tRp = nsToTicks(18);
-    Tick tRas = nsToTicks(42);
     Tick tCas = nsToTicks(15);
 
     Tick bbopTicks = nsToTicks(49);      // one bulk-bitwise row op

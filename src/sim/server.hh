@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/sim/types.hh"
@@ -36,8 +35,6 @@ struct ServiceInterval
 class Server
 {
   public:
-    explicit Server(std::string name = "") : name_(std::move(name)) {}
-
     /**
      * Reserve @p duration ticks of service no earlier than @p earliest.
      * @return The interval actually granted.
@@ -48,7 +45,6 @@ class Server
         const Tick start = std::max(earliest, busyUntil_);
         busyUntil_ = start + duration;
         busyTime_ += duration;
-        ++requests_;
         return {start, busyUntil_};
     }
 
@@ -65,23 +61,16 @@ class Server
     /** Total busy time accumulated (for utilization stats). */
     Tick busyTime() const { return busyTime_; }
 
-    std::uint64_t requests() const { return requests_; }
-
-    const std::string &name() const { return name_; }
-
     void
     reset()
     {
         busyUntil_ = 0;
         busyTime_ = 0;
-        requests_ = 0;
     }
 
   private:
-    std::string name_;
     Tick busyUntil_ = 0;
     Tick busyTime_ = 0;
-    std::uint64_t requests_ = 0;
 };
 
 /** A pool of identical servers with least-loaded dispatch. */
@@ -90,12 +79,7 @@ class ServerGroup
   public:
     ServerGroup() = default;
 
-    ServerGroup(std::string name, std::size_t count)
-    {
-        units_.reserve(count);
-        for (std::size_t i = 0; i < count; ++i)
-            units_.emplace_back(name + "." + std::to_string(i));
-    }
+    explicit ServerGroup(std::size_t count) : units_(count) {}
 
     /** Reserve on the unit that can start soonest. */
     ServiceInterval
@@ -109,16 +93,6 @@ class ServerGroup
     acquireOn(std::size_t index, Tick earliest, Tick duration)
     {
         return units_.at(index).acquire(earliest, duration);
-    }
-
-    /** Earliest start over all units. */
-    Tick
-    freeAt() const
-    {
-        Tick best = kMaxTick;
-        for (const auto &u : units_)
-            best = std::min(best, u.freeAt());
-        return best;
     }
 
     /** Minimum backlog over units (group-level queueing delay). */

@@ -139,8 +139,8 @@ class StatSet
   public:
     /**
      * A counter slot resolved once by name. A default handle, or
-     * one taken on a null set, ignores inc(): components built
-     * without stats need no guards.
+     * one taken on a null set, ignores inc() and reads 0:
+     * components built without stats need no guards.
      */
     class Handle
     {
@@ -157,6 +157,12 @@ class StatSet
         {
             if (set_)
                 set_->slots_[slot_].inc(by);
+        }
+
+        std::uint64_t
+        value() const
+        {
+            return set_ ? set_->slots_[slot_].value() : 0;
         }
 
       private:

@@ -119,6 +119,15 @@ imageTestOptions(const SsdConfig &cfg)
     return d;
 }
 
+/** Counter @p name of @p img's StatSet (0 when never registered). */
+std::uint64_t
+counterOf(const DeviceImage &img, const std::string &name)
+{
+    const auto all = img.engine.stats.counters();
+    const auto it = all.find(name);
+    return it == all.end() ? 0 : it->second.value();
+}
+
 /**
  * Offer @p jobs jobs of @p prog with deterministic pseudo-Poisson
  * gaps, continuing @p at (the caller threads one arrival clock
@@ -243,9 +252,19 @@ forkEqualsContinued(const SsdConfig &cfg, std::size_t warm,
     EXPECT_EQ(contImg.engine.ftl.nextSlot_, forkImg.engine.ftl.nextSlot_);
     EXPECT_EQ(contImg.engine.ftl.freeBlockCount_,
               forkImg.engine.ftl.freeBlockCount_);
-    EXPECT_EQ(contImg.engine.ftl.gcRuns_, forkImg.engine.ftl.gcRuns_);
-    EXPECT_EQ(contImg.engine.ftl.retiredBlocks_,
-              forkImg.engine.ftl.retiredBlocks_);
+    EXPECT_EQ(counterOf(contImg, "ftl.gc_runs"),
+              counterOf(forkImg, "ftl.gc_runs"));
+    EXPECT_EQ(counterOf(contImg, "rel.retired_blocks"),
+              counterOf(forkImg, "rel.retired_blocks"));
+    EXPECT_EQ(contImg.engine.nand.erases_, forkImg.engine.nand.erases_);
+
+    // Wear has one record, the flash array's per-block erase counts:
+    // after the GC churn they sum to the device's erase counter.
+    std::uint64_t erased = 0;
+    for (std::uint32_t e : forkImg.engine.nand.erases_)
+        erased += e;
+    EXPECT_GT(erased, 0u);
+    EXPECT_EQ(erased, counterOf(forkImg, "nand.erases"));
 }
 
 // ------------------------------------------------ fork equivalence
@@ -306,8 +325,10 @@ TEST(DeviceImage, SnapshotCapturesMidLifeFtlState)
     // The snapshot must land mid-life, after real FTL churn: GC has
     // run and the mapping table is populated — the state whose loss
     // a warm-from-scratch rebuild could never hide.
-    EXPECT_GT(img.engine.ftl.gcRuns_, 0u);
-    EXPECT_GT(img.engine.ftl.mapHits_ + img.engine.ftl.mapMisses_, 0u);
+    EXPECT_GT(counterOf(img, "ftl.gc_runs"), 0u);
+    EXPECT_GT(counterOf(img, "ftl.map_hits") +
+                  counterOf(img, "ftl.map_misses"),
+              0u);
     EXPECT_LT(img.engine.ftl.freeBlockCount_,
               img.engine.ftl.blocks_.size());
     EXPECT_EQ(img.capacityPages, 600u);
@@ -325,8 +346,12 @@ TEST(DeviceImage, SnapshotCapturesBlockRetirement)
     // End-of-life wear: the retry ladder fired and blocks retired
     // before the snapshot, so the image carries a shrunken
     // over-provisioning pool and per-block wear state.
-    EXPECT_GT(img.engine.rel->stats_.eccRetries, 0u);
-    EXPECT_GT(img.engine.ftl.retiredBlocks_, 0u);
+    EXPECT_GT(counterOf(img, "rel.ecc_retries"), 0u);
+    std::uint64_t retired = 0;
+    for (const auto &w : img.engine.rel->wear_)
+        retired += w.retired ? 1 : 0;
+    EXPECT_GT(retired, 0u);
+    EXPECT_EQ(retired, counterOf(img, "rel.retired_blocks"));
 }
 
 TEST(DeviceImage, RngStreamRestoredExactly)

@@ -408,7 +408,7 @@ TEST(RankLru, MatchesReferenceListWalk)
 
 TEST(Server, FcfsQueueing)
 {
-    Server s("t");
+    Server s;
     auto a = s.acquire(0, 10);
     EXPECT_EQ(a.start, 0u);
     EXPECT_EQ(a.end, 10u);
@@ -426,7 +426,7 @@ TEST(Server, FcfsQueueing)
 
 TEST(ServerGroup, LeastLoadedDispatch)
 {
-    ServerGroup g("g", 2);
+    ServerGroup g(2);
     auto a = g.acquire(0, 10);
     auto b = g.acquire(0, 10);
     // Both units busy until 10; third request queues on one.

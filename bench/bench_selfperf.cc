@@ -141,9 +141,10 @@ microFan(std::uint64_t events)
 
 /**
  * Open-loop pre-populated arrivals: every job's arrival event is
- * scheduled up front (the shape every open-loop Device run and
- * saturation sweep pre-populates), then each arrival runs a short
- * dispatch step and arms a timeout that completion cancels.
+ * scheduled up front (as an open-loop Device run and saturation
+ * sweep pre-populate them), then each arrival runs a short dispatch
+ * step and arms a timeout that completion cancels. The timeout is
+ * this micro's own: no simulator code cancels events.
  */
 MicroResult
 microOpenLoopArrivals(std::uint64_t jobs)
@@ -165,7 +166,7 @@ microOpenLoopArrivals(std::uint64_t jobs)
     return {q.eventsFired() + done, seconds(t0), q.counters()};
 }
 
-/** Open-loop shape: rolling window of schedule + cancel pairs. */
+/** Rolling window of schedule + cancel pairs (lazy-cancel path). */
 MicroResult
 microCancel(std::uint64_t pairs)
 {

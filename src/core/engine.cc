@@ -214,7 +214,7 @@ Engine::features(const VecInstruction &instr, Tick now)
     // ceil(pages / channels) waves of its slowest page. Every visit
     // counts: a page repeated across sources is charged each time.
     const Tick aging_read =
-        rel_ ? rel_->typicalReadPenalty(now) : 0;
+        rel_ ? rel_->typicalReadPenalty(nand_.totalErases(), now) : 0;
     const NandConfig &n = cfg_.nand;
     const Tick page_xfer =
         n.dmaTicks + transferTicks(n.pageBytes, n.channelBytesPerSec);

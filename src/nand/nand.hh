@@ -179,6 +179,10 @@ class NandArray : private NandState
         return erases_[block];
     }
 
+    /** Erases across every block: the nand.erases counter (0 when
+     *  the array was built without a StatSet). */
+    std::uint64_t totalErases() const { return statErases_.value(); }
+
     /**
      * Occupy a die for an arbitrary in-die operation (used by the
      * IFP unit for multi-wordline sensing and latch sequences).

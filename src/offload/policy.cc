@@ -2,7 +2,6 @@
 
 #include <limits>
 #include <stdexcept>
-#include <utility>
 
 namespace conduit
 {
@@ -10,198 +9,132 @@ namespace conduit
 namespace
 {
 
-constexpr std::array<Target, kNumTargets> kAllTargets = {
-    Target::Isp, Target::Pud, Target::Ifp};
+constexpr Target kIsp = Target::Isp;
+constexpr Target kPud = Target::Pud;
+constexpr Target kIfp = Target::Ifp;
+using Score = Technique::Score;
 
-/** Residual scalar code can only run on the general-purpose core. */
+/** Conduit's row: the one ConduitPolicy's ablations vary. */
+constexpr Technique kConduit = {
+    "Conduit", {kIsp, kPud, kIfp}, 3, Score::Latency, {}, false, false};
+
+/**
+ * The decision table, in evaluation order: makePolicy() and
+ * policyNames() both read it. Columns: name, candidates in
+ * preference order, candidate count, score, Eqn. 1 terms,
+ * bitwise-only IFP, ideal.
+ */
+constexpr Technique kTechniques[] = {
+    // All computation on the controller core (Active-Flash-style).
+    {"ISP", {kIsp}, 1, Score::None, {}, false, false},
+    // PuD for every supported op, controller core otherwise
+    // (MIMDRAM).
+    {"PuD-SSD", {kPud, kIsp}, 2, Score::None, {}, false, false},
+    // Bulk-bitwise in flash, everything else on ISP.
+    {"Flash-Cosmos", {kIfp, kIsp}, 2, Score::None, {}, true, false},
+    // Bitwise + integer arithmetic in flash, rest on ISP.
+    {"Ares-Flash", {kIfp, kIsp}, 2, Score::None, {}, false, false},
+    // The resource whose bus/compute path has the lowest bandwidth
+    // utilization (TOM-style), ignoring movement cost.
+    {"BW-Offloading", {kIsp, kPud, kIfp}, 3, Score::BusUtil, {}, false,
+     false},
+    // Minimize bytes moved (ALP-style); ties go to IFP, then PuD,
+    // since data begins flash-resident. The bias the paper observes
+    // pushes this technique into flash contention.
+    {"DM-Offloading", {kIfp, kPud, kIsp}, 3, Score::MovedBytes, {},
+     false, false},
+    kConduit,
+    // No contention, zero movement latency, lowest computation
+    // latency (upper bound, not realizable; §5.3).
+    {"Ideal", {kIsp, kPud, kIfp}, 3, Score::Latency,
+     {false, false, false}, false, true},
+};
+
+/** Flash-Cosmos's in-flash ops: bulk bitwise, shifts excluded. */
 bool
-forcedToIsp(const VecInstruction &instr)
+bulkBitwise(OpCode op)
 {
-    return !instr.vectorized;
+    return opFamily(op) == OpFamily::Bitwise && op != OpCode::ShiftL &&
+        op != OpCode::ShiftR;
+}
+
+/**
+ * The candidate of @p row with the lowest @p scoreOf(t) below
+ * @p worst, compared in the score's own type; ISP when none is.
+ */
+template <typename S, typename ScoreOf>
+Target
+argmin(const Technique &row, const VecInstruction &instr,
+       const CostFeatures &f, S worst, const ScoreOf &scoreOf)
+{
+    Target best = Target::Isp;
+    S best_score = worst;
+    for (std::size_t k = 0; k < row.candidates; ++k) {
+        const Target t = row.order[k];
+        if (!f.supported[static_cast<std::size_t>(t)])
+            continue;
+        if (t == Target::Ifp && row.ifpBitwiseOnly &&
+            !bulkBitwise(instr.op))
+            continue;
+        const S s = scoreOf(static_cast<std::size_t>(t));
+        if (s < best_score) {
+            best_score = s;
+            best = t;
+        }
+    }
+    return best;
 }
 
 } // namespace
 
 Target
-ConduitPolicy::select(const VecInstruction &instr, const CostFeatures &f)
+TechniquePolicy::select(const VecInstruction &instr, const CostFeatures &f)
 {
-    if (forcedToIsp(instr))
+    // Residual scalar code can only run on the general-purpose core.
+    if (!instr.vectorized)
         return Target::Isp;
-    Target best = Target::Isp;
-    Tick best_cost = kMaxTick;
-    for (Target t : kAllTargets) {
-        const auto i = static_cast<std::size_t>(t);
-        if (!f.supported[i])
-            continue;
-        Tick cost = f.comp[i];
-        if (ab_.useDmLatency)
-            cost += f.dm[i];
-        const Tick dep = ab_.useDepDelay ? f.depDelay : 0;
-        const Tick queue = ab_.useQueueDelay ? f.queue[i] : 0;
-        cost += std::max(dep, queue);
-        if (cost < best_cost) {
-            best_cost = cost;
-            best = t;
-        }
+    switch (row_.score) {
+      case Score::Latency:
+        return argmin(row_, instr, f, kMaxTick, [&](std::size_t i) {
+            return f.totalLatency(static_cast<Target>(i), row_.terms);
+        });
+      case Score::MovedBytes:
+        return argmin(row_, instr, f, ~0ULL,
+                      [&](std::size_t i) { return f.dmBytes[i]; });
+      case Score::BusUtil:
+        return argmin(row_, instr, f,
+                      std::numeric_limits<double>::infinity(),
+                      [&](std::size_t i) { return f.bwUtil[i]; });
+      case Score::None:
+        break;
     }
-    return best;
+    return argmin(row_, instr, f, 1, [](std::size_t) { return 0; });
+}
+
+ConduitPolicy::ConduitPolicy(Ablation ab) : TechniquePolicy(kConduit)
+{
+    row_.terms = ab;
 }
 
 std::string
 ConduitPolicy::name() const
 {
     std::string n = "Conduit";
-    if (!ab_.useQueueDelay)
+    if (!row_.terms.useQueueDelay)
         n += "-noQueue";
-    if (!ab_.useDmLatency)
+    if (!row_.terms.useDmLatency)
         n += "-noDM";
-    if (!ab_.useDepDelay)
+    if (!row_.terms.useDepDelay)
         n += "-noDep";
     return n;
 }
 
-Target
-DmOffloadPolicy::select(const VecInstruction &instr, const CostFeatures &f)
-{
-    if (forcedToIsp(instr))
-        return Target::Isp;
-    // Minimize bytes moved; prefer IFP then PuD on ties, since data
-    // begins flash-resident and this class of techniques chases
-    // movement reduction above all else.
-    static constexpr std::array<Target, kNumTargets> kPreference = {
-        Target::Ifp, Target::Pud, Target::Isp};
-    Target best = Target::Isp;
-    std::uint64_t best_bytes = ~0ULL;
-    for (Target t : kPreference) {
-        const auto i = static_cast<std::size_t>(t);
-        if (!f.supported[i])
-            continue;
-        if (f.dmBytes[i] < best_bytes) {
-            best_bytes = f.dmBytes[i];
-            best = t;
-        }
-    }
-    return best;
-}
-
-Target
-BwOffloadPolicy::select(const VecInstruction &instr, const CostFeatures &f)
-{
-    if (forcedToIsp(instr))
-        return Target::Isp;
-    Target best = Target::Isp;
-    double best_util = std::numeric_limits<double>::infinity();
-    for (Target t : kAllTargets) {
-        const auto i = static_cast<std::size_t>(t);
-        if (!f.supported[i])
-            continue;
-        if (f.bwUtil[i] < best_util) {
-            best_util = f.bwUtil[i];
-            best = t;
-        }
-    }
-    return best;
-}
-
-Target
-IdealPolicy::select(const VecInstruction &instr, const CostFeatures &f)
-{
-    if (forcedToIsp(instr))
-        return Target::Isp;
-    Target best = Target::Isp;
-    Tick best_cost = kMaxTick;
-    for (Target t : kAllTargets) {
-        const auto i = static_cast<std::size_t>(t);
-        if (!f.supported[i])
-            continue;
-        if (f.comp[i] < best_cost) {
-            best_cost = f.comp[i];
-            best = t;
-        }
-    }
-    return best;
-}
-
-Target
-PudOnlyPolicy::select(const VecInstruction &instr, const CostFeatures &f)
-{
-    if (forcedToIsp(instr))
-        return Target::Isp;
-    return f.supported[static_cast<std::size_t>(Target::Pud)]
-        ? Target::Pud
-        : Target::Isp;
-}
-
-Target
-FlashCosmosPolicy::select(const VecInstruction &instr,
-                          const CostFeatures &f)
-{
-    if (forcedToIsp(instr))
-        return Target::Isp;
-    const bool bitwise = opFamily(instr.op) == OpFamily::Bitwise &&
-        instr.op != OpCode::ShiftL && instr.op != OpCode::ShiftR;
-    if (bitwise && f.supported[static_cast<std::size_t>(Target::Ifp)])
-        return Target::Ifp;
-    return Target::Isp;
-}
-
-Target
-AresFlashPolicy::select(const VecInstruction &instr, const CostFeatures &f)
-{
-    if (forcedToIsp(instr))
-        return Target::Isp;
-    return f.supported[static_cast<std::size_t>(Target::Ifp)]
-        ? Target::Ifp
-        : Target::Isp;
-}
-
-namespace
-{
-
-/**
- * Single source of truth for the policy registry: makePolicy() and
- * policyNames() both read this table, so a new policy registers its
- * name and factory in one place. Evaluation order.
- */
-using PolicyFactoryFn = std::unique_ptr<OffloadPolicy> (*)();
-
-const std::vector<std::pair<std::string, PolicyFactoryFn>> &
-policyTable()
-{
-    static const std::vector<std::pair<std::string, PolicyFactoryFn>>
-        table = {
-            {"ISP", [] { return std::unique_ptr<OffloadPolicy>(
-                             std::make_unique<IspOnlyPolicy>()); }},
-            {"PuD-SSD", [] { return std::unique_ptr<OffloadPolicy>(
-                                 std::make_unique<PudOnlyPolicy>()); }},
-            {"Flash-Cosmos",
-             [] { return std::unique_ptr<OffloadPolicy>(
-                      std::make_unique<FlashCosmosPolicy>()); }},
-            {"Ares-Flash",
-             [] { return std::unique_ptr<OffloadPolicy>(
-                      std::make_unique<AresFlashPolicy>()); }},
-            {"BW-Offloading",
-             [] { return std::unique_ptr<OffloadPolicy>(
-                      std::make_unique<BwOffloadPolicy>()); }},
-            {"DM-Offloading",
-             [] { return std::unique_ptr<OffloadPolicy>(
-                      std::make_unique<DmOffloadPolicy>()); }},
-            {"Conduit", [] { return std::unique_ptr<OffloadPolicy>(
-                                 std::make_unique<ConduitPolicy>()); }},
-            {"Ideal", [] { return std::unique_ptr<OffloadPolicy>(
-                               std::make_unique<IdealPolicy>()); }},
-        };
-    return table;
-}
-
-} // namespace
-
 std::unique_ptr<OffloadPolicy>
 makePolicy(const std::string &name)
 {
-    for (const auto &[label, make] : policyTable()) {
-        if (label == name)
-            return make();
+    for (const Technique &row : kTechniques) {
+        if (row.name == name)
+            return std::make_unique<TechniquePolicy>(row);
     }
     std::string known;
     for (const auto &n : policyNames()) {
@@ -218,8 +151,8 @@ policyNames()
 {
     static const std::vector<std::string> names = [] {
         std::vector<std::string> n;
-        for (const auto &entry : policyTable())
-            n.push_back(entry.first);
+        for (const Technique &row : kTechniques)
+            n.emplace_back(row.name);
         return n;
     }();
     return names;

@@ -13,10 +13,12 @@
 #ifndef CONDUIT_OFFLOAD_POLICY_HH
 #define CONDUIT_OFFLOAD_POLICY_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/ir/instruction.hh"
@@ -40,6 +42,18 @@ targetName(Target t)
     }
     return "?";
 }
+
+/**
+ * Which Eqn. 1 terms a latency score includes. All three by default;
+ * the ablation bench drops each in turn, and Ideal drops all of them
+ * (computation latency alone).
+ */
+struct LatencyTerms
+{
+    bool useQueueDelay = true;
+    bool useDmLatency = true;
+    bool useDepDelay = true;
+};
 
 /**
  * The per-instruction feature vector (Table 1) as computed by the
@@ -68,12 +82,18 @@ struct CostFeatures
     /** Cumulative bandwidth utilization of the resource's bus. */
     std::array<double, kNumTargets> bwUtil{};
 
-    /** Eqn. 1: total offloading latency for resource @p t. */
+    /**
+     * Eqn. 1: total offloading latency for resource @p t,
+     * comp + dm + max(dep, queue), over the @p terms kept.
+     */
     Tick
-    totalLatency(Target t) const
+    totalLatency(Target t, LatencyTerms terms = {}) const
     {
         const auto i = static_cast<std::size_t>(t);
-        return comp[i] + dm[i] + std::max(depDelay, queue[i]);
+        const Tick dep = terms.useDepDelay ? depDelay : 0;
+        const Tick wait = terms.useQueueDelay ? queue[i] : 0;
+        return comp[i] + (terms.useDmLatency ? dm[i] : 0) +
+            std::max(dep, wait);
     }
 };
 
@@ -100,107 +120,74 @@ class OffloadPolicy
 };
 
 /**
+ * One built-in technique: a row of the decision table (policy.cc
+ * lists the eight evaluated in §5.3). Every row is decided by the
+ * same rule — see TechniquePolicy.
+ */
+struct Technique
+{
+    /** How a candidate target is scored; the lowest score wins. */
+    enum class Score : std::uint8_t
+    {
+        None,       ///< every candidate ties: first supported wins
+        Latency,    ///< Eqn. 1 over `terms` (Conduit, Ideal)
+        MovedBytes, ///< operand bytes moved (DM-Offloading)
+        BusUtil,    ///< bus bandwidth utilization (BW-Offloading)
+    };
+
+    /** Display name; must outlive the policy (the table's literals). */
+    std::string_view name;
+
+    /** Candidate targets in preference order: ties go to the earlier. */
+    std::array<Target, kNumTargets> order{};
+    std::size_t candidates = 0;
+
+    Score score = Score::None;
+    LatencyTerms terms;
+
+    /** IFP is a candidate for bulk-bitwise ops only (Flash-Cosmos). */
+    bool ifpBitwiseOnly = false;
+
+    /** Run the engine in idealized mode (OffloadPolicy::ideal). */
+    bool ideal = false;
+};
+
+/**
+ * The one decision rule behind every built-in technique. Residual
+ * scalar code goes to ISP; otherwise the row's candidates are tried
+ * in preference order, unsupported ones are skipped, and the lowest
+ * score wins (the first candidate on ties, ISP if none qualifies).
+ */
+class TechniquePolicy : public OffloadPolicy
+{
+  public:
+    explicit TechniquePolicy(const Technique &row) : row_(row) {}
+
+    Target select(const VecInstruction &instr,
+                  const CostFeatures &f) override;
+
+    std::string name() const override { return std::string(row_.name); }
+
+    bool ideal() const override { return row_.ideal; }
+
+  protected:
+    Technique row_;
+};
+
+/**
  * Conduit's holistic cost function (Eqn. 1/2): argmin over supported
  * resources of comp + dm + max(dep, queue). Feature-ablation flags
  * support the ablation bench.
  */
-class ConduitPolicy : public OffloadPolicy
+class ConduitPolicy : public TechniquePolicy
 {
   public:
-    struct Ablation
-    {
-        bool useQueueDelay = true;
-        bool useDmLatency = true;
-        bool useDepDelay = true;
-    };
+    using Ablation = LatencyTerms;
 
-    ConduitPolicy() = default;
-    explicit ConduitPolicy(Ablation ab) : ab_(ab) {}
-
-    Target select(const VecInstruction &instr,
-                  const CostFeatures &f) override;
+    ConduitPolicy() : ConduitPolicy(Ablation{}) {}
+    explicit ConduitPolicy(Ablation ab);
 
     std::string name() const override;
-
-  private:
-    Ablation ab_;
-};
-
-/**
- * DM-Offloading: minimize operand data movement (ALP-style). Ties
- * break toward IFP (data is flash-resident), then PuD — the bias the
- * paper observes pushes this policy into flash contention.
- */
-class DmOffloadPolicy : public OffloadPolicy
-{
-  public:
-    Target select(const VecInstruction &instr,
-                  const CostFeatures &f) override;
-    std::string name() const override { return "DM-Offloading"; }
-};
-
-/**
- * BW-Offloading: pick the resource whose bus/compute path has the
- * lowest bandwidth utilization (TOM-style), ignoring movement cost.
- */
-class BwOffloadPolicy : public OffloadPolicy
-{
-  public:
-    Target select(const VecInstruction &instr,
-                  const CostFeatures &f) override;
-    std::string name() const override { return "BW-Offloading"; }
-};
-
-/**
- * Ideal: no contention, zero movement latency, lowest computation
- * latency (upper bound, not realizable; §5.3).
- */
-class IdealPolicy : public OffloadPolicy
-{
-  public:
-    Target select(const VecInstruction &instr,
-                  const CostFeatures &f) override;
-    std::string name() const override { return "Ideal"; }
-    bool ideal() const override { return true; }
-};
-
-/** All computation on the controller core (Active-Flash-style ISP). */
-class IspOnlyPolicy : public OffloadPolicy
-{
-  public:
-    Target select(const VecInstruction &,
-                  const CostFeatures &) override
-    {
-        return Target::Isp;
-    }
-    std::string name() const override { return "ISP"; }
-};
-
-/** PuD for every supported op, controller core otherwise (MIMDRAM). */
-class PudOnlyPolicy : public OffloadPolicy
-{
-  public:
-    Target select(const VecInstruction &instr,
-                  const CostFeatures &f) override;
-    std::string name() const override { return "PuD-SSD"; }
-};
-
-/** Flash-Cosmos: bulk-bitwise in flash, everything else on ISP. */
-class FlashCosmosPolicy : public OffloadPolicy
-{
-  public:
-    Target select(const VecInstruction &instr,
-                  const CostFeatures &f) override;
-    std::string name() const override { return "Flash-Cosmos"; }
-};
-
-/** Ares-Flash: bitwise + integer arithmetic in flash, rest on ISP. */
-class AresFlashPolicy : public OffloadPolicy
-{
-  public:
-    Target select(const VecInstruction &instr,
-                  const CostFeatures &f) override;
-    std::string name() const override { return "Ares-Flash"; }
 };
 
 /** Factory by display name (used by benches/examples). */

@@ -80,7 +80,6 @@ void
 ReliabilityModel::noteErase(std::uint64_t block, Tick now)
 {
     BlockWear &w = wear_[block];
-    ++totalErases_;
     w.programmedAt = now;
     w.retentionOffsetSeconds = 0.0;
     w.softReads = 0; // correction history restarts with fresh data
@@ -141,7 +140,8 @@ ReliabilityModel::stats() const
 }
 
 Tick
-ReliabilityModel::typicalReadPenalty(Tick now) const
+ReliabilityModel::typicalReadPenalty(std::uint64_t erases,
+                                     Tick now) const
 {
     if (wear_.empty())
         return 0;
@@ -150,10 +150,10 @@ ReliabilityModel::typicalReadPenalty(Tick now) const
     // keeps the exp/pow off the per-instruction path without
     // visibly quantizing the estimate.
     const Tick bucket = now / kPenaltyBucketTicks;
-    if (bucket == penaltyBucket_ && totalErases_ == penaltyErases_)
+    if (bucket == penaltyBucket_ && erases == penaltyErases_)
         return penalty_;
     const double avg_wear = static_cast<double>(cfg_.preWearCycles) +
-        static_cast<double>(totalErases_) /
+        static_cast<double>(erases) /
             static_cast<double>(wear_.size());
     // Average retention: the fast-forward offset plus elapsed run
     // time. Scrub refreshes lower individual blocks below this —
@@ -162,7 +162,7 @@ ReliabilityModel::typicalReadPenalty(Tick now) const
         std::max(0.0, cfg_.retentionDays) * 86400.0 +
         ticksToSeconds(bucket * kPenaltyBucketTicks);
     penaltyBucket_ = bucket;
-    penaltyErases_ = totalErases_;
+    penaltyErases_ = erases;
     penalty_ = ecc_.plan(rber_.typicalRber(avg_wear, retention_s))
                    .extraTicks;
     return penalty_;

@@ -82,10 +82,9 @@ struct ReliabilityStats
 /**
  * The device's aging state: per-block retention and correction
  * history (including the memoized read plans, which are pure
- * functions of wear + retention bucket), the device-total erase
- * count, and the wear-leveling tally. ReliabilityModel holds it as
- * its private base, so a DeviceImage snapshot copies it and a fork
- * assigns it.
+ * functions of wear + retention bucket) and the wear-leveling tally.
+ * ReliabilityModel holds it as its private base, so a DeviceImage
+ * snapshot copies it and a fork assigns it.
  */
 struct ReliabilityState
 {
@@ -114,7 +113,6 @@ struct ReliabilityState
     };
 
     std::vector<BlockWear> wear_;
-    std::uint64_t totalErases_ = 0; // beyond pre-wear, all blocks
     // Not a StatSet counter: one would add a name to the counter set.
     std::uint64_t wearLevelMigrations_ = 0;
 };
@@ -138,9 +136,8 @@ class ReliabilityModel : private ReliabilityState
 
     /**
      * A block erase at @p now (NandArray::eraseBlock reports each
-     * one): the device-total erase count advances and retention
-     * restarts (the fast-forwarded retention offset clears — the
-     * block now holds freshly programmed data).
+     * one): retention restarts (the fast-forwarded retention offset
+     * clears — the block now holds freshly programmed data).
      */
     void noteErase(std::uint64_t block, Tick now);
 
@@ -180,6 +177,8 @@ class ReliabilityModel : private ReliabilityState
      * Expected ECC latency of a read at the device's current average
      * wear and retention — the aging term of the offloader's static
      * data-movement table (jitter-free, monotone in device age).
+     * @p erases is the device-total simulated erase count
+     * (NandArray::totalErases); pre-wear is added here.
      *
      * Called once per dispatched instruction, so the transcendental
      * RBER math is cached: the value only moves with erases and
@@ -188,7 +187,7 @@ class ReliabilityModel : private ReliabilityState
      * coarse bucket — deterministic, since both inputs are pure
      * simulated state.
      */
-    Tick typicalReadPenalty(Tick now) const;
+    Tick typicalReadPenalty(std::uint64_t erases, Tick now) const;
 
     /** @name Introspection @{ */
     double retentionSecondsOf(std::uint64_t block, Tick now) const;

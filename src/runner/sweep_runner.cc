@@ -218,29 +218,15 @@ imageKey(const DeviceRecipe &recipe)
 
 SweepRunner::SweepRunner(SweepOptions opts) : opts_(opts) {}
 
-SweepPerf
-SweepRunner::lastPerf() const
-{
-    SweepPerf p;
-    p.wallSeconds = perfWall_;
-    p.cells = perfCells_;
-    p.eventsFired = perfEvents_.load(std::memory_order_relaxed);
-    p.perCell = perfPerCell_;
-    p.warmupSeconds = perfWarmWall_;
-    p.warmupImages = perfWarmImages_;
-    return p;
-}
-
 template <typename Cell>
 void
 SweepRunner::sweepCells(std::size_t cells, const Cell &cell)
 {
-    perfCells_ = cells;
-    perfEvents_.store(0, std::memory_order_relaxed);
-    perfPerCell_.assign(cells, {});
-    perfWarmWall_ = 0.0;
-    perfWarmImages_ = 0;
+    perf_ = {};
+    perf_.cells = cells;
+    perf_.perCell.assign(cells, {});
     traceCells_.assign(cells, {});
+    std::atomic<std::uint64_t> events_total{0};
     const auto t0 = std::chrono::steady_clock::now();
     // Workers own disjoint per-cell slots, so no synchronization is
     // needed beyond the pool join.
@@ -248,14 +234,15 @@ SweepRunner::sweepCells(std::size_t cells, const Cell &cell)
         const auto c0 = std::chrono::steady_clock::now();
         auto tracer = makeTracer(opts_.trace);
         auto [label, events] = cell(i, tracer);
-        SweepPerf::CellPerf &cp = perfPerCell_[i];
+        SweepPerf::CellPerf &cp = perf_.perCell[i];
         cp.wallSeconds = sinceSeconds(c0);
         cp.eventsFired = events;
         cp.label = label;
-        perfEvents_.fetch_add(events, std::memory_order_relaxed);
+        events_total.fetch_add(events, std::memory_order_relaxed);
         traceCells_[i] = {std::move(label), std::move(tracer)};
     });
-    perfWall_ = sinceSeconds(t0);
+    perf_.wallSeconds = sinceSeconds(t0);
+    perf_.eventsFired = events_total.load(std::memory_order_relaxed);
 }
 
 unsigned
@@ -420,8 +407,8 @@ SweepRunner::runAll(const std::vector<Scenario> &scenarios)
         results[i] = assemble(scenarios[i], images, tracer).drain();
         return std::make_pair(scenarios[i].label, results[i].eventsFired);
     });
-    perfWarmWall_ = warm.wallSeconds;
-    perfWarmImages_ = warm.built;
+    perf_.warmupSeconds = warm.wallSeconds;
+    perf_.warmupImages = warm.built;
     return results;
 }
 
@@ -481,8 +468,8 @@ SweepRunner::run(std::vector<RunSpec> specs)
         r.policy = spec.technique;
         return std::make_pair(std::move(label), events);
     });
-    return SweepResult(std::move(specs), std::move(results), perfWall_,
-                       workerCount(n));
+    return SweepResult(std::move(specs), std::move(results),
+                       perf_.wallSeconds, workerCount(n));
 }
 
 } // namespace conduit::runner

@@ -15,7 +15,6 @@
 #ifndef CONDUIT_RUNNER_SWEEP_RUNNER_HH
 #define CONDUIT_RUNNER_SWEEP_RUNNER_HH
 
-#include <atomic>
 #include <string>
 #include <vector>
 
@@ -139,7 +138,7 @@ class SweepRunner
      * Self-performance of the most recent run()/runAll() call. Read
      * it after the sweep returns — not concurrently.
      */
-    SweepPerf lastPerf() const;
+    const SweepPerf &lastPerf() const { return perf_; }
 
     /**
      * Per-cell traces of the most recent sweep call, in cell order
@@ -196,12 +195,8 @@ class SweepRunner
     SweepOptions opts_;
     ProgramCache cache_;
 
-    double perfWall_ = 0.0;
-    std::size_t perfCells_ = 0;
-    std::atomic<std::uint64_t> perfEvents_{0};
-    std::vector<SweepPerf::CellPerf> perfPerCell_;
-    double perfWarmWall_ = 0.0;
-    std::size_t perfWarmImages_ = 0;
+    /** Self-performance of the last sweep (see lastPerf()). */
+    SweepPerf perf_;
 
     /** Per-cell traces of the last sweep (see lastTraces()). */
     std::vector<trace::TraceCell> traceCells_;

@@ -54,8 +54,9 @@
  * - cancel() is lazy: the entry stays behind and is discarded when
  *   the drain front surfaces it — but when cancelled entries
  *   outnumber half of all resident entries, every tier is compacted
- *   in place, bounding memory growth under cancel-heavy open-loop
- *   workloads.
+ *   in place, bounding memory growth under cancel-heavy use. No
+ *   simulator component cancels events; the kernel tests and
+ *   bench_selfperf's open_loop and cancel_window micros do.
  */
 
 #ifndef CONDUIT_SIM_EVENT_QUEUE_HH

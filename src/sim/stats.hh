@@ -85,10 +85,12 @@ class Histogram
     void
     merge(const Histogram &other)
     {
-        samples_.reserve(samples_.size() + other.samples_.size());
         // Fold sample by sample: the running sum then matches a
         // sequential re-scan of the concatenated vector bit for bit
         // (adding other.sum_ in one step would round differently).
+        // No exact reserve: into a growing aggregate that would
+        // reallocate and copy every earlier sample on each merge,
+        // where push_back's doubling amortizes.
         for (double v : other.samples_) {
             samples_.push_back(v);
             accumulate(v);

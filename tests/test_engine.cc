@@ -162,9 +162,9 @@ TEST(Engine, IdealModeSkipsOverheadAndMovement)
 {
     Program prog = chainProgram(32);
     ConduitPolicy conduit;
-    IdealPolicy ideal;
+    auto ideal = makePolicy("Ideal");
     auto real = runJob(prog, conduit);
-    auto id = runJob(prog, ideal);
+    auto id = runJob(prog, *ideal);
     EXPECT_LT(id.execTime, real.execTime);
     EXPECT_EQ(id.offloaderBusy, 0u);
     EXPECT_EQ(id.internalDmBusy, 0u);
@@ -244,10 +244,10 @@ TEST(Engine, LatchPressureForcesEvictions)
     // Tiny device: few dies, so latch capacity is scarce.
     cfg.nand.channels = 1;
     cfg.nand.diesPerChannel = 2;
-    AresFlashPolicy pol; // everything to IFP
+    auto pol = makePolicy("Ares-Flash"); // everything to IFP
     EngineOptions opts;
     opts.latchPagesPerDie = 2;
-    auto r = runJob(prog, pol, opts, cfg);
+    auto r = runJob(prog, *pol, opts, cfg);
     EXPECT_GT(r.latchEvictions, 0u);
     EXPECT_GE(r.coherenceCommits, r.latchEvictions);
 }
@@ -321,12 +321,12 @@ TEST(Engine, LatchSpillScalesWithCapacity)
     cfg.nand.channels = 1;
     cfg.nand.diesPerChannel = 2;
 
-    AresFlashPolicy pol;
+    auto pol = makePolicy("Ares-Flash");
     EngineOptions tiny, roomy;
     tiny.latchPagesPerDie = 2;
     roomy.latchPagesPerDie = 4096;
-    auto spills = runJob(prog, pol, tiny, cfg);
-    auto clean = runJob(prog, pol, roomy, cfg);
+    auto spills = runJob(prog, *pol, tiny, cfg);
+    auto clean = runJob(prog, *pol, roomy, cfg);
     EXPECT_GT(spills.latchEvictions, 0u);
     EXPECT_EQ(clean.latchEvictions, 0u);
     EXPECT_LT(clean.latchEvictions, spills.latchEvictions);
@@ -520,8 +520,8 @@ TEST(Engine, DeterministicAcrossIdenticalRuns)
 TEST(Engine, LatencyHistogramCoversEveryInstruction)
 {
     Program prog = chainProgram(25);
-    DmOffloadPolicy pol;
-    auto r = runJob(prog, pol);
+    auto pol = makePolicy("DM-Offloading");
+    auto r = runJob(prog, *pol);
     EXPECT_EQ(r.latencyUs.count(), 25u);
     EXPECT_GT(r.latencyUs.min(), 0.0);
     EXPECT_GE(r.latencyUs.percentile(99.99), r.latencyUs.percentile(99));

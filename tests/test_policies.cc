@@ -6,6 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <limits>
+#include <random>
+#include <utility>
+#include <vector>
+
 #include "src/offload/policy.hh"
 
 namespace conduit
@@ -31,6 +38,13 @@ baseFeatures()
     f.supported = {true, true, true};
     f.comp = {usToTicks(10), usToTicks(10), usToTicks(10)};
     return f;
+}
+
+/** The built-in technique @p name's choice for a vector @p op. */
+Target
+pick(const char *name, OpCode op, const CostFeatures &f)
+{
+    return makePolicy(name)->select(vecInstr(op), f);
 }
 
 TEST(CostFeatures, Equation1Arithmetic)
@@ -113,43 +127,43 @@ TEST(ConduitPolicy, AblationsDropFeatures)
 
 TEST(DmPolicy, MinimizesBytesPrefersIfpOnTies)
 {
-    DmOffloadPolicy p;
+    auto p = makePolicy("DM-Offloading");
     auto f = baseFeatures();
     f.dmBytes = {4096, 0, 0}; // PuD and IFP tie at zero
-    EXPECT_EQ(p.select(vecInstr(OpCode::Add), f), Target::Ifp);
+    EXPECT_EQ(p->select(vecInstr(OpCode::Add), f), Target::Ifp);
     f.dmBytes = {0, 0, 4096};
-    EXPECT_EQ(p.select(vecInstr(OpCode::Add), f), Target::Pud);
+    EXPECT_EQ(p->select(vecInstr(OpCode::Add), f), Target::Pud);
 }
 
 TEST(DmPolicy, IgnoresQueueDelays)
 {
-    DmOffloadPolicy p;
+    auto p = makePolicy("DM-Offloading");
     auto f = baseFeatures();
     f.dmBytes = {4096, 4096, 0};
     f.queue = {0, 0, usToTicks(10000)}; // IFP badly congested
     // DM-Offloading cannot see the congestion (its flaw, §3.2).
-    EXPECT_EQ(p.select(vecInstr(OpCode::Add), f), Target::Ifp);
+    EXPECT_EQ(p->select(vecInstr(OpCode::Add), f), Target::Ifp);
 }
 
 TEST(BwPolicy, PicksLowestUtilization)
 {
-    BwOffloadPolicy p;
+    auto p = makePolicy("BW-Offloading");
     auto f = baseFeatures();
     f.bwUtil = {0.9, 0.2, 0.5};
-    EXPECT_EQ(p.select(vecInstr(OpCode::Add), f), Target::Pud);
+    EXPECT_EQ(p->select(vecInstr(OpCode::Add), f), Target::Pud);
     f.bwUtil = {5.0, 7.0, 3.0}; // beyond saturation still compares
-    EXPECT_EQ(p.select(vecInstr(OpCode::Add), f), Target::Ifp);
+    EXPECT_EQ(p->select(vecInstr(OpCode::Add), f), Target::Ifp);
 }
 
 TEST(IdealPolicy, PicksLowestComputeAndFlagsIdeal)
 {
-    IdealPolicy p;
+    auto p = makePolicy("Ideal");
     auto f = baseFeatures();
     f.comp = {usToTicks(3), usToTicks(2), usToTicks(1)};
     f.dm = {0, 0, usToTicks(1000)};   // ignored
     f.queue = {0, 0, usToTicks(1000)}; // ignored
-    EXPECT_EQ(p.select(vecInstr(OpCode::Add), f), Target::Ifp);
-    EXPECT_TRUE(p.ideal());
+    EXPECT_EQ(p->select(vecInstr(OpCode::Add), f), Target::Ifp);
+    EXPECT_TRUE(p->ideal());
     EXPECT_FALSE(ConduitPolicy().ideal());
 }
 
@@ -158,25 +172,18 @@ TEST(StaticPolicies, RespectSubstrateCapabilities)
     auto f = baseFeatures();
     f.supported = {true, pudSupports(OpCode::Shuffle),
                    ifpSupports(OpCode::Shuffle)};
-    EXPECT_EQ(IspOnlyPolicy().select(vecInstr(OpCode::Add), f),
-              Target::Isp);
+    EXPECT_EQ(pick("ISP", OpCode::Add, f), Target::Isp);
     // Shuffle is PuD/IFP-unsupported: falls back to the core.
-    EXPECT_EQ(PudOnlyPolicy().select(vecInstr(OpCode::Shuffle), f),
-              Target::Isp);
-    EXPECT_EQ(AresFlashPolicy().select(vecInstr(OpCode::Shuffle), f),
-              Target::Isp);
+    EXPECT_EQ(pick("PuD-SSD", OpCode::Shuffle, f), Target::Isp);
+    EXPECT_EQ(pick("Ares-Flash", OpCode::Shuffle, f), Target::Isp);
 
     auto f2 = baseFeatures();
-    EXPECT_EQ(PudOnlyPolicy().select(vecInstr(OpCode::Mul), f2),
-              Target::Pud);
-    EXPECT_EQ(AresFlashPolicy().select(vecInstr(OpCode::Mul), f2),
-              Target::Ifp);
+    EXPECT_EQ(pick("PuD-SSD", OpCode::Mul, f2), Target::Pud);
+    EXPECT_EQ(pick("Ares-Flash", OpCode::Mul, f2), Target::Ifp);
     // Flash-Cosmos offloads bulk-bitwise only; arithmetic goes to
     // the controller core.
-    EXPECT_EQ(FlashCosmosPolicy().select(vecInstr(OpCode::And), f2),
-              Target::Ifp);
-    EXPECT_EQ(FlashCosmosPolicy().select(vecInstr(OpCode::Add), f2),
-              Target::Isp);
+    EXPECT_EQ(pick("Flash-Cosmos", OpCode::And, f2), Target::Ifp);
+    EXPECT_EQ(pick("Flash-Cosmos", OpCode::Add, f2), Target::Isp);
 }
 
 TEST(PolicyFactory, BuildsEveryEvaluatedTechnique)
@@ -189,6 +196,226 @@ TEST(PolicyFactory, BuildsEveryEvaluatedTechnique)
         EXPECT_EQ(p->name(), name);
     }
     EXPECT_THROW(makePolicy("nonsense"), std::invalid_argument);
+}
+
+/**
+ * The per-technique select bodies the decision table replaced, kept
+ * verbatim as the reference the table's rule must reproduce.
+ */
+namespace reference
+{
+
+constexpr std::array<Target, kNumTargets> kAllTargets = {
+    Target::Isp, Target::Pud, Target::Ifp};
+
+bool
+forcedToIsp(const VecInstruction &instr)
+{
+    return !instr.vectorized;
+}
+
+Target
+conduit(const ConduitPolicy::Ablation &ab_, const VecInstruction &instr,
+        const CostFeatures &f)
+{
+    if (forcedToIsp(instr))
+        return Target::Isp;
+    Target best = Target::Isp;
+    Tick best_cost = kMaxTick;
+    for (Target t : kAllTargets) {
+        const auto i = static_cast<std::size_t>(t);
+        if (!f.supported[i])
+            continue;
+        Tick cost = f.comp[i];
+        if (ab_.useDmLatency)
+            cost += f.dm[i];
+        const Tick dep = ab_.useDepDelay ? f.depDelay : 0;
+        const Tick queue = ab_.useQueueDelay ? f.queue[i] : 0;
+        cost += std::max(dep, queue);
+        if (cost < best_cost) {
+            best_cost = cost;
+            best = t;
+        }
+    }
+    return best;
+}
+
+Target
+dmOffload(const VecInstruction &instr, const CostFeatures &f)
+{
+    if (forcedToIsp(instr))
+        return Target::Isp;
+    static constexpr std::array<Target, kNumTargets> kPreference = {
+        Target::Ifp, Target::Pud, Target::Isp};
+    Target best = Target::Isp;
+    std::uint64_t best_bytes = ~0ULL;
+    for (Target t : kPreference) {
+        const auto i = static_cast<std::size_t>(t);
+        if (!f.supported[i])
+            continue;
+        if (f.dmBytes[i] < best_bytes) {
+            best_bytes = f.dmBytes[i];
+            best = t;
+        }
+    }
+    return best;
+}
+
+Target
+bwOffload(const VecInstruction &instr, const CostFeatures &f)
+{
+    if (forcedToIsp(instr))
+        return Target::Isp;
+    Target best = Target::Isp;
+    double best_util = std::numeric_limits<double>::infinity();
+    for (Target t : kAllTargets) {
+        const auto i = static_cast<std::size_t>(t);
+        if (!f.supported[i])
+            continue;
+        if (f.bwUtil[i] < best_util) {
+            best_util = f.bwUtil[i];
+            best = t;
+        }
+    }
+    return best;
+}
+
+Target
+ideal(const VecInstruction &instr, const CostFeatures &f)
+{
+    if (forcedToIsp(instr))
+        return Target::Isp;
+    Target best = Target::Isp;
+    Tick best_cost = kMaxTick;
+    for (Target t : kAllTargets) {
+        const auto i = static_cast<std::size_t>(t);
+        if (!f.supported[i])
+            continue;
+        if (f.comp[i] < best_cost) {
+            best_cost = f.comp[i];
+            best = t;
+        }
+    }
+    return best;
+}
+
+Target
+ispOnly(const VecInstruction &, const CostFeatures &)
+{
+    return Target::Isp;
+}
+
+Target
+pudOnly(const VecInstruction &instr, const CostFeatures &f)
+{
+    if (forcedToIsp(instr))
+        return Target::Isp;
+    return f.supported[static_cast<std::size_t>(Target::Pud)]
+        ? Target::Pud
+        : Target::Isp;
+}
+
+Target
+flashCosmos(const VecInstruction &instr, const CostFeatures &f)
+{
+    if (forcedToIsp(instr))
+        return Target::Isp;
+    const bool bitwise = opFamily(instr.op) == OpFamily::Bitwise &&
+        instr.op != OpCode::ShiftL && instr.op != OpCode::ShiftR;
+    if (bitwise && f.supported[static_cast<std::size_t>(Target::Ifp)])
+        return Target::Ifp;
+    return Target::Isp;
+}
+
+Target
+aresFlash(const VecInstruction &instr, const CostFeatures &f)
+{
+    if (forcedToIsp(instr))
+        return Target::Isp;
+    return f.supported[static_cast<std::size_t>(Target::Ifp)]
+        ? Target::Ifp
+        : Target::Isp;
+}
+
+} // namespace reference
+
+/**
+ * A Tick or byte count: from a small pool (always when @p tiny, so
+ * candidates tie), above 2^53 (where a double would round), at or
+ * near the all-ones sentinel, or anywhere in 64 bits.
+ */
+std::uint64_t
+drawCount(std::mt19937_64 &rng, bool tiny)
+{
+    constexpr std::uint64_t kTwo53 = std::uint64_t{1} << 53;
+    switch (tiny ? 0 : rng() % 5) {
+      case 0: return rng() % 4;
+      case 1: return kTwo53 + rng() % 4;
+      case 2: return kMaxTick - rng() % 2;
+      case 3: return rng() >> (rng() % 64);
+      default: return rng();
+    }
+}
+
+double
+drawUtil(std::mt19937_64 &rng)
+{
+    static constexpr double kPool[] = {
+        0.0, 0.5, 1.0, 7.0, std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()};
+    return rng() % 2 ? kPool[rng() % std::size(kPool)]
+                     : static_cast<double>(rng() % 1000) / 100.0;
+}
+
+TEST(DecisionRule, MatchesThePerTechniqueBodiesItReplaced)
+{
+    using Body = Target (*)(const VecInstruction &, const CostFeatures &);
+    const std::pair<const char *, Body> builtins[] = {
+        {"ISP", reference::ispOnly},
+        {"PuD-SSD", reference::pudOnly},
+        {"Flash-Cosmos", reference::flashCosmos},
+        {"Ares-Flash", reference::aresFlash},
+        {"BW-Offloading", reference::bwOffload},
+        {"DM-Offloading", reference::dmOffload},
+        {"Conduit",
+         [](const VecInstruction &i, const CostFeatures &f) {
+             return reference::conduit({}, i, f);
+         }},
+        {"Ideal", reference::ideal},
+    };
+    ASSERT_EQ(policyNames().size(), std::size(builtins));
+    std::vector<std::unique_ptr<OffloadPolicy>> rules;
+    for (const auto &[name, body] : builtins)
+        rules.push_back(makePolicy(name));
+    std::vector<ConduitPolicy::Ablation> ablations;
+    for (int bits = 0; bits < 8; ++bits)
+        ablations.push_back({(bits & 1) != 0, (bits & 2) != 0,
+                             (bits & 4) != 0});
+
+    std::mt19937_64 rng(2024);
+    for (int trial = 0; trial < 20000; ++trial) {
+        const bool tiny = rng() % 2 == 0;
+        CostFeatures f;
+        for (std::size_t i = 0; i < kNumTargets; ++i) {
+            f.comp[i] = drawCount(rng, tiny);
+            f.dm[i] = drawCount(rng, tiny);
+            f.queue[i] = drawCount(rng, tiny);
+            f.supported[i] = rng() % 4 != 0;
+            f.dmBytes[i] = drawCount(rng, tiny);
+            f.bwUtil[i] = drawUtil(rng);
+        }
+        f.depDelay = drawCount(rng, tiny);
+        VecInstruction vi = vecInstr(
+            static_cast<OpCode>(rng() % kNumOpCodes), rng() % 4 != 0);
+
+        for (std::size_t k = 0; k < rules.size(); ++k)
+            ASSERT_EQ(rules[k]->select(vi, f), builtins[k].second(vi, f))
+                << builtins[k].first << " at trial " << trial;
+        for (const auto &ab : ablations)
+            ASSERT_EQ(ConduitPolicy(ab).select(vi, f),
+                      reference::conduit(ab, vi, f))
+                << ConduitPolicy(ab).name() << " at trial " << trial;
+    }
 }
 
 TEST(Targets, NamesStable)

@@ -141,9 +141,9 @@ TEST(ReliabilityModel, PreWearEqualsSimulatedErases)
     ReliabilityConfig aged = fresh;
     aged.preWearCycles = 250;
 
-    // The per-block erase count is the caller's (the NandArray's):
-    // pre-wear 250 at count 0 must answer as no pre-wear at count
-    // 250. typicalReadPenalty reads the total noteErase advances.
+    // Erase counts are the caller's (the NandArray's), per block and
+    // device-wide: pre-wear 250 at count 0 must answer as no
+    // pre-wear at count 250 on every block.
     reliability::ReliabilityModel ff(cfg.nand, aged, cfg.seed);
     reliability::ReliabilityModel sim(cfg.nand, fresh, cfg.seed);
     for (std::uint64_t blk = 0; blk < sim.blocks(); ++blk)
@@ -155,7 +155,8 @@ TEST(ReliabilityModel, PreWearEqualsSimulatedErases)
         EXPECT_DOUBLE_EQ(ff.rberOf(blk, 0, usToTicks(50)),
                          sim.rberOf(blk, 250, usToTicks(50)));
     }
-    EXPECT_EQ(ff.typicalReadPenalty(0), sim.typicalReadPenalty(0));
+    EXPECT_EQ(ff.typicalReadPenalty(0, 0),
+              sim.typicalReadPenalty(250 * sim.blocks(), 0));
 }
 
 TEST(ReliabilityModel, RetentionFastForwardRaisesReadPenalty)
@@ -169,7 +170,7 @@ TEST(ReliabilityModel, RetentionFastForwardRaisesReadPenalty)
 
     reliability::ReliabilityModel a(cfg.nand, young, cfg.seed);
     reliability::ReliabilityModel b(cfg.nand, old_dev, cfg.seed);
-    EXPECT_GT(b.typicalReadPenalty(0), a.typicalReadPenalty(0));
+    EXPECT_GT(b.typicalReadPenalty(0, 0), a.typicalReadPenalty(0, 0));
     // An erase refreshes the block: its retention offset clears.
     b.noteErase(3, usToTicks(10));
     EXPECT_LT(b.rberOf(3, 1, usToTicks(10)),

@@ -116,10 +116,11 @@ TEST(EventQueue, RunUntilBound)
 
 TEST(EventQueue, CancelHeavyMemoryStaysBounded)
 {
-    // Open-loop device workloads schedule and cancel events at a
-    // sustained rate. Cancelled entries must not accumulate: slots
-    // are free-listed for reuse and the heap compacts lazily once
-    // dead entries outnumber the live half.
+    // A caller that schedules and cancels at a sustained rate (as
+    // bench_selfperf's cancel_window micro does; no simulator
+    // component cancels) must not accumulate cancelled entries:
+    // slots are free-listed for reuse and the heap compacts lazily
+    // once dead entries outnumber the live half.
     EventQueue q;
     std::deque<EventId> window;
     constexpr int kPairs = 1'000'000;

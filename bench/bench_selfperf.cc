@@ -26,7 +26,11 @@
  *    event-queue micro also records the queue's deterministic work
  *    counters (EventQueue::Counters) under "kernel_counters"; they
  *    are exact on every host, so scripts/check_selfperf.py requires
- *    them to equal the committed record.
+ *    them to equal the committed record. A dispatch micro times one
+ *    fresh Device running one tick-0 job (instructions per second,
+ *    outside the event-kernel aggregate) and records the engine's
+ *    work counters (Engine::Counters) under "engine_counters",
+ *    gated exactly the same way.
  *
  * 2. Representative end-to-end scenarios, timed around the
  *    SweepRunner entry points (SweepPerf hooks):
@@ -95,6 +99,8 @@ struct MicroResult
     double wallSeconds = 0.0;
     /** Work counters of the micro's queue (event-queue micros). */
     std::optional<EventQueue::Counters> counters;
+    /** Work counters of the micro's engine (dispatch micro). */
+    std::optional<Engine::Counters> engine;
 
     double
     opsPerSec() const
@@ -245,6 +251,30 @@ microSnapshotFork(double scale, std::uint64_t forks)
     }
     (void)sink;
     return {forks, seconds(t0), std::nullopt};
+}
+
+/**
+ * Dispatch pipeline: one fresh Device runs one tick-0 job, so the
+ * wall time is the per-instruction pipeline (offloader stage,
+ * features, decision, movement, execution, coherence) plus the
+ * device's set-up. A staging region of a quarter of the footprint
+ * keeps the DRAM-staging LRU choosing victims, so every engine work
+ * counter moves. Reported as instructions per second.
+ */
+MicroResult
+microDispatch(double scale)
+{
+    DeviceOptions opts;
+    opts.workload.scale = scale;
+    opts.engine.dramStagingFraction = 0.25;
+    const auto t0 = std::chrono::steady_clock::now();
+    Device dev(opts);
+    JobSpec job;
+    job.workload = WorkloadId::Aes;
+    dev.submit(job);
+    const DeviceSnapshot snap = dev.drain();
+    return {snap.jobs.front().result.instrCount, seconds(t0),
+            std::nullopt, dev.engine().counters()};
 }
 
 /** One timed scenario: simulated digest + wall-clock statistics. */
@@ -521,8 +551,8 @@ writeJson(const std::string &path, const SweepCli &cli, int repeat,
         return false;
     }
     static const char *kMicroNames[] = {
-        "chain",         "fan",      "fan_wide",     "open_loop",
-        "cancel_window", "overload", "snapshot_fork"};
+        "chain",         "fan",      "fan_wide",      "open_loop",
+        "cancel_window", "overload", "snapshot_fork", "dispatch"};
     std::fprintf(f, "{\n  \"bench\": \"selfperf\",\n");
     std::fprintf(f, "  \"scale\": %g,\n", cli.scale);
     std::fprintf(f, "  \"repeat\": %d,\n", repeat);
@@ -532,8 +562,14 @@ writeJson(const std::string &path, const SweepCli &cli, int repeat,
     double wall = 0.0;
     for (std::size_t i = 0; i < micro.size(); ++i) {
         // The aggregate stays an event-kernel number: snapshot_fork
-        // counts device forks, not queue events, so mixing its ops
-        // into the pooled rate would skew the kernel trendline.
+        // counts device forks and dispatch counts instructions, not
+        // queue events, so mixing their ops into the pooled rate
+        // would skew the kernel trendline.
+        if (micro[i].engine) {
+            std::fprintf(f, "    \"%s_instructions_per_sec\": %.0f,\n",
+                         kMicroNames[i], micro[i].opsPerSec());
+            continue;
+        }
         if (std::string(kMicroNames[i]) != "snapshot_fork") {
             ops += micro[i].ops;
             wall += micro[i].wallSeconds;
@@ -567,6 +603,25 @@ writeJson(const std::string &path, const SweepCli &cli, int repeat,
                          static_cast<unsigned long long>(
                              fields[k].second));
         std::fprintf(f, "}");
+        first = false;
+    }
+    std::fprintf(f, "\n  },\n");
+    std::fprintf(f, "  \"engine_counters\": {\n");
+    first = true;
+    for (std::size_t i = 0; i < micro.size(); ++i) {
+        if (!micro[i].engine)
+            continue;
+        const Engine::Counters &c = *micro[i].engine;
+        std::fprintf(f,
+                     "%s    \"%s\": {\"folded_pages\": %llu, "
+                     "\"fragment_pages\": %llu, "
+                     "\"latch_scan_steps\": %llu, "
+                     "\"lru_victim_steps\": %llu}",
+                     first ? "" : ",\n", kMicroNames[i],
+                     static_cast<unsigned long long>(c.foldedPages),
+                     static_cast<unsigned long long>(c.fragmentPages),
+                     static_cast<unsigned long long>(c.latchScanSteps),
+                     static_cast<unsigned long long>(c.lruVictimSteps));
         first = false;
     }
     std::fprintf(f, "\n  },\n");
@@ -684,6 +739,7 @@ main(int argc, char **argv)
         bestOf([] { return microCancel(2'000'000); }),
         bestOf([] { return microOverload(2'000); }),
         bestOf([&] { return microSnapshotFork(cli.scale, 1'000); }),
+        bestOf([&] { return microDispatch(cli.scale); }),
     };
     static const char *kMicroLabels[] = {
         "chain (self-scheduling)", "fan (pre-populated)",
@@ -691,11 +747,13 @@ main(int argc, char **argv)
         "open loop (pre-populated arrivals)",
         "cancel window (open-loop)",
         "overload (deep inserts)",
-        "snapshot fork (device image)"};
+        "snapshot fork (device image)",
+        "dispatch (one fresh job)"};
     std::fprintf(stderr, "event-kernel microbench:\n");
     for (std::size_t i = 0; i < micro.size(); ++i)
-        std::fprintf(stderr, "  %-28s %12.0f events/s\n",
-                     kMicroLabels[i], micro[i].opsPerSec());
+        std::fprintf(stderr, "  %-28s %12.0f %s/s\n", kMicroLabels[i],
+                     micro[i].opsPerSec(),
+                     micro[i].engine ? "instructions" : "events");
 
     std::vector<ScenarioResult> scenarios;
     if (want("fig07a-reduced"))

@@ -6,12 +6,16 @@ committed reference. Two gates run:
 
 - Work counters, exactly. ``kernel_counters`` holds each event-queue
   microbench's EventQueue work counters (entries shifted, late-heap
-  pushes, re-anchors, sorts, compactions). They are a function of the
-  schedule alone, identical on every host, so every committed counter
-  must be present in the fresh record with exactly the same value. A
-  change that moves one on purpose regenerates the committed record.
-- Wall clock, loosely. The gate fails when any events/sec figure
-  dropped below ``min_ratio`` of the reference. The margin is
+  pushes, re-anchors, sorts, compactions); ``engine_counters`` holds
+  the dispatch microbench's Engine work counters (source pages
+  folded, fragment pages walked, latch-FIFO scan steps, DRAM-LRU
+  victim-walk steps). They are a function of the schedule alone,
+  identical on every host, so every committed counter must be
+  present in the fresh record with exactly the same value. A change
+  that moves one on purpose regenerates the committed record.
+- Wall clock, loosely. The gate fails when any events/sec or
+  instructions/sec figure dropped below ``min_ratio`` of the
+  reference. The margin is
   deliberately generous: the reference numbers come from whatever
   machine produced the committed record, while CI runners differ in
   CPU generation and load, so the gate only catches
@@ -38,10 +42,10 @@ import sys
 
 
 def metrics(record):
-    """Flatten a selfperf record into {metric_name: events_per_sec}."""
+    """Flatten a selfperf record into {metric_name: ops_per_sec}."""
     out = {}
     for name, value in record.get("microbench", {}).items():
-        if name.endswith("events_per_sec"):
+        if name.endswith(("events_per_sec", "instructions_per_sec")):
             out[f"microbench.{name}"] = float(value)
     for scenario in record.get("scenarios", []):
         out[f"scenario.{scenario['name']}.events_per_sec"] = float(
@@ -56,6 +60,9 @@ def counters(record):
     for micro, fields in record.get("kernel_counters", {}).items():
         for name, value in fields.items():
             out[f"{micro}.{name}"] = int(value)
+    for micro, fields in record.get("engine_counters", {}).items():
+        for name, value in fields.items():
+            out[f"engine.{micro}.{name}"] = int(value)
     return out
 
 

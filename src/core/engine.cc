@@ -43,10 +43,10 @@ Engine::dramTouch(Lpn page, Tick now)
         FlatLru::Node vit = dramLru_.tail();
         const std::uint64_t skip =
             rng_.below(std::max<std::uint64_t>(1, dramLru_.size() / 2));
-        for (std::uint64_t i = 0;
-             i < skip && vit != dramLru_.head(); ++i) {
+        std::uint64_t i = 0;
+        for (; i < skip && vit != dramLru_.head(); ++i)
             vit = dramLru_.prev(vit);
-        }
+        counters_.lruVictimSteps += i;
         const Lpn victim = dramLru_.keyOf(vit);
         if (victim == page)
             break;
@@ -64,38 +64,29 @@ Engine::dramTouch(Lpn page, Tick now)
     }
 }
 
-std::vector<IfpFragment>
+const std::vector<IfpFragment> &
 Engine::fragmentsFor(const VecInstruction &instr)
 {
     // Compute fragments follow the first operand's physical layout;
     // the extended FTL page-allocation policy (§4.4) co-locates the
-    // other operands' corresponding pages in the same block.
+    // other operands' corresponding pages in the same block. The
+    // layout is read live: commits and GC migrations move pages, so
+    // a list is only valid until the next L2P write.
     const Operand &lead = instr.srcs.empty() ? instr.dst
                                              : instr.srcs.front();
     const Lpn base = streamBase();
-    std::vector<IfpFragment> frags;
     const std::uint64_t vec_bytes =
         static_cast<std::uint64_t>(instr.lanes) * instr.elemBits / 8;
     const std::uint64_t per_page =
         std::min<std::uint64_t>(vec_bytes, cfg_.nand.pageBytes);
+    frags_.begin(nand_.numDies());
     for (std::uint64_t p = base + lead.basePage;
-         p < base + lead.basePage + lead.pageCount; ++p) {
-        const Ppn ppn = ftl_.physicalOf(p);
-        const std::uint32_t die = nand_.dieOf(ppn);
-        bool merged = false;
-        for (auto &f : frags) {
-            if (f.dieIndex == die) {
-                f.bytes += per_page;
-                merged = true;
-                break;
-            }
-        }
-        if (!merged)
-            frags.push_back({die, per_page});
-    }
-    if (frags.empty())
-        frags.push_back({0, per_page});
-    return frags;
+         p < base + lead.basePage + lead.pageCount; ++p)
+        frags_.add(nand_.dieOf(ftl_.physicalOf(p)), per_page);
+    counters_.fragmentPages += lead.pageCount;
+    if (frags_.fragments().empty())
+        frags_.add(0, per_page);
+    return frags_.fragments();
 }
 
 std::uint32_t
@@ -184,6 +175,33 @@ Engine::routeFor(const PageMeta &m, Target t)
     return {};
 }
 
+Engine::Movement
+Engine::foldMovement(const StateCounts &counts, const HopTicks &hop)
+{
+    Movement mv;
+    for (std::size_t s = 0; s < kPageStates; ++s) {
+        if (counts[s] == 0)
+            continue;
+        // The state's representative page, inverting pageState().
+        PageMeta m;
+        m.loc = static_cast<Loc>(s / 4);
+        m.dirty = (s / 2) % 2 != 0;
+        m.dramCached = s % 2 != 0;
+        for (Target t : {Target::Isp, Target::Pud, Target::Ifp}) {
+            const Route r = routeFor(m, t);
+            if (r.count == 0)
+                continue;
+            Tick page = 0;
+            for (std::uint8_t h = 0; h < r.count; ++h)
+                page += hop[static_cast<std::size_t>(r.hops[h])];
+            const auto i = static_cast<std::size_t>(t);
+            mv.pages[i] += counts[s];
+            mv.slowest[i] = std::max(mv.slowest[i], page);
+        }
+    }
+    return mv;
+}
+
 CostFeatures
 Engine::features(const VecInstruction &instr, Tick now)
 {
@@ -196,7 +214,7 @@ Engine::features(const VecInstruction &instr, Tick now)
         ifpSupports(instr.op);
 
     // (6) Expected computation latency.
-    const auto frags = fragmentsFor(instr);
+    const auto &frags = fragmentsFor(instr);
     for (Target t : {Target::Isp, Target::Pud, Target::Ifp})
         f.comp[static_cast<std::size_t>(t)] =
             compEstimate(instr, t, frags);
@@ -208,9 +226,10 @@ Engine::features(const VecInstruction &instr, Tick now)
     // without the inline ECC pipeline, so its in-place operands pay
     // no decode penalty — a fidelity note documented in README.)
     //
-    // One walk folds every source page's route for all targets. A
-    // page costs the sum of its hops; transfers stripe over channels
-    // (the table assumes ideal parallelism), so a target pays
+    // One walk counts the source pages per coherence state; the
+    // route table is then folded once per present state. A page
+    // costs the sum of its hops; transfers stripe over channels (the
+    // table assumes ideal parallelism), so a target pays
     // ceil(pages / channels) waves of its slowest page. Every visit
     // counts: a page repeated across sources is charged each time.
     const Tick aging_read =
@@ -223,40 +242,31 @@ Engine::features(const VecInstruction &instr, Tick now)
         cfg_.dram.tRcd + cfg_.dram.tCas;
     // Indexed by Hop: Sense, ChannelOut, ChannelIn, DramWrite,
     // DramStream.
-    const Tick hop_ticks[] = {n.cmdTicks + n.readTicks + aging_read,
-                              page_xfer, page_xfer, dram_page,
-                              dram_page};
-    std::array<std::uint64_t, kNumTargets> moving{};
-    std::array<Tick, kNumTargets> slowest{};
+    const HopTicks hop_ticks = {n.cmdTicks + n.readTicks + aging_read,
+                                page_xfer, page_xfer, dram_page,
+                                dram_page};
+    StateCounts per_state{};
     const Lpn base = streamBase();
     for (const auto &s : instr.srcs) {
         for (Lpn p = base + s.basePage;
-             p < base + s.basePage + s.pageCount; ++p) {
-            for (Target t : {Target::Isp, Target::Pud, Target::Ifp}) {
-                const Route r = routeFor(pageMeta_[p], t);
-                if (r.count == 0)
-                    continue;
-                Tick page = 0;
-                for (std::uint8_t h = 0; h < r.count; ++h)
-                    page += hop_ticks[static_cast<int>(r.hops[h])];
-                const auto i = static_cast<std::size_t>(t);
-                ++moving[i];
-                slowest[i] = std::max(slowest[i], page);
-            }
-        }
+             p < base + s.basePage + s.pageCount; ++p)
+            ++per_state[pageState(pageMeta_[p])];
+        counters_.foldedPages += s.pageCount;
     }
+    const Movement mv = foldMovement(per_state, hop_ticks);
     for (std::size_t i = 0; i < kNumTargets; ++i) {
         const std::uint64_t waves =
-            (moving[i] + n.channels - 1) / n.channels;
-        f.dm[i] = static_cast<Tick>(waves) * slowest[i];
-        f.dmBytes[i] = moving[i] * n.pageBytes;
+            (mv.pages[i] + n.channels - 1) / n.channels;
+        f.dm[i] = static_cast<Tick>(waves) * mv.slowest[i];
+        f.dmBytes[i] = mv.pages[i] * n.pageBytes;
     }
 
     // (4) Resource queueing delay: live reads of the shared
     // calendars, so co-run streams see each other's backlog.
-    f.queue[static_cast<std::size_t>(Target::Isp)] = isp_.backlog(now);
-    f.queue[static_cast<std::size_t>(Target::Pud)] =
-        dram_.bankBacklog(now);
+    const Tick isp_backlog = isp_.backlog(now);
+    const Tick bank_backlog = dram_.bankBacklog(now);
+    f.queue[static_cast<std::size_t>(Target::Isp)] = isp_backlog;
+    f.queue[static_cast<std::size_t>(Target::Pud)] = bank_backlog;
     Tick die_backlog = 0;
     for (const auto &fr : frags)
         die_backlog =
@@ -278,9 +288,9 @@ Engine::features(const VecInstruction &instr, Tick now)
     // a TOM-style monitor would read.
     const double window = static_cast<double>(usToTicks(200));
     f.bwUtil[static_cast<std::size_t>(Target::Isp)] =
-        static_cast<double>(isp_.backlog(now)) / window;
+        static_cast<double>(isp_backlog) / window;
     f.bwUtil[static_cast<std::size_t>(Target::Pud)] =
-        static_cast<double>(dram_.bankBacklog(now)) / window;
+        static_cast<double>(bank_backlog) / window;
     f.bwUtil[static_cast<std::size_t>(Target::Ifp)] =
         static_cast<double>(nand_.minDieBacklog(now)) / window;
 
@@ -357,21 +367,24 @@ Engine::recordWrite(Lpn page, Target target, Tick when)
         // page, spreading latch pressure with the striped layout.
         m.latchDie = nand_.dieOf(ftl_.physicalOf(page));
         m.dramCached = false;
-        auto &fifo = latchFifo_[m.latchDie];
-        // Refresh on rewrite: one latch slot per resident page.
-        auto it = std::find(fifo.begin(), fifo.end(), page);
-        if (it != fifo.end())
-            fifo.erase(it);
-        fifo.push_back(page);
-        while (fifo.size() > opts_.latchPagesPerDie) {
-            const Lpn victim = fifo.front();
-            fifo.pop_front();
-            if (pageMeta_[victim].loc == Loc::Latch &&
-                pageMeta_[victim].dirty) {
-                commitPage(victim, when);
-                ++ctx_->result.latchEvictions;
-            }
-        }
+        // A rewrite refreshes the page's entry in its home die's
+        // FIFO. The FIFOs do not hold exactly one slot per resident
+        // page: a page that leaves the latch by the PuD route
+        // (Lands::Dram) keeps its slot, a page whose home die
+        // changed keeps a stale entry in the old die's FIFO, and a
+        // page moveOperands() lands in a latch (Lands::Latch) never
+        // enters one. Eviction skips entries no longer latch-resident
+        // and dirty; the stale slots still count toward capacity.
+        counters_.latchScanSteps +=
+            latchFifo_.refresh(m.latchDie, page);
+        latchFifo_.trim(m.latchDie, opts_.latchPagesPerDie,
+                        [&](Lpn victim) {
+                            const PageMeta &vm = pageMeta_[victim];
+                            if (vm.loc == Loc::Latch && vm.dirty) {
+                                commitPage(victim, when);
+                                ++ctx_->result.latchEvictions;
+                            }
+                        });
         break;
       }
     }
@@ -501,7 +514,7 @@ Engine::executeOn(const VecInstruction &instr, Target target,
         // per-resource aggregate capacity is enforced in
         // sessionFinish().
         const Tick comp =
-            compEstimate(instr, target, fragmentsFor(instr));
+            compEstimate(instr, target, frags_.fragments());
         computeEnergy(instr, target, comp);
         res.computeBusy += comp;
         ctx_->idealBusy[ti] += comp;
@@ -515,7 +528,10 @@ Engine::executeOn(const VecInstruction &instr, Target target,
     }
 
     // IFP counts sensed operands before the move turns dirty DRAM
-    // operands into latch residents.
+    // operands into latch residents. The IFP and Ideal branches
+    // reuse the fragment list features() just built: a replay never
+    // targets IFP, and nothing writes the L2P in between (IFP-bound
+    // movement neither touches the DRAM LRU nor commits a page).
     const std::uint32_t sensed =
         target == Target::Ifp ? sensedOperands(instr) : 0;
     const Tick ready = moveOperands(instr, target, earliest);
@@ -532,7 +548,7 @@ Engine::executeOn(const VecInstruction &instr, Target target,
             static_cast<std::uint32_t>(base + instr.dst.basePage), ready);
         break;
       case Target::Ifp: {
-        const auto frags = fragmentsFor(instr);
+        const auto &frags = frags_.fragments();
         iv = ifp_.execute(instr.op, instr.elemBits,
                           static_cast<std::uint32_t>(instr.srcs.size()),
                           sensed, frags, ready);
@@ -654,6 +670,7 @@ Engine::dispatchNext(ExecContext &ctx)
             e.a = instr.id;
             e.b = static_cast<std::uint64_t>(instr.op);
             e.c = static_cast<std::uint64_t>(target);
+            // Rebuilt: recordWrite() may have committed pages.
             if (target == Target::Ifp)
                 e.lane = fragmentsFor(instr).front().dieIndex;
             e.str = tracer_->intern(ctx.name);
@@ -747,7 +764,7 @@ Engine::sessionBegin(std::uint64_t capacity_pages,
     ftl_.preload(capacity_pages);
     ftl_.setMappingCacheCapacity(capacity_pages);
     pageMeta_.assign(capacity_pages, PageMeta{});
-    latchFifo_.assign(nand_.numDies(), {});
+    latchFifo_.reset(nand_.numDies());
     dramCapacityPages_ = std::max<std::uint64_t>(
         64, static_cast<std::uint64_t>(
                 static_cast<double>(capacity_pages) *
@@ -935,14 +952,7 @@ Engine::sessionReclaim(std::uint64_t base_page, std::uint64_t pages)
         dramLru_.eraseKey(p);
         pageMeta_[p] = PageMeta{};
     }
-    for (auto &fifo : latchFifo_) {
-        fifo.erase(std::remove_if(fifo.begin(), fifo.end(),
-                                  [&](Lpn p) {
-                                      return p >= base_page &&
-                                          p < limit;
-                                  }),
-                   fifo.end());
-    }
+    latchFifo_.purge(base_page, limit);
 }
 
 Engine::Image

@@ -42,7 +42,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -50,6 +49,7 @@
 #include <vector>
 
 #include "src/core/exec_context.hh"
+#include "src/core/latch_fifo.hh"
 #include "src/core/run_result.hh"
 #include "src/dram/dram.hh"
 #include "src/dram/pud_unit.hh"
@@ -105,7 +105,7 @@ struct EngineState
     Server pcie_;
 
     std::vector<PageMeta> pageMeta_;
-    std::vector<std::deque<Lpn>> latchFifo_; // per die
+    LatchFifos latchFifo_;
 
     // DRAM staging region LRU (capacity-limited page residency,
     // shared by all streams — capacity pressure is device-wide).
@@ -223,6 +223,105 @@ class Engine : private EngineState
      */
     CostFeatures features(const VecInstruction &instr, Tick now);
 
+    /**
+     * @name Route table and movement fold
+     *
+     * Pure functions of a page's coherence state, behind feature (5)
+     * and operand movement.
+     * @{
+     */
+
+    /** One leg of a source page's trip to a compute target. */
+    enum class Hop : std::uint8_t
+    {
+        Sense,      // array read into the die's page buffer
+        ChannelOut, // page buffer -> controller over the channel
+        ChannelIn,  // controller -> the page's die latch
+        DramWrite,  // stage the page in an SSD DRAM bank
+        DramStream, // ISP load path reads a DRAM-resident page
+    };
+
+    /** Where the freshest copy lives once a route's hops are done. */
+    enum class Lands : std::uint8_t
+    {
+        InPlace,   // residency unchanged
+        DramCopy,  // a clean copy is now staged in SSD DRAM
+        Dram,      // the fresh copy moved to SSD DRAM
+        Latch,     // the fresh copy moved into its die's latch
+        Flash,     // the array copy is valid again
+    };
+
+    /** The ordered hops one source page takes to one target. */
+    struct Route
+    {
+        std::array<Hop, 3> hops{};
+        std::uint8_t count = 0;
+        Lands lands = Lands::InPlace;
+    };
+
+    /**
+     * The route table (§4.3.2, §4.4): the hops a source page in
+     * state @p m takes to @p t. features() folds every page's hops
+     * into the no-contention latency_dm; moveOperands() reserves the
+     * same hops on the calendars.
+     */
+    static Route routeFor(const PageMeta &m, Target t);
+
+    /** Coherence states routeFor tells apart: loc x dirty x
+     *  dramCached. */
+    static constexpr std::size_t kPageStates = 12;
+
+    /** @p m's index among the kPageStates states. */
+    static std::size_t
+    pageState(const PageMeta &m)
+    {
+        return (static_cast<std::size_t>(m.loc) * 2 + m.dirty) * 2 +
+            m.dramCached;
+    }
+
+    /** Page visits per coherence state. */
+    using StateCounts = std::array<std::uint64_t, kPageStates>;
+
+    /** Ticks one page spends on each Hop, indexed by Hop. */
+    using HopTicks = std::array<Tick, 5>;
+
+    /** Per target: pages that move, and the slowest page's route. */
+    struct Movement
+    {
+        std::array<std::uint64_t, kNumTargets> pages{};
+        std::array<Tick, kNumTargets> slowest{};
+    };
+
+    /**
+     * Fold page visits, counted per state, through the route table.
+     * A page costs the sum of its hops; a sum and a max do not depend
+     * on visit order, so one route walk per present state gives what
+     * a walk per page visit gives.
+     */
+    static Movement foldMovement(const StateCounts &counts,
+                                 const HopTicks &hop);
+    /** @} */
+
+    /**
+     * Deterministic work counters of the dispatch pipeline, summed
+     * since construction. They are host-side cost accounting, not
+     * simulated state: they stay out of the StatSet (whose counter
+     * names the benchmark digest covers) and out of Images.
+     */
+    struct Counters
+    {
+        /** Source-page visits folded into movement features. */
+        std::uint64_t foldedPages = 0;
+        /** Pages walked while building IFP fragment lists. */
+        std::uint64_t fragmentPages = 0;
+        /** Latch-FIFO entries compared on IFP writes. */
+        std::uint64_t latchScanSteps = 0;
+        /** DRAM-staging LRU entries stepped over to pick victims. */
+        std::uint64_t lruVictimSteps = 0;
+    };
+
+    const Counters &counters() const { return counters_; }
+
     /** Access to substrate stats after a run. */
     const StatSet &stats() const { return stats_; }
 
@@ -262,34 +361,6 @@ class Engine : private EngineState
     }
 
   private:
-    /** One leg of a source page's trip to a compute target. */
-    enum class Hop : std::uint8_t
-    {
-        Sense,      // array read into the die's page buffer
-        ChannelOut, // page buffer -> controller over the channel
-        ChannelIn,  // controller -> the page's die latch
-        DramWrite,  // stage the page in an SSD DRAM bank
-        DramStream, // ISP load path reads a DRAM-resident page
-    };
-
-    /** Where the freshest copy lives once a route's hops are done. */
-    enum class Lands : std::uint8_t
-    {
-        InPlace,   // residency unchanged
-        DramCopy,  // a clean copy is now staged in SSD DRAM
-        Dram,      // the fresh copy moved to SSD DRAM
-        Latch,     // the fresh copy moved into its die's latch
-        Flash,     // the array copy is valid again
-    };
-
-    /** The ordered hops one source page takes to one target. */
-    struct Route
-    {
-        std::array<Hop, 3> hops{};
-        std::uint8_t count = 0;
-        Lands lands = Lands::InPlace;
-    };
-
     /**
      * The dispatch event of @p ctx's next instruction: offloader
      * stage, decision, movement, reservation, recording; then the
@@ -302,8 +373,13 @@ class Engine : private EngineState
 
     Tick offloadOverhead(const VecInstruction &instr, Tick now);
 
-    /** Dies of @p instr's compute fragments (first operand's pages). */
-    std::vector<IfpFragment> fragmentsFor(const VecInstruction &instr);
+    /**
+     * Build the dies of @p instr's compute fragments (first
+     * operand's pages, live L2P) into frags_ and return them. The
+     * list stays valid until the next build.
+     */
+    const std::vector<IfpFragment> &
+    fragmentsFor(const VecInstruction &instr);
 
     /** Source operands that require array sensing on IFP. */
     std::uint32_t sensedOperands(const VecInstruction &instr) const;
@@ -311,14 +387,6 @@ class Engine : private EngineState
     /** Contention-free compute latency on @p t (feature (6)). */
     Tick compEstimate(const VecInstruction &instr, Target t,
                       const std::vector<IfpFragment> &frags) const;
-
-    /**
-     * The route table (§4.3.2, §4.4): the hops a source page in
-     * state @p m takes to @p t. features() folds every page's hops
-     * into the no-contention latency_dm; moveOperands() reserves the
-     * same hops on the calendars.
-     */
-    static Route routeFor(const PageMeta &m, Target t);
 
     /**
      * Move @p instr's source pages to @p target, reserving each
@@ -407,6 +475,16 @@ class Engine : private EngineState
     IspCore isp_;
     // lint: transient(stateless latency model derived from config; die/channel calendars live in nand_)
     IfpUnit ifp_;
+
+    /**
+     * The fragment list features() built for the dispatching
+     * instruction; executeOn() reuses it for IFP and Ideal.
+     */
+    // lint: transient(per-instruction scratch, rebuilt by every features() call before it is read)
+    FragmentList frags_;
+
+    // lint: transient(host-side work counters; not simulated state)
+    Counters counters_;
 
     /** Session event queue (created by sessionBegin). */
     std::unique_ptr<EventQueue> queue_;

@@ -398,24 +398,4 @@ Ftl::restore(const State &s)
     State::operator=(s);
 }
 
-std::uint32_t
-Ftl::maxErase() const
-{
-    std::uint32_t m = 0;
-    for (std::uint64_t b = 0; b < blocks_.size(); ++b)
-        m = std::max(m, nand_.eraseCount(b));
-    return m;
-}
-
-std::uint32_t
-Ftl::minEraseOfUsed() const
-{
-    std::uint32_t m = ~0U;
-    for (std::uint64_t b = 0; b < blocks_.size(); ++b) {
-        if (!blocks_[b].free)
-            m = std::min(m, nand_.eraseCount(b));
-    }
-    return m == ~0U ? 0 : m;
-}
-
 } // namespace conduit

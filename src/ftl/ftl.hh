@@ -204,8 +204,6 @@ class Ftl : private FtlState
     /** @name Introspection for tests and stats @{ */
     std::uint64_t freeBlocks() const { return freeBlockCount_; }
     std::uint64_t totalBlocks() const { return blocks_.size(); }
-    std::uint32_t maxErase() const;
-    std::uint32_t minEraseOfUsed() const;
     /** @} */
 
   private:

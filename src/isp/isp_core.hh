@@ -85,8 +85,6 @@ class IspCore : private IspState
     /** Pending-work backlog (delay_queue input). */
     Tick backlog(Tick now) const { return core_.backlog(now); }
 
-    void reset() { core_.reset(); }
-
     /** The complete mutable state (DeviceImage capture). */
     const State &capture() const { return *this; }
     void restore(const State &s) { State::operator=(s); }

@@ -37,6 +37,48 @@ struct IfpFragment
 };
 
 /**
+ * Reusable builder of one instruction's fragment list. Pages merge
+ * into one fragment per die, in the order their dies first appear
+ * (IfpUnit::execute reserves dies and channels in list order). A
+ * per-die slot index makes each merge O(1), and both buffers persist
+ * across builds, so a steady-state build allocates nothing.
+ */
+class FragmentList
+{
+  public:
+    /** Start an empty list over dies [0, @p dies). */
+    void
+    begin(std::uint32_t dies)
+    {
+        for (const IfpFragment &f : frags_)
+            slot_[f.dieIndex] = 0;
+        frags_.clear();
+        if (slot_.size() < dies)
+            slot_.resize(dies, 0);
+    }
+
+    /** Add @p bytes of work on @p die. */
+    void
+    add(std::uint32_t die, std::uint64_t bytes)
+    {
+        std::uint32_t &s = slot_[die];
+        if (s == 0) {
+            frags_.push_back({die, bytes});
+            s = static_cast<std::uint32_t>(frags_.size());
+        } else {
+            frags_[s - 1].bytes += bytes;
+        }
+    }
+
+    const std::vector<IfpFragment> &fragments() const { return frags_; }
+
+  private:
+    std::vector<IfpFragment> frags_;
+    /** Per die: 1 + its fragment's index, or 0 when absent. */
+    std::vector<std::uint32_t> slot_;
+};
+
+/**
  * Timing model for in-flash computation.
  */
 class IfpUnit

@@ -196,15 +196,4 @@ NandArray::channelUtilization(Tick now) const
         (static_cast<double>(now) * channels_.size());
 }
 
-void
-NandArray::reset()
-{
-    for (auto &d : dies_)
-        d.reset();
-    for (auto &c : channels_)
-        c.reset();
-    minDie_ = 0;
-    minDieFreeAt_ = 0;
-}
-
 } // namespace conduit

@@ -220,9 +220,6 @@ class NandArray : private NandState
 
     Server &channel(std::uint32_t ch) { return channels_.at(ch); }
 
-    /** Idle every die and channel calendar; erase counts stay. */
-    void reset();
-
     /** The complete mutable state (DeviceImage capture). */
     const State &capture() const { return *this; }
 

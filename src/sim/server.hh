@@ -61,13 +61,6 @@ class Server
     /** Total busy time accumulated (for utilization stats). */
     Tick busyTime() const { return busyTime_; }
 
-    void
-    reset()
-    {
-        busyUntil_ = 0;
-        busyTime_ = 0;
-    }
-
   private:
     Tick busyUntil_ = 0;
     Tick busyTime_ = 0;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the three NDP compute models: PuD (DRAM), IFP
- * (flash), and ISP (controller core), plus the DRAM timing model.
+ * (flash), and ISP (controller core), plus the DRAM timing model
+ * and the IFP fragment-list builder.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include "src/dram/pud_unit.hh"
 #include "src/isp/isp_core.hh"
 #include "src/nand/ifp_unit.hh"
+#include "src/sim/rng.hh"
 
 namespace conduit
 {
@@ -221,8 +223,55 @@ TEST(Isp, SingleCoreSerializes)
     auto b = isp.execute(OpCode::Add, 8, 16384, 2, true, 0);
     EXPECT_EQ(b.start, a.end);
     EXPECT_GT(isp.backlog(0), 0u);
-    isp.reset();
-    EXPECT_EQ(isp.backlog(0), 0u);
+    const IspCore fresh(IspConfig{}, ComputeModelConfig{});
+    EXPECT_EQ(fresh.backlog(0), 0u);
+}
+
+/** A fragment list built the linear way: scan for the page's die,
+ *  append it when absent. */
+std::vector<IfpFragment>
+linearFragments(const std::vector<std::uint32_t> &dies,
+                std::uint64_t bytes)
+{
+    std::vector<IfpFragment> frags;
+    for (std::uint32_t die : dies) {
+        bool merged = false;
+        for (auto &f : frags) {
+            if (f.dieIndex == die) {
+                f.bytes += bytes;
+                merged = true;
+                break;
+            }
+        }
+        if (!merged)
+            frags.push_back({die, bytes});
+    }
+    return frags;
+}
+
+TEST(Ifp, FragmentListKeepsFirstAppearanceOrder)
+{
+    // One builder reused across many lists, as the engine reuses its
+    // own: each list must match a fresh linear build, die order and
+    // byte sums alike, whatever the previous list held.
+    FragmentList list;
+    Rng rng(11);
+    for (int trial = 0; trial < 300; ++trial) {
+        const auto dies = static_cast<std::uint32_t>(1 + rng.below(16));
+        std::vector<std::uint32_t> pages(rng.below(40));
+        for (std::uint32_t &d : pages)
+            d = static_cast<std::uint32_t>(rng.below(dies));
+        const std::uint64_t bytes = 1 + rng.below(8192);
+        list.begin(dies);
+        for (std::uint32_t d : pages)
+            list.add(d, bytes);
+        const auto want = linearFragments(pages, bytes);
+        ASSERT_EQ(list.fragments().size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(list.fragments()[i].dieIndex, want[i].dieIndex);
+            EXPECT_EQ(list.fragments()[i].bytes, want[i].bytes);
+        }
+    }
 }
 
 /** Property sweep: all units' estimates are monotone in lanes. */

@@ -4,10 +4,14 @@
  * dependence ordering, coherence (owner/dirty/version), latch
  * management, fault handling, Ideal mode, and result accounting.
  * Every run is one tick-0 job on a fresh Device, the engine's only
- * driver.
+ * driver. The movement fold and the latch FIFOs are also checked
+ * directly against straightforward reference models.
  */
 
 #include <gtest/gtest.h>
+
+#include <deque>
+#include <set>
 
 #include "src/core/device.hh"
 #include "src/trace/trace.hh"
@@ -565,6 +569,354 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("Conduit", "DM-Offloading", "BW-Offloading",
                       "Ideal", "ISP", "PuD-SSD", "Flash-Cosmos",
                       "Ares-Flash"));
+
+// ------------------------------------------------------ movement fold
+
+using PageMeta = Engine::State::PageMeta;
+using Loc = Engine::State::Loc;
+
+/** The twelve coherence states routeFor tells apart. */
+std::vector<PageMeta>
+everyPageState()
+{
+    std::vector<PageMeta> out;
+    out.reserve(Engine::kPageStates);
+    for (Loc loc : {Loc::Flash, Loc::Latch, Loc::Dram}) {
+        for (bool dirty : {false, true}) {
+            for (bool cached : {false, true}) {
+                PageMeta m;
+                m.loc = loc;
+                m.dirty = dirty;
+                m.dramCached = cached;
+                out.push_back(m);
+            }
+        }
+    }
+    return out;
+}
+
+/** The movement fold as one route walk per page visit and target. */
+Engine::Movement
+perVisitFold(const std::vector<PageMeta> &visits,
+             const Engine::HopTicks &hop)
+{
+    Engine::Movement mv;
+    for (const PageMeta &m : visits) {
+        for (Target t : {Target::Isp, Target::Pud, Target::Ifp}) {
+            const Engine::Route r = Engine::routeFor(m, t);
+            if (r.count == 0)
+                continue;
+            Tick page = 0;
+            for (std::uint8_t h = 0; h < r.count; ++h)
+                page += hop[static_cast<int>(r.hops[h])];
+            const auto i = static_cast<std::size_t>(t);
+            ++mv.pages[i];
+            mv.slowest[i] = std::max(mv.slowest[i], page);
+        }
+    }
+    return mv;
+}
+
+/** The same visits counted per state and folded by the engine. */
+Engine::Movement
+stateFold(const std::vector<PageMeta> &visits,
+          const Engine::HopTicks &hop)
+{
+    Engine::StateCounts counts{};
+    for (const PageMeta &m : visits)
+        ++counts[Engine::pageState(m)];
+    return Engine::foldMovement(counts, hop);
+}
+
+/**
+ * Hop weights (Sense, ChannelOut, ChannelIn, DramWrite, DramStream)
+ * chosen so every route sums to a different total; the aged table
+ * adds an ECC read penalty to Sense.
+ */
+constexpr Engine::HopTicks kFreshHops = {1000, 30, 70, 5, 3};
+constexpr Engine::HopTicks kAgedHops = {1000 + 250000, 30, 70, 5, 3};
+
+void
+expectSameMovement(const Engine::Movement &got,
+                   const Engine::Movement &want)
+{
+    EXPECT_EQ(got.pages, want.pages);
+    EXPECT_EQ(got.slowest, want.slowest);
+}
+
+TEST(EngineFold, PageStatesAreDistinct)
+{
+    std::set<std::size_t> seen;
+    for (const PageMeta &m : everyPageState()) {
+        EXPECT_LT(Engine::pageState(m), Engine::kPageStates);
+        seen.insert(Engine::pageState(m));
+    }
+    EXPECT_EQ(seen.size(), Engine::kPageStates);
+}
+
+TEST(EngineFold, EveryStateMatchesPerVisitWalk)
+{
+    for (const Engine::HopTicks &hop : {kFreshHops, kAgedHops}) {
+        for (const PageMeta &m : everyPageState()) {
+            SCOPED_TRACE(Engine::pageState(m));
+            for (std::size_t n : {1, 3}) {
+                const std::vector<PageMeta> visits(n, m);
+                expectSameMovement(stateFold(visits, hop),
+                                   perVisitFold(visits, hop));
+            }
+        }
+    }
+}
+
+TEST(EngineFold, MixedVisitsMatchPerVisitWalk)
+{
+    // Random operand mixes, with pages repeated across sources (the
+    // same page visited more than once).
+    const std::vector<PageMeta> states = everyPageState();
+    Rng rng(7);
+    for (int trial = 0; trial < 400; ++trial) {
+        std::vector<PageMeta> pages(1 + rng.below(8));
+        for (PageMeta &m : pages)
+            m = states[rng.below(states.size())];
+        std::vector<PageMeta> visits;
+        const std::uint64_t n = rng.below(40);
+        visits.reserve(n);
+        for (std::uint64_t v = 0; v < n; ++v)
+            visits.push_back(pages[rng.below(pages.size())]);
+        for (const Engine::HopTicks &hop : {kFreshHops, kAgedHops})
+            expectSameMovement(stateFold(visits, hop),
+                               perVisitFold(visits, hop));
+    }
+}
+
+/** Features of a one-instruction program's only dispatch. */
+CostFeatures
+firstFeatures(const Program &prog, const SsdConfig &cfg = testCfg())
+{
+    RecordingPolicy pol;
+    runJob(prog, pol, {}, cfg);
+    return pol.seen.at(0).second;
+}
+
+TEST(Engine, RepeatedSourcePagesAreChargedPerVisit)
+{
+    // Two sources name the same two flash pages: ISP and PuD sense
+    // four page visits, IFP computes in place.
+    Program prog = chainProgram(1);
+    prog.instrs[0].srcs = {Operand{0, 2}, Operand{0, 2}};
+    const CostFeatures f = firstFeatures(prog);
+    const std::uint64_t page = testCfg().nand.pageBytes;
+    EXPECT_EQ(f.dmBytes[static_cast<int>(Target::Isp)], 4 * page);
+    EXPECT_EQ(f.dmBytes[static_cast<int>(Target::Pud)], 4 * page);
+    EXPECT_EQ(f.dmBytes[static_cast<int>(Target::Ifp)], 0u);
+}
+
+TEST(Engine, AgingPenaltyRaisesSensedMovementOnly)
+{
+    // Worn, long-retained flash charges its expected ECC penalty on
+    // every sensed page: ISP and PuD movement grows by the same
+    // amount, IFP (in place) stays free.
+    Program prog = chainProgram(1);
+    SsdConfig fresh = testCfg();
+    fresh.reliability.enabled = true;
+    SsdConfig aged = fresh;
+    aged.reliability.preWearCycles = 3000;
+    aged.reliability.retentionDays = 90.0;
+    const CostFeatures a = firstFeatures(prog, fresh);
+    const CostFeatures b = firstFeatures(prog, aged);
+    const auto isp = static_cast<int>(Target::Isp);
+    const auto pud = static_cast<int>(Target::Pud);
+    const auto ifp = static_cast<int>(Target::Ifp);
+    EXPECT_GT(b.dm[isp], a.dm[isp]);
+    EXPECT_EQ(b.dm[isp] - a.dm[isp], b.dm[pud] - a.dm[pud]);
+    EXPECT_EQ(a.dm[ifp], 0u);
+    EXPECT_EQ(b.dm[ifp], 0u);
+    EXPECT_EQ(b.dmBytes, a.dmBytes);
+}
+
+// --------------------------------------------------------- latch FIFOs
+
+/** The latch FIFOs as one std::deque per die, with the rewrite
+ *  refresh and front eviction recordWrite applies. */
+struct DequeFifos
+{
+    std::vector<std::deque<Lpn>> fifo;
+
+    /** Entries compared, then the victims in eviction order. */
+    std::pair<std::size_t, std::vector<Lpn>>
+    write(std::uint32_t die, Lpn page, std::size_t cap)
+    {
+        auto &f = fifo[die];
+        auto it = std::find(f.begin(), f.end(), page);
+        const std::size_t scanned = it == f.end()
+            ? f.size()
+            : static_cast<std::size_t>(it - f.begin()) + 1;
+        if (it != f.end())
+            f.erase(it);
+        f.push_back(page);
+        std::vector<Lpn> victims;
+        while (f.size() > cap) {
+            victims.push_back(f.front());
+            f.pop_front();
+        }
+        return {scanned, victims};
+    }
+
+    void
+    purge(Lpn first, Lpn limit)
+    {
+        for (auto &f : fifo)
+            f.erase(std::remove_if(f.begin(), f.end(),
+                                   [&](Lpn p) {
+                                       return p >= first && p < limit;
+                                   }),
+                    f.end());
+    }
+};
+
+TEST(LatchFifos, EvictionOrderMatchesDequeModel)
+{
+    // Pages land on random dies, so a page often has entries in two
+    // dies' FIFOs (its home die changed between writes); reclaims
+    // purge page ranges from every die.
+    constexpr std::uint32_t kDies = 4;
+    for (std::size_t cap : {1, 2, 16}) {
+        SCOPED_TRACE(cap);
+        LatchFifos fifos;
+        fifos.reset(kDies);
+        DequeFifos ref{std::vector<std::deque<Lpn>>(kDies)};
+        Rng rng(cap);
+        for (int step = 0; step < 4000; ++step) {
+            const auto die =
+                static_cast<std::uint32_t>(rng.below(kDies));
+            const Lpn page = rng.below(3 * cap + 8);
+            const auto [scanned, want] = ref.write(die, page, cap);
+            std::vector<Lpn> got;
+            ASSERT_EQ(fifos.refresh(die, page), scanned);
+            fifos.trim(die, cap, [&](Lpn v) { got.push_back(v); });
+            ASSERT_EQ(got, want) << "step " << step;
+            if (step % 500 == 499) {
+                const Lpn first = rng.below(3 * cap + 8);
+                fifos.purge(first, first + cap);
+                ref.purge(first, first + cap);
+            }
+        }
+        for (std::uint32_t d = 0; d < kDies; ++d) {
+            std::vector<Lpn> rest;
+            fifos.trim(d, 0, [&](Lpn v) { rest.push_back(v); });
+            EXPECT_EQ(rest, std::vector<Lpn>(ref.fifo[d].begin(),
+                                             ref.fifo[d].end()));
+        }
+    }
+}
+
+/** An 8-bit, one-page-per-operand instruction. */
+VecInstruction
+pageOp(InstrId id, OpCode op, std::vector<Operand> srcs, Operand dst)
+{
+    VecInstruction vi;
+    vi.id = id;
+    vi.op = op;
+    vi.elemBits = 8;
+    vi.lanes = 4096;
+    vi.srcs = std::move(srcs);
+    vi.dst = dst;
+    return vi;
+}
+
+/** A device of @p dies dies on one channel. */
+SsdConfig
+oneChannel(std::uint32_t dies)
+{
+    SsdConfig cfg = testCfg();
+    cfg.nand.channels = 1;
+    cfg.nand.diesPerChannel = dies;
+    return cfg;
+}
+
+TEST(Engine, LatchCountsMatchDequeModel)
+{
+    // IFP results cycle over eleven one-page destinations on three
+    // dies, each written twice in a row. With a flush threshold of
+    // one, the second write commits the latch-resident page first,
+    // which re-homes it on the next striping slot: at every capacity
+    // below, pages change home die between IFP writes and leave
+    // stale entries behind. The counts are those of the
+    // one-std::deque-per-die FIFO the engine used before LatchFifos.
+    Program prog;
+    prog.name = "rehome";
+    for (std::size_t i = 0; i < 64; ++i)
+        prog.instrs.push_back(
+            pageOp(i, OpCode::Xor, {Operand{0, 2}, Operand{2, 2}},
+                   Operand{4 + (i / 2) % 11, 1}));
+    prog.footprintPages = 15;
+    struct Want
+    {
+        std::uint32_t cap;
+        std::uint64_t evictions;
+        std::uint64_t commits;
+    };
+    for (const Want &w : {Want{1, 31, 63}, Want{2, 29, 61},
+                         Want{16, 0, 53}}) {
+        SCOPED_TRACE(w.cap);
+        auto pol = makePolicy("Ares-Flash");
+        EngineOptions opts;
+        opts.latchPagesPerDie = w.cap;
+        opts.versionFlushThreshold = 1;
+        const RunResult r = runJob(prog, *pol, opts, oneChannel(3));
+        EXPECT_EQ(r.latchEvictions, w.evictions);
+        EXPECT_EQ(r.coherenceCommits, w.commits);
+    }
+}
+
+TEST(Engine, LatchSlotsOutliveResidency)
+{
+    // The FIFOs do not keep one slot per latch-resident page; these
+    // counts pin the current behaviour in two cases. The third, a
+    // re-homed page's stale entry in its old die's FIFO, is pinned
+    // by LatchCountsMatchDequeModel.
+    EngineOptions opts;
+    opts.latchPagesPerDie = 2;
+
+    // 1. A page the PuD route moves out of the latch keeps its slot.
+    //    Writes B, A to the latch, PuD reads A, then C: the stale A
+    //    slot pushes B out. One slot per resident page would evict
+    //    nothing.
+    {
+        Program prog;
+        prog.name = "pud-leaves";
+        prog.footprintPages = 8;
+        prog.instrs = {
+            pageOp(0, OpCode::Xor, {Operand{0, 1}}, Operand{1, 1}),
+            pageOp(1, OpCode::Xor, {Operand{0, 1}}, Operand{2, 1}),
+            pageOp(2, OpCode::And, {Operand{2, 1}}, Operand{3, 1}),
+            pageOp(3, OpCode::Xor, {Operand{0, 1}}, Operand{4, 1})};
+        FixedTargets pol(
+            {Target::Ifp, Target::Ifp, Target::Pud, Target::Ifp});
+        const RunResult r = runJob(prog, pol, opts, oneChannel(1));
+        EXPECT_EQ(r.latchEvictions, 1u);
+        EXPECT_EQ(r.coherenceCommits, 1u);
+    }
+
+    // 2. A page moved into a latch by operand movement takes no
+    //    slot. PuD writes P; IFP reads P (loading it into the latch)
+    //    and writes B; then C. Only B is evicted; with a slot for P,
+    //    P would be evicted as well.
+    {
+        opts.latchPagesPerDie = 1;
+        Program prog;
+        prog.name = "moved-in";
+        prog.footprintPages = 8;
+        prog.instrs = {
+            pageOp(0, OpCode::And, {Operand{0, 1}}, Operand{1, 1}),
+            pageOp(1, OpCode::Xor, {Operand{1, 1}}, Operand{2, 1}),
+            pageOp(2, OpCode::Xor, {Operand{0, 1}}, Operand{3, 1})};
+        FixedTargets pol({Target::Pud, Target::Ifp, Target::Ifp});
+        const RunResult r = runJob(prog, pol, opts, oneChannel(1));
+        EXPECT_EQ(r.latchEvictions, 1u);
+        EXPECT_EQ(r.coherenceCommits, 1u);
+    }
+}
 
 } // namespace
 } // namespace conduit

@@ -29,6 +29,26 @@ smallCfg()
     return cfg;
 }
 
+/** Erase counts over every block. */
+struct Wear
+{
+    std::uint32_t lo = ~0U;
+    std::uint32_t hi = 0;
+    std::uint64_t total = 0;
+};
+
+Wear
+wearOf(const NandArray &nand, const Ftl &ftl)
+{
+    Wear w;
+    for (std::uint64_t b = 0; b < ftl.totalBlocks(); ++b) {
+        w.lo = std::min(w.lo, nand.eraseCount(b));
+        w.hi = std::max(w.hi, nand.eraseCount(b));
+        w.total += nand.eraseCount(b);
+    }
+    return w;
+}
+
 TEST(Ftl, PreloadMapsSequentialLpnsStriped)
 {
     SsdConfig cfg = smallCfg();
@@ -212,8 +232,15 @@ TEST(Ftl, GarbageCollectionReclaimsBlocks)
 
 TEST(Ftl, WearLevelingBoundsEraseSkew)
 {
+    // A deep free pool (GC keeps 70% of blocks free), so the
+    // allocator's choice among free blocks decides which blocks
+    // cycle. Wear-aware selection spreads the erases: the spread
+    // stays within three times the mean erase count (16 erases here,
+    // against 29 when the first free block is taken instead). With a
+    // shallow pool (0.30) greedy GC keeps reclaiming the same
+    // lowest-index blocks, and the spread is 38 either way.
     SsdConfig cfg = smallCfg();
-    cfg.gcThreshold = 0.30;
+    cfg.gcThreshold = 0.70;
     NandArray nand(cfg.nand);
     Ftl ftl(nand, cfg);
     ftl.preload(24);
@@ -222,11 +249,11 @@ TEST(Ftl, WearLevelingBoundsEraseSkew)
         for (Lpn l = 0; l < 24; ++l)
             t = ftl.writePage(l, t).readyAt;
     }
-    // Wear-aware free-block selection keeps the erase-count spread
-    // modest relative to the maximum.
-    EXPECT_GT(ftl.maxErase(), 0u);
-    EXPECT_LE(ftl.maxErase() - ftl.minEraseOfUsed(),
-              ftl.maxErase());
+    const Wear w = wearOf(nand, ftl);
+    const std::uint64_t blocks = ftl.totalBlocks();
+    const std::uint64_t mean = (w.total + blocks - 1) / blocks;
+    EXPECT_GT(mean, 0u);
+    EXPECT_LE(w.hi - w.lo, 3 * mean);
 }
 
 TEST(Ftl, GcUnderWritePressureIsDeterministic)
@@ -248,7 +275,8 @@ TEST(Ftl, GcUnderWritePressureIsDeterministic)
                 t = ftl.writePage(l, t).readyAt;
         }
         return std::array<std::uint64_t, 4>{
-            stats.counter("ftl.gc_runs").value(), ftl.maxErase(),
+            stats.counter("ftl.gc_runs").value(),
+            wearOf(nand, ftl).hi,
             ftl.freeBlocks(), t};
     };
 

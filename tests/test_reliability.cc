@@ -423,10 +423,10 @@ TEST(NandFastPaths, MinDieBacklogTracksBruteForce)
     NandArray nand(n);
     Rng rng(99);
 
-    const auto brute = [&](Tick now) {
+    const auto brute = [](const NandArray &a, Tick now) {
         Tick best = kMaxTick;
-        for (std::uint32_t d = 0; d < nand.numDies(); ++d)
-            best = std::min(best, nand.dieBacklog(d, now));
+        for (std::uint32_t d = 0; d < a.numDies(); ++d)
+            best = std::min(best, a.dieBacklog(d, now));
         return best;
     };
 
@@ -437,12 +437,12 @@ TEST(NandFastPaths, MinDieBacklogTracksBruteForce)
         nand.occupyDie(die, now, rng.below(5000) + 1);
         if (rng.chance(0.3))
             now += rng.below(2000);
-        ASSERT_EQ(nand.minDieBacklog(now), brute(now));
+        ASSERT_EQ(nand.minDieBacklog(now), brute(nand, now));
     }
-    nand.reset();
-    EXPECT_EQ(nand.minDieBacklog(0), 0u);
-    nand.occupyDie(1, 0, 100);
-    EXPECT_EQ(nand.minDieBacklog(0), brute(0));
+    NandArray fresh(n);
+    EXPECT_EQ(fresh.minDieBacklog(0), 0u);
+    fresh.occupyDie(1, 0, 100);
+    EXPECT_EQ(fresh.minDieBacklog(0), brute(fresh, 0));
 }
 
 } // namespace

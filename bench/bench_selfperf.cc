@@ -15,22 +15,22 @@
  *    shapes real runs produce — a dispatch chain (each callback
  *    schedules its successor), a pre-populated fan of events (plus a
  *    fan_wide variant with a 10x resident set), an open-loop
- *    pre-populated-arrivals shape (every arrival fires a short chain
- *    and arms-then-cancels a timeout — the exact shape of an
- *    open-loop Device run), a cancel-heavy rolling window, an
- *    overload shape (pre-populated arrivals whose dispatch chains
- *    schedule every successor in front of a pile of pending
- *    completions), and a DeviceImage snapshot-fork round trip (the
- *    per-cell fixed cost of warmed sweeps). Reported as events (or
- *    forks, or schedule+cancel pairs) per second of wall time. Each
- *    event-queue micro also records the queue's deterministic work
- *    counters (EventQueue::Counters) under "kernel_counters"; they
- *    are exact on every host, so scripts/check_selfperf.py requires
- *    them to equal the committed record. A dispatch micro times one
- *    fresh Device running one tick-0 job (instructions per second,
- *    outside the event-kernel aggregate) and records the engine's
- *    work counters (Engine::Counters) under "engine_counters",
- *    gated exactly the same way.
+ *    pre-populated-arrivals shape (every arrival fires a same-tick
+ *    dispatch step that schedules its completion — the shape of an
+ *    open-loop Device run), an overload shape (pre-populated
+ *    arrivals whose dispatch chains schedule every successor in
+ *    front of a pile of pending completions), and a DeviceImage
+ *    snapshot-fork round trip (the per-cell fixed cost of warmed
+ *    sweeps). Reported as events (or forks) per second of wall
+ *    time. Each event-queue micro also records the queue's
+ *    deterministic work counters (EventQueue::Counters) under
+ *    "kernel_counters"; they are exact on every host, so
+ *    scripts/check_selfperf.py requires them to equal the committed
+ *    record. A dispatch micro times one fresh Device running one
+ *    tick-0 job (instructions per second, outside the event-kernel
+ *    aggregate) and records the engine's work counters
+ *    (Engine::Counters) under "engine_counters", gated exactly the
+ *    same way.
  *
  * 2. Representative end-to-end scenarios, timed around the
  *    SweepRunner entry points (SweepPerf hooks):
@@ -65,7 +65,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
-#include <deque>
 #include <iterator>
 #include <optional>
 #include <utility>
@@ -111,6 +110,30 @@ struct MicroResult
     }
 };
 
+/** Each microbench's record name, rate metric, the unit its ops
+ *  count, and its stderr label, in run order. */
+struct MicroName
+{
+    const char *name;
+    const char *rate;
+    const char *unit;
+    const char *label;
+};
+constexpr MicroName kMicros[] = {
+    {"chain", "chain_events_per_sec", "events", "chain (self-scheduling)"},
+    {"fan", "fan_events_per_sec", "events", "fan (pre-populated)"},
+    {"fan_wide", "fan_wide_events_per_sec", "events",
+     "fan wide (10x resident set)"},
+    {"open_loop", "open_loop_events_per_sec", "events",
+     "open loop (pre-populated arrivals)"},
+    {"overload", "overload_events_per_sec", "events",
+     "overload (deep inserts)"},
+    {"snapshot_fork", "snapshot_forks_per_sec", "forks",
+     "snapshot fork (device image)"},
+    {"dispatch", "dispatch_instructions_per_sec", "instructions",
+     "dispatch (one fresh job)"},
+};
+
 /** Dispatch-chain shape: every callback schedules its successor. */
 MicroResult
 microChain(std::uint64_t events)
@@ -148,47 +171,33 @@ microFan(std::uint64_t events)
 /**
  * Open-loop pre-populated arrivals: every job's arrival event is
  * scheduled up front (as an open-loop Device run and saturation
- * sweep pre-populate them), then each arrival runs a short dispatch
- * step and arms a timeout that completion cancels. The timeout is
- * this micro's own: no simulator code cancels events.
+ * sweep pre-populate them). Each arrival admits its job by
+ * scheduling a same-tick dispatch step, and the step schedules the
+ * job's completion kService ticks out, at completion priority.
  */
 MicroResult
 microOpenLoopArrivals(std::uint64_t jobs)
 {
+    constexpr Tick kGap = 100;
+    constexpr Tick kService = 50;
     EventQueue q;
-    std::vector<EventId> timeout(jobs);
     const auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t done = 0;
     for (std::uint64_t i = 0; i < jobs; ++i) {
-        q.schedule(static_cast<Tick>(i) * 100, [&q, &timeout, &done, i] {
-            timeout[i] = q.scheduleAfter(10'000, [] {});
-            q.scheduleAfter(50, [&q, &timeout, &done, i] {
-                q.cancel(timeout[i]);
-                ++done;
-            });
-        });
+        q.schedule(
+            static_cast<Tick>(i) * kGap,
+            [&q] {
+                q.scheduleAfter(
+                    0,
+                    [&q] {
+                        q.scheduleAfter(kService, [] {},
+                                        Engine::kCompletionPriority);
+                    },
+                    Engine::kDispatchPriority);
+            },
+            Engine::kDispatchPriority);
     }
     q.run();
-    return {q.eventsFired() + done, seconds(t0), q.counters()};
-}
-
-/** Rolling window of schedule + cancel pairs (lazy-cancel path). */
-MicroResult
-microCancel(std::uint64_t pairs)
-{
-    EventQueue q;
-    std::deque<EventId> window;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::uint64_t i = 0; i < pairs; ++i) {
-        window.push_back(
-            q.schedule(static_cast<Tick>(pairs + i), [] {}));
-        if (window.size() > 512) {
-            q.cancel(window.front());
-            window.pop_front();
-        }
-    }
-    q.run();
-    return {pairs, seconds(t0), q.counters()};
+    return {q.eventsFired(), seconds(t0), q.counters()};
 }
 
 /**
@@ -550,9 +559,6 @@ writeJson(const std::string &path, const SweepCli &cli, int repeat,
         std::fprintf(stderr, "cannot write %s\n", path.c_str());
         return false;
     }
-    static const char *kMicroNames[] = {
-        "chain",         "fan",      "fan_wide",      "open_loop",
-        "cancel_window", "overload", "snapshot_fork", "dispatch"};
     std::fprintf(f, "{\n  \"bench\": \"selfperf\",\n");
     std::fprintf(f, "  \"scale\": %g,\n", cli.scale);
     std::fprintf(f, "  \"repeat\": %d,\n", repeat);
@@ -565,18 +571,12 @@ writeJson(const std::string &path, const SweepCli &cli, int repeat,
         // counts device forks and dispatch counts instructions, not
         // queue events, so mixing their ops into the pooled rate
         // would skew the kernel trendline.
-        if (micro[i].engine) {
-            std::fprintf(f, "    \"%s_instructions_per_sec\": %.0f,\n",
-                         kMicroNames[i], micro[i].opsPerSec());
-            continue;
-        }
-        if (std::string(kMicroNames[i]) != "snapshot_fork") {
+        if (micro[i].counters) {
             ops += micro[i].ops;
             wall += micro[i].wallSeconds;
         }
-        std::fprintf(f,
-                     "    \"%s_events_per_sec\": %.0f,\n",
-                     kMicroNames[i], micro[i].opsPerSec());
+        std::fprintf(f, "    \"%s\": %.0f,\n", kMicros[i].rate,
+                     micro[i].opsPerSec());
     }
     std::fprintf(f, "    \"events_per_sec\": %.0f\n  },\n",
                  wall > 0.0 ? static_cast<double>(ops) / wall : 0.0);
@@ -593,10 +593,9 @@ writeJson(const std::string &path, const SweepCli &cli, int repeat,
             {"late_high_water", c.lateHighWater},
             {"re_anchors", c.reAnchors},
             {"counting_sorts", c.countingSorts},
-            {"comparison_sorts", c.comparisonSorts},
-            {"compactions", c.compactions}};
+            {"comparison_sorts", c.comparisonSorts}};
         std::fprintf(f, "%s    \"%s\": {", first ? "" : ",\n",
-                     kMicroNames[i]);
+                     kMicros[i].name);
         for (std::size_t k = 0; k < std::size(fields); ++k)
             std::fprintf(f, "%s\"%s\": %llu", k ? ", " : "",
                          fields[k].first,
@@ -617,7 +616,7 @@ writeJson(const std::string &path, const SweepCli &cli, int repeat,
                      "\"fragment_pages\": %llu, "
                      "\"latch_scan_steps\": %llu, "
                      "\"lru_victim_steps\": %llu}",
-                     first ? "" : ",\n", kMicroNames[i],
+                     first ? "" : ",\n", kMicros[i].name,
                      static_cast<unsigned long long>(c.foldedPages),
                      static_cast<unsigned long long>(c.fragmentPages),
                      static_cast<unsigned long long>(c.latchScanSteps),
@@ -736,24 +735,14 @@ main(int argc, char **argv)
         bestOf([] { return microFan(1'000'000); }),
         bestOf([] { return microFan(10'000'000); }),
         bestOf([] { return microOpenLoopArrivals(500'000); }),
-        bestOf([] { return microCancel(2'000'000); }),
         bestOf([] { return microOverload(2'000); }),
         bestOf([&] { return microSnapshotFork(cli.scale, 1'000); }),
         bestOf([&] { return microDispatch(cli.scale); }),
     };
-    static const char *kMicroLabels[] = {
-        "chain (self-scheduling)", "fan (pre-populated)",
-        "fan wide (10x resident set)",
-        "open loop (pre-populated arrivals)",
-        "cancel window (open-loop)",
-        "overload (deep inserts)",
-        "snapshot fork (device image)",
-        "dispatch (one fresh job)"};
     std::fprintf(stderr, "event-kernel microbench:\n");
     for (std::size_t i = 0; i < micro.size(); ++i)
-        std::fprintf(stderr, "  %-28s %12.0f %s/s\n", kMicroLabels[i],
-                     micro[i].opsPerSec(),
-                     micro[i].engine ? "instructions" : "events");
+        std::fprintf(stderr, "  %-28s %12.0f %s/s\n", kMicros[i].label,
+                     micro[i].opsPerSec(), kMicros[i].unit);
 
     std::vector<ScenarioResult> scenarios;
     if (want("fig07a-reduced"))

@@ -53,6 +53,14 @@ ways that invariant silently rots into build-time errors:
                     std:: random engine outside the config structs.
                     Seeds must flow from SsdConfig/spec fields so
                     sweeps and forks replay.
+  test-only         A public member function declared in a src/
+                    header whose name appears nowhere in src/, bench/,
+                    examples/ or perfbench/ except at member function
+                    declarations and out-of-line definitions: program
+                    surface that only tests keep alive. Move the test
+                    onto what the simulator calls, or delete both.
+                    Matching is by name, so a name shared with a
+                    called function hides a dead one.
 
 Parsing uses the libclang Python bindings when they are importable and
 a working libclang is found; otherwise (the common case — no new hard
@@ -104,6 +112,7 @@ CHECKS = (
     "write-only",
     "float-accum",
     "seed-plumbing",
+    "test-only",
 )
 
 # Directories under src/ whose code computes simulated quantities.
@@ -125,6 +134,11 @@ WALLCLOCK_ALLOWED_FILES = ("src/runner/sweep_runner.cc",)
 # Files allowed to construct literal-seeded RNGs: the config structs
 # define the default seeds every other site must plumb from.
 SEED_ALLOWED_FILES = ("src/sim/config.hh", "src/sim/config.cc")
+
+# test-only: headers whose public member functions need a caller, and
+# the directories whose code counts as one (tests/ does not).
+TEST_ONLY_HEADERS = ("src/",)
+CALLER_DIRS = ("src", "bench", "examples", "perfbench")
 
 
 class SnapshotClass:
@@ -282,7 +296,7 @@ class Source:
                     code.append(c)
                     i += 1
                     continue
-                if c == "'":
+                if c == "'" and not _in_number(code):
                     state = "chr"
                     code.append(c)
                     i += 1
@@ -375,6 +389,13 @@ class Source:
 
     def joined_code(self):
         return "\n".join(self.code)
+
+
+def _in_number(code):
+    """True when the line so far ends inside a numeric literal, where
+    a quote is a digit separator (`1'000'000`), not a char literal."""
+    tail = re.search(r"[\w']*$", "".join(code[-40:])).group(0)
+    return tail[:1].isdigit()
 
 
 def load_source(root, relpath):
@@ -1013,6 +1034,195 @@ def check_seed_plumbing(src, findings):
 
 
 # --------------------------------------------------------------------
+# Check 8: public member functions that only tests call.
+# --------------------------------------------------------------------
+
+CLASS_HEAD = re.compile(
+    r"\b(class|struct)\s+(" + IDENT + r")\b[^;{}()]*\{")
+NOT_A_FUNCTION = re.compile(
+    r"(friend|using|typedef|static_assert|enum|struct|class|union)\b")
+ACCESS_LABELS = ("public", "private", "protected")
+# Keywords a "name(" can be in a declaration that names no function.
+NOT_A_NAME = ("alignas", "decltype", "noexcept", "sizeof", "alignof",
+              "void", "bool", "char", "int", "long", "double", "auto")
+
+
+def _function_decl(flat):
+    """Name of the member function a flattened statement declares.
+
+    `flat` is one class-body statement with every bracket group
+    collapsed to "()" or "{}". Returns None for data members, nested
+    types, constructors' `= default`/`= delete`, and operators.
+    """
+    s = _outside_angles(flat).strip()
+    if not _function_head(s):
+        return None
+    before, after = s.split("()", 1)
+    if re.search(r"\boperator\b", before) or \
+            after.lstrip().startswith("()"):  # a function pointer
+        return None
+    if re.search(r"=\s*(?:default|delete)\s*$", s):
+        return None
+    m = re.search(r"(~?)(" + IDENT + r")\s*$", before)
+    if not m or m.group(1) or m.group(2) in NOT_A_NAME:
+        return None
+    return m.group(2)
+
+
+def _function_head(s):
+    """True when flattened statement `s` declares a function
+    (constructors, destructors and operators included)."""
+    if not s or NOT_A_FUNCTION.match(s) or "()" not in s:
+        return False
+    return "=" not in s.split("()", 1)[0] or \
+        re.search(r"\boperator\b", s) is not None
+
+
+def _opens_body(s):
+    """True when a `{` after flattened `s` opens a function body
+    rather than a member's brace initializer."""
+    if not _function_head(s):
+        return False
+    tail = s.rstrip()
+    return tail.endswith((")", "}")) or "->" in tail or \
+        re.search(r"\b(?:const|override|final|noexcept)$", tail) \
+        is not None
+
+
+def class_functions(text, head, open_pos, close_pos):
+    """[(name, decl_offset, line_offset, public)] of one class body.
+
+    `head` is the body's CLASS_HEAD match. Walks the body at depth 1,
+    tracking access labels; bracket groups (parameter lists, inline
+    bodies, nested types) are skipped whole, so a nested class is
+    left to its own CLASS_HEAD match. `line_offset` is the first
+    token of the declaration (its return type), where a finding and
+    its allow() go.
+    """
+    out = []
+    public = head.group(1) == "struct"
+    flat = []
+    start = open_pos + 1
+
+    def finish(end):
+        name = _function_decl("".join(flat))
+        if not name or name == head.group(2):
+            return
+        m = re.compile(r"\b" + re.escape(name) + r"\s*\(").search(
+            text, start, end)
+        if m:
+            first = start + len(text[start:end]) - \
+                len(text[start:end].lstrip())
+            out.append((name, m.start(), first, public))
+
+    i = open_pos + 1
+    while i < close_pos - 1:
+        c = text[i]
+        if c in "({":
+            end = match_paren(text, i, c, ")" if c == "(" else "}")
+            if end < 0:
+                break
+            if c == "{" and _opens_body(_outside_angles("".join(flat))):
+                finish(i)  # an inline definition ends the statement
+                flat, start = [], end
+            else:
+                flat.append("()" if c == "(" else "{}")
+            i = end
+            continue
+        if c == ";":
+            finish(i)
+            flat, start = [], i + 1
+        elif c == ":" and text[i + 1] != ":" and text[i - 1] != ":" \
+                and "".join(flat).strip() in ACCESS_LABELS:
+            public = "".join(flat).strip() == "public"
+            flat, start = [], i + 1
+        else:
+            flat.append(c)
+        i += 1
+    return out
+
+
+DEFINITION_TAIL = re.compile(
+    r"(?:\s|const\b|noexcept\b|override\b|final\b)*\{")
+
+
+def _is_definition(code, m):
+    """True when name match `m` is a qualified `X::name(...) {`."""
+    if code[max(0, m.start() - 2):m.start()] != "::":
+        return False
+    paren = re.compile(r"\s*\(").match(code, m.end())
+    if not paren:
+        return False
+    close = match_paren(code, paren.end() - 1)
+    return close > 0 and DEFINITION_TAIL.match(code, close) is not None
+
+
+def check_test_only(sources, corpus, findings):
+    """Flag public member functions nothing in `corpus` calls.
+
+    `corpus` maps each caller file to its stripped code. A name
+    occurrence is a use unless it is a member function declaration
+    parsed from a header in scope, or a qualified `X::name(...) {`
+    definition.
+    """
+    decls = {}  # name -> {(path, offset)} of every parsed declaration
+    public = []
+    for rel in sorted(sources):
+        if not rel.endswith(".hh") or \
+                not rel.startswith(TEST_ONLY_HEADERS):
+            continue
+        text = corpus[rel]
+        for m in CLASS_HEAD.finditer(text):
+            if re.search(r"\benum\s*$", text[max(0, m.start() - 16):
+                                               m.start()]):
+                continue
+            open_pos = m.end() - 1
+            close = match_paren(text, open_pos, "{", "}")
+            if close < 0:
+                continue
+            for name, off, first, is_public in class_functions(
+                    text, m, open_pos, close):
+                decls.setdefault(name, set()).add((rel, off))
+                if is_public:
+                    public.append((rel, first, name))
+    word = re.compile(IDENT)
+    used = set()
+    for rel in sorted(corpus):
+        code = corpus[rel]
+        for m in word.finditer(code):
+            name = m.group(0)
+            if name not in decls or name in used:
+                continue
+            if (rel, m.start()) in decls[name] or \
+                    _is_definition(code, m):
+                continue
+            used.add(name)
+    for rel, off, name in public:
+        if name in used:
+            continue
+        findings.append(Finding(
+            "test-only", rel, sources[rel].line_of_offset(off),
+            f"public member function '{name}' is called nowhere in "
+            f"{', '.join(d + '/' for d in CALLER_DIRS)}: only tests "
+            "keep it alive; move its tests onto what the simulator "
+            "calls, or delete both"))
+
+
+def caller_corpus(root, sources):
+    """{path: stripped code} of every file under CALLER_DIRS."""
+    corpus = {rel: src.joined_code() for rel, src in sources.items()}
+    for d in CALLER_DIRS:
+        for dirpath, _, names in os.walk(os.path.join(root, d)):
+            for name in sorted(names):
+                if not name.endswith((".cc", ".hh")):
+                    continue
+                rel = os.path.relpath(os.path.join(dirpath, name), root)
+                if rel not in corpus:
+                    corpus[rel] = load_source(root, rel).joined_code()
+    return corpus
+
+
+# --------------------------------------------------------------------
 # Driver.
 # --------------------------------------------------------------------
 
@@ -1053,6 +1263,8 @@ def scan_tree(root, paths=None, snapshot_classes=SNAPSHOT_CLASSES,
         check_snapshot(root, snapshot_classes, findings)
     if "write-only" in checks:
         check_write_only(snapshot_classes, sources, findings)
+    if "test-only" in checks:
+        check_test_only(sources, caller_corpus(root, sources), findings)
 
     # Apply inline suppressions.
     suppressed = []
@@ -1175,19 +1387,25 @@ def selftest(root):
         if name.endswith((".cc", ".hh")):
             fixtures.append(os.path.join("lint/fixtures", name))
 
-    # Fixtures are linted as if they lived in a sim-affecting dir.
+    # Fixtures are linted as if they lived in a sim-affecting dir,
+    # and are their own callers for the test-only check.
     global SIM_DIRS, WALLCLOCK_ALLOWED_FILES, SEED_ALLOWED_FILES
-    saved = (SIM_DIRS, WALLCLOCK_ALLOWED_FILES, SEED_ALLOWED_FILES)
+    global TEST_ONLY_HEADERS, CALLER_DIRS
+    saved = (SIM_DIRS, WALLCLOCK_ALLOWED_FILES, SEED_ALLOWED_FILES,
+             TEST_ONLY_HEADERS, CALLER_DIRS)
     SIM_DIRS = SIM_DIRS + ("lint/fixtures",)
     WALLCLOCK_ALLOWED_FILES = (
         "lint/fixtures/wallclock_allowed_file.cc",)
     SEED_ALLOWED_FILES = ()
+    TEST_ONLY_HEADERS = ("lint/fixtures/test_only_",)
+    CALLER_DIRS = ("lint/fixtures",)
     try:
         active, suppressed, _ = scan_tree(
             root, paths=fixtures,
             snapshot_classes=FIXTURE_SNAPSHOT_CLASSES)
     finally:
-        SIM_DIRS, WALLCLOCK_ALLOWED_FILES, SEED_ALLOWED_FILES = saved
+        (SIM_DIRS, WALLCLOCK_ALLOWED_FILES, SEED_ALLOWED_FILES,
+         TEST_ONLY_HEADERS, CALLER_DIRS) = saved
 
     got = sorted(f"{f.check} {f.path}:{f.line}" for f in active)
     got += sorted(f"suppressed {f.check} {f.path}:{f.line}"

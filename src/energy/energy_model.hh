@@ -97,6 +97,7 @@ class EnergyModel
 
     double dataMovementJ() const { return dmJ_; }
     double computeJ() const { return computeJ_; }
+    // lint: allow(test-only, the energy tests check the breakdown sums; results carry the two parts)
     double totalJ() const { return dmJ_ + computeJ_; }
 
     void

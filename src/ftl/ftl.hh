@@ -186,6 +186,7 @@ class Ftl : private FtlState
             mapLru_.popTail();
     }
 
+    // lint: allow(test-only, the FTL tests check how sessions size the mapping cache)
     std::uint64_t
     mappingCacheCapacity() const
     {
@@ -202,6 +203,7 @@ class Ftl : private FtlState
     void restore(const State &s);
 
     /** @name Introspection for tests and stats @{ */
+    // lint: allow(test-only, the GC tests watch the free pool shrink and refill)
     std::uint64_t freeBlocks() const { return freeBlockCount_; }
     std::uint64_t totalBlocks() const { return blocks_.size(); }
     /** @} */

@@ -41,6 +41,7 @@ struct Operand
     std::uint64_t basePage = 0;
     std::uint32_t pageCount = 0;
 
+    // lint: allow(test-only, the IR tests pin operand range overlap; nothing aliases operands yet)
     bool
     overlaps(const Operand &o) const
     {
@@ -115,6 +116,7 @@ struct VecInstruction
     }
 
     LatencyClass latency() const { return latencyClass(op); }
+    // lint: allow(test-only, no caller at all, tests included; the policy calls opFamily directly)
     OpFamily family() const { return opFamily(op); }
 
     std::string toString() const;

@@ -114,6 +114,7 @@ struct LoopProgram
         return static_cast<ArrayId>(arrays.size() - 1);
     }
 
+    // lint: allow(test-only, the IR tests check array footprints; programs size regions by pages)
     std::uint64_t
     totalBytes() const
     {

@@ -184,16 +184,4 @@ NandArray::channelBacklog(std::uint32_t channel, Tick now) const
     return channels_.at(channel).backlog(now);
 }
 
-double
-NandArray::channelUtilization(Tick now) const
-{
-    if (now == 0)
-        return 0.0;
-    Tick busy = 0;
-    for (const auto &c : channels_)
-        busy += c.busyTime();
-    return static_cast<double>(busy) /
-        (static_cast<double>(now) * channels_.size());
-}
-
 } // namespace conduit

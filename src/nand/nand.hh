@@ -207,11 +207,9 @@ class NandArray : private NandState
     /** Backlog (pending work) of the busiest resource class. @{ */
     Tick dieBacklog(std::uint32_t die_index, Tick now) const;
     Tick minDieBacklog(Tick now) const;
+    // lint: allow(test-only, only the NAND backlog test reads it; the cost features read die backlogs)
     Tick channelBacklog(std::uint32_t channel, Tick now) const;
     /** @} */
-
-    /** Aggregate channel utilization in [0,1] up to @p now. */
-    double channelUtilization(Tick now) const;
 
     std::uint32_t numDies() const
     {

@@ -62,6 +62,7 @@ class RberModel
                        double retention_seconds) const;
 
     /** The block's jitter factor (tests and introspection). */
+    // lint: allow(test-only, the reliability tests bound the per-block jitter)
     double jitterOf(std::uint64_t block) const
     {
         return jitter_.at(block);

@@ -198,6 +198,7 @@ class ReliabilityModel : private ReliabilityState
      *  when the model was built without a StatSet. */
     ReliabilityStats stats() const;
 
+    // lint: allow(test-only, the reliability tests drive the model's ECC ladder directly)
     const EccEngine &ecc() const { return ecc_; }
     /** @} */
 

@@ -10,25 +10,6 @@ namespace conduit
 namespace
 {
 
-/** An EventId packs (generation << 32) | slot. */
-constexpr EventId
-packId(std::uint32_t slot, std::uint32_t gen)
-{
-    return (static_cast<EventId>(gen) << 32) | slot;
-}
-
-constexpr std::uint32_t
-idSlot(EventId id)
-{
-    return static_cast<std::uint32_t>(id);
-}
-
-constexpr std::uint32_t
-idGen(EventId id)
-{
-    return static_cast<std::uint32_t>(id >> 32);
-}
-
 /** Firing a drained entry touches its (random) slab line; fetch it
  *  this many entries ahead of the drain front. */
 constexpr std::size_t kPrefetchAhead = 8;
@@ -60,7 +41,7 @@ EventQueue::~EventQueue()
 {
     // Armed callbacks must still be destroyed (their captures own
     // resources); a drained queue has none, so the walk is skipped.
-    if (live_ != 0) {
+    if (!empty()) {
         for (auto &chunk : chunks_)
             for (std::size_t i = 0; i < kChunkSize; ++i)
                 chunk[i].cb.reset();
@@ -104,8 +85,7 @@ EventQueue::acquireSlot(Callback &&cb)
     if ((slotCount_ & kChunkMask) == 0) {
         Recycler &r = recycler();
         if (!r.chunks.empty()) {
-            // Recycled slots carry arbitrary generations (still
-            // unique per slot lifetime) and null callbacks.
+            // Recycled slots hold null callbacks.
             chunks_.emplace_back(std::move(r.chunks.back()));
             r.chunks.pop_back();
         } else {
@@ -122,7 +102,6 @@ EventQueue::releaseSlot(std::uint32_t slot)
 {
     Slot &s = slotAt(slot);
     s.cb.reset();
-    ++s.gen; // stale EventIds and resident entries stop matching
     s.nextFree = freeHead_;
     freeHead_ = slot;
 }
@@ -233,7 +212,7 @@ EventQueue::reAnchor()
     }
     for (const Entry &e : overflow_)
         buckets_[bucketIndex(e.when)].push_back(e);
-    calEntries_ = n; // cancelled leftovers migrate with the rest
+    calEntries_ = n;
     overflow_.clear();
     ovMin_ = kMaxTick;
     ovMax_ = 0;
@@ -295,7 +274,7 @@ EventQueue::sortBucket(std::vector<Entry> &vec)
 }
 
 bool
-EventQueue::advanceToLive()
+EventQueue::advanceToFront()
 {
     for (;;) {
         if (calEntries_ == 0) {
@@ -315,19 +294,6 @@ EventQueue::advanceToLive()
             sortBucket(vec);
             curSorted_ = true;
         }
-        while (drainPos_ < vec.size() && !liveEntry(vec[drainPos_])) {
-            ++drainPos_;
-            --cancelled_;
-            --calEntries_;
-        }
-        while (!late_.empty() && !liveEntry(late_.front())) {
-            std::pop_heap(late_.begin(), late_.end(), Later{});
-            late_.pop_back();
-            --cancelled_;
-            --calEntries_;
-        }
-        if (drainPos_ >= vec.size() && late_.empty())
-            continue;
         // Trim the drained prefix once it dominates the bucket: in
         // the open-ended steady state one bucket hosts the whole run,
         // and without this the husk would grow without bound.
@@ -359,24 +325,21 @@ EventQueue::fireFront()
     }
     --calEntries_;
     // Release before invoking: the callback sees the event as fired
-    // (its id is no longer cancellable) and may reuse the slot.
+    // and may reuse the slot.
     Callback cb = std::move(slotAt(e.slot).cb);
     releaseSlot(e.slot);
-    --live_;
     now_ = e.when;
     ++fired_;
     if (cb) // an empty callback fires as a no-op
         cb();
 }
 
-EventId
+void
 EventQueue::schedule(Tick when, Callback cb, int priority)
 {
     if (when < now_)
         throw std::logic_error("EventQueue: scheduling event in the past");
-    const std::uint32_t slot = acquireSlot(std::move(cb));
-    const std::uint32_t gen = slotAt(slot).gen;
-    const Entry e{when, nextSeq_++, slot, gen, priority};
+    const Entry e{when, nextSeq_++, acquireSlot(std::move(cb)), priority};
     if (inWindow(when)) {
         insertCalendar(e);
     } else {
@@ -386,80 +349,12 @@ EventQueue::schedule(Tick when, Callback cb, int priority)
         if (when > ovMax_)
             ovMax_ = when;
     }
-    ++live_;
-    return packId(slot, gen);
-}
-
-bool
-EventQueue::cancel(EventId id)
-{
-    // Only still-pending ids are cancellable — fired, already-
-    // cancelled, and never-issued ids report false: releasing a slot
-    // bumps its generation, and a free slot's current generation is
-    // only ever issued to its next occupant, so a generation match
-    // proves the id is the slot's live occupant. The slot is
-    // released immediately; the resident entry goes stale and is
-    // discarded when the drain front surfaces it, or sooner by
-    // compactAll() once dead entries outnumber the live half.
-    const std::uint32_t slot = idSlot(id);
-    if (slot >= slotCount_ || slotAt(slot).gen != idGen(id))
-        return false;
-    releaseSlot(slot);
-    --live_;
-    ++cancelled_;
-    if (cancelled_ * 2 > heapEntries() &&
-        heapEntries() >= kCompactMinEntries)
-        compactAll();
-    return true;
-}
-
-void
-EventQueue::compactAll()
-{
-    const auto dead = [this](const Entry &e) { return !liveEntry(e); };
-    ++counters_.compactions;
-
-    overflow_.erase(
-        std::remove_if(overflow_.begin(), overflow_.end(), dead),
-        overflow_.end());
-    ovMin_ = kMaxTick;
-    ovMax_ = 0;
-    for (const Entry &e : overflow_) {
-        if (e.when < ovMin_)
-            ovMin_ = e.when;
-        if (e.when > ovMax_)
-            ovMax_ = e.when;
-    }
-
-    calEntries_ = 0;
-    for (std::size_t b = curBucket_; b < bucketCount_; ++b) {
-        std::vector<Entry> &vec = buckets_[b];
-        if (b == curBucket_ && drainPos_ > 0) {
-            // Drop the drained prefix along with the dead entries;
-            // the stable filter keeps a sorted bucket sorted.
-            std::size_t out = 0;
-            for (std::size_t i = drainPos_; i < vec.size(); ++i)
-                if (liveEntry(vec[i]))
-                    vec[out++] = vec[i];
-            vec.resize(out);
-            drainPos_ = 0;
-        } else {
-            vec.erase(std::remove_if(vec.begin(), vec.end(), dead),
-                      vec.end());
-        }
-        calEntries_ += vec.size();
-    }
-    late_.erase(std::remove_if(late_.begin(), late_.end(), dead),
-                late_.end());
-    std::make_heap(late_.begin(), late_.end(), Later{});
-    calEntries_ += late_.size();
-    cancelled_ = 0;
 }
 
 bool
 EventQueue::runOne()
 {
-    if (!advanceToLive())
+    if (!advanceToFront())
         return false;
     fireFront();
     return true;
@@ -469,7 +364,7 @@ std::uint64_t
 EventQueue::run(Tick until)
 {
     std::uint64_t n = 0;
-    while (advanceToLive()) {
+    while (advanceToFront()) {
         if (front().when > until)
             break;
         fireFront();
@@ -481,37 +376,19 @@ EventQueue::run(Tick until)
 bool
 EventQueue::auditPendingConservation() const
 {
-    std::size_t resident = 0;
-    std::size_t liveCount = 0;
+    std::size_t resident = late_.size();
     for (std::size_t b = 0; b < bucketCount_; ++b) {
-        const std::vector<Entry> &vec = buckets_[b];
+        const std::size_t size = buckets_[b].size();
         if (b < curBucket_) {
-            if (!vec.empty())
+            if (size != 0)
                 return false; // passed buckets must be cleared
-            continue;
+        } else {
+            resident += size - (b == curBucket_ ? drainPos_ : 0);
         }
-        const std::size_t start = b == curBucket_ ? drainPos_ : 0;
-        for (std::size_t i = start; i < vec.size(); ++i) {
-            ++resident;
-            if (liveEntry(vec[i]))
-                ++liveCount;
-        }
-    }
-    for (const Entry &e : late_) {
-        ++resident;
-        if (liveEntry(e))
-            ++liveCount;
     }
     if (!late_.empty() && !curSorted_)
         return false; // late entries only join a bucket mid-drain
-    if (resident != calEntries_)
-        return false;
-    for (const Entry &e : overflow_) {
-        ++resident;
-        if (liveEntry(e))
-            ++liveCount;
-    }
-    return liveCount == live_ && resident - liveCount == cancelled_;
+    return resident == calEntries_;
 }
 
 } // namespace conduit

@@ -9,10 +9,10 @@
  *
  * Storage layout (the wall-clock hot path):
  *
- * - Callbacks live in a free-listed slab of generation-stamped
- *   slots. Firing or cancelling releases the slot for immediate
- *   reuse; an EventId encodes (slot, generation), so a stale handle
- *   can never cancel the slot's next occupant.
+ * - Callbacks live in a free-listed slab of slots that never
+ *   relocate. Firing releases the slot for immediate reuse. An event
+ *   cannot be taken back once scheduled: the simulator reserves every
+ *   resource at dispatch time, so no component needs to.
  * - Ordering records are small POD entries (no callback) in a
  *   two-tier calendar/ladder structure:
  *
@@ -51,12 +51,8 @@
  *   fires exactly the sequence one sorted bucket would. The heap is
  *   empty whenever the front leaves a bucket, so it never outlives
  *   the active bucket or meets a re-anchor.
- * - cancel() is lazy: the entry stays behind and is discarded when
- *   the drain front surfaces it — but when cancelled entries
- *   outnumber half of all resident entries, every tier is compacted
- *   in place, bounding memory growth under cancel-heavy use. No
- *   simulator component cancels events; the kernel tests and
- *   bench_selfperf's open_loop and cancel_window micros do.
+ * - Every resident entry is pending, so pending() is the resident
+ *   count of the two tiers.
  */
 
 #ifndef CONDUIT_SIM_EVENT_QUEUE_HH
@@ -72,9 +68,6 @@
 
 namespace conduit
 {
-
-/** Opaque handle identifying a scheduled event (for cancellation). */
-using EventId = std::uint64_t;
 
 /**
  * A deterministic discrete-event queue.
@@ -102,23 +95,15 @@ class EventQueue
      * @param when Absolute tick; must be >= now().
      * @param cb Callback invoked when the event fires.
      * @param priority Lower values fire first within the same tick.
-     * @return Handle usable with cancel().
      */
-    EventId schedule(Tick when, Callback cb, int priority = 0);
+    void schedule(Tick when, Callback cb, int priority = 0);
 
     /** Schedule @p cb to run @p delay ticks from now. */
-    EventId
+    void
     scheduleAfter(Tick delay, Callback cb, int priority = 0)
     {
-        return schedule(now_ + delay, std::move(cb), priority);
+        schedule(now_ + delay, std::move(cb), priority);
     }
-
-    /**
-     * Cancel a pending event.
-     * @retval true if the event was pending and is now cancelled.
-     * @retval false if it already fired, was cancelled, or never existed.
-     */
-    bool cancel(EventId id);
 
     /**
      * Fire the earliest pending event.
@@ -136,11 +121,12 @@ class EventQueue
     /** Current simulated time. */
     Tick now() const { return now_; }
 
-    /** Number of pending (non-cancelled) events. */
-    std::size_t pending() const { return live_; }
+    /** Number of pending events: every resident entry of both tiers
+     *  (the late heap counts in calEntries_). */
+    std::size_t pending() const { return calEntries_ + overflow_.size(); }
 
-    /** True if no live events remain. */
-    bool empty() const { return live_ == 0; }
+    /** True if no events are pending. */
+    bool empty() const { return pending() == 0; }
 
     /** Total events fired since construction. */
     std::uint64_t eventsFired() const { return fired_; }
@@ -158,25 +144,17 @@ class EventQueue
     void
     restore(Tick now, std::uint64_t fired)
     {
-        if (live_ != 0 || fired_ != 0 || nextSeq_ != 1)
+        if (!empty() || fired_ != 0 || nextSeq_ != 1)
             throw std::logic_error(
                 "EventQueue::restore: queue is not fresh");
         now_ = now;
         fired_ = fired;
     }
 
-    /** @name Slab/tier introspection (memory-bound regression tests) @{ */
-    /** Slots ever allocated (bounds callback storage). */
+    /** Slots ever allocated: bounds callback storage (memory-bound
+     *  regression tests). */
+    // lint: allow(test-only, audit hook: the kernel tests bound slab growth by peak pending())
     std::size_t slabSlots() const { return slotCount_; }
-    /** Resident ordering entries in every tier and the late heap,
-     *  cancelled leftovers included. */
-    std::size_t heapEntries() const
-    {
-        return calEntries_ + overflow_.size();
-    }
-    /** Cancelled entries still awaiting discard/compaction. */
-    std::size_t cancelledEntries() const { return cancelled_; }
-    /** @} */
 
     /**
      * Deterministic work counters: exact functions of the schedule
@@ -197,23 +175,21 @@ class EventQueue
         /** Buckets ordered by counting sort vs std::sort. */
         std::uint64_t countingSorts = 0;
         std::uint64_t comparisonSorts = 0;
-        std::uint64_t compactions = 0;
     };
     const Counters &counters() const { return counters_; }
 
     /**
-     * Audit the pending() conservation invariant: recount live
-     * (generation-matching) entries across every tier and check the
-     * result against pending(), and the per-tier resident counts
-     * against heapEntries(). O(entries) — meant for tests and debug
-     * builds, not the hot path.
+     * Audit the tier structure pending() is derived from: buckets the
+     * drain front has passed are empty, the late heap holds entries
+     * only while a sorted bucket is mid-drain, and calEntries_ equals
+     * a recount of the calendar's undrained entries. O(buckets) —
+     * meant for tests and debug builds, not the hot path.
      */
+    // lint: allow(test-only, audit hook: the kernel tests check the tier structure at every step)
     bool auditPendingConservation() const;
 
   private:
     static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
-    /** Compaction only kicks in past this size (tiny sets are cheap). */
-    static constexpr std::size_t kCompactMinEntries = 64;
     /** Calendar windows use between kMinBuckets and kMaxBuckets. */
     static constexpr std::size_t kMinBuckets = 64;
     static constexpr std::size_t kMaxBuckets = 512;
@@ -227,11 +203,10 @@ class EventQueue
     static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
     static constexpr std::size_t kChunkMask = kChunkSize - 1;
 
-    /** Slab slot: callback storage + the liveness generation. */
+    /** Slab slot: callback storage, free-listed between uses. */
     struct Slot
     {
         Callback cb;
-        std::uint32_t gen = 1; // bumped on release; 0 never issued
         std::uint32_t nextFree = kNoSlot;
     };
 
@@ -241,9 +216,9 @@ class EventQueue
         Tick when;
         std::uint64_t seq;
         std::uint32_t slot;
-        std::uint32_t gen;
         int priority;
     };
+    static_assert(sizeof(Entry) == 24);
 
     /** Strict (tick, priority, seq) fire order. */
     static bool
@@ -287,10 +262,6 @@ class EventQueue
     }
     std::uint32_t acquireSlot(Callback &&cb);
     void releaseSlot(std::uint32_t slot);
-    bool liveEntry(const Entry &e) const
-    {
-        return slotAt(e.slot).gen == e.gen;
-    }
 
     /** True while @p when can be filed into the current window. */
     bool
@@ -308,11 +279,11 @@ class EventQueue
     /** Size a fresh window to the overflow span and scatter it. */
     void reAnchor();
     /**
-     * Advance the drain front to the earliest live entry: re-anchor
-     * drained windows, lazily sort newly reached buckets, and skim
-     * cancelled entries. False when no live events remain.
+     * Advance the drain front to the earliest pending entry:
+     * re-anchor drained windows and lazily sort newly reached
+     * buckets. False when no events are pending.
      */
-    bool advanceToLive();
+    bool advanceToFront();
     /** True when the drain front is late_.front(), not the bucket's. */
     bool
     frontIsLate() const
@@ -323,7 +294,7 @@ class EventQueue
         return drainPos_ >= vec.size() ||
             earlier(late_.front(), vec[drainPos_]);
     }
-    /** The entry at the drain front (advanceToLive() returned true). */
+    /** The entry at the drain front (advanceToFront() returned true). */
     const Entry &
     front() const
     {
@@ -332,10 +303,8 @@ class EventQueue
     }
     /** Pop the entry at the drain front and invoke its callback. */
     void fireFront();
-    /** Drop cancelled entries (and drained prefixes) in every tier. */
-    void compactAll();
 
-    // lint: transient-begin(restore() requires a freshly-constructed queue with zero live/fired events, so every structural member below provably holds its constructed value; only now_ and the fired_ total carry across a snapshot)
+    // lint: transient-begin(restore() requires a freshly-constructed queue with zero pending/fired events, so every structural member below provably holds its constructed value; only now_ and the fired_ total carry across a snapshot)
     std::vector<std::unique_ptr<Slot[]>> chunks_;
     std::size_t slotCount_ = 0;
     std::uint32_t freeHead_ = kNoSlot;
@@ -351,7 +320,7 @@ class EventQueue
     std::size_t curBucket_ = 0;
     std::size_t drainPos_ = 0; // drained prefix of the active bucket
     bool curSorted_ = false;
-    std::size_t calEntries_ = 0; // resident entries, drained excluded
+    std::size_t calEntries_ = 0; // pending calendar entries, late heap included
     /** Deep inserts into the active bucket: a min-heap under Later,
      *  merged with the bucket's undrained tail at the drain front. */
     std::vector<Entry> late_;
@@ -367,8 +336,6 @@ class EventQueue
     std::vector<Entry> sortScratch_;
     std::vector<std::uint32_t> sortCounts_;
 
-    std::size_t live_ = 0;      // scheduled, not yet fired/cancelled
-    std::size_t cancelled_ = 0; // dead entries still resident
     Counters counters_;
     // lint: transient-end
     Tick now_ = 0;

@@ -6,8 +6,9 @@
  * (a flash die, a flash channel, a DRAM bank, a controller core).
  * Callers reserve a service interval; the server returns when the
  * request actually starts and completes, implicitly modelling FCFS
- * queueing delay. A ServerGroup models a pool of identical units with
- * least-loaded dispatch (e.g. the eight DRAM banks used by PuD).
+ * queueing delay. A ServerGroup models a pool of identical units
+ * that the caller addresses by index (e.g. the DRAM banks used by
+ * PuD, picked by address).
  */
 
 #ifndef CONDUIT_SIM_SERVER_HH
@@ -27,8 +28,6 @@ struct ServiceInterval
 {
     Tick start;
     Tick end;
-
-    Tick queueDelay(Tick requested) const { return start - requested; }
 };
 
 /** A single FCFS service unit. */
@@ -44,7 +43,6 @@ class Server
     {
         const Tick start = std::max(earliest, busyUntil_);
         busyUntil_ = start + duration;
-        busyTime_ += duration;
         return {start, busyUntil_};
     }
 
@@ -58,28 +56,17 @@ class Server
         return busyUntil_ > now ? busyUntil_ - now : 0;
     }
 
-    /** Total busy time accumulated (for utilization stats). */
-    Tick busyTime() const { return busyTime_; }
-
   private:
     Tick busyUntil_ = 0;
-    Tick busyTime_ = 0;
 };
 
-/** A pool of identical servers with least-loaded dispatch. */
+/** A pool of identical servers, each reserved by index. */
 class ServerGroup
 {
   public:
     ServerGroup() = default;
 
     explicit ServerGroup(std::size_t count) : units_(count) {}
-
-    /** Reserve on the unit that can start soonest. */
-    ServiceInterval
-    acquire(Tick earliest, Tick duration)
-    {
-        return pick()->acquire(earliest, duration);
-    }
 
     /** Reserve on a specific unit (e.g. a bank selected by address). */
     ServiceInterval
@@ -98,30 +85,9 @@ class ServerGroup
         return best == kMaxTick ? 0 : best;
     }
 
-    /** Sum of busy time over all units. */
-    Tick
-    busyTime() const
-    {
-        Tick total = 0;
-        for (const auto &u : units_)
-            total += u.busyTime();
-        return total;
-    }
-
     std::size_t size() const { return units_.size(); }
 
   private:
-    Server *
-    pick()
-    {
-        Server *best = &units_.front();
-        for (auto &u : units_) {
-            if (u.freeAt() < best->freeAt())
-                best = &u;
-        }
-        return best;
-    }
-
     std::vector<Server> units_;
 };
 

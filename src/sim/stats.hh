@@ -189,6 +189,7 @@ class StatSet
     bool extends(const StatSet &base) const;
 
     /** Render all counters as "name value" lines (for debugging). */
+    // lint: allow(test-only, a debugging aid; the StatSet test pins its format)
     std::string dump() const;
 
   private:

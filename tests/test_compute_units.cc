@@ -147,13 +147,13 @@ TEST(Ifp, MultiplyShuttlesOccupyChannel)
     NandArray nand(n);
     ComputeModelConfig m;
     IfpUnit ifp(nand, m);
-    const Tick before = nand.channel(0).busyTime();
+    const Tick before = nand.channel(0).freeAt();
     ifp.execute(OpCode::Mul, 8, 2, 0, {{0, n.pageBytes}}, 0);
-    EXPECT_GT(nand.channel(0).busyTime(), before);
+    EXPECT_GT(nand.channel(0).freeAt(), before);
     // Addition does not shuttle.
-    const Tick after_mul = nand.channel(0).busyTime();
+    const Tick after_mul = nand.channel(0).freeAt();
     ifp.execute(OpCode::Add, 8, 2, 0, {{0, n.pageBytes}}, 0);
-    EXPECT_EQ(nand.channel(0).busyTime(), after_mul);
+    EXPECT_EQ(nand.channel(0).freeAt(), after_mul);
 }
 
 TEST(Ifp, FragmentsRunInParallelAcrossDies)

@@ -119,13 +119,19 @@ TEST(NandBacklog, TracksPendingWork)
 
 TEST(NandUtilization, GrowsWithTraffic)
 {
+    // Channel occupancy: each transfer extends the channel's pending
+    // work by exactly its bus time, and other channels stay idle.
     NandConfig n = smallNand();
     NandArray nand(n);
-    EXPECT_DOUBLE_EQ(nand.channelUtilization(0), 0.0);
-    auto iv = nand.transferOut(0, n.pageBytes, 0);
-    const double u = nand.channelUtilization(iv.end);
-    EXPECT_GT(u, 0.0);
-    EXPECT_LE(u, 1.0);
+    EXPECT_EQ(nand.channel(0).backlog(0), 0u);
+    const auto a = nand.transferOut(0, n.pageBytes, 0);
+    EXPECT_GT(a.end, a.start);
+    EXPECT_EQ(nand.channel(0).backlog(0), a.end);
+    const auto b = nand.transferIn(0, n.pageBytes, 0);
+    EXPECT_EQ(b.start, a.end);
+    EXPECT_EQ(nand.channel(0).backlog(0), a.end + (b.end - b.start));
+    EXPECT_EQ(nand.channel(0).backlog(b.end), 0u);
+    EXPECT_EQ(nand.channel(1).backlog(0), 0u);
 }
 
 /** Geometry property sweep: codec bijectivity across shapes. */

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/core/device.hh"
@@ -63,11 +64,9 @@ TEST_P(RandomSeeds, ServerIntervalsNeverOverlapAndFcfsHolds)
     Server s;
     Tick prev_start = 0;
     Tick prev_end = 0;
-    Tick total = 0;
     for (int i = 0; i < 2000; ++i) {
         const Tick earliest = rng.below(1000000);
         const Tick duration = 1 + rng.below(5000);
-        total += duration;
         auto iv = s.acquire(earliest, duration);
         // Service starts no earlier than requested...
         ASSERT_GE(iv.start, earliest);
@@ -79,21 +78,31 @@ TEST_P(RandomSeeds, ServerIntervalsNeverOverlapAndFcfsHolds)
         prev_start = iv.start;
         prev_end = iv.end;
     }
-    // Busy time equals the sum of durations (no lost work).
-    ASSERT_EQ(s.busyTime(), total);
+    // The server is free exactly when the last grant ends.
+    ASSERT_EQ(s.freeAt(), prev_end);
 }
 
 TEST_P(RandomSeeds, ServerGroupConservesWork)
 {
+    // Requests go to units by index, as DRAM banks are picked by
+    // address. Each unit serves its own requests FCFS for exactly
+    // their duration without overlap, and the group's backlog is its
+    // least-loaded unit's.
     Rng rng(GetParam());
-    ServerGroup g(1 + rng.below(8));
-    Tick total = 0;
+    const std::size_t units = 1 + rng.below(8);
+    ServerGroup g(units);
+    std::vector<Tick> end(units, 0);
     for (int i = 0; i < 1000; ++i) {
+        const std::size_t u = rng.below(units);
+        const Tick earliest = rng.below(100000);
         const Tick d = 1 + rng.below(1000);
-        total += d;
-        g.acquire(rng.below(100000), d);
+        const auto iv = g.acquireOn(u, earliest, d);
+        ASSERT_GE(iv.start, earliest);
+        ASSERT_GE(iv.start, end[u]); // no overlap on the unit
+        ASSERT_EQ(iv.end - iv.start, d);
+        end[u] = iv.end;
     }
-    ASSERT_EQ(g.busyTime(), total);
+    ASSERT_EQ(g.backlog(0), *std::min_element(end.begin(), end.end()));
 }
 
 TEST_P(RandomSeeds, EventQueueNeverTravelsBack)

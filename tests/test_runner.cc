@@ -358,7 +358,7 @@ TEST(Scenario, RejectsHostBaselineTenants)
 
 // ----------------------------------------------------------------
 // EventQueue determinism: the (tick, priority, sequence) ordering
-// and cancel semantics the runner's reproducibility claim rests on.
+// the runner's reproducibility claim rests on.
 // ----------------------------------------------------------------
 
 TEST(EventQueueDeterminism, SequenceBreaksTiesInSchedulingOrder)
@@ -407,41 +407,6 @@ TEST(EventQueueDeterminism, StressOrderingIsReproducible)
     drive(q2, f2);
     EXPECT_EQ(f1.size(), 500u);
     EXPECT_EQ(f1, f2);
-}
-
-TEST(EventQueueDeterminism, CancelSemantics)
-{
-    EventQueue q;
-    std::vector<int> order;
-    const EventId a = q.schedule(10, [&] { order.push_back(1); });
-    const EventId b = q.schedule(10, [&] { order.push_back(2); });
-    EventId c = 0;
-    c = q.schedule(20, [&] { order.push_back(3); });
-
-    // Cancelling a pending event succeeds once; the slot never fires
-    // and does not perturb the ordering of its same-tick peers.
-    EXPECT_TRUE(q.cancel(a));
-    EXPECT_FALSE(q.cancel(a));
-    // Cancelling from inside a callback cancels not-yet-fired events.
-    q.schedule(15, [&] { EXPECT_TRUE(q.cancel(c)); });
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{2}));
-    EXPECT_TRUE(q.empty());
-    // After firing, an id is no longer cancellable.
-    EXPECT_FALSE(q.cancel(b));
-}
-
-TEST(EventQueueDeterminism, PendingAccountsForCancellations)
-{
-    EventQueue q;
-    const EventId a = q.schedule(10, [] {});
-    q.schedule(20, [] {});
-    EXPECT_EQ(q.pending(), 2u);
-    q.cancel(a);
-    EXPECT_EQ(q.pending(), 1u);
-    q.run();
-    EXPECT_EQ(q.pending(), 0u);
-    EXPECT_EQ(q.eventsFired(), 1u);
 }
 
 } // namespace

@@ -1,16 +1,16 @@
 /**
  * @file
  * Unit tests for the simulation kernel: event queue ordering and
- * cancellation, tick conversions, statistics, servers, and the RNG.
+ * memory bounds, tick conversions, statistics, servers, and the RNG.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <functional>
 #include <list>
+#include <memory>
 #include <vector>
 
 #include "src/sim/event_queue.hh"
@@ -69,18 +69,6 @@ TEST(EventQueue, SameTickFifoWithinPriority)
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(EventQueue, CancelPreventsFiring)
-{
-    EventQueue q;
-    int fired = 0;
-    EventId id = q.schedule(10, [&] { ++fired; });
-    q.schedule(20, [&] { ++fired; });
-    EXPECT_TRUE(q.cancel(id));
-    EXPECT_FALSE(q.cancel(id)); // double-cancel is a no-op
-    q.run();
-    EXPECT_EQ(fired, 1);
-}
-
 TEST(EventQueue, CallbackCanScheduleMore)
 {
     EventQueue q;
@@ -114,64 +102,59 @@ TEST(EventQueue, RunUntilBound)
     EXPECT_EQ(q.pending(), 1u);
 }
 
-TEST(EventQueue, CancelHeavyMemoryStaysBounded)
+TEST(EventQueue, RollingWindowMemoryStaysBounded)
 {
-    // A caller that schedules and cancels at a sustained rate (as
-    // bench_selfperf's cancel_window micro does; no simulator
-    // component cancels) must not accumulate cancelled entries:
-    // slots are free-listed for reuse and the heap compacts lazily
-    // once dead entries outnumber the live half.
+    // A caller that keeps a bounded set of events pending while it
+    // schedules and fires at a sustained rate must not grow the slab:
+    // fired slots are free-listed for reuse, so callback storage
+    // tracks peak pending(), not the 1M events ever scheduled.
     EventQueue q;
-    std::deque<EventId> window;
-    constexpr int kPairs = 1'000'000;
+    constexpr std::uint64_t kEvents = 1'000'000;
     constexpr std::size_t kWindow = 1024;
-    for (int i = 0; i < kPairs; ++i) {
-        window.push_back(
-            q.schedule(static_cast<Tick>(kPairs + i), [] {}));
-        if (window.size() > kWindow) {
-            ASSERT_TRUE(q.cancel(window.front()));
-            window.pop_front();
+    std::size_t peak = 0;
+    std::uint64_t fired = 0;
+    for (std::uint64_t i = 0; i < kEvents; ++i) {
+        q.schedule(q.now() + (i * 7919) % 4096, [&fired] { ++fired; });
+        peak = std::max(peak, q.pending());
+        if (q.pending() > kWindow) {
+            ASSERT_TRUE(q.runOne());
         }
     }
-    EXPECT_EQ(q.pending(), kWindow);
-    // Slab footprint tracks peak outstanding events, not the 1M
-    // schedule/cancel pairs; the heap stays within a small factor
-    // of the live set.
-    EXPECT_LE(q.slabSlots(), 4 * kWindow);
-    EXPECT_LE(q.heapEntries(), 4 * kWindow);
-    EXPECT_LE(q.cancelledEntries(), q.heapEntries() / 2 + 1);
-    // The survivors all fire, in order.
+    EXPECT_EQ(peak, kWindow + 1);
+    EXPECT_EQ(q.slabSlots(), peak);
+    // The survivors all fire.
     EXPECT_EQ(q.run(), kWindow);
+    EXPECT_EQ(fired, kEvents);
     EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.heapEntries(), 0u);
 
-    // Deep inserts into the active bucket live in the late heap;
-    // cancelling them must compact it too. A pile of kPile same-tick
+    // Deep inserts into the active bucket live in the late heap, and
+    // their slots are reused the same way. A pile of kPile same-tick
     // completions sits behind a dispatcher that schedules kBurst
-    // successors in front of the pile and then cancels all of them.
+    // successors in front of the pile.
     constexpr std::size_t kPile = 1000;
     constexpr std::size_t kBurst = 3000;
     EventQueue deep;
-    int pileFired = 0;
+    std::size_t pileFired = 0;
+    std::size_t burstFired = 0;
     for (std::size_t i = 0; i < kPile; ++i)
-        deep.schedule(1, [&pileFired] { ++pileFired; }, 10);
-    deep.schedule(1, [&deep] {
-        std::vector<EventId> burst;
+        deep.schedule(1, [&] {
+            EXPECT_EQ(burstFired, kBurst); // the burst fires first
+            ++pileFired;
+        }, 10);
+    deep.schedule(1, [&] {
         for (std::size_t i = 0; i < kBurst; ++i)
-            burst.push_back(deep.schedule(1, [] { FAIL(); }));
-        for (EventId id : burst)
-            ASSERT_TRUE(deep.cancel(id));
+            deep.schedule(1, [&burstFired] { ++burstFired; });
         EXPECT_TRUE(deep.auditPendingConservation());
     });
     ASSERT_TRUE(deep.runOne());
     EXPECT_EQ(deep.counters().latePushes, kBurst);
-    EXPECT_EQ(deep.counters().compactions, 1u);
-    EXPECT_EQ(deep.pending(), kPile);
-    EXPECT_LE(deep.heapEntries(), 2 * kPile);
-    EXPECT_LE(deep.cancelledEntries(), deep.heapEntries() / 2 + 1);
-    EXPECT_EQ(deep.run(), kPile);
-    EXPECT_EQ(pileFired, static_cast<int>(kPile));
-    EXPECT_EQ(deep.heapEntries(), 0u);
+    EXPECT_EQ(deep.pending(), kPile + kBurst);
+    // The dispatcher's slot was released before it ran, so the burst
+    // reused it: peak pending is the whole slab.
+    EXPECT_EQ(deep.slabSlots(), kPile + kBurst);
+    EXPECT_EQ(deep.run(), kPile + kBurst);
+    EXPECT_EQ(pileFired, kPile);
+    EXPECT_TRUE(deep.empty());
 }
 
 TEST(EventQueue, WorkCountersArePinnedOnAFixedSchedule)
@@ -207,13 +190,10 @@ TEST(EventQueue, WorkCountersArePinnedOnAFixedSchedule)
     want.insert(want.end(), 2, 4);
     EXPECT_EQ(order, want);
 
-    // Phase 3: cancelling 51 of 100 pending entries compacts once;
-    // tick 1000 lies past the window, so draining them re-anchors.
-    std::vector<EventId> ids;
-    for (int i = 0; i < 100; ++i)
-        ids.push_back(q.schedule(1000, [] {}));
-    for (int i = 0; i < 51; ++i)
-        ASSERT_TRUE(q.cancel(ids[static_cast<std::size_t>(i)]));
+    // Phase 3: tick 1000 lies past the window, so draining 49 events
+    // there re-anchors once and sorts their one bucket by counting.
+    for (int i = 0; i < 49; ++i)
+        q.schedule(1000, [] {});
     EXPECT_EQ(q.run(), 49u);
 
     const EventQueue::Counters &c = q.counters();
@@ -224,72 +204,51 @@ TEST(EventQueue, WorkCountersArePinnedOnAFixedSchedule)
     EXPECT_EQ(c.reAnchors, 2u);     // phases 1 and 3
     EXPECT_EQ(c.countingSorts, 2u); // phases 1 and 3
     EXPECT_EQ(c.comparisonSorts, 1u);
-    EXPECT_EQ(c.compactions, 1u);
 }
 
-TEST(EventQueue, StaleIdCannotCancelReusedSlot)
+TEST(EventQueue, EmptyCallbackFiresAsNoOp)
 {
-    // Firing or cancelling releases an event's slab slot for reuse;
-    // the generation stamp in the id must keep stale handles from
-    // cancelling the slot's next occupant.
     EventQueue q;
     int fired = 0;
-    const EventId a = q.schedule(10, [&] { ++fired; });
-    ASSERT_TRUE(q.cancel(a));
-    const EventId b = q.schedule(20, [&] { ++fired; });
-    EXPECT_NE(a, b);
-    EXPECT_FALSE(q.cancel(a)); // stale handle, reused slot
-    q.run();
+    q.schedule(5, EventQueue::Callback{});
+    q.schedule(6, [&fired] { ++fired; });
+    EXPECT_EQ(q.pending(), 2u);
+    EXPECT_EQ(q.run(), 2u);
+    EXPECT_EQ(q.eventsFired(), 2u);
     EXPECT_EQ(fired, 1);
-    // After b fired, its id is stale too.
-    EXPECT_FALSE(q.cancel(b));
-    const EventId c = q.scheduleAfter(5, [&] { ++fired; });
-    EXPECT_FALSE(q.cancel(b));
-    ASSERT_TRUE(q.cancel(c));
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, EmptyCallbackIsCancellableAndFiresAsNoOp)
-{
-    EventQueue q;
-    const EventId a = q.schedule(5, EventQueue::Callback{});
-    EXPECT_TRUE(q.cancel(a));
-    q.schedule(6, EventQueue::Callback{});
-    EXPECT_EQ(q.run(), 1u);
-    EXPECT_EQ(q.eventsFired(), 1u);
+    EXPECT_EQ(q.now(), 6u);
     EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, PendingConservationHoldsAcrossTierTransitions)
 {
-    // pending() must equal the recount of generation-matching
-    // entries across the calendar and overflow tiers at every point
-    // of a workload that forces tier transitions: near-future
-    // appends, far-future overflow, re-anchoring, lazy sorts,
-    // cancellation, and compaction.
+    // The tier structure pending() is derived from must hold, and
+    // pending() must equal scheduled minus fired, at every point of
+    // a workload that forces tier transitions: near-future appends,
+    // far-future overflow, re-anchoring, lazy sorts, in-place and
+    // late-heap inserts, and drained-prefix trims.
     EventQueue q;
     ASSERT_TRUE(q.auditPendingConservation()); // empty queue
-    std::deque<EventId> window;
     std::uint64_t fired = 0;
+    std::uint64_t scheduled = 0;
     for (std::uint64_t i = 0; i < 3'000; ++i) {
         // Spread: same-tick, near-future, and far-future entries.
         const Tick when = (i % 3 == 0) ? q.now()
             : (i % 3 == 1)             ? q.now() + (i * 7919) % 4096
                                        : q.now() + 1'000'000 + i;
-        window.push_back(
-            q.schedule(when, [&fired] { ++fired; },
-                       static_cast<int>(i & 3)));
-        if (window.size() > 64) {
-            q.cancel(window.front());
-            window.pop_front();
-        }
-        if (i % 7 == 0)
+        q.schedule(when, [&fired] { ++fired; },
+                   static_cast<int>(i & 3));
+        ++scheduled;
+        if (i % 7 == 0 || q.pending() > 64)
             q.runOne();
-        if (i % 256 == 0)
+        ASSERT_EQ(q.pending(), scheduled - fired) << "i=" << i;
+        if (i % 256 == 0) {
             ASSERT_TRUE(q.auditPendingConservation()) << "i=" << i;
+        }
     }
     ASSERT_TRUE(q.auditPendingConservation());
     q.run();
+    EXPECT_EQ(fired, scheduled);
     EXPECT_TRUE(q.empty());
     ASSERT_TRUE(q.auditPendingConservation()); // drained queue
 }
@@ -318,7 +277,7 @@ TEST(FlatLru, RecencyOrderAndEviction)
 TEST(EventQueue, LargeCaptureCallbackTakesHeapPath)
 {
     // Captures beyond SmallFn's inline buffer (48 bytes) fall back
-    // to the heap; the event must still fire, cancel, and destroy
+    // to the heap; the events must still fire in order and destroy
     // cleanly (ASan covers the cleanup).
     EventQueue q;
     struct Big
@@ -328,12 +287,40 @@ TEST(EventQueue, LargeCaptureCallbackTakesHeapPath)
     static_assert(sizeof(Big) > SmallFn::kInlineBytes);
     Big big{};
     big.pad[11] = 7;
-    std::uint64_t seen = 0;
-    q.schedule(1, [big, &seen] { seen = big.pad[11]; });
-    const EventId cancelled = q.schedule(2, [big, &seen] { seen = 0; });
-    EXPECT_TRUE(q.cancel(cancelled));
-    q.run();
-    EXPECT_EQ(seen, 7u);
+    std::vector<std::uint64_t> seen;
+    q.schedule(2, [big, &seen] { seen.push_back(big.pad[11] + 1); });
+    q.schedule(1, [big, &seen] { seen.push_back(big.pad[11]); });
+    EXPECT_EQ(q.run(), 2u);
+    EXPECT_EQ(seen, (std::vector<std::uint64_t>{7, 8}));
+}
+
+TEST(EventQueue, DestroyedQueueFreesArmedCallbacks)
+{
+    // Callbacks still pending when the queue dies are destroyed with
+    // it, captures included, on both the inline and the heap path: a
+    // large capture must not leak (ASan checks it), and a shared
+    // capture must drop its reference.
+    auto token = std::make_shared<int>(0);
+    {
+        EventQueue q;
+        struct Big
+        {
+            std::uint64_t pad[12];
+        };
+        static_assert(sizeof(Big) > SmallFn::kInlineBytes);
+        const Big big{};
+        for (Tick t = 1; t <= 3; ++t)
+            q.schedule(t, [big, token] {
+                *token += 1 + static_cast<int>(big.pad[0]);
+            });
+        q.schedule(4, [token] { *token += 10; });
+        EXPECT_EQ(token.use_count(), 5);
+        ASSERT_TRUE(q.runOne()); // firing releases its capture
+        EXPECT_EQ(token.use_count(), 4);
+        EXPECT_EQ(q.pending(), 3u);
+    }
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(*token, 1);
 }
 
 TEST(RankLru, GrowsWindowWhenLiveSetExceedsCapacityHint)
@@ -417,25 +404,30 @@ TEST(Server, FcfsQueueing)
     auto b = s.acquire(0, 5);
     EXPECT_EQ(b.start, 10u);
     EXPECT_EQ(b.end, 15u);
-    EXPECT_EQ(b.queueDelay(0), 10u);
     // A request in the future starts on time.
     auto c = s.acquire(100, 5);
     EXPECT_EQ(c.start, 100u);
     EXPECT_EQ(s.backlog(50), 55u);
-    EXPECT_EQ(s.busyTime(), 20u);
+    EXPECT_EQ(s.freeAt(), 105u);
 }
 
 TEST(ServerGroup, LeastLoadedDispatch)
 {
+    // Units are addressed by index; the group's backlog is that of
+    // its least-loaded unit, the one a new request could start on
+    // soonest.
     ServerGroup g(2);
-    auto a = g.acquire(0, 10);
-    auto b = g.acquire(0, 10);
-    // Both units busy until 10; third request queues on one.
-    auto c = g.acquire(0, 10);
+    auto a = g.acquireOn(0, 0, 10);
+    auto b = g.acquireOn(1, 0, 10);
+    // Both units busy until 10; a third request queues on its unit.
+    auto c = g.acquireOn(0, 0, 10);
     EXPECT_EQ(a.start, 0u);
     EXPECT_EQ(b.start, 0u);
     EXPECT_EQ(c.start, 10u);
-    EXPECT_EQ(g.busyTime(), 30u);
+    EXPECT_EQ(c.end, 20u);
+    EXPECT_EQ(g.backlog(0), 10u); // unit 1 frees first
+    EXPECT_EQ(g.backlog(15), 0u);
+    EXPECT_EQ(g.size(), 2u);
 }
 
 TEST(Histogram, ExactPercentiles)

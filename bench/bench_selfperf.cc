@@ -26,11 +26,11 @@
  *    deterministic work counters (EventQueue::Counters) under
  *    "kernel_counters"; they are exact on every host, so
  *    scripts/check_selfperf.py requires them to equal the committed
- *    record. A dispatch micro times one fresh Device running one
- *    tick-0 job (instructions per second, outside the event-kernel
- *    aggregate) and records the engine's work counters
- *    (Engine::Counters) under "engine_counters", gated exactly the
- *    same way.
+ *    record. Three dispatch micros time one fresh Device running
+ *    one tick-0 job under Conduit, DM-Offloading and BW-Offloading
+ *    (instructions per second, outside the event-kernel aggregate)
+ *    and record the engine's work counters (Engine::Counters) under
+ *    "engine_counters", gated exactly the same way.
  *
  * 2. Representative end-to-end scenarios, timed around the
  *    SweepRunner entry points (SweepPerf hooks):
@@ -132,6 +132,10 @@ constexpr MicroName kMicros[] = {
      "snapshot fork (device image)"},
     {"dispatch", "dispatch_instructions_per_sec", "instructions",
      "dispatch (one fresh job)"},
+    {"dispatch_dm", "dispatch_dm_instructions_per_sec", "instructions",
+     "dispatch (DM-Offloading)"},
+    {"dispatch_bw", "dispatch_bw_instructions_per_sec", "instructions",
+     "dispatch (BW-Offloading)"},
 };
 
 /** Dispatch-chain shape: every callback schedules its successor. */
@@ -263,15 +267,19 @@ microSnapshotFork(double scale, std::uint64_t forks)
 }
 
 /**
- * Dispatch pipeline: one fresh Device runs one tick-0 job, so the
- * wall time is the per-instruction pipeline (offloader stage,
- * features, decision, movement, execution, coherence) plus the
- * device's set-up. A staging region of a quarter of the footprint
- * keeps the DRAM-staging LRU choosing victims, so every engine work
- * counter moves. Reported as instructions per second.
+ * Dispatch pipeline: one fresh Device runs one tick-0 job under
+ * @p policy, so the wall time is the per-instruction pipeline
+ * (offloader stage, features, decision, movement, execution,
+ * coherence) plus the device's set-up. A staging region of a quarter
+ * of the footprint keeps the DRAM-staging LRU choosing victims, so
+ * every engine work counter moves under Conduit. A baseline policy
+ * computes only the feature groups it reads, and its counters show
+ * it: DM-Offloading folds source pages but walks fragment pages only
+ * for IFP-bound instructions, BW-Offloading folds none. Reported as
+ * instructions per second.
  */
 MicroResult
-microDispatch(double scale)
+microDispatch(double scale, const char *policy)
 {
     DeviceOptions opts;
     opts.workload.scale = scale;
@@ -280,6 +288,7 @@ microDispatch(double scale)
     Device dev(opts);
     JobSpec job;
     job.workload = WorkloadId::Aes;
+    job.policy = policy;
     dev.submit(job);
     const DeviceSnapshot snap = dev.drain();
     return {snap.jobs.front().result.instrCount, seconds(t0),
@@ -737,7 +746,9 @@ main(int argc, char **argv)
         bestOf([] { return microOpenLoopArrivals(500'000); }),
         bestOf([] { return microOverload(2'000); }),
         bestOf([&] { return microSnapshotFork(cli.scale, 1'000); }),
-        bestOf([&] { return microDispatch(cli.scale); }),
+        bestOf([&] { return microDispatch(cli.scale, "Conduit"); }),
+        bestOf([&] { return microDispatch(cli.scale, "DM-Offloading"); }),
+        bestOf([&] { return microDispatch(cli.scale, "BW-Offloading"); }),
     };
     std::fprintf(stderr, "event-kernel microbench:\n");
     for (std::size_t i = 0; i < micro.size(); ++i)

@@ -7,7 +7,7 @@ committed reference. Two gates run:
 - Work counters, exactly. ``kernel_counters`` holds each event-queue
   microbench's EventQueue work counters (entries shifted, late-heap
   pushes, re-anchors, sorts); ``engine_counters`` holds
-  the dispatch microbench's Engine work counters (source pages
+  each dispatch microbench's Engine work counters (source pages
   folded, fragment pages walked, latch-FIFO scan steps, DRAM-LRU
   victim-walk steps). They are a function of the schedule alone,
   identical on every host, so every committed counter must be

@@ -15,6 +15,13 @@ namespace
 /** Detection timeout charged when a transient fault hits (§4.4). */
 constexpr Tick kFaultTimeout = usToTicks(50);
 
+/** Whether features() needs the IFP fragment list for @p needs. */
+bool
+readsFragments(const FeatureGroups &needs)
+{
+    return needs.comp || needs.queue;
+}
+
 } // namespace
 
 Engine::Engine(const SsdConfig &cfg)
@@ -203,7 +210,8 @@ Engine::foldMovement(const StateCounts &counts, const HopTicks &hop)
 }
 
 CostFeatures
-Engine::features(const VecInstruction &instr, Tick now)
+Engine::features(const VecInstruction &instr, Tick now,
+                 FeatureGroups needs)
 {
     CostFeatures f;
 
@@ -213,11 +221,17 @@ Engine::features(const VecInstruction &instr, Tick now)
     f.supported[static_cast<std::size_t>(Target::Ifp)] =
         ifpSupports(instr.op);
 
+    // IFP's compute estimate and die backlog both read the fragment
+    // list; executeOn() builds it for an IFP target otherwise.
+    const std::vector<IfpFragment> *frags =
+        readsFragments(needs) ? &fragmentsFor(instr) : nullptr;
+
     // (6) Expected computation latency.
-    const auto &frags = fragmentsFor(instr);
-    for (Target t : {Target::Isp, Target::Pud, Target::Ifp})
-        f.comp[static_cast<std::size_t>(t)] =
-            compEstimate(instr, t, frags);
+    if (needs.comp) {
+        for (Target t : {Target::Isp, Target::Pud, Target::Ifp})
+            f.comp[static_cast<std::size_t>(t)] =
+                compEstimate(instr, t, *frags);
+    }
 
     // (5) Data movement latency (static, no-contention table). With
     // reliability enabled the flash-read stage carries the expected
@@ -232,67 +246,80 @@ Engine::features(const VecInstruction &instr, Tick now)
     // table assumes ideal parallelism), so a target pays
     // ceil(pages / channels) waves of its slowest page. Every visit
     // counts: a page repeated across sources is charged each time.
-    const Tick aging_read =
-        rel_ ? rel_->typicalReadPenalty(nand_.totalErases(), now) : 0;
-    const NandConfig &n = cfg_.nand;
-    const Tick page_xfer =
-        n.dmaTicks + transferTicks(n.pageBytes, n.channelBytesPerSec);
-    const Tick dram_page =
-        transferTicks(n.pageBytes, cfg_.dram.busBytesPerSec) +
-        cfg_.dram.tRcd + cfg_.dram.tCas;
-    // Indexed by Hop: Sense, ChannelOut, ChannelIn, DramWrite,
-    // DramStream.
-    const HopTicks hop_ticks = {n.cmdTicks + n.readTicks + aging_read,
-                                page_xfer, page_xfer, dram_page,
-                                dram_page};
-    StateCounts per_state{};
-    const Lpn base = streamBase();
-    for (const auto &s : instr.srcs) {
-        for (Lpn p = base + s.basePage;
-             p < base + s.basePage + s.pageCount; ++p)
-            ++per_state[pageState(pageMeta_[p])];
-        counters_.foldedPages += s.pageCount;
-    }
-    const Movement mv = foldMovement(per_state, hop_ticks);
-    for (std::size_t i = 0; i < kNumTargets; ++i) {
-        const std::uint64_t waves =
-            (mv.pages[i] + n.channels - 1) / n.channels;
-        f.dm[i] = static_cast<Tick>(waves) * mv.slowest[i];
-        f.dmBytes[i] = mv.pages[i] * n.pageBytes;
+    if (needs.movement) {
+        const Tick aging_read = rel_
+            ? rel_->typicalReadPenalty(nand_.totalErases(), now)
+            : 0;
+        const NandConfig &n = cfg_.nand;
+        const Tick page_xfer = n.dmaTicks +
+            transferTicks(n.pageBytes, n.channelBytesPerSec);
+        const Tick dram_page =
+            transferTicks(n.pageBytes, cfg_.dram.busBytesPerSec) +
+            cfg_.dram.tRcd + cfg_.dram.tCas;
+        // Indexed by Hop: Sense, ChannelOut, ChannelIn, DramWrite,
+        // DramStream.
+        const HopTicks hop_ticks = {n.cmdTicks + n.readTicks +
+                                        aging_read,
+                                    page_xfer, page_xfer, dram_page,
+                                    dram_page};
+        StateCounts per_state{};
+        const Lpn base = streamBase();
+        for (const auto &s : instr.srcs) {
+            for (Lpn p = base + s.basePage;
+                 p < base + s.basePage + s.pageCount; ++p)
+                ++per_state[pageState(pageMeta_[p])];
+            counters_.foldedPages += s.pageCount;
+        }
+        const Movement mv = foldMovement(per_state, hop_ticks);
+        for (std::size_t i = 0; i < kNumTargets; ++i) {
+            const std::uint64_t waves =
+                (mv.pages[i] + n.channels - 1) / n.channels;
+            f.dm[i] = static_cast<Tick>(waves) * mv.slowest[i];
+            f.dmBytes[i] = mv.pages[i] * n.pageBytes;
+        }
     }
 
     // (4) Resource queueing delay: live reads of the shared
-    // calendars, so co-run streams see each other's backlog.
-    const Tick isp_backlog = isp_.backlog(now);
-    const Tick bank_backlog = dram_.bankBacklog(now);
-    f.queue[static_cast<std::size_t>(Target::Isp)] = isp_backlog;
-    f.queue[static_cast<std::size_t>(Target::Pud)] = bank_backlog;
-    Tick die_backlog = 0;
-    for (const auto &fr : frags)
-        die_backlog =
-            std::max(die_backlog, nand_.dieBacklog(fr.dieIndex, now));
-    f.queue[static_cast<std::size_t>(Target::Ifp)] = die_backlog;
+    // calendars, so co-run streams see each other's backlog. The
+    // ISP and bank backlogs feed bandwidth utilization too.
+    Tick isp_backlog = 0;
+    Tick bank_backlog = 0;
+    if (needs.queue || needs.busUtil) {
+        isp_backlog = isp_.backlog(now);
+        bank_backlog = dram_.bankBacklog(now);
+    }
+    if (needs.queue) {
+        f.queue[static_cast<std::size_t>(Target::Isp)] = isp_backlog;
+        f.queue[static_cast<std::size_t>(Target::Pud)] = bank_backlog;
+        Tick die_backlog = 0;
+        for (const auto &fr : *frags)
+            die_backlog = std::max(die_backlog,
+                                   nand_.dieBacklog(fr.dieIndex, now));
+        f.queue[static_cast<std::size_t>(Target::Ifp)] = die_backlog;
+    }
 
     // (3) Data dependence delay (within the dispatching stream).
-    Tick dep_ready = 0;
-    if (ctx_) {
+    if (needs.dependence && ctx_) {
+        Tick dep_ready = 0;
         for (InstrId d : instr.deps) {
             if (d < ctx_->completion.size())
                 dep_ready = std::max(dep_ready, ctx_->completion[d]);
         }
+        f.depDelay = dep_ready > now ? dep_ready - now : 0;
     }
-    f.depDelay = dep_ready > now ? dep_ready - now : 0;
 
     // Bandwidth utilization (BW-Offloading's sole input): pending
     // work over a short window approximates the utilization samples
     // a TOM-style monitor would read.
-    const double window = static_cast<double>(usToTicks(200));
-    f.bwUtil[static_cast<std::size_t>(Target::Isp)] =
-        static_cast<double>(isp_backlog) / window;
-    f.bwUtil[static_cast<std::size_t>(Target::Pud)] =
-        static_cast<double>(bank_backlog) / window;
-    f.bwUtil[static_cast<std::size_t>(Target::Ifp)] =
-        static_cast<double>(nand_.minDieBacklog(now)) / window;
+    if (needs.busUtil) {
+        const double window = static_cast<double>(usToTicks(200));
+        f.bwUtil[static_cast<std::size_t>(Target::Isp)] =
+            static_cast<double>(isp_backlog) / window;
+        f.bwUtil[static_cast<std::size_t>(Target::Pud)] =
+            static_cast<double>(bank_backlog) / window;
+        f.bwUtil[static_cast<std::size_t>(Target::Ifp)] =
+            static_cast<double>(nand_.minDieBacklog(now)) / window;
+    }
 
     return f;
 }
@@ -509,6 +536,12 @@ Engine::executeOn(const VecInstruction &instr, Target target,
     ++res.perResource[ti];
     const Lpn base = streamBase();
 
+    // An IFP target needs the fragment list, which features() built
+    // only if the policy reads comp or queue. Built here, it is the
+    // same list: nothing writes the L2P since features() ran.
+    if (target == Target::Ifp && !readsFragments(ctx_->needs))
+        fragmentsFor(instr);
+
     if (ctx_->ideal) {
         // No contention, zero movement, table-latency compute; the
         // per-resource aggregate capacity is enforced in
@@ -528,10 +561,10 @@ Engine::executeOn(const VecInstruction &instr, Target target,
     }
 
     // IFP counts sensed operands before the move turns dirty DRAM
-    // operands into latch residents. The IFP and Ideal branches
-    // reuse the fragment list features() just built: a replay never
-    // targets IFP, and nothing writes the L2P in between (IFP-bound
-    // movement neither touches the DRAM LRU nor commits a page).
+    // operands into latch residents. The IFP branch reads the
+    // fragment list built before the move: a replay never targets
+    // IFP, and nothing writes the L2P in between (IFP-bound movement
+    // neither touches the DRAM LRU nor commits a page).
     const std::uint32_t sensed =
         target == Target::Ifp ? sensedOperands(instr) : 0;
     const Tick ready = moveOperands(instr, target, earliest);
@@ -624,7 +657,7 @@ Engine::dispatchNext(ExecContext &ctx)
         next_dispatch = disp.end;
     }
 
-    CostFeatures f = features(instr, now);
+    CostFeatures f = features(instr, now, ctx.needs);
     const Target target = ctx.policy->select(instr, f);
 
     // Operand availability (RAW) gates execution start.
@@ -900,6 +933,7 @@ Engine::sessionAttach(ExecContext &ctx, const Program &prog,
     ctx.prog = &prog;
     ctx.policy = &policy;
     ctx.ideal = policy.ideal();
+    ctx.needs = policy.needs();
     ctx.base = base_page;
     ctx.arrival = arrival;
     ctx.completion.assign(prog.instrs.size(), 0);

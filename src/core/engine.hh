@@ -213,15 +213,19 @@ class Engine : private EngineState
     /** @} */
 
     /**
-     * Feature vector for @p instr at time @p now (testable). The
-     * queue/bandwidth terms are live views of the shared resource
-     * calendars; during a multi-stream run they include every other
-     * tenant's outstanding reservations. Page addressing and the
-     * dependence term follow the dispatching stream; probed between
-     * dispatches, the whole page pool is addressed and the
-     * dependence delay is zero.
+     * Feature vector for @p instr at time @p now (testable). Only
+     * the groups in @p needs are filled, every other field stays
+     * zero: a dispatch asks for what its stream's policy reads
+     * (OffloadPolicy::needs), while a probe such as bench_overheads'
+     * gets the full vector by default. The queue/bandwidth terms are
+     * live views of the shared resource calendars; during a
+     * multi-stream run they include every other tenant's outstanding
+     * reservations. Page addressing and the dependence term follow
+     * the dispatching stream; probed between dispatches, the whole
+     * page pool is addressed and the dependence delay is zero.
      */
-    CostFeatures features(const VecInstruction &instr, Tick now);
+    CostFeatures features(const VecInstruction &instr, Tick now,
+                          FeatureGroups needs = {});
 
     /**
      * @name Route table and movement fold
@@ -477,10 +481,12 @@ class Engine : private EngineState
     IfpUnit ifp_;
 
     /**
-     * The fragment list features() built for the dispatching
-     * instruction; executeOn() reuses it for IFP and Ideal.
+     * The dispatching instruction's fragment list, built by
+     * features() when the policy reads comp or queue, else by
+     * executeOn() for an IFP target; executeOn() reads it for IFP
+     * and Ideal.
      */
-    // lint: transient(per-instruction scratch, rebuilt by every features() call before it is read)
+    // lint: transient(per-instruction scratch, rebuilt for every instruction before it is read)
     FragmentList frags_;
 
     // lint: transient(host-side work counters; not simulated state)

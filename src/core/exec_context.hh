@@ -51,6 +51,8 @@ struct ExecContext
     const Program *prog = nullptr;
     OffloadPolicy *policy = nullptr;
     bool ideal = false;
+    /** The feature groups the policy reads (OffloadPolicy::needs). */
+    FeatureGroups needs;
 
     /** First absolute logical page of this stream's region, which
      *  spans the program's footprint. */

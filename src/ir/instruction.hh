@@ -116,8 +116,6 @@ struct VecInstruction
     }
 
     LatencyClass latency() const { return latencyClass(op); }
-    // lint: allow(test-only, no caller at all, tests included; the policy calls opFamily directly)
-    OpFamily family() const { return opFamily(op); }
 
     std::string toString() const;
 };

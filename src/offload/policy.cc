@@ -23,6 +23,13 @@ constexpr Technique kConduit = {
  * policyNames() both read it. Columns: name, candidates in
  * preference order, candidate count, score, Eqn. 1 terms,
  * bitwise-only IFP, ideal.
+ *
+ * The score decides which feature groups a row reads
+ * (TechniquePolicy::needs), and so what the engine computes for it:
+ * ISP, PuD-SSD, Flash-Cosmos and Ares-Flash read only `supported`;
+ * BW-Offloading reads bus utilization; DM-Offloading reads movement;
+ * Conduit reads comp, movement, queue and dependence (its ablations
+ * drop the terms they turn off); Ideal reads comp alone.
  */
 constexpr Technique kTechniques[] = {
     // All computation on the controller core (Active-Flash-style).
@@ -109,6 +116,20 @@ TechniquePolicy::select(const VecInstruction &instr, const CostFeatures &f)
         break;
     }
     return argmin(row_, instr, f, 1, [](std::size_t) { return 0; });
+}
+
+FeatureGroups
+TechniquePolicy::needs() const
+{
+    const bool latency = row_.score == Score::Latency;
+    FeatureGroups g;
+    g.comp = latency;
+    g.movement = (latency && row_.terms.useDmLatency) ||
+        row_.score == Score::MovedBytes;
+    g.queue = latency && row_.terms.useQueueDelay;
+    g.dependence = latency && row_.terms.useDepDelay;
+    g.busUtil = row_.score == Score::BusUtil;
+    return g;
 }
 
 ConduitPolicy::ConduitPolicy(Ablation ab) : TechniquePolicy(kConduit)

@@ -7,7 +7,9 @@
  * features of Table 1, precomputed by the engine) and returns a
  * target resource. Differences between techniques therefore come
  * only from the decision rule, mirroring the paper's methodology
- * where all baselines run on the same simulator.
+ * where all baselines run on the same simulator. A policy declares
+ * the feature groups its rule reads, and the engine computes only
+ * those: a baseline that scores one feature does not pay for all six.
  */
 
 #ifndef CONDUIT_OFFLOAD_POLICY_HH
@@ -98,6 +100,20 @@ struct CostFeatures
 };
 
 /**
+ * Groups of CostFeatures fields a decision reads. The engine fills
+ * only the groups requested and leaves every other field zero;
+ * `supported` is always filled. All groups by default.
+ */
+struct FeatureGroups
+{
+    bool comp = true;       ///< comp
+    bool movement = true;   ///< dm and dmBytes
+    bool queue = true;      ///< queue
+    bool dependence = true; ///< depDelay
+    bool busUtil = true;    ///< bwUtil
+};
+
+/**
  * Abstract offloading policy.
  */
 class OffloadPolicy
@@ -117,6 +133,12 @@ class OffloadPolicy
      * policy (no contention, zero data-movement latency, §5.3).
      */
     virtual bool ideal() const { return false; }
+
+    /**
+     * The feature groups select() reads; the engine computes no
+     * other. Every group unless a policy narrows it.
+     */
+    virtual FeatureGroups needs() const { return {}; }
 };
 
 /**
@@ -169,6 +191,11 @@ class TechniquePolicy : public OffloadPolicy
     std::string name() const override { return std::string(row_.name); }
 
     bool ideal() const override { return row_.ideal; }
+
+    /** The groups the row's score reads: comp and each kept Eqn. 1
+     *  term for Latency, movement for MovedBytes, bus utilization
+     *  for BusUtil, none for None. */
+    FeatureGroups needs() const override;
 
   protected:
     Technique row_;

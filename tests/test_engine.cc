@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <map>
 #include <set>
 
 #include "src/core/device.hh"
@@ -569,6 +570,189 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("Conduit", "DM-Offloading", "BW-Offloading",
                       "Ideal", "ISP", "PuD-SSD", "Flash-Cosmos",
                       "Ares-Flash"));
+
+// ------------------------------------------- on-demand feature groups
+
+/**
+ * Forwards select/name/ideal to a built-in row. With @p narrow it
+ * forwards the row's needs() too; otherwise it keeps the default,
+ * so the engine computes every feature group for it. Records the
+ * feature vectors it is shown.
+ */
+class Forwarding : public OffloadPolicy
+{
+  public:
+    Forwarding(const std::string &row, bool narrow)
+        : row_(makePolicy(row)), narrow_(narrow)
+    {
+    }
+
+    Target
+    select(const VecInstruction &instr, const CostFeatures &f) override
+    {
+        seen.push_back(f);
+        return row_->select(instr, f);
+    }
+
+    std::string name() const override { return row_->name(); }
+
+    bool ideal() const override { return row_->ideal(); }
+
+    FeatureGroups
+    needs() const override
+    {
+        return narrow_ ? row_->needs() : FeatureGroups{};
+    }
+
+    std::vector<CostFeatures> seen;
+
+  private:
+    std::unique_ptr<OffloadPolicy> row_;
+    bool narrow_;
+};
+
+/** What a device run leaves that a reader can observe. */
+struct Observed
+{
+    DeviceSnapshot snap;
+    std::map<std::string, std::uint64_t> counters;
+};
+
+/**
+ * Run @p id under @p policy on a scale-1 device. A @p aged device
+ * has reliability on, is pre-worn and long-retained, injects
+ * transient faults, and serves a warm-up job before the measured
+ * one, so commits, faults and replays shape the run.
+ */
+Observed
+observe(WorkloadId id, const std::shared_ptr<OffloadPolicy> &policy,
+        bool aged)
+{
+    DeviceOptions opts;
+    if (aged) {
+        ReliabilityConfig &rel = opts.config.reliability;
+        rel.enabled = true;
+        rel.preWearCycles = 3000;
+        rel.retentionDays = 90.0;
+        opts.engine.transientFaultRate = 0.02;
+    }
+    Device dev(opts);
+    JobSpec job;
+    job.workload = id;
+    job.policyObj = policy;
+    if (aged)
+        dev.wait(dev.submit(job));
+    dev.submit(job);
+    Observed o{dev.drain(), {}};
+    for (const auto &[name, c] : dev.engine().stats().counters())
+        o.counters[name] = c.value();
+    return o;
+}
+
+void
+expectIdentical(const JobResult &x, const JobResult &y)
+{
+    EXPECT_EQ(x.id, y.id);
+    EXPECT_EQ(x.arrival, y.arrival);
+    EXPECT_EQ(x.admitted, y.admitted);
+    EXPECT_EQ(x.end, y.end);
+    EXPECT_EQ(x.basePage, y.basePage);
+    EXPECT_EQ(x.pages, y.pages);
+    const RunResult &a = x.result;
+    const RunResult &b = y.result;
+    EXPECT_EQ(a.workload, b.workload);
+    EXPECT_EQ(a.policy, b.policy);
+    EXPECT_EQ(a.execTime, b.execTime);
+    EXPECT_EQ(a.instrCount, b.instrCount);
+    EXPECT_EQ(a.perResource, b.perResource);
+    EXPECT_EQ(a.latencyUs.count(), b.latencyUs.count());
+    EXPECT_EQ(a.latencyUs.sum(), b.latencyUs.sum());
+    EXPECT_EQ(a.latencyUs.min(), b.latencyUs.min());
+    EXPECT_EQ(a.latencyUs.max(), b.latencyUs.max());
+    for (double p : {50.0, 99.0, 99.99})
+        EXPECT_EQ(a.latencyUs.percentile(p), b.latencyUs.percentile(p));
+    EXPECT_EQ(a.dmEnergyJ, b.dmEnergyJ);
+    EXPECT_EQ(a.computeEnergyJ, b.computeEnergyJ);
+    EXPECT_EQ(a.computeBusy, b.computeBusy);
+    EXPECT_EQ(a.internalDmBusy, b.internalDmBusy);
+    EXPECT_EQ(a.flashReadBusy, b.flashReadBusy);
+    EXPECT_EQ(a.hostDmBusy, b.hostDmBusy);
+    EXPECT_EQ(a.offloaderBusy, b.offloaderBusy);
+    EXPECT_EQ(a.faultsInjected, b.faultsInjected);
+    EXPECT_EQ(a.replays, b.replays);
+    EXPECT_EQ(a.coherenceCommits, b.coherenceCommits);
+    EXPECT_EQ(a.latchEvictions, b.latchEvictions);
+}
+
+TEST(EngineFeatureGroups, EveryRowMatchesItsAllGroupsRun)
+{
+    // Computing only the groups a row reads changes no simulated
+    // output: each built-in row gives the same jobs, counters and
+    // events as the same row shown the full feature vector.
+    for (WorkloadId id :
+         {WorkloadId::Aes, WorkloadId::LlamaInference}) {
+        for (bool aged : {false, true}) {
+            for (const std::string &row : policyNames()) {
+                SCOPED_TRACE(workloadName(id) + "/" + row +
+                             (aged ? "/aged" : "/fresh"));
+                const Observed all = observe(
+                    id, std::make_shared<Forwarding>(row, false), aged);
+                const Observed bare =
+                    observe(id, makePolicy(row), aged);
+                ASSERT_EQ(bare.snap.jobs.size(), all.snap.jobs.size());
+                for (std::size_t j = 0; j < all.snap.jobs.size(); ++j)
+                    expectIdentical(bare.snap.jobs[j], all.snap.jobs[j]);
+                EXPECT_EQ(bare.snap.makespan, all.snap.makespan);
+                EXPECT_EQ(bare.snap.eventsFired, all.snap.eventsFired);
+                EXPECT_EQ(bare.counters, all.counters);
+                if (aged) {
+                    EXPECT_GT(bare.snap.aggregate.replays, 0u);
+                }
+            }
+        }
+    }
+}
+
+TEST(EngineFeatureGroups, UndeclaredGroupsStayZero)
+{
+    // Ares-Flash reads no group, BW-Offloading only bus utilization
+    // and DM-Offloading only movement: every other field is zero.
+    // AES runs sensed flash operands, so the read groups are not.
+    DeviceOptions opts;
+    for (const char *row :
+         {"Ares-Flash", "BW-Offloading", "DM-Offloading"}) {
+        SCOPED_TRACE(row);
+        auto pol = std::make_shared<Forwarding>(row, true);
+        Device dev(opts);
+        JobSpec job;
+        job.workload = WorkloadId::Aes;
+        job.policyObj = pol;
+        dev.submit(job);
+        dev.drain();
+        const FeatureGroups g = pol->needs();
+        bool moved = false;
+        for (const CostFeatures &f : pol->seen) {
+            if (!g.comp) {
+                EXPECT_EQ(f.comp, decltype(f.comp){});
+            }
+            if (!g.movement) {
+                EXPECT_EQ(f.dm, decltype(f.dm){});
+                EXPECT_EQ(f.dmBytes, decltype(f.dmBytes){});
+            }
+            if (!g.queue) {
+                EXPECT_EQ(f.queue, decltype(f.queue){});
+            }
+            if (!g.dependence) {
+                EXPECT_EQ(f.depDelay, 0u);
+            }
+            if (!g.busUtil) {
+                EXPECT_EQ(f.bwUtil, decltype(f.bwUtil){});
+            }
+            moved = moved || f.dmBytes != decltype(f.dmBytes){};
+        }
+        EXPECT_EQ(moved, g.movement);
+    }
+}
 
 // ------------------------------------------------------ movement fold
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <iterator>
 #include <limits>
 #include <random>
@@ -367,6 +368,23 @@ drawUtil(std::mt19937_64 &rng)
                      : static_cast<double>(rng() % 1000) / 100.0;
 }
 
+/** A feature vector of drawCount()/drawUtil() fields. */
+CostFeatures
+drawFeatures(std::mt19937_64 &rng, bool tiny)
+{
+    CostFeatures f;
+    for (std::size_t i = 0; i < kNumTargets; ++i) {
+        f.comp[i] = drawCount(rng, tiny);
+        f.dm[i] = drawCount(rng, tiny);
+        f.queue[i] = drawCount(rng, tiny);
+        f.supported[i] = rng() % 4 != 0;
+        f.dmBytes[i] = drawCount(rng, tiny);
+        f.bwUtil[i] = drawUtil(rng);
+    }
+    f.depDelay = drawCount(rng, tiny);
+    return f;
+}
+
 TEST(DecisionRule, MatchesThePerTechniqueBodiesItReplaced)
 {
     using Body = Target (*)(const VecInstruction &, const CostFeatures &);
@@ -395,16 +413,7 @@ TEST(DecisionRule, MatchesThePerTechniqueBodiesItReplaced)
     std::mt19937_64 rng(2024);
     for (int trial = 0; trial < 20000; ++trial) {
         const bool tiny = rng() % 2 == 0;
-        CostFeatures f;
-        for (std::size_t i = 0; i < kNumTargets; ++i) {
-            f.comp[i] = drawCount(rng, tiny);
-            f.dm[i] = drawCount(rng, tiny);
-            f.queue[i] = drawCount(rng, tiny);
-            f.supported[i] = rng() % 4 != 0;
-            f.dmBytes[i] = drawCount(rng, tiny);
-            f.bwUtil[i] = drawUtil(rng);
-        }
-        f.depDelay = drawCount(rng, tiny);
+        const CostFeatures f = drawFeatures(rng, tiny);
         VecInstruction vi = vecInstr(
             static_cast<OpCode>(rng() % kNumOpCodes), rng() % 4 != 0);
 
@@ -416,6 +425,111 @@ TEST(DecisionRule, MatchesThePerTechniqueBodiesItReplaced)
                       reference::conduit(ab, vi, f))
                 << ConduitPolicy(ab).name() << " at trial " << trial;
     }
+}
+
+/** One FeatureGroups flag and a redraw of the fields it covers. */
+struct Group
+{
+    const char *name;
+    bool FeatureGroups::*flag;
+    void (*redraw)(CostFeatures &, std::mt19937_64 &, bool tiny);
+};
+
+const Group kGroups[] = {
+    {"comp", &FeatureGroups::comp,
+     [](CostFeatures &f, std::mt19937_64 &rng, bool tiny) {
+         for (auto &v : f.comp)
+             v = drawCount(rng, tiny);
+     }},
+    {"movement", &FeatureGroups::movement,
+     [](CostFeatures &f, std::mt19937_64 &rng, bool tiny) {
+         for (std::size_t i = 0; i < kNumTargets; ++i) {
+             f.dm[i] = drawCount(rng, tiny);
+             f.dmBytes[i] = drawCount(rng, tiny);
+         }
+     }},
+    {"queue", &FeatureGroups::queue,
+     [](CostFeatures &f, std::mt19937_64 &rng, bool tiny) {
+         for (auto &v : f.queue)
+             v = drawCount(rng, tiny);
+     }},
+    {"dependence", &FeatureGroups::dependence,
+     [](CostFeatures &f, std::mt19937_64 &rng, bool tiny) {
+         f.depDelay = drawCount(rng, tiny);
+     }},
+    {"busUtil", &FeatureGroups::busUtil,
+     [](CostFeatures &f, std::mt19937_64 &rng, bool) {
+         for (auto &v : f.bwUtil)
+             v = drawUtil(rng);
+     }},
+};
+
+TEST(DecisionRule, ReadsExactlyTheDeclaredFeatureGroups)
+{
+    // The engine leaves undeclared groups zero, so a row's decision
+    // must not depend on them; and a declared group that never moves
+    // a decision would make the engine compute it for nothing.
+    std::vector<std::unique_ptr<OffloadPolicy>> rules;
+    for (const auto &name : policyNames())
+        rules.push_back(makePolicy(name));
+    for (int bits = 0; bits < 8; ++bits)
+        rules.push_back(std::make_unique<ConduitPolicy>(
+            ConduitPolicy::Ablation{(bits & 1) != 0, (bits & 2) != 0,
+                                    (bits & 4) != 0}));
+
+    std::mt19937_64 rng(2027);
+    for (const auto &rule : rules) {
+        const FeatureGroups needs = rule->needs();
+        std::array<bool, std::size(kGroups)> moved{};
+        for (int trial = 0; trial < 20000; ++trial) {
+            const bool tiny = rng() % 2 == 0;
+            const CostFeatures f = drawFeatures(rng, tiny);
+            const VecInstruction vi = vecInstr(
+                static_cast<OpCode>(rng() % kNumOpCodes), rng() % 4 != 0);
+            const Target t = rule->select(vi, f);
+
+            CostFeatures outside = f;
+            for (const Group &g : kGroups) {
+                if (!(needs.*g.flag))
+                    g.redraw(outside, rng, tiny);
+            }
+            ASSERT_EQ(rule->select(vi, outside), t)
+                << rule->name() << " at trial " << trial;
+
+            for (std::size_t k = 0; k < std::size(kGroups); ++k) {
+                if (!(needs.*kGroups[k].flag) || moved[k])
+                    continue;
+                CostFeatures inside = f;
+                kGroups[k].redraw(inside, rng, tiny);
+                moved[k] = rule->select(vi, inside) != t;
+            }
+        }
+        for (std::size_t k = 0; k < std::size(kGroups); ++k) {
+            if (needs.*kGroups[k].flag) {
+                EXPECT_TRUE(moved[k])
+                    << rule->name() << " declares " << kGroups[k].name
+                    << " but no redraw of it moved a decision";
+            }
+        }
+    }
+}
+
+TEST(DecisionRule, UndeclaredPolicyReadsEveryGroup)
+{
+    // A policy that does not override needs() gets the full vector.
+    class Custom : public OffloadPolicy
+    {
+      public:
+        Target
+        select(const VecInstruction &, const CostFeatures &) override
+        {
+            return Target::Isp;
+        }
+        std::string name() const override { return "custom"; }
+    };
+    const FeatureGroups g = Custom().needs();
+    for (const Group &group : kGroups)
+        EXPECT_TRUE(g.*group.flag) << group.name;
 }
 
 TEST(Targets, NamesStable)

@@ -30,7 +30,12 @@
  *    one tick-0 job under Conduit, DM-Offloading and BW-Offloading
  *    (instructions per second, outside the event-kernel aggregate)
  *    and record the engine's work counters (Engine::Counters) under
- *    "engine_counters", gated exactly the same way.
+ *    "engine_counters", gated exactly the same way. A host-baseline
+ *    micro times HostModel::run on AES at scale 16, CPU and GPU, on
+ *    the 1/128-scaled SSD (page touches per second; the host page
+ *    cache evicts on most misses there) and records the model's work
+ *    counts (HostResult::Work) under "host_counters", also gated
+ *    exactly.
  *
  * 2. Representative end-to-end scenarios, timed around the
  *    SweepRunner entry points (SweepPerf hooks):
@@ -71,6 +76,7 @@
 
 #include "bench/common.hh"
 #include "src/cluster/placement.hh"
+#include "src/host/host_model.hh"
 #include "src/sim/event_queue.hh"
 
 namespace
@@ -100,6 +106,8 @@ struct MicroResult
     std::optional<EventQueue::Counters> counters;
     /** Work counters of the micro's engine (dispatch micro). */
     std::optional<Engine::Counters> engine;
+    /** Host page-cache work (host-baseline micro). */
+    std::optional<HostResult::Work> host{};
 
     double
     opsPerSec() const
@@ -136,6 +144,8 @@ constexpr MicroName kMicros[] = {
      "dispatch (DM-Offloading)"},
     {"dispatch_bw", "dispatch_bw_instructions_per_sec", "instructions",
      "dispatch (BW-Offloading)"},
+    {"host_baseline", "host_page_touches_per_sec", "page touches",
+     "host baseline (AES x16)"},
 };
 
 /** Dispatch-chain shape: every callback schedules its successor. */
@@ -293,6 +303,29 @@ microDispatch(double scale, const char *policy)
     const DeviceSnapshot snap = dev.drain();
     return {snap.jobs.front().result.instrCount, seconds(t0),
             std::nullopt, dev.engine().counters()};
+}
+
+/**
+ * Host baselines: HostModel::run over @p prog (AES at scale 16 on the
+ * 1/128-scaled SSD, as perfbench's paper-batch runs it), CPU then
+ * GPU. Compilation stays outside the timed region. Reported as page
+ * touches per second of the host page cache.
+ */
+MicroResult
+microHostBaseline(const Program &prog, const SsdConfig &cfg)
+{
+    HostResult::Work sum;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (auto kind : {HostModel::Kind::Cpu, HostModel::Kind::Gpu}) {
+        const HostResult::Work w = HostModel(cfg, kind).run(prog).work;
+        sum.pageTouches += w.pageTouches;
+        sum.misses += w.misses;
+        sum.evictions += w.evictions;
+        sum.compactions += w.compactions;
+        sum.victimSteps += w.victimSteps;
+    }
+    return {sum.pageTouches, seconds(t0), std::nullopt, std::nullopt,
+            sum};
 }
 
 /** One timed scenario: simulated digest + wall-clock statistics. */
@@ -577,9 +610,10 @@ writeJson(const std::string &path, const SweepCli &cli, int repeat,
     double wall = 0.0;
     for (std::size_t i = 0; i < micro.size(); ++i) {
         // The aggregate stays an event-kernel number: snapshot_fork
-        // counts device forks and dispatch counts instructions, not
-        // queue events, so mixing their ops into the pooled rate
-        // would skew the kernel trendline.
+        // counts device forks, dispatch instructions and
+        // host_baseline page touches, not queue events, so mixing
+        // their ops into the pooled rate would skew the kernel
+        // trendline.
         if (micro[i].counters) {
             ops += micro[i].ops;
             wall += micro[i].wallSeconds;
@@ -630,6 +664,25 @@ writeJson(const std::string &path, const SweepCli &cli, int repeat,
                      static_cast<unsigned long long>(c.fragmentPages),
                      static_cast<unsigned long long>(c.latchScanSteps),
                      static_cast<unsigned long long>(c.lruVictimSteps));
+        first = false;
+    }
+    std::fprintf(f, "\n  },\n");
+    std::fprintf(f, "  \"host_counters\": {\n");
+    first = true;
+    for (std::size_t i = 0; i < micro.size(); ++i) {
+        if (!micro[i].host)
+            continue;
+        const HostResult::Work &w = *micro[i].host;
+        std::fprintf(f,
+                     "%s    \"%s\": {\"page_touches\": %llu, "
+                     "\"misses\": %llu, \"evictions\": %llu, "
+                     "\"compactions\": %llu, \"victim_steps\": %llu}",
+                     first ? "" : ",\n", kMicros[i].name,
+                     static_cast<unsigned long long>(w.pageTouches),
+                     static_cast<unsigned long long>(w.misses),
+                     static_cast<unsigned long long>(w.evictions),
+                     static_cast<unsigned long long>(w.compactions),
+                     static_cast<unsigned long long>(w.victimSteps));
         first = false;
     }
     std::fprintf(f, "\n  },\n");
@@ -738,6 +791,10 @@ main(int argc, char **argv)
     };
     SweepRunner runner(cli.runnerOptions());
     const unsigned threads = runner.workerCount(8);
+    const SsdConfig hostCfg = SsdConfig::scaled(1.0 / 128.0);
+    WorkloadParams aes16;
+    aes16.scale = 16.0;
+    const auto hostProg = ProgramCache().get(WorkloadId::Aes, aes16, hostCfg);
 
     const std::vector<MicroResult> micro = {
         bestOf([] { return microChain(2'000'000); }),
@@ -749,6 +806,7 @@ main(int argc, char **argv)
         bestOf([&] { return microDispatch(cli.scale, "Conduit"); }),
         bestOf([&] { return microDispatch(cli.scale, "DM-Offloading"); }),
         bestOf([&] { return microDispatch(cli.scale, "BW-Offloading"); }),
+        bestOf([&] { return microHostBaseline(hostProg->program, hostCfg); }),
     };
     std::fprintf(stderr, "event-kernel microbench:\n");
     for (std::size_t i = 0; i < micro.size(); ++i)

@@ -6,21 +6,23 @@ committed reference. Two gates run:
 
 - Work counters, exactly. ``kernel_counters`` holds each event-queue
   microbench's EventQueue work counters (entries shifted, late-heap
-  pushes, re-anchors, sorts); ``engine_counters`` holds
-  each dispatch microbench's Engine work counters (source pages
-  folded, fragment pages walked, latch-FIFO scan steps, DRAM-LRU
-  victim-walk steps). They are a function of the schedule alone,
-  identical on every host, so every committed counter must be
-  present in the fresh record with exactly the same value. A change
-  that moves one on purpose regenerates the committed record.
+  pushes, re-anchors, sorts); ``engine_counters`` holds each dispatch
+  microbench's Engine work counters (source pages folded, fragment
+  pages walked, latch-FIFO scan steps, DRAM-LRU victim-walk steps);
+  ``host_counters`` holds the host-baseline microbench's page-cache
+  work (page touches, misses, evictions, compactions, victim-search
+  steps). They are a function of the schedule alone, identical on
+  every host, so every committed counter must be present in the
+  fresh record with exactly the same value. A change that moves one
+  on purpose regenerates the committed record.
 - Wall clock, loosely. The gate fails when any events/sec,
-  forks/sec or instructions/sec figure dropped below ``min_ratio``
-  of the reference. The margin is
-  deliberately generous: the reference numbers come from whatever
-  machine produced the committed record, while CI runners differ in
-  CPU generation and load, so the gate only catches
-  order-of-magnitude regressions (an accidentally quadratic hot path,
-  a lost cache), not percent-level noise.
+  forks/sec, instructions/sec or page-touches/sec figure dropped
+  below ``min_ratio`` of the reference. The margin is deliberately
+  generous: the reference numbers come from whatever machine
+  produced the committed record, while CI runners differ in CPU
+  generation and load, so the gate only catches order-of-magnitude
+  regressions (an accidentally quadratic hot path, a lost cache),
+  not percent-level noise.
 
 Byte-level correctness is covered separately by the digest diffs.
 
@@ -46,7 +48,8 @@ def metrics(record):
     out = {}
     for name, value in record.get("microbench", {}).items():
         if name.endswith(("events_per_sec", "forks_per_sec",
-                          "instructions_per_sec")):
+                          "instructions_per_sec",
+                          "page_touches_per_sec")):
             out[f"microbench.{name}"] = float(value)
     for scenario in record.get("scenarios", []):
         out[f"scenario.{scenario['name']}.events_per_sec"] = float(
@@ -64,6 +67,9 @@ def counters(record):
     for micro, fields in record.get("engine_counters", {}).items():
         for name, value in fields.items():
             out[f"engine.{micro}.{name}"] = int(value)
+    for micro, fields in record.get("host_counters", {}).items():
+        for name, value in fields.items():
+            out[f"host.{micro}.{name}"] = int(value)
     return out
 
 

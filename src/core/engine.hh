@@ -110,11 +110,12 @@ struct EngineState
     // DRAM staging region LRU (capacity-limited page residency,
     // shared by all streams — capacity pressure is device-wide).
     // FlatLru, not RankLru: with the default (near-unbounded)
-    // staging fraction evictions are rare, so O(1) touches beat
-    // paying a Fenwick update per touch for a cheaper walk that
-    // almost never runs — measured ~35% slower on the open-loop
-    // saturation scenario with RankLru here. HostModel's cache is
-    // the opposite regime (constant evictions) and uses RankLru.
+    // staging fraction evictions are rare, so the cheapest touch
+    // beats a cheaper victim pick that almost never runs (the
+    // Fenwick-tree RankLru measured ~35% slower on the open-loop
+    // saturation scenario here; the blocked one is unmeasured).
+    // HostModel's cache is the opposite regime (constant
+    // evictions) and uses RankLru.
     std::uint64_t dramCapacityPages_ = 0;
     FlatLru dramLru_;
 

@@ -51,20 +51,23 @@ HostModel::run(const Program &prog) const
     Rng rng(0xC0FFEE);
 
     auto touch = [&](std::uint64_t page) -> bool {
+        ++r.work.pageTouches;
         if (lru.touch(page))
             return true;
+        ++r.work.misses;
         if (lru.size() > capacity) {
             // CLOCK-like randomized victim selection: pure LRU
             // degenerates on the cyclic sweeps of these kernels.
             // The victim sits `skip` recency steps from the LRU
             // end (a tail walk stops at the head, hence the rank
-            // clamp); RankLru finds it in O(log n) instead of a
-            // skip-step list walk.
+            // clamp); RankLru finds it by a block-count scan
+            // instead of a skip-step list walk.
             const std::uint64_t skip =
                 rng.below(std::max<std::uint64_t>(1, lru.size() / 2));
             const std::uint64_t rank = std::min<std::uint64_t>(
                 skip, lru.size() - 1);
             lru.eraseKey(lru.keyAtRankFromTail(rank));
+            ++r.work.evictions;
         }
         return false;
     };
@@ -146,6 +149,8 @@ HostModel::run(const Program &prog) const
         std::min<std::uint64_t>(dirty_pages, prog.footprintPages);
     r.pcieBytes += writeback_pages * prog.pageBytes;
     r.pcieBytes += gather_bytes;
+    r.work.compactions = lru.counters().compactions;
+    r.work.victimSteps = lru.counters().victimSteps;
 
     r.computeTime = static_cast<Tick>(
         compute_s * static_cast<double>(kPsPerS));

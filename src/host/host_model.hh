@@ -37,6 +37,19 @@ struct HostResult
     double dmEnergyJ = 0.0;
 
     double energyJ() const { return computeEnergyJ + dmEnergyJ; }
+
+    /** Host page-cache work: exact counts of the model's own
+     *  effort, for self-performance records. No simulated output
+     *  reads them. */
+    struct Work
+    {
+        std::uint64_t pageTouches = 0; // pages replayed through the LRU
+        std::uint64_t misses = 0;
+        std::uint64_t evictions = 0;
+        std::uint64_t compactions = 0; // RankLru window renumberings
+        std::uint64_t victimSteps = 0; // blocks + words skipped
+    };
+    Work work;
 };
 
 /**

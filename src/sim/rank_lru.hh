@@ -1,23 +1,24 @@
 /**
  * @file
- * Order-statistics LRU: recency tracking with O(log n) rank selection.
+ * Order-statistics LRU: O(1) recency updates, blocked rank/select.
  *
  * The host baseline's page cache evicts the entry `skip` steps from
- * the LRU end (CLOCK-like randomized victim selection). A linked
- * list answers that query by walking `skip` nodes — O(capacity) per
- * eviction, and the dominant wall-clock cost of every CPU/GPU
- * baseline cell. RankLru keeps the same recency order as monotone
- * timestamps indexed by a Fenwick tree, so move-to-front is O(log n)
- * and "the k-th entry from the tail" is a single O(log n) tree
- * descent instead of a k-step walk.
- *
- * The structure is an exact drop-in for the list semantics: touches
- * preserve identical recency order, and keyAtRankFromTail(r) returns
- * precisely the node a r-step tail walk would reach — callers keep
+ * the LRU end (CLOCK-like randomized victim selection), which a
+ * linked list finds by walking `skip` nodes. RankLru stamps every
+ * touch with the next timestamp, so that entry is the (skip+1)-th
+ * smallest alive stamp. Alive stamps are bits in 64-bit words; each
+ * word keeps its popcount in a byte and each block of 16 words (1,024
+ * stamps) its count, so a touch flips one bit and adjusts two counts:
+ * O(1). keyAtRankFromTail() skips whole blocks, then whole words, by
+ * their counts and selects inside one word by clearing low set bits
+ * (no popcount on the hot path: without -mpopcnt it is a libcall).
+ * Recency order and victims equal the list's exactly, so callers keep
  * their RNG draws and get bit-identical victim sequences.
  *
- * Timestamp space is bounded: when the window fills, timestamps are
- * compacted in recency order (O(window), amortized O(1) per touch).
+ * When the stamp window fills, alive stamps are renumbered 0..size-1
+ * in order and the counts rebuilt in the same buffers (O(window),
+ * amortized O(1) per touch); a live set over half the window doubles
+ * the window first.
  */
 
 #ifndef CONDUIT_SIM_RANK_LRU_HH
@@ -30,39 +31,41 @@
 namespace conduit
 {
 
-/** LRU set over dense keys with logarithmic rank-from-tail queries. */
+/** LRU set over dense keys with block-scan rank-from-tail queries. */
 class RankLru
 {
   public:
     static constexpr std::uint64_t kNone = ~std::uint64_t{0};
 
-    /**
-     * Drop all entries. @p key_space bounds the dense key range
-     * (grown on demand); @p expected_capacity sizes the timestamp
-     * window (4x capacity between compactions).
-     */
+    /** Host-time work counters; no simulated result reads them. */
+    struct Counters
+    {
+        std::uint64_t compactions = 0; // window renumberings
+        std::uint64_t victimSteps = 0; // blocks + words skipped
+    };
+
+    /** Drop all entries. @p key_space bounds the dense key range
+     *  (grown on demand); @p expected_capacity sizes the timestamp
+     *  window (4x capacity, at least 64 stamps). */
     void
     reset(std::uint64_t key_space, std::uint64_t expected_capacity)
     {
         ts_.assign(key_space, kNone);
-        window_ = std::max<std::uint64_t>(64, 4 * expected_capacity);
-        topBit_ = 1;
-        while (topBit_ * 2 <= window_)
-            topBit_ *= 2;
-        tsToKey_.assign(window_, kNone);
-        bit_.assign(window_ + 1, 0);
+        words_.clear();
+        resizeWindow( // 64 stamps per word
+            std::max<std::uint64_t>(1, (expected_capacity + 15) / 16));
         nextTs_ = 0;
         size_ = 0;
+        counters_ = {};
     }
 
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
+    const Counters &counters() const { return counters_; }
 
-    /**
-     * Touch @p key: refresh its recency (hit, returns true) or
-     * insert it as most recent (miss, returns false). Never evicts —
-     * capacity policy belongs to the caller.
-     */
+    /** Touch @p key: refresh its recency (hit, returns true) or
+     *  insert it as most recent (miss, returns false). Never evicts:
+     *  capacity policy belongs to the caller. */
     bool
     touch(std::uint64_t key)
     {
@@ -70,7 +73,7 @@ class RankLru
             ts_.resize(key + 1, kNone);
         const bool hit = ts_[key] != kNone;
         if (hit)
-            release(ts_[key]);
+            flip(ts_[key], -1);
         else
             ++size_;
         place(key);
@@ -82,21 +85,21 @@ class RankLru
      * entry, rank size()-1 the most recent. @p rank must be < size().
      */
     std::uint64_t
-    keyAtRankFromTail(std::uint64_t rank) const
+    keyAtRankFromTail(std::uint64_t rank)
     {
-        // Find the (rank+1)-th smallest alive timestamp: a Fenwick
-        // prefix descent for the first index whose alive-count
-        // prefix reaches rank+1.
-        std::uint64_t remain = rank + 1;
-        std::uint64_t pos = 0; // 1-based running BIT index
-        for (std::uint64_t mask = topBit_; mask != 0; mask >>= 1) {
-            const std::uint64_t next = pos + mask;
-            if (next <= window_ && bit_[next] < remain) {
-                pos = next;
-                remain -= bit_[next];
-            }
-        }
-        return tsToKey_[pos]; // 1-based answer pos+1 -> timestamp pos
+        // The (rank+1)-th smallest alive stamp: skip whole blocks,
+        // then whole words, then the word's `rank` low set bits.
+        std::size_t b = 0;
+        while (blockCount_[b] <= rank)
+            rank -= blockCount_[b++];
+        std::size_t w = b * kBlockWords;
+        while (wordCount_[w] <= rank)
+            rank -= wordCount_[w++];
+        counters_.victimSteps += b + (w - b * kBlockWords);
+        std::uint64_t bits = words_[w];
+        for (; rank != 0; --rank)
+            bits &= bits - 1;
+        return tsToKey_[64 * w + __builtin_ctzll(bits)];
     }
 
     /** Remove @p key; no-op when absent (like FlatLru::eraseKey). */
@@ -105,7 +108,7 @@ class RankLru
     {
         if (!contains(key))
             return;
-        release(ts_[key]);
+        flip(ts_[key], -1);
         ts_[key] = kNone;
         --size_;
     }
@@ -117,79 +120,76 @@ class RankLru
     }
 
   private:
-    void
-    bitAdd(std::uint64_t ts, int delta)
-    {
-        for (std::uint64_t i = ts + 1; i <= window_; i += i & (~i + 1))
-            bit_[i] = static_cast<std::uint32_t>(
-                static_cast<std::int64_t>(bit_[i]) + delta);
-    }
+    static constexpr std::size_t kBlockWords = 16;
 
+    /** Set (+1) or clear (-1) stamp @p ts's alive bit and counts. */
     void
-    release(std::uint64_t ts)
+    flip(std::uint64_t ts, int delta)
     {
-        bitAdd(ts, -1);
-        tsToKey_[ts] = kNone;
+        const std::size_t w = ts / 64;
+        words_[w] ^= std::uint64_t{1} << (ts % 64);
+        wordCount_[w] = static_cast<std::uint8_t>(wordCount_[w] + delta);
+        blockCount_[w / kBlockWords] += delta;
     }
 
     void
     place(std::uint64_t key)
     {
-        if (nextTs_ == window_) {
+        if (nextTs_ == tsToKey_.size()) {
             // Compaction must reclaim at least half the window to
-            // stay amortized O(1); if the live set has outgrown the
-            // caller's capacity hint, grow the window instead of
-            // overflowing it.
-            if (size_ * 2 > window_)
-                grow(window_ * 2);
+            // stay amortized O(1): a larger live set grows it first.
+            if (size_ * 2 > tsToKey_.size())
+                resizeWindow(2 * words_.size());
             compact();
         }
+        flip(nextTs_, +1);
         ts_[key] = nextTs_;
-        tsToKey_[nextTs_] = key;
-        bitAdd(nextTs_, +1);
-        ++nextTs_;
+        tsToKey_[nextTs_++] = key;
     }
 
-    /** Widen the timestamp window (compact() rebuilds the BIT). */
+    /** Resize to @p words words of stamps; new words are empty. */
     void
-    grow(std::uint64_t window)
+    resizeWindow(std::size_t words)
     {
-        window_ = window;
-        topBit_ = 1;
-        while (topBit_ * 2 <= window_)
-            topBit_ *= 2;
-        tsToKey_.resize(window_, kNone);
-        bit_.assign(window_ + 1, 0);
+        words_.resize(words, 0);
+        wordCount_.assign(words, 0);
+        blockCount_.assign((words + kBlockWords - 1) / kBlockWords, 0);
+        tsToKey_.resize(64 * words, kNone);
     }
 
-    /** Renumber alive timestamps 0..size-1 preserving order. */
+    /** Renumber alive stamps 0..n-1 in order; rebuild the counts. */
     void
     compact()
     {
         std::uint64_t n = 0;
-        for (std::uint64_t t = 0; t < nextTs_; ++t) {
-            const std::uint64_t key = tsToKey_[t];
-            if (key == kNone)
-                continue;
-            tsToKey_[n] = key;
-            ts_[key] = n;
-            ++n;
+        for (std::size_t w = 0; w < words_.size(); ++w)
+            for (std::uint64_t bits = words_[w]; bits != 0;
+                 bits &= bits - 1) {
+                const std::uint64_t key =
+                    tsToKey_[64 * w + __builtin_ctzll(bits)];
+                tsToKey_[n] = key; // n <= the stamp just read
+                ts_[key] = n++;
+            }
+        std::fill(blockCount_.begin(), blockCount_.end(), 0);
+        for (std::size_t w = 0; w < words_.size(); ++w) {
+            const std::uint64_t c = std::min<std::uint64_t>(
+                64, n - std::min<std::uint64_t>(n, 64 * w));
+            words_[w] = c == 0 ? 0 : ~std::uint64_t{0} >> (64 - c);
+            wordCount_[w] = static_cast<std::uint8_t>(c);
+            blockCount_[w / kBlockWords] += static_cast<std::uint32_t>(c);
         }
-        std::fill(tsToKey_.begin() + static_cast<std::ptrdiff_t>(n),
-                  tsToKey_.end(), kNone);
-        std::fill(bit_.begin(), bit_.end(), 0);
-        for (std::uint64_t t = 0; t < n; ++t)
-            bitAdd(t, +1);
         nextTs_ = n;
+        ++counters_.compactions;
     }
 
-    std::vector<std::uint64_t> ts_;      // key -> timestamp
-    std::vector<std::uint64_t> tsToKey_; // timestamp -> key
-    std::vector<std::uint32_t> bit_;     // Fenwick over alive stamps
-    std::uint64_t window_ = 0;
-    std::uint64_t topBit_ = 0;
+    std::vector<std::uint64_t> ts_;         // key -> timestamp
+    std::vector<std::uint64_t> tsToKey_;    // timestamp -> key
+    std::vector<std::uint64_t> words_;      // alive-stamp bits
+    std::vector<std::uint8_t> wordCount_;   // popcount per word
+    std::vector<std::uint32_t> blockCount_; // alive per 16 words
     std::uint64_t nextTs_ = 0;
     std::size_t size_ = 0;
+    Counters counters_;
 };
 
 } // namespace conduit

@@ -355,6 +355,97 @@ TEST(RankLru, EraseAbsentKeyIsNoOp)
     EXPECT_EQ(lru.size(), 1u);
 }
 
+/** Move-to-front list: the reference RankLru must reproduce. */
+class ListWalkLru
+{
+  public:
+    explicit ListWalkLru(std::uint64_t keys)
+        : where_(keys), present_(keys, false)
+    {
+    }
+
+    std::size_t size() const { return order_.size(); }
+
+    bool
+    touch(std::uint64_t key)
+    {
+        const bool hit = present_[key];
+        if (hit)
+            order_.erase(where_[key]);
+        order_.push_front(key);
+        where_[key] = order_.begin();
+        present_[key] = true;
+        return hit;
+    }
+
+    /** The key a @p skip-step walk from the tail reaches; the walk
+     *  stops at the head. */
+    std::uint64_t
+    walkFromTail(std::uint64_t skip) const
+    {
+        auto it = std::prev(order_.end());
+        for (std::uint64_t i = 0; i < skip && it != order_.begin(); ++i)
+            --it;
+        return *it;
+    }
+
+    void
+    erase(std::uint64_t key)
+    {
+        order_.erase(where_[key]);
+        present_[key] = false;
+    }
+
+    /** Every key, least recent first. */
+    std::vector<std::uint64_t>
+    fromTail() const
+    {
+        return {order_.rbegin(), order_.rend()};
+    }
+
+  private:
+    std::list<std::uint64_t> order_; // front = most recent
+    std::vector<std::list<std::uint64_t>::iterator> where_;
+    std::vector<bool> present_;
+};
+
+/**
+ * Touch @p key in both LRUs, then, while the size exceeds
+ * @p capacity, evict up to @p max_evictions victims drawn the way
+ * HostModel draws them (skip below size/2, rank clamped to size-1).
+ * Every hit/miss, size and victim must agree.
+ */
+::testing::AssertionResult
+touchBoth(RankLru &lru, ListWalkLru &ref, Rng &skips,
+          std::uint64_t key, std::uint64_t capacity,
+          int max_evictions = 1)
+{
+    const bool ref_hit = ref.touch(key);
+    if (lru.touch(key) != ref_hit)
+        return ::testing::AssertionFailure()
+            << "hit/miss differs on key " << key;
+    for (int e = 0; e < max_evictions && ref.size() > capacity; ++e) {
+        if (lru.size() != ref.size())
+            return ::testing::AssertionFailure()
+                << "size " << lru.size() << " != " << ref.size();
+        const std::uint64_t skip =
+            skips.below(std::max<std::uint64_t>(1, ref.size() / 2));
+        const std::uint64_t victim = ref.walkFromTail(skip);
+        const std::uint64_t got = lru.keyAtRankFromTail(
+            std::min<std::uint64_t>(skip, lru.size() - 1));
+        if (got != victim)
+            return ::testing::AssertionFailure()
+                << "victim " << got << " != " << victim << " at skip "
+                << skip;
+        lru.eraseKey(victim);
+        ref.erase(victim);
+    }
+    if (lru.size() != ref.size())
+        return ::testing::AssertionFailure()
+            << "size " << lru.size() << " != " << ref.size();
+    return ::testing::AssertionSuccess();
+}
+
 TEST(RankLru, MatchesReferenceListWalk)
 {
     // RankLru must reproduce a move-to-front list byte for byte: the
@@ -363,35 +454,85 @@ TEST(RankLru, MatchesReferenceListWalk)
     // against a random touch stream and compare every decision.
     constexpr std::uint64_t kKeys = 96;
     constexpr std::uint64_t kCapacity = 24;
-    std::list<std::uint64_t> ref; // front = most recent
+    ListWalkLru ref(kKeys);
     RankLru lru;
     lru.reset(kKeys, kCapacity);
     Rng touches(11), skips(12);
+    for (int step = 0; step < 20000; ++step)
+        ASSERT_TRUE(touchBoth(lru, ref, skips, touches.below(kKeys),
+                              kCapacity))
+            << "step " << step;
+}
 
-    for (int step = 0; step < 20000; ++step) {
-        const std::uint64_t key = touches.below(kKeys);
-        const auto it = std::find(ref.begin(), ref.end(), key);
-        const bool ref_hit = it != ref.end();
-        if (ref_hit)
-            ref.erase(it);
-        ref.push_front(key);
-        ASSERT_EQ(lru.touch(key), ref_hit) << "step " << step;
-        ASSERT_EQ(lru.size(), ref.size());
-        if (ref.size() > kCapacity) {
-            const std::uint64_t skip =
-                skips.below(std::max<std::uint64_t>(1, ref.size() / 2));
-            auto vit = std::prev(ref.end());
-            for (std::uint64_t i = 0;
-                 i < skip && vit != ref.begin(); ++i)
-                --vit;
-            const std::uint64_t rank = std::min<std::uint64_t>(
-                skip, lru.size() - 1);
-            ASSERT_EQ(lru.keyAtRankFromTail(rank), *vit)
-                << "step " << step;
-            lru.eraseKey(*vit);
-            ref.erase(vit);
+TEST(RankLru, MatchesReferenceAcrossBlocks)
+{
+    // The same contract at a size that crosses many words and
+    // 1,024-stamp blocks: HostModel-shaped contiguous 1-32 page
+    // range streams mixed with random keys, a hot phase of hits
+    // that forces compactions, then a growth phase whose live set
+    // passes half the window, drained again under evictions.
+    constexpr std::uint64_t kKeys = 20000;
+    constexpr std::uint64_t kCapacity = 7000;
+    constexpr std::uint64_t kUnbounded = ~std::uint64_t{0};
+    ListWalkLru ref(kKeys);
+    RankLru lru;
+    lru.reset(kKeys, kCapacity);
+    Rng draws(21), skips(22);
+    std::uint64_t step = 0;
+    // One draw: a range stream (3 in 4) or a single random key,
+    // with keys below @p span.
+    const auto draw = [&](std::uint64_t span, std::uint64_t capacity,
+                          int max_evictions) {
+        std::uint64_t base = draws.below(span);
+        std::uint64_t count = 1;
+        if (draws.below(4) != 0) {
+            count = 1 + draws.below(32);
+            base = std::min(base, span - count);
+        }
+        for (std::uint64_t p = base; p < base + count; ++p, ++step) {
+            const auto ok =
+                touchBoth(lru, ref, skips, p, capacity, max_evictions);
+            if (!ok)
+                return ::testing::AssertionFailure()
+                    << "touch " << step << ": " << ok.message();
+        }
+        return ::testing::AssertionSuccess();
+    };
+    const auto sameOrder = [&] {
+        const std::vector<std::uint64_t> keys = ref.fromTail();
+        for (std::uint64_t r = 0; r < keys.size(); ++r)
+            if (lru.keyAtRankFromTail(r) != keys[r])
+                return ::testing::AssertionFailure() << "rank " << r;
+        return ::testing::AssertionSuccess();
+    };
+
+    for (int i = 0; i < 1500; ++i) // streams over the whole key space
+        ASSERT_TRUE(draw(kKeys, kCapacity, 1));
+    for (int i = 0; i < 6000; ++i) // mostly hits: compactions
+        ASSERT_TRUE(draw(i % 8 ? 4096 : kKeys, kCapacity, 1));
+    EXPECT_EQ(ref.size(), kCapacity);
+    EXPECT_GE(lru.counters().compactions, 3u);
+    ASSERT_TRUE(sameOrder());
+
+    // No evictions: sweep fresh keys in until the live set is over
+    // twice the capacity hint (over half the 4x window), then replay
+    // hits until the window fills, so that compaction must grow it.
+    for (std::uint64_t k = 0; lru.size() < 2 * kCapacity + 2048; ++k)
+        ASSERT_TRUE(touchBoth(lru, ref, skips, k, kUnbounded));
+    const std::uint64_t before_growth = lru.counters().compactions;
+    for (std::uint64_t k = 0; lru.counters().compactions == before_growth;
+         k = (k + 1) % kKeys) {
+        if (lru.contains(k)) {
+            ASSERT_TRUE(touchBoth(lru, ref, skips, k, kUnbounded));
         }
     }
+    ASSERT_TRUE(sameOrder());
+
+    // Back under the capacity: two evictions per touch drain it.
+    for (int i = 0; i < 1000; ++i)
+        ASSERT_TRUE(draw(kKeys, kCapacity, 2));
+    EXPECT_EQ(ref.size(), kCapacity);
+    ASSERT_TRUE(sameOrder());
 }
 
 TEST(Server, FcfsQueueing)

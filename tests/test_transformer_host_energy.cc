@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "src/core/program_cache.hh"
 #include "src/core/transformer.hh"
 #include "src/energy/energy_model.hh"
 #include "src/host/host_model.hh"
 #include "src/isp/isp_core.hh"
+#include "src/workloads/workloads.hh"
 
 namespace conduit
 {
@@ -148,6 +152,51 @@ TEST(HostModel, ComputeAndTransferOverlap)
     EXPECT_LE(r.totalTime,
               r.computeTime + r.transferTime + usToTicks(10));
     EXPECT_GE(r.totalTime, std::max(r.computeTime, r.transferTime));
+}
+
+TEST(HostModel, PaperBatchCellsArePinned)
+{
+    // The 36 host cells of the Fig. 7a matrix at scales 1, 4 and 16
+    // (every workload, CPU and GPU, the 1/128-scaled SSD). At scales
+    // 4 and 16 the host page cache's RankLru window spans many
+    // 1,024-stamp blocks; the bench defaults run scale 1 only. One
+    // FNV-1a digest over every simulated HostResult field (energies
+    // as bit patterns); the work counters are not outputs and stay
+    // out of it.
+    const SsdConfig cfg = SsdConfig::scaled(1.0 / 128.0);
+    ProgramCache cache;
+    std::uint64_t digest = 1469598103934665603ull;
+    const auto add = [&digest](std::uint64_t v) {
+        for (int byte = 0; byte < 8; ++byte) {
+            digest ^= (v >> (8 * byte)) & 0xff;
+            digest *= 1099511628211ull;
+        }
+    };
+    const auto bits = [](double d) {
+        std::uint64_t u = 0;
+        std::memcpy(&u, &d, sizeof u);
+        return u;
+    };
+    for (double scale : {1.0, 4.0, 16.0}) {
+        for (WorkloadId id : allWorkloads()) {
+            WorkloadParams params;
+            params.scale = scale;
+            const auto vp = cache.get(id, params, cfg);
+            for (auto kind :
+                 {HostModel::Kind::Cpu, HostModel::Kind::Gpu}) {
+                const HostResult r =
+                    HostModel(cfg, kind).run(vp->program);
+                for (std::uint64_t v :
+                     {r.totalTime, r.computeTime, r.transferTime,
+                      r.pcieBytes, r.flashPagesRead,
+                      bits(r.computeEnergyJ), bits(r.dmEnergyJ)})
+                    add(v);
+            }
+        }
+    }
+    // Recorded with the earlier Fenwick-tree RankLru; the blocked
+    // one must reproduce it exactly.
+    EXPECT_EQ(digest, 0x376faff8dbc33284ull);
 }
 
 TEST(EnergyModel, BucketsSeparateDmFromCompute)
